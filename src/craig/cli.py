@@ -401,8 +401,6 @@ def build_parser():
         prog="craig",
         description="interpolation for resolution and sequent calculi",
     )
-    parser.add_argument("--seed", type=int, default=20240901,
-                        help="seed for randomized commands")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("parse", help="parse a formula and print it canonically")

@@ -24,7 +24,7 @@ from .formulas import (
     sorted_clauses,
     sorted_literals,
 )
-from .maehara import verify_interpolant
+from .maehara import axiom_interpolant, verify_interpolant
 from .sequent import (
     COMPONENTS,
     LKAT,
@@ -82,6 +82,10 @@ class NotPrunedInterpolant(ConstructError):
 
 class SubproofMismatch(ConstructError):
     pass
+
+
+class ProofCheckFailed(ConstructError):
+    """A proof the search built fails check_proof: an internal bug."""
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +273,10 @@ def prove_cutfree(s: Sequent, system: System) -> Proof:
     proof, fail = _search(s, system, frozenset(), frozenset())
     if proof is not None:
         bad = check_proof(proof, system)
-        assert bad is None, bad
+        if bad is not None:
+            raise ProofCheckFailed(
+                f"search built an invalid proof at {bad.path}: {bad.reason}"
+            )
         return proof
     countermodel = None
     if not system.modal:
@@ -455,16 +462,7 @@ def enumerate_cutfree_interpolants(s: Sequent, system: System, max_depth: int):
         out = set()
         ants, sucs = seq.antecedent(), seq.succedent()
         if len(ants) == 1 and len(sucs) == 1 and ants[0] == sucs[0]:
-            ant = "L" if seq.g1 else "R"
-            suc = "L" if seq.d1 else "R"
-            out.add(
-                {
-                    ("L", "L"): BOTTOM,
-                    ("R", "R"): TOP,
-                    ("L", "R"): ants[0],
-                    ("R", "L"): Neg(ants[0]),
-                }[(ant, suc)]
-            )
+            out.add(axiom_interpolant(seq))
         if not sucs and ants == (BOTTOM,):
             out.add(BOTTOM if seq.g1 else TOP)
         return out

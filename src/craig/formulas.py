@@ -126,7 +126,7 @@ def formula_length(f: Formula) -> int:
 def is_modal(f: Formula) -> bool:
     if isinstance(f, Box):
         return True
-    if isinstance(f, (Neg, Box)):
+    if isinstance(f, Neg):
         return is_modal(f.body)
     if isinstance(f, (And, Or)):
         return is_modal(f.left) or is_modal(f.right)
@@ -377,12 +377,6 @@ def assignments_over(names):
         yield dict(zip(names, bits))
 
 
-def is_valid(f: Formula) -> bool:
-    if is_modal(f):
-        raise ModalNotSupported("use the modal prover for modal validity")
-    return all(_eval_classical(f, a) for a in assignments_over(vars_of(f)))
-
-
 def entails(a: Formula, b: Formula) -> bool:
     if is_modal(a) or is_modal(b):
         raise ModalNotSupported("use the modal prover for modal entailment")
@@ -458,14 +452,6 @@ def literal_of_formula(f: Formula) -> Literal:
     raise FormulaError(f"not a literal: {f!r}")
 
 
-def is_literal_formula(f: Formula) -> bool:
-    try:
-        literal_of_formula(f)
-        return True
-    except FormulaError:
-        return False
-
-
 def format_literal(lit: Literal) -> str:
     body = format_formula_compact(lit.body)
     if isinstance(lit.body, Box):
@@ -498,10 +484,6 @@ def clause_key(c):
 
 def sorted_clauses(cs) -> list:
     return sorted(cs, key=clause_key)
-
-
-def clause_set(*clauses_) -> frozenset:
-    return frozenset(clauses_)
 
 
 def cross(cs1, cs2) -> frozenset:

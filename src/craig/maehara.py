@@ -16,7 +16,6 @@ from .formulas import (
     Or,
     TOP,
     entails,
-    formula_length,
     is_modal,
     vars_of,
 )
@@ -25,6 +24,7 @@ from .sequent import (
     ProofError,
     Sequent,
     System,
+    axiom_kind,
     format_sequent,
     iter_nodes,
 )
@@ -70,15 +70,14 @@ _PASS_THROUGH = {
 }
 
 
-def _axiom_interpolant(s: Sequent) -> Formula:
+def axiom_interpolant(s: Sequent) -> Formula:
     f = s.antecedent()[0]
-    ant = "L" if s.g1 else "R"
-    suc = "L" if s.d1 else "R"
-    if (ant, suc) == ("L", "L"):
+    kind = axiom_kind(s)
+    if kind == "L/L":
         return BOTTOM
-    if (ant, suc) == ("R", "R"):
+    if kind == "R/R":
         return TOP
-    if (ant, suc) == ("L", "R"):
+    if kind == "L/R":
         return f
     return Neg(f)
 
@@ -91,7 +90,7 @@ def maehara(p: Proof, system: System) -> AnnotatedProof:
     def go(node: Proof, path):
         rule = node.rule
         if rule == "ax":
-            c = _axiom_interpolant(node.sequentv)
+            c = axiom_interpolant(node.sequentv)
         elif rule == "bot":
             c = BOTTOM if node.sequentv.g1 else TOP
         elif rule in _PASS_THROUGH:
@@ -143,12 +142,6 @@ def is_nnf_interpolant(f: Formula) -> bool:
     if isinstance(f, (And, Or)):
         return is_nnf_interpolant(f.left) and is_nnf_interpolant(f.right)
     return False
-
-
-def interpolant_length_bound_holds(p: Proof, system: System) -> bool:
-    from .sequent import proof_length
-
-    return formula_length(maehara(p, system).interpolant) <= proof_length(p)
 
 
 def verify_interpolant(a: Formula, b: Formula, c: Formula, system: System) -> bool:

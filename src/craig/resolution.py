@@ -29,6 +29,10 @@ class PartitionMismatch(ResolutionError):
     pass
 
 
+class RefutationCheckFailed(ResolutionError):
+    """A refutation the search built fails check_refutation: an internal bug."""
+
+
 @dataclass(frozen=True)
 class Input:
     clause: frozenset
@@ -252,9 +256,16 @@ def _refute_with_sides(clauses, atoms, sides):
     if isinstance(result, Satisfiable):
         return result
     root, root_clause = result
-    assert not root_clause
+    if root_clause:
+        raise RefutationCheckFailed(
+            f"search derived a non-empty root clause at node {root}"
+        )
     rp = ResolutionProof(tuple(nodes), root)
-    assert check_refutation(rp) is None
+    bad = check_refutation(rp)
+    if bad is not None:
+        raise RefutationCheckFailed(
+            f"search built an invalid refutation at node {bad.node}: {bad.reason}"
+        )
     return rp
 
 

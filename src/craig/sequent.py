@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .formulas import (
     And,
@@ -19,6 +18,7 @@ from .formulas import (
     TOP,
     format_formula,
     formula_length,
+    is_modal,
     parse_formula,
     signed_subformulas,
     vars_of,
@@ -280,10 +280,6 @@ class Proof:
     children: tuple = ()
     main_comp: str = None
     main_formula: Formula = None
-
-    @property
-    def sequent(self) -> Sequent:
-        return self.sequentv
 
     def __repr__(self):
         return f"<proof {self.rule} {format_sequent(self.sequentv)}>"
@@ -664,7 +660,7 @@ def check_proof(p: Proof, system: System):
             if tuple(s.comp(c)) != _sorted(s.comp(c)):
                 return Violation(path, f"component {c} is not canonically sorted")
         if not system.modal:
-            if any(_has_box(f) for _, _, f in s.occurrences()):
+            if any(is_modal(f) for _, _, f in s.occurrences()):
                 return Violation(path, "boxed formula in a non-modal system")
         if node.rule == "ax":
             ants, sucs = s.antecedent(), s.succedent()
@@ -704,17 +700,6 @@ def check_proof(p: Proof, system: System):
     return None
 
 
-@lru_cache(maxsize=None)
-def _has_box(f: Formula) -> bool:
-    if isinstance(f, Box):
-        return True
-    if isinstance(f, Neg):
-        return _has_box(f.body)
-    if isinstance(f, (And, Or)):
-        return _has_box(f.left) or _has_box(f.right)
-    return False
-
-
 def respects_subformula_property(p: Proof) -> bool:
     """Every formula anywhere is a (signed) subformula of the end-sequent."""
     closure = set()
@@ -730,8 +715,13 @@ def respects_subformula_property(p: Proof) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Occurrence analysis
+# Occurrences
 # ---------------------------------------------------------------------------
+#
+# An occurrence is (path, comp, idx): the idx-th formula of component comp in
+# the sequent at path.  node_links sends every premise occurrence to exactly
+# one conclusion occurrence, or to none when a cut consumes it, so the
+# ancestors of an occurrence form a tree inside the subproof at its path.
 
 def _first_indices(comp_tuple, formula, k):
     """Indices of the first k copies of formula in the tuple."""
@@ -744,17 +734,99 @@ def _first_indices(comp_tuple, formula, k):
     raise ProofError(f"expected {k} copies of {format_formula(formula)}")
 
 
-def _pair_component(child_comp, child_skip, concl_comp, concl_skip):
-    """Grouped context pairing: k-th remaining copy to k-th remaining copy."""
-    pairs = []
-    formulas = sorted(set(child_comp) | set(concl_comp), key=format_formula)
-    for f in formulas:
-        ci = [i for i, g in enumerate(child_comp) if g == f][child_skip.get(f, 0):]
-        oi = [i for i, g in enumerate(concl_comp) if g == f][concl_skip.get(f, 0):]
-        if len(ci) != len(oi):
-            raise ProofError(f"context mismatch on {format_formula(f)}")
-        pairs.extend(zip(ci, oi))
-    return pairs
+def main_occurrence(node: Proof):
+    """(comp, idx) of the first copy of the main formula in the conclusion;
+    None for axioms, cuts and d, which have no main occurrence."""
+    if node.main_formula is None or node.rule == "cut":
+        return None
+    return node.main_comp, first_index(node.sequentv, node.main_comp, node.main_formula)
+
+
+def premise_aux(node: Proof, ci: int):
+    """(comp, formula) pairs of premise ci that become the main occurrence,
+    or that a cut consumes, for the propositional rules and t."""
+    r, m, c = node.rule, node.main_formula, node.main_comp
+    if r in ("lw", "rw"):
+        return []
+    if r in ("lc", "rc"):
+        return [(c, m), (c, m)]
+    if r in ("land1", "ror1") or (r in ("rand", "lor") and ci == 0):
+        return [(c, m.left)]
+    if r in ("land2", "ror2", "rand", "lor"):
+        return [(c, m.right)]
+    if r == "lneg":
+        return [("d" + c[1], m.body)]
+    if r == "rneg":
+        return [("g" + c[1], m.body)]
+    if r == "t":
+        return [(c, m.body)]
+    if r == "cut":
+        return [(("d" if ci == 0 else "g") + c[1], m)]
+    raise ProofError(f"no auxiliary formulas for rule {r!r}")
+
+
+def aux_occurrences(node: Proof, ci: int):
+    """premise_aux(node, ci) as (comp, idx) in premise ci: the first copies."""
+    aux = premise_aux(node, ci)
+    if not aux:
+        return []
+    comp, f = aux[0]  # one formula, twice for a contraction
+    child = node.children[ci].sequentv
+    return [(comp, i) for i in _first_indices(child.comp(comp), f, len(aux))]
+
+
+def cut_occurrences(node: Proof):
+    """(comp, idx) of the cut formula in the left and in the right premise."""
+    return aux_occurrences(node, 0)[0], aux_occurrences(node, 1)[0]
+
+
+def _pair_contexts(child: Sequent, concl: Sequent, child_skip, concl_skip):
+    """Context wiring: per component, the k-th copy of a formula in the
+    premise goes to its k-th copy in the conclusion, skipped ones aside."""
+    edges = []
+    for c in COMPONENTS:
+        free = {}
+        for i, f in enumerate(concl.comp(c)):
+            if (c, i) not in concl_skip:
+                free.setdefault(f, []).append(i)
+        for i, f in enumerate(child.comp(c)):
+            if (c, i) in child_skip:
+                continue
+            slots = free.get(f)
+            if not slots:
+                raise ProofError(f"context mismatch on {format_formula(f)}")
+            edges.append(((c, i), (c, slots.pop(0))))
+        for f, slots in free.items():
+            if slots:
+                raise ProofError(f"context mismatch on {format_formula(f)}")
+    return edges
+
+
+def _modal_links(node: Proof, child: Sequent):
+    """k, d and 4: each boxed antecedent formula comes from its body (and,
+    for 4, from its own copy too); the boxed succedent from its body."""
+    s = node.sequentv
+    edges = []
+    for c in ("g1", "g2"):
+        strip_alloc = {}
+        for oi, f in enumerate(s.comp(c)):
+            body_positions = [i for i, g in enumerate(child.comp(c)) if g == f.body]
+            k = strip_alloc.get(f.body, 0)
+            strip_alloc[f.body] = k + 1
+            edges.append(((c, body_positions[k]), (c, oi)))
+        if node.rule == "4":
+            strip_counts = {}
+            for f in s.comp(c):
+                strip_counts[f.body] = strip_counts.get(f.body, 0) + 1
+            own_alloc = {}
+            for oi, f in enumerate(s.comp(c)):
+                own_positions = [i for i, g in enumerate(child.comp(c)) if g == f]
+                k = strip_counts.get(f, 0) + own_alloc.get(f, 0)
+                own_alloc[f] = own_alloc.get(f, 0) + 1
+                edges.append(((c, own_positions[k]), (c, oi)))
+    if node.rule != "d":
+        edges.append(((node.main_comp, 0), (node.main_comp, 0)))
+    return edges
 
 
 def node_links(node: Proof, child_idx: int):
@@ -764,189 +836,59 @@ def node_links(node: Proof, child_idx: int):
     (comp, idx) to conclusion occurrences and consumed lists child
     occurrences with no conclusion descendant (cut formula occurrences).
     """
-    s = node.sequentv
     child = node.children[child_idx].sequentv
-    rule = node.rule
-    m, comp = node.main_formula, node.main_comp
-    edges = []
-    consumed = []
-
-    def contexts(child_skip, concl_skip):
-        for c in COMPONENTS:
-            pairs = _pair_component(
-                child.comp(c), child_skip.get(c, {}), s.comp(c), concl_skip.get(c, {})
-            )
-            edges.extend((((c, ci), (c, oi))) for ci, oi in pairs)
-
-    if rule in ("lw", "rw"):
-        contexts({}, {comp: {m: 1}})
-    elif rule in ("lc", "rc"):
-        main_idx = _first_indices(s.comp(comp), m, 1)[0]
-        for i in _first_indices(child.comp(comp), m, 2):
-            edges.append(((comp, i), (comp, main_idx)))
-        contexts({comp: {m: 2}}, {comp: {m: 1}})
-    elif rule in ("land1", "land2", "ror1", "ror2"):
-        aux = {"land1": getattr(m, "left", None), "land2": getattr(m, "right", None),
-               "ror1": getattr(m, "left", None), "ror2": getattr(m, "right", None)}[rule]
-        main_idx = _first_indices(s.comp(comp), m, 1)[0]
-        aux_idx = _first_indices(child.comp(comp), aux, 1)[0]
-        edges.append(((comp, aux_idx), (comp, main_idx)))
-        contexts({comp: {aux: 1}}, {comp: {m: 1}})
-    elif rule == "t":
-        main_idx = _first_indices(s.comp(comp), m, 1)[0]
-        aux_idx = _first_indices(child.comp(comp), m.body, 1)[0]
-        edges.append(((comp, aux_idx), (comp, main_idx)))
-        contexts({comp: {m.body: 1}}, {comp: {m: 1}})
-    elif rule in ("rand", "lor"):
-        aux = m.left if child_idx == 0 else m.right
-        main_idx = _first_indices(s.comp(comp), m, 1)[0]
-        aux_idx = _first_indices(child.comp(comp), aux, 1)[0]
-        edges.append(((comp, aux_idx), (comp, main_idx)))
-        contexts({comp: {aux: 1}}, {comp: {m: 1}})
-    elif rule == "lneg":
-        dcomp = "d" + comp[1]
-        main_idx = _first_indices(s.comp(comp), m, 1)[0]
-        aux_idx = _first_indices(child.comp(dcomp), m.body, 1)[0]
-        edges.append(((dcomp, aux_idx), (comp, main_idx)))
-        contexts({dcomp: {m.body: 1}}, {comp: {m: 1}})
-    elif rule == "rneg":
-        gcomp = "g" + comp[1]
-        main_idx = _first_indices(s.comp(comp), m, 1)[0]
-        aux_idx = _first_indices(child.comp(gcomp), m.body, 1)[0]
-        edges.append(((gcomp, aux_idx), (comp, main_idx)))
-        contexts({gcomp: {m.body: 1}}, {comp: {m: 1}})
-    elif rule == "cut":
-        side = comp[1]
-        cc = f"d{side}" if child_idx == 0 else f"g{side}"
-        cut_idx = _first_indices(child.comp(cc), m, 1)[0]
-        consumed.append((cc, cut_idx))
-        contexts({cc: {m: 1}}, {})
-    elif rule in ("k", "d", "4"):
-        for c in ("g1", "g2"):
-            strip_alloc = {}
-            for oi, f in enumerate(s.comp(c)):
-                body_positions = [i for i, g in enumerate(child.comp(c)) if g == f.body]
-                k = strip_alloc.get(f.body, 0)
-                strip_alloc[f.body] = k + 1
-                edges.append(((c, body_positions[k]), (c, oi)))
-            if rule == "4":
-                strip_counts = {}
-                for f in s.comp(c):
-                    strip_counts[f.body] = strip_counts.get(f.body, 0) + 1
-                own_alloc = {}
-                for oi, f in enumerate(s.comp(c)):
-                    own_positions = [i for i, g in enumerate(child.comp(c)) if g == f]
-                    k = strip_counts.get(f, 0) + own_alloc.get(f, 0)
-                    own_alloc[f] = own_alloc.get(f, 0) + 1
-                    edges.append(((c, own_positions[k]), (c, oi)))
-        if rule != "d":
-            dcomp = comp
-            edges.append(((dcomp, 0), (dcomp, 0)))
-    else:
-        raise ProofError(f"no links for rule {rule!r}")
+    if node.rule in ("k", "d", "4"):
+        return _modal_links(node, child), []
+    aux = aux_occurrences(node, child_idx)
+    main = main_occurrence(node)
+    edges = [(a, main) for a in aux] if main else []
+    consumed = [] if main else aux
+    edges += _pair_contexts(child, node.sequentv, set(aux), {main})
     return edges, consumed
 
 
-class Analysis:
-    """Whole-proof occurrence graph: ancestry, weakness, weights, cut data."""
-
-    def __init__(self, proof: Proof):
-        self.proof = proof
-        self.direct = {}       # occ -> tuple of direct-ancestor occs
-        self.origin_rule = {}  # occ with no direct ancestors -> introducing rule
-        self.cuts = []         # (path, node)
-        self.axioms = []       # (path, node) for rule ax
-        self._weak = {}
-        self._build(proof, ())
-
-    def _build(self, node, path):
-        for c, i, _ in node.sequentv.occurrences():
-            self.direct.setdefault((path, c, i), ())
-        if node.rule == "cut":
-            self.cuts.append((path, node))
-        if node.rule == "ax":
-            self.axioms.append((path, node))
+def _cone(p: Proof, occ):
+    """The ancestor tree of occ as (occurrence, its node, index of its
+    descendant) triples, each listed after its descendant."""
+    path, comp, idx = occ
+    node = subproof_at(p, path)
+    cone = [(occ, node, None)]
+    stack = [(path, node, {(comp, idx): 0})]
+    while stack:
+        path, node, here = stack.pop()
         for ci, child in enumerate(node.children):
             cpath = path + (ci,)
-            self._build(child, cpath)
-            edges, consumed = node_links(node, ci)
-            for (cc, cidx), (oc, oidx) in edges:
-                key = (path, oc, oidx)
-                self.direct[key] = self.direct.get(key, ()) + ((cpath, cc, cidx),)
-        if node.rule in ("lw", "rw"):
-            comp = node.main_comp
-            idx = _first_indices(node.sequentv.comp(comp), node.main_formula, 1)[0]
-            self.origin_rule[(path, comp, idx)] = node.rule
-        elif node.rule in ("ax", "bot"):
-            for c, i, _ in node.sequentv.occurrences():
-                self.origin_rule[(path, c, i)] = node.rule
+            there = {}
+            for src, dst in node_links(node, ci)[0]:
+                if dst in here:
+                    there[src] = len(cone)
+                    cone.append(((cpath,) + src, child, here[dst]))
+            if there:
+                stack.append((cpath, child, there))
+    return cone
 
-    def occurrence_formula(self, occ):
-        path, comp, idx = occ
-        return subproof_at(self.proof, path).sequentv.comp(comp)[idx]
 
-    def ancestors(self, occ):
-        """Reflexive-transitive closure of the direct-ancestor relation."""
-        seen = set()
-        stack = [occ]
-        while stack:
-            o = stack.pop()
-            if o in seen:
-                continue
-            seen.add(o)
-            stack.extend(self.direct.get(o, ()))
-        return seen
+def ancestors(p: Proof, occ) -> set:
+    """Reflexive-transitive closure of the direct-ancestor relation."""
+    return {o for o, _, _ in _cone(p, occ)}
 
-    def is_weak(self, occ):
-        if occ not in self._weak:
-            origins = [
-                o for o in self.ancestors(occ) if not self.direct.get(o, ())
-            ]
-            self._weak[occ] = all(
-                self.origin_rule.get(o) in ("lw", "rw") for o in origins
-            )
-        return self._weak[occ]
 
-    def in_weakening_conclusion(self, occ):
-        path, _, _ = occ
-        return subproof_at(self.proof, path).rule in ("lw", "rw")
+def is_weak(p: Proof, occ) -> bool:
+    """No ancestor of occ sits in an axiom: weakenings introduced all of it."""
+    return all(node.rule not in ("ax", "bot") for _, node, _ in _cone(p, occ))
 
-    def relevant_set(self, occ):
-        return {
-            o
-            for o in self.ancestors(occ)
-            if not self.is_weak(o) and not self.in_weakening_conclusion(o)
-        }
 
-    def weight(self, occ):
-        return len(self.relevant_set(occ))
-
-    def cut_occurrences(self, path):
-        """The two consumed cut-formula occurrences of the cut at path."""
-        node = subproof_at(self.proof, path)
-        _need(node.rule == "cut", "not a cut")
-        out = []
-        for ci in (0, 1):
-            _, consumed = node_links(node, ci)
-            cc, cidx = consumed[0]
-            out.append((path + (ci,), cc, cidx))
-        return out
-
-    def cut_weight(self, path):
-        left, right = self.cut_occurrences(path)
-        return self.weight(left) + self.weight(right)
-
-    def cut_ancestor_occs(self):
-        out = set()
-        for path, _ in self.cuts:
-            for occ in self.cut_occurrences(path):
-                out |= self.ancestors(occ)
-        return out
-
-    def axiom_occs(self, path):
-        node = subproof_at(self.proof, path)
-        occs = [(path, c, i) for c, i, _ in node.sequentv.occurrences()]
-        return occs
+def weight(p: Proof, occ) -> int:
+    """The number of ancestors of occ that are not weak and do not sit in
+    the conclusion of a weakening."""
+    cone = _cone(p, occ)
+    strong = [node.rule in ("ax", "bot") for _, node, _ in cone]
+    for i in range(len(cone) - 1, 0, -1):
+        if strong[i]:
+            strong[cone[i][2]] = True
+    return sum(
+        1 for s, (_, node, _) in zip(strong, cone) if s and node.rule not in ("lw", "rw")
+    )
 
 
 @dataclass(frozen=True)
@@ -976,17 +918,17 @@ def propositional_degree(f: Formula) -> int:
     return 1 + propositional_degree(f.left) + propositional_degree(f.right)
 
 
-def classify_cut(p: Proof, path, analysis: Analysis = None) -> CutInfo:
+def classify_cut(p: Proof, path) -> CutInfo:
     node = subproof_at(p, path)
     if node.rule != "cut":
         raise ProofError("classify_cut needs a cut node")
-    analysis = analysis or Analysis(p)
     f = node.main_formula
     s = node.sequentv
     v = vars_of(f)
     closure = set()
     for _, _, g in s.occurrences():
         closure |= {h for h, _ in signed_subformulas(g)}
+    left, right = cut_occurrences(node)
     return CutInfo(
         type_r=node.main_comp == "d2",
         atomic=is_atomic_cut_formula(f),
@@ -994,30 +936,38 @@ def classify_cut(p: Proof, path, analysis: Analysis = None) -> CutInfo:
         monochromatic=v <= s.side_vars(1) or v <= s.side_vars(2),
         analytic=f in closure,
         degree=propositional_degree(f),
-        weight=analysis.cut_weight(path),
+        weight=weight(node, ((0,),) + left) + weight(node, ((1,),) + right),
     )
 
 
-def axiom_type(p: Proof, path, analysis: Analysis = None) -> AxiomInfo:
+def axiom_kind(s: Sequent) -> str:
+    """Partition sides of an axiom's antecedent and succedent occurrence."""
+    return ("L" if s.g1 else "R") + "/" + ("L" if s.d1 else "R")
+
+
+def _cut_ancestry(p: Proof):
+    """(path, the cones of its two cut occurrences) for every cut in
+    preorder, and the set of all cut-formula ancestors."""
+    cuts = [
+        (path, [_cone(p, (path + (ci,),) + occ) for ci, occ in enumerate(cut_occurrences(node))])
+        for path, node in iter_nodes(p)
+        if node.rule == "cut"
+    ]
+    return cuts, {o for _, cones in cuts for cone in cones for o, _, _ in cone}
+
+
+def _is_omega(path, node: Proof, cut_anc) -> bool:
+    """Every occurrence of the axiom at path is an ancestor of a cut formula."""
+    occs = [(path, c, i) for c, i, _ in node.sequentv.occurrences()]
+    return bool(occs) and all(o in cut_anc for o in occs)
+
+
+def axiom_type(p: Proof, path) -> AxiomInfo:
     node = subproof_at(p, path)
     if node.rule != "ax":
         raise ProofError("axiom_type needs an ax node")
-    ant = "L" if node.sequentv.g1 else "R"
-    suc = "L" if node.sequentv.d1 else "R"
-    analysis = analysis or Analysis(p)
-    cut_anc = analysis.cut_ancestor_occs()
-    occs = analysis.axiom_occs(path)
-    omega = all(o in cut_anc for o in occs) and bool(analysis.cuts)
-    return AxiomInfo(f"{ant}/{suc}", omega)
-
-
-def occurrence_metrics(p: Proof, occ, analysis: Analysis = None):
-    analysis = analysis or Analysis(p)
-    return {
-        "weak": analysis.is_weak(occ),
-        "weight": analysis.weight(occ),
-        "relevant_set": analysis.relevant_set(occ),
-    }
+    _, cut_anc = _cut_ancestry(p)
+    return AxiomInfo(axiom_kind(node.sequentv), _is_omega(path, node, cut_anc))
 
 
 def is_tame(p: Proof):
@@ -1025,31 +975,15 @@ def is_tame(p: Proof):
 
     The witness names the offending axiom or cut path when not tame.
     """
-    analysis = Analysis(p)
-    cut_anc = analysis.cut_ancestor_occs()
-    for path, _ in analysis.axioms:
-        occs = analysis.axiom_occs(path)
-        if occs and all(o in cut_anc for o in occs) and analysis.cuts:
+    cuts, cut_anc = _cut_ancestry(p)
+    for path, node in iter_nodes(p):
+        if node.rule == "ax" and _is_omega(path, node, cut_anc):
             return False, ("omega-axiom", path)
-    for path, node in analysis.cuts:
-        ok_somewhere = False
-        for side in (0, 1):
-            occ = analysis.cut_occurrences(path)[side]
-            anc = analysis.ancestors(occ)
-            flank_ok = True
-            for apath, anode in analysis.axioms:
-                if apath[: len(path) + 1] != path + (side,):
-                    continue
-                if any(o in anc for o in analysis.axiom_occs(apath)):
-                    info_ant = "L" if anode.sequentv.g1 else "R"
-                    info_suc = "L" if anode.sequentv.d1 else "R"
-                    if (info_ant, info_suc) != ("R", "R"):
-                        flank_ok = False
-                        break
-            if flank_ok:
-                ok_somewhere = True
-                break
-        if not ok_somewhere:
+    for path, cones in cuts:
+        if not any(
+            all(axiom_kind(node.sequentv) == "R/R" for _, node, _ in cone if node.rule == "ax")
+            for cone in cones
+        ):
             return False, ("cut-without-rr-flank", path)
     return True, None
 
@@ -1085,13 +1019,8 @@ def _substitute_proof(p: Proof, old: str, new: Formula) -> Proof:
 def _flip_cone(p: Proof, occ):
     """Move an end-sequent occurrence and its whole ancestor cone to the
     sibling partition component."""
-    comp, idx = occ
     flip = {"g1": "g2", "g2": "g1", "d1": "d2", "d2": "d1"}
-    target = flip[comp]
-    f = p.sequentv.comp(comp)[idx]
-
-    analysis = Analysis(p)
-    cone = analysis.ancestors(((), comp, idx))
+    cone = ancestors(p, ((),) + occ)
     by_path = {}
     for (path, c, i) in cone:
         by_path.setdefault(path, []).append((c, i))
@@ -1165,8 +1094,7 @@ def monochromatize(p: Proof, system: System) -> Proof:
 def _flip_sides_of_cut(node: Proof) -> Proof:
     side = node.main_comp[1]
     left, right = node.children
-    left_occ = ("d" + side, _first_indices(left.sequentv.comp("d" + side), node.main_formula, 1)[0])
-    right_occ = ("g" + side, _first_indices(right.sequentv.comp("g" + side), node.main_formula, 1)[0])
+    left_occ, right_occ = cut_occurrences(node)
     new_left = _flip_cone(left, left_occ)
     new_right = _flip_cone(right, right_occ)
     new_side = 2 if side == "1" else 1
@@ -1180,10 +1108,9 @@ def _flip_sides_of_cut(node: Proof) -> Proof:
 def format_proof(p: Proof) -> str:
     def go(node):
         seq = format_sequent(node.sequentv)
-        if node.main_formula is not None and node.rule != "cut":
-            comp = node.main_comp
-            idx = _first_indices(node.sequentv.comp(comp), node.main_formula, 1)[0]
-            main = str(node.sequentv.flat_index(comp, idx))
+        occ = main_occurrence(node)
+        if occ is not None:
+            main = str(node.sequentv.flat_index(*occ))
         elif node.rule == "cut":
             main = node.main_comp  # placement component; formula is derivable
         else:

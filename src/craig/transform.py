@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from .formulas import (
     And,
     Atom,
+    BOTTOM,
     Bottom,
     Box,
     Formula,
@@ -20,22 +21,26 @@ from .formulas import (
 )
 from .maehara import maehara
 from .sequent import (
-    Analysis,
     LK,
     Proof,
     ProofError,
-    Sequent,
+    aux_occurrences,
     ax,
+    bot_axiom,
     check_proof,
     classify_cut,
     cut,
+    cut_occurrences,
     first_index,
     is_tame,
+    is_weak,
     iter_nodes,
     lc,
     lneg,
     lw,
+    main_occurrence,
     node_links,
+    premise_aux,
     rc,
     rebuild,
     replace_at,
@@ -64,6 +69,11 @@ class NotTypeR(TransformError):
 
 
 _DUAL_COMP = {"d1": "g1", "d2": "g2", "g1": "d1", "g2": "d2"}
+
+# Rules whose main occurrence a cut can be reduced against.
+_LOGICAL = {"rand", "ror1", "ror2", "rneg", "land1", "land2", "lor", "lneg"}
+# Rules a deleted main occurrence collapses onto their (left) premise.
+_DELETABLE = _LOGICAL | {"lw", "rw", "lc", "rc"}
 
 
 # ---------------------------------------------------------------------------
@@ -119,12 +129,7 @@ def _invert(node: Proof, occ) -> Proof:
         return _axiom_inversion(node, comp)
     if rule == "bot":
         raise TransformError("a negation cannot occur in a false-axiom")
-    is_main = (
-        node.main_comp == comp
-        and node.main_formula == nf
-        and idx == first_index(node.sequentv, comp, nf)
-    )
-    if is_main:
+    if main_occurrence(node) == occ:
         if rule == "rneg" and comp in ("d1", "d2"):
             return node.children[0]
         if rule == "lneg" and comp in ("g1", "g2"):
@@ -181,13 +186,10 @@ def literal_cuts_to_atomic(p: Proof) -> Proof:
         if not targets:
             return p
         path, node = max(targets, key=lambda pn: len(pn[0]))
-        nf = node.main_formula
-        side = node.main_comp[1]
-        dcomp, gcomp = "d" + side, "g" + side
-        left, right = node.children
-        left_inv = _invert(left, (dcomp, first_index(left.sequentv, dcomp, nf)))
-        right_inv = _invert(right, (gcomp, first_index(right.sequentv, gcomp, nf)))
-        replacement = cut(right_inv, left_inv, nf.body, int(side))
+        left_occ, right_occ = cut_occurrences(node)
+        left_inv = _invert(node.children[0], left_occ)
+        right_inv = _invert(node.children[1], right_occ)
+        replacement = cut(right_inv, left_inv, node.main_formula.body, int(node.main_comp[1]))
         p = replace_at(p, path, replacement)
 
 
@@ -239,57 +241,30 @@ def delete_occurrence(p: Proof, occ) -> Proof:
 
 
 def _delete(node: Proof, kill) -> Proof:
-    kill = [k for k in kill]
+    """kill: (comp, idx) occurrences of node's conclusion.  A killed main
+    occurrence takes its auxiliary occurrences with it."""
+    kill = set(kill)
     if not kill:
         return node
     rule = node.rule
-    seen = set()
-    dedup = []
-    for k in kill:
-        if k not in seen:
-            seen.add(k)
-            dedup.append(k)
-    kill = dedup
     if rule in ("ax", "bot"):
         raise TransformError("cannot delete an axiom-active occurrence")
-    main_hit = False
-    m, comp = node.main_formula, node.main_comp
-    if m is not None and rule != "cut":
-        main_occ = (comp, first_index(node.sequentv, comp, m))
-        main_hit = main_occ in kill
-        if main_hit:
-            kill.remove(main_occ)
-    child_kills = [[] for _ in node.children]
-    for ci in range(len(node.children)):
-        edges, _ = node_links(node, ci)
-        for (cc, cidx), (oc, oidx) in edges:
-            if (oc, oidx) in kill:
-                child_kills[ci].append((cc, cidx))
-    if main_hit:
-        if rule in ("lw", "rw"):
-            return _delete(node.children[0], child_kills[0])
-        if rule in ("lc", "rc", "land1", "land2", "ror1", "ror2", "lneg", "rneg"):
-            aux_occs = _aux_occurrences(node, 0)
-            return _delete(node.children[0], child_kills[0] + aux_occs)
-        if rule in ("rand", "lor"):
-            if comp[1] != "2":
-                raise TransformError(
-                    "cannot collapse a disjunctive branch while deleting a cone"
-                )
-            aux_occs = _aux_occurrences(node, 0)
-            return _delete(node.children[0], child_kills[0] + aux_occs)
-        raise TransformError(f"cannot delete through rule {rule}")
+    child_kills = [
+        [src for src, dst in node_links(node, ci)[0] if dst in kill]
+        for ci in range(len(node.children))
+    ]
+    if main_occurrence(node) in kill:
+        if rule in ("rand", "lor") and node.main_comp[1] != "2":
+            raise TransformError(
+                "cannot collapse a disjunctive branch while deleting a cone"
+            )
+        if rule not in _DELETABLE:
+            raise TransformError(f"cannot delete through rule {rule}")
+        return _delete(node.children[0], child_kills[0])
     new_children = [
         _delete(c, ck) if ck else c for c, ck in zip(node.children, child_kills)
     ]
     return rebuild(node, new_children)
-
-
-def _aux_occurrences(node: Proof, ci: int):
-    edges, _ = node_links(node, ci)
-    m, comp = node.main_formula, node.main_comp
-    main_occ = (comp, first_index(node.sequentv, comp, m))
-    return [src for src, dst in edges if dst == main_occ]
 
 
 # ---------------------------------------------------------------------------
@@ -319,33 +294,19 @@ def _uppermost_cut(p: Proof):
     return max(cuts, key=lambda path: (len(path), tuple(-i for i in path)))
 
 
-def _cut_occs(chi: Proof):
-    side = chi.main_comp[1]
-    left, right = chi.children
-    occ_l = ("d" + side, first_index(left.sequentv, "d" + side, chi.main_formula))
-    occ_r = ("g" + side, first_index(right.sequentv, "g" + side, chi.main_formula))
-    return occ_l, occ_r
-
-
-def _is_introducing(premise: Proof, occ, analysis: Analysis):
+def _is_introducing(premise: Proof, occ):
     """How the premise provides its cut occurrence: 'wax' when it traces to
     an axiom under weakenings, 'logical' when its last rule introduces it,
     'contraction' for a contraction on it, else None."""
-    comp, idx = occ
-    f = premise.sequentv.comp(comp)[idx]
     rule = premise.rule
     if rule == "ax":
         return "wax"
     if rule in ("lw", "rw"):
         return "wax"  # w-reduced and the occurrence is not weak
-    if (
-        premise.main_comp == comp
-        and premise.main_formula == f
-        and idx == first_index(premise.sequentv, comp, f)
-    ):
+    if main_occurrence(premise) == occ:
         if rule in ("lc", "rc"):
             return "contraction"
-        if rule in ("rand", "ror1", "ror2", "rneg", "land1", "land2", "lor", "lneg"):
+        if rule in _LOGICAL:
             return "logical"
         raise TransformError(f"unexpected introducing rule {rule}")
     return None
@@ -366,22 +327,6 @@ def _wax_axiom_comp(premise: Proof, occ_comp: str):
     return "d1" if node.sequentv.d1 else "d2"
 
 
-def _merge_sequents(a: Sequent, b: Sequent) -> Sequent:
-    from .sequent import COMPONENTS, sequent
-
-    parts = {}
-    for c in COMPONENTS:
-        items = list(a.comp(c))
-        have = list(items)
-        for f in b.comp(c):
-            if f in have:
-                have.remove(f)
-            else:
-                items.append(f)
-        parts[c] = items
-    return sequent(parts["g1"], parts["g2"], parts["d1"], parts["d2"])
-
-
 def _weaken_add(p: Proof, f: Formula, comp: str) -> Proof:
     return lw(p, f, comp) if comp in ("g1", "g2") else rw(p, f, comp)
 
@@ -392,16 +337,15 @@ def _reduce_cut(chi: Proof):
     side = int(chi.main_comp[1])
     dcomp, gcomp = f"d{side}", f"g{side}"
     left, right = chi.children
-    occ_l, occ_r = _cut_occs(chi)
-    an_l, an_r = Analysis(left), Analysis(right)
+    occ_l, occ_r = cut_occurrences(chi)
 
-    if an_l.is_weak(((),) + occ_l):
+    if is_weak(left, ((),) + occ_l):
         return delete_occurrence(left, occ_l), "weak-left"
-    if an_r.is_weak(((),) + occ_r):
+    if is_weak(right, ((),) + occ_r):
         return delete_occurrence(right, occ_r), "weak-right"
 
-    intro_l = _is_introducing(left, occ_l, an_l)
-    intro_r = _is_introducing(right, occ_r, an_r)
+    intro_l = _is_introducing(left, occ_l)
+    intro_r = _is_introducing(right, occ_r)
 
     if intro_l is None:
         return _permute(chi, over_left=True), "permute-left"
@@ -409,9 +353,9 @@ def _reduce_cut(chi: Proof):
         return _permute(chi, over_left=False), "permute-right"
 
     if intro_l == "contraction":
-        return _contract_reduce(chi, on_left=True, analysis=an_l), "contraction-left"
+        return _contract_reduce(chi, on_left=True), "contraction-left"
     if intro_r == "contraction":
-        return _contract_reduce(chi, on_left=False, analysis=an_r), "contraction-right"
+        return _contract_reduce(chi, on_left=False), "contraction-right"
 
     if intro_l == "wax" and intro_r == "wax":
         t1 = _wax_axiom_comp(left, dcomp)
@@ -420,10 +364,7 @@ def _reduce_cut(chi: Proof):
             # the right occurrence is the bottom of a false-axiom; the left
             # one then comes from an axiom false => false whose antecedent
             # copy survives in the conclusion
-            from .formulas import BOTTOM as _BOT
-            from .sequent import bot_axiom
-
-            if f != _BOT or t1 is None:
+            if f != BOTTOM or t1 is None:
                 raise TransformError("false-axiom cut with a non-false formula")
             return weaken_to(bot_axiom(t1), chi.sequentv), "axiom"
         if t1 is None:
@@ -462,89 +403,44 @@ def _permute(chi: Proof, over_left: bool):
     passive = chi.children[1] if over_left else chi.children[0]
     rule = active.rule
     m, mcomp = active.main_formula, active.main_comp
-
-    def new_cut(branch: Proof, aux_pairs):
-        br = branch
-        for g, c in [(m, mcomp)]:
-            br = _weaken_add(br, g, c)
-        ps = passive
-        for g, c in aux_pairs:
-            ps = _weaken_add(ps, g, c)
-        br = w_reduce(br)
-        ps = w_reduce(ps)
-        if over_left:
-            return cut(br, ps, f, side)
-        return cut(ps, br, f, side)
-
-    if rule in ("rand", "lor"):
-        aux = [[(m.left, mcomp)], [(m.right, mcomp)]]
-        cuts = [new_cut(active.children[i], aux[i]) for i in (0, 1)]
-        merged = rebuild(active, cuts)
-        out = merged
-        # one duplicated main to contract away
-        out = (
-            lc(out, m, mcomp) if mcomp in ("g1", "g2") else rc(out, m, mcomp)
-        )
-        return out
-    if rule in ("lc", "rc"):
-        aux = [(m, mcomp), (m, mcomp)]
-    elif rule in ("land1", "ror1"):
-        aux = [(m.left, mcomp)]
-    elif rule in ("land2", "ror2"):
-        aux = [(m.right, mcomp)]
-    elif rule == "lneg":
-        aux = [(m.body, "d" + mcomp[1])]
-    elif rule == "rneg":
-        aux = [(m.body, "g" + mcomp[1])]
-    elif rule in ("lw", "rw"):
+    if rule in ("lw", "rw"):
         raise TransformError("cannot permute over a weakening")
-    else:
+    if rule not in _LOGICAL and rule not in ("lc", "rc"):
         raise TransformError(f"cannot permute over rule {rule}")
-    inner = new_cut(active.children[0], aux)
-    out = rebuild(active, [inner])
-    out = lc(out, m, mcomp) if mcomp in ("g1", "g2") else rc(out, m, mcomp)
-    return out
+
+    def new_cut(ci: int):
+        # the premise keeps the main formula, the passive side gains the
+        # premise's auxiliary formulas
+        br = w_reduce(_weaken_add(active.children[ci], m, mcomp))
+        ps = passive
+        for c, g in premise_aux(active, ci):
+            ps = _weaken_add(ps, g, c)
+        ps = w_reduce(ps)
+        return cut(br, ps, f, side) if over_left else cut(ps, br, f, side)
+
+    out = rebuild(active, [new_cut(ci) for ci in range(len(active.children))])
+    # one duplicated main to contract away
+    return lc(out, m, mcomp) if mcomp in ("g1", "g2") else rc(out, m, mcomp)
 
 
-def _contract_reduce(chi: Proof, on_left: bool, analysis: Analysis):
+def _contract_reduce(chi: Proof, on_left: bool):
+    """Reduce a cut against a contraction on the cut formula: drop a weak
+    copy, or cut each copy in turn."""
     f = chi.main_formula
     side = int(chi.main_comp[1])
-    dcomp, gcomp = f"d{side}", f"g{side}"
     left, right = chi.children
-    if on_left:
-        inner_premise = left.children[0]  # ends the contraction on f@dcomp
-        i1 = first_index(inner_premise.sequentv, dcomp, f)
-        copies = [(dcomp, i1)]
-        rest = [
-            i
-            for i, g in enumerate(inner_premise.sequentv.comp(dcomp))
-            if g == f and i != i1
-        ]
-        copies.append((dcomp, rest[0]))
-        an = Analysis(inner_premise)
-        for occ in copies:
-            if an.is_weak(((),) + occ):
-                shortened = delete_occurrence(inner_premise, occ)
-                return cut(shortened, right, f, side)
-        widened = w_reduce(rw(right, f, dcomp))
-        inner = cut(inner_premise, widened, f, side)
-        return cut(inner, right, f, side)
-    inner_premise = right.children[0]
-    i1 = first_index(inner_premise.sequentv, gcomp, f)
-    rest = [
-        i
-        for i, g in enumerate(inner_premise.sequentv.comp(gcomp))
-        if g == f and i != i1
-    ]
-    copies = [(gcomp, i1), (gcomp, rest[0])]
-    an = Analysis(inner_premise)
-    for occ in copies:
-        if an.is_weak(((),) + occ):
-            shortened = delete_occurrence(inner_premise, occ)
-            return cut(left, shortened, f, side)
-    widened = w_reduce(lw(left, f, gcomp))
-    inner = cut(widened, inner_premise, f, side)
-    return cut(left, inner, f, side)
+    active, passive = (left, right) if on_left else (right, left)
+    inner_premise = active.children[0]
+
+    def cut_on(a: Proof, p: Proof):
+        # a on the contraction's side of the cut, p on the other
+        return cut(a, p, f, side) if on_left else cut(p, a, f, side)
+
+    for occ in aux_occurrences(active, 0):
+        if is_weak(inner_premise, ((),) + occ):
+            return cut_on(delete_occurrence(inner_premise, occ), passive)
+    widened = w_reduce(_weaken_add(passive, f, active.main_comp))
+    return cut_on(cut_on(inner_premise, widened), passive)
 
 
 def _degree_reduce(chi: Proof):

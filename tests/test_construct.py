@@ -40,6 +40,7 @@ from craig.construct import (
     NotAnInterpolant,
     NotProvable,
     NotPrunedInterpolant,
+    ProofCheckFailed,
     conjoin,
     enumerate_cutfree_interpolants,
     prove_cutfree,
@@ -66,6 +67,16 @@ class TestProveCutfree:
     def test_simple_valid(self):
         proof = prove_cutfree(sequent([And(p, q)], [], [p, q], []), LKMINUS)
         assert check_proof(proof, LKMINUS) is None
+
+    def test_invalid_search_proof_is_a_named_error(self, monkeypatch):
+        import craig.construct
+        from craig.sequent import Violation
+
+        monkeypatch.setattr(
+            craig.construct, "check_proof", lambda proof, system: Violation((), "injected")
+        )
+        with pytest.raises(ProofCheckFailed, match="injected"):
+            prove_cutfree(sequent([And(p, q)], [], [p, q], []), LKMINUS)
 
     def test_atom_not_provable(self):
         with pytest.raises(NotProvable) as info:

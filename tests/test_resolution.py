@@ -22,6 +22,7 @@ from craig.formulas import (
 from craig.resolution import (
     Input,
     Partition,
+    RefutationCheckFailed,
     Resolve,
     ResolutionError,
     ResolutionProof,
@@ -94,6 +95,16 @@ class TestRefute:
         rp = refute(frozenset([clause("p"), clause("~p")]))
         assert isinstance(rp, ResolutionProof)
         assert len(rp) == 3
+
+    def test_invalid_refutation_is_a_named_error(self, monkeypatch):
+        import craig.resolution
+        from craig.resolution import Violation
+
+        monkeypatch.setattr(
+            craig.resolution, "check_refutation", lambda rp: Violation(0, "injected")
+        )
+        with pytest.raises(RefutationCheckFailed, match="injected"):
+            refute(frozenset([clause("p"), clause("~p")]))
 
     def test_satisfiable_unit(self):
         out = refute(frozenset([clause("p")]))

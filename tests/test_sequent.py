@@ -1,7 +1,6 @@
 
 from craig.formulas import And, Atom, BOTTOM, Box, Neg, Or, TOP, vars_of
 from craig.sequent import (
-    Analysis,
     K,
     K4,
     LK,
@@ -10,6 +9,7 @@ from craig.sequent import (
     LKMINUS,
     LKMONO,
     Proof,
+    ancestors,
     ax,
     axiom_type,
     bot_axiom,
@@ -20,6 +20,7 @@ from craig.sequent import (
     format_proof,
     format_sequent,
     is_tame,
+    is_weak,
     iter_nodes,
     land1,
     land2,
@@ -28,7 +29,7 @@ from craig.sequent import (
     lor,
     lw,
     monochromatize,
-    occurrence_metrics,
+    node_links,
     parse_proof,
     parse_sequent,
     proof_depth,
@@ -43,10 +44,12 @@ from craig.sequent import (
     rule_t,
     rw,
     sequent,
+    subproof_at,
     system_by_name,
     top_right,
     wax,
     weaken_to,
+    weight,
 )
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
@@ -171,22 +174,19 @@ class TestMetrics:
     def test_weak_occurrence(self):
         proof = rw(ax(p, "g1", "d1"), q, "d1")
         occ = ((), "d1", proof.sequentv.d1.index(q))
-        m = occurrence_metrics(proof, occ)
-        assert m["weak"] and m["weight"] == 0
+        assert is_weak(proof, occ) and weight(proof, occ) == 0
 
     def test_axiom_occurrence_weight(self):
         proof = ax(p, "g1", "d1")
-        m = occurrence_metrics(proof, ((), "g1", 0))
-        assert not m["weak"]
-        assert m["weight"] == 1
+        assert not is_weak(proof, ((), "g1", 0))
+        assert weight(proof, ((), "g1", 0)) == 1
 
     def test_lor_main_weight(self):
         left = rw(ax(p, "g1", "d1"), q, "d1")
         right = rw(ax(q, "g1", "d1"), p, "d1")
         proof = lor(left, right, porq, "g1")
         assert proof_size(proof) == 5
-        m = occurrence_metrics(proof, ((), "g1", 0))
-        assert m["weight"] == 3
+        assert weight(proof, ((), "g1", 0)) == 3
 
     def test_proof_measures(self):
         sigma = example_sigma()
@@ -258,26 +258,27 @@ class TestAncestryExample:
 
     def test_direct_ancestors_of_disjunction_main(self):
         proof = self.build()
-        analysis = Analysis(proof)
         # the disjunction introduced by lor has exactly two direct ancestors
         inner = proof.children[0]
         assert inner.rule == "lor"
         idx = inner.sequentv.g1.index(Or(p, q))
-        direct = analysis.direct[((0,), "g1", idx)]
+        direct = [
+            src
+            for ci in (0, 1)
+            for src, dst in node_links(inner, ci)[0]
+            if dst == ("g1", idx)
+        ]
         assert len(direct) == 2
 
     def test_root_negation_has_eight_ancestors(self):
         proof = self.build()
-        analysis = Analysis(proof)
         idx = proof.sequentv.d1.index(Neg(And(Neg(p), Neg(q))))
-        assert len(analysis.ancestors(((), "d1", idx))) == 8
+        assert len(ancestors(proof, ((), "d1", idx))) == 8
 
     def test_descendant_paths_are_unique(self):
         # every non-root occurrence feeds exactly one conclusion occurrence
         # or is consumed by a cut
-        from craig.sequent import node_links
-
-        for proof in (self.build(), example_sigma(), omega_proof()):
+        for proof in (self.build(), example_sigma(), omega_proof()) + modal_proofs():
             for path, node in iter_nodes(proof):
                 for ci, child in enumerate(node.children):
                     edges, consumed = node_links(node, ci)
@@ -285,6 +286,58 @@ class TestAncestryExample:
                     assert sorted(sources) == sorted(
                         (c, i) for c, i, _ in child.sequentv.occurrences()
                     )
+
+
+def modal_proofs():
+    """Cut-free proofs that use the k, d and 4 rules (and t in s4)."""
+    from craig.construct import prove_cutfree
+    from craig.sequent import KD, S4
+
+    imp = Or(Neg(p), q)
+    out = (
+        prove_cutfree(sequent([Box(p)], [Box(imp)], [], [Box(q)]), K),
+        prove_cutfree(sequent([Box(p)], [], [], [Neg(Box(Neg(p)))]), KD),
+        prove_cutfree(sequent([Box(p)], [], [Box(Box(p))], []), K4),
+        prove_cutfree(sequent([Box(p)], [Box(imp)], [], [Box(Box(q))]), S4),
+    )
+    rules = {node.rule for proof in out for _, node in iter_nodes(proof)}
+    assert {"k", "d", "4", "t"} <= rules
+    return out
+
+
+class TestLocality:
+    """A cut's classification and an occurrence's weakness and weight
+    depend only on the subproof that holds it."""
+
+    def proofs(self):
+        from craig.construct import realize_pruned
+        from craig.formulas import clause
+
+        a, b = And(porq, r), And(porq, Or(r, Atom("s")))
+        realized = [
+            realize_pruned(pq, porq, frozenset([clause("p"), clause("q")])),
+            realize_pruned(a, porq, frozenset([clause("p", "q")])),
+            realize_pruned(a, b, frozenset([clause("p", "q"), clause("r")])),
+        ]
+        return [example_sigma(), omega_proof()] + realized
+
+    def test_classify_cut_is_local(self):
+        seen = 0
+        for proof in self.proofs():
+            for path, node in iter_nodes(proof):
+                if node.rule == "cut":
+                    assert classify_cut(proof, path) == classify_cut(node, ())
+                    seen += 1
+        assert seen >= 8
+
+    def test_weakness_and_weight_are_local(self):
+        for proof in self.proofs():
+            for path, node in iter_nodes(proof):
+                assert subproof_at(proof, path) is node
+                for c, i, _ in node.sequentv.occurrences():
+                    occ, local = (path, c, i), ((), c, i)
+                    assert is_weak(proof, occ) == is_weak(node, local)
+                    assert weight(proof, occ) == weight(node, local)
 
 
 class TestAnalyticCuts:

@@ -14,7 +14,6 @@ from craig.formulas import (
 )
 from craig.maehara import maehara
 from craig.sequent import (
-    Analysis,
     LK,
     LKAT,
     LKLIT,
@@ -40,6 +39,7 @@ from craig.sequent import (
     sequent,
     wax,
     weaken_to,
+    weight,
 )
 from craig.transform import (
     NotTame,
@@ -225,9 +225,8 @@ class TestWReduce:
         inner = lneg(ax(p, "g2", "d2"), Neg(p), "g2")
         proof = rw(inner, q, "d2")
         out = w_reduce(proof)
-        before, after = Analysis(proof), Analysis(out)
         for comp, idx, f in proof.sequentv.occurrences():
-            assert before.weight(((), comp, idx)) == after.weight(((), comp, idx))
+            assert weight(proof, ((), comp, idx)) == weight(out, ((), comp, idx))
 
     def test_preserves_tameness_and_cut_type(self):
         sigma = example_sigma()
@@ -320,7 +319,7 @@ class TestEliminateCuts:
         # direct check of the contraction case: it rebuilds the same
         # end-sequent and keeps the clause-set interpolant
         from craig.formulas import formula_cnf, subsumes
-        from craig.sequent import Analysis, LKMONO
+        from craig.sequent import LKMONO
         from craig.transform import _contract_reduce
 
         target = sequent([], [And(p, q)], [], [Or(p, r)])
@@ -330,7 +329,7 @@ class TestEliminateCuts:
         right = lc(stacked, p, "g2")
         proof = cut(left, right, p, 2)
         assert check_proof(proof, LKMONO) is None
-        replacement = _contract_reduce(proof, on_left=False, analysis=Analysis(right))
+        replacement = _contract_reduce(proof, on_left=False)
         assert replacement.sequentv == proof.sequentv
         assert check_proof(replacement, LKMONO) is None
         before = formula_cnf(interp(proof))
@@ -339,7 +338,7 @@ class TestEliminateCuts:
 
     def test_contraction_reduction_step_left(self):
         from craig.formulas import formula_cnf, subsumes
-        from craig.sequent import Analysis, LKMONO
+        from craig.sequent import LKMONO
         from craig.transform import _contract_reduce
 
         target = sequent([], [And(p, q)], [], [Or(p, r)])
@@ -348,7 +347,7 @@ class TestEliminateCuts:
         right = prove_cutfree(target.insert("g2", p), LKMINUS)
         proof = cut(left, right, p, 2)
         assert check_proof(proof, LKMONO) is None
-        replacement = _contract_reduce(proof, on_left=True, analysis=Analysis(left))
+        replacement = _contract_reduce(proof, on_left=True)
         assert replacement.sequentv == proof.sequentv
         assert check_proof(replacement, LKMONO) is None
         before = formula_cnf(interp(proof))
