@@ -5,12 +5,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 
 from . import formulas as F
 from . import resolution as R
 from . import transform as T
 from .construct import (
     NotProvable,
+    ProofCheckFailed,
     enumerate_cutfree_interpolants,
     prove_cutfree,
     pruned_subsumption_pipeline,
@@ -21,6 +23,7 @@ from .maehara import format_annotated, maehara
 from .sequent import (
     LKAT,
     LKMINUS,
+    ProofError,
     check_proof,
     classify_cut,
     format_proof,
@@ -44,13 +47,21 @@ def _emit_proof(proof, args):
 EXIT_OK = 0
 EXIT_LOGICAL = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
+
+
+class UnreadableInput(Exception):
+    pass
 
 
 def _read(path):
     if path == "-":
         return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise UnreadableInput(f"cannot read {path}: {e}") from e
 
 
 def _formula_arg(text):
@@ -482,12 +493,26 @@ def main(argv=None):
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (F.ParseError,) as e:
+    except F.ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except Exception as e:  # logical failures: report and signal
+    except (R.NonAtomicLiteral, UnreadableInput) as e:
+        print(f"usage error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    except (R.RefutationCheckFailed, ProofCheckFailed):
+        return _internal_error()
+    except (F.FormulaError, R.ResolutionError, ProofError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_LOGICAL
+    except Exception:
+        return _internal_error()
+
+
+def _internal_error():
+    # A bug in craig, not an answer about the input: keep the traceback.
+    print("internal error:", file=sys.stderr)
+    traceback.print_exc()
+    return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -10,14 +10,18 @@ from .formulas import (
     Atom,
     BOTTOM,
     Formula,
+    FormulaError,
     Literal,
     Or,
     TOP,
+    _split_clause_line,
     clause_key,
     format_clause,
     format_formula,
+    format_literal,
     parse_literal,
     sel,
+    sorted_literals,
 )
 
 
@@ -31,6 +35,11 @@ class PartitionMismatch(ResolutionError):
 
 class RefutationCheckFailed(ResolutionError):
     """A refutation the search built fails check_refutation: an internal bug."""
+
+
+class NonAtomicLiteral(ResolutionError):
+    """A clause given to the refutation search has a literal over `false` or
+    a boxed formula, which resolution on atoms can never remove."""
 
 
 @dataclass(frozen=True)
@@ -156,23 +165,18 @@ def check_refutation(rp: ResolutionProof):
 # DPLL refutation search
 # ---------------------------------------------------------------------------
 
-def _clause_atoms(cs):
-    out = set()
-    for c in cs:
-        for lit in c:
-            if isinstance(lit.body, Atom):
-                out.add(lit.body.name)
-    return sorted(out)
-
-
 def refute(cs):
-    """Resolution refutation of an unsatisfiable clause set, or a satisfying
-    assignment.  Plain DPLL; the refutation is read off the decision tree, so
-    tautological clauses are never resolved upon."""
-    clauses = sorted(cs, key=clause_key)
-    atoms = _clause_atoms(cs)
-    sides = {c: "A" for c in cs}
-    return _refute_with_sides(clauses, atoms, sides)
+    """Resolution refutation of an unsatisfiable set of clauses over atoms, or
+    a satisfying assignment.
+
+    DPLL without unit propagation: atoms are decided in sorted order, True
+    first, and the refutation is read off the decision tree, so tautological
+    clauses are never resolved upon.  Per-atom occurrence lists and
+    per-clause literal counters replace rescanning the clauses at each node;
+    the refutation is the one a rescanning search finds, node for node.  A
+    literal over `false` or a boxed formula raises NonAtomicLiteral, since
+    no resolution step on atoms can remove it."""
+    return _refute_with_sides(sorted(cs, key=clause_key), {c: "A" for c in cs})
 
 
 def refute_partitioned(a_clauses, b_clauses):
@@ -183,11 +187,38 @@ def refute_partitioned(a_clauses, b_clauses):
     for c in a_clauses:
         sides[c] = "A"
     clauses = sorted(set(a_clauses) | set(b_clauses), key=clause_key)
-    atoms = _clause_atoms(clauses)
-    return _refute_with_sides(clauses, atoms, sides)
+    return _refute_with_sides(clauses, sides)
 
 
-def _refute_with_sides(clauses, atoms, sides):
+def _refute_with_sides(clauses, sides):
+    # The search keeps, per atom, the indices of the clauses it occurs in
+    # positively and negatively (a tautology is in both lists), and per
+    # clause the number of literals over unassigned atoms and the number of
+    # true literals.  Assigning an atom touches only its own clauses, and
+    # unassigning it on the way back restores them.  A clause falsified at
+    # a node is falsified by the atom just assigned, since a clause falsified
+    # higher up would have closed that branch already; so the lowest-index
+    # clause the last assignment falsifies is the first falsified clause of
+    # the clause_key-sorted list, the one a full rescan would find, and the
+    # refutation is the same node for node.
+    occurrences = {}
+    for ci, c in enumerate(clauses):
+        for lit in c:
+            if not isinstance(lit.body, Atom):
+                bad = next(l for l in sorted_literals(c) if not isinstance(l.body, Atom))
+                raise NonAtomicLiteral(
+                    f"literal {format_literal(bad)} in clause {{{format_clause(c)}}} "
+                    "is not over an atom; refutation search resolves on atoms only"
+                )
+            pos, neg = occurrences.setdefault(lit.body.name, ([], []))
+            (neg if lit.negated else pos).append(ci)
+    atoms = sorted(occurrences)
+    occ = [occurrences[name] for name in atoms]
+    pivots = [(Literal(False, Atom(name)), Literal(True, Atom(name))) for name in atoms]
+    n_open = [len(c) for c in clauses]
+    n_true = [0] * len(clauses)
+    unsatisfied = len(clauses)
+    assignment = {}
     nodes = []
     input_ids = {}
 
@@ -195,72 +226,72 @@ def _refute_with_sides(clauses, atoms, sides):
         if c not in input_ids:
             nodes.append(Input(c, sides[c]))
             input_ids[c] = len(nodes) - 1
-        return input_ids[c]
+        return input_ids[c], c
 
-    def falsified_clause(assignment):
-        for c in clauses:
-            if all(
-                isinstance(l.body, Atom)
-                and l.body.name in assignment
-                and assignment[l.body.name] == l.negated
-                or (not isinstance(l.body, Atom) and not l.negated)
-                for l in c
-            ):
-                return c
-        return None
+    def assign(depth, value):
+        # Returns the lowest index of a clause this assignment falsifies.
+        nonlocal unsatisfied
+        pos, neg = occ[depth]
+        made_true, made_false = (pos, neg) if value else (neg, pos)
+        for ci in made_true:
+            n_open[ci] -= 1
+            n_true[ci] += 1
+            if n_true[ci] == 1:
+                unsatisfied -= 1
+        falsified = None
+        for ci in made_false:
+            n_open[ci] -= 1
+            if falsified is None and not n_open[ci] and not n_true[ci]:
+                falsified = ci
+        return falsified
 
-    def satisfied(assignment):
-        for c in clauses:
-            if not any(
-                (isinstance(l.body, Atom) and assignment.get(l.body.name) == (not l.negated))
-                or (not isinstance(l.body, Atom) and l.negated)
-                for l in c
-            ):
-                return False
-        return True
+    def unassign(depth, value):
+        nonlocal unsatisfied
+        pos, neg = occ[depth]
+        made_true, made_false = (pos, neg) if value else (neg, pos)
+        for ci in made_true:
+            n_open[ci] += 1
+            n_true[ci] -= 1
+            if not n_true[ci]:
+                unsatisfied += 1
+        for ci in made_false:
+            n_open[ci] += 1
 
-    def solve(assignment, depth):
-        # returns (node_id, clause) falsified under assignment, or Satisfiable
-        c = falsified_clause(assignment)
-        if c is not None:
-            return input_node(c), c
-        if satisfied(assignment):
-            full = dict(assignment)
-            for name in atoms:
-                full.setdefault(name, False)
+    def branch(depth, value):
+        assignment[atoms[depth]] = value
+        falsified = assign(depth, value)
+        if falsified is None:
+            out = solve(depth + 1)
+        else:
+            out = input_node(clauses[falsified])
+        unassign(depth, value)
+        del assignment[atoms[depth]]
+        return out
+
+    def solve(depth):
+        # atoms[:depth] are assigned and no clause is falsified.  Returns
+        # (node_id, clause) with the clause falsified under the assignment,
+        # or Satisfiable.
+        if not unsatisfied:
+            full = dict.fromkeys(atoms, False)
+            full.update(assignment)
             return Satisfiable(tuple(sorted(full.items())))
-        if depth == len(atoms):
-            full = dict(assignment)
-            for name in atoms:
-                full.setdefault(name, False)
-            return Satisfiable(tuple(sorted(full.items())))
-        name = atoms[depth]
-        atom = Atom(name)
-        res_t = solve({**assignment, name: True}, depth + 1)
-        if isinstance(res_t, Satisfiable):
+        pos_lit, neg_lit = pivots[depth]
+        res_t = branch(depth, True)
+        if isinstance(res_t, Satisfiable) or neg_lit not in res_t[1]:
             return res_t
-        id_t, cl_t = res_t
-        if Literal(True, atom) not in cl_t:
-            return id_t, cl_t
-        res_f = solve({**assignment, name: False}, depth + 1)
-        if isinstance(res_f, Satisfiable):
+        res_f = branch(depth, False)
+        if isinstance(res_f, Satisfiable) or pos_lit not in res_f[1]:
             return res_f
-        id_f, cl_f = res_f
-        if Literal(False, atom) not in cl_f:
-            return id_f, cl_f
-        nodes.append(Resolve(id_f, id_t, atom))
-        merged = (cl_f - {Literal(False, atom)}) | (cl_t - {Literal(True, atom)})
-        return len(nodes) - 1, merged
+        (id_t, cl_t), (id_f, cl_f) = res_t, res_f
+        nodes.append(Resolve(id_f, id_t, pos_lit.body))
+        return len(nodes) - 1, (cl_f - {pos_lit}) | (cl_t - {neg_lit})
 
-    result = solve({}, 0)
+    empty = next((c for c in clauses if not c), None)
+    result = solve(0) if empty is None else input_node(empty)
     if isinstance(result, Satisfiable):
         return result
-    root, root_clause = result
-    if root_clause:
-        raise RefutationCheckFailed(
-            f"search derived a non-empty root clause at node {root}"
-        )
-    rp = ResolutionProof(tuple(nodes), root)
+    rp = ResolutionProof(tuple(nodes), result[0])
     bad = check_refutation(rp)
     if bad is not None:
         raise RefutationCheckFailed(
@@ -384,22 +415,27 @@ def parse_refutation(text: str) -> ResolutionProof:
         line = raw.strip()
         if not line:
             continue
-        head, _, rest = line.partition(":")
-        idx = int(head)
-        if idx != len(nodes):
-            raise ResolutionError(f"node ids must be sequential, found {idx}")
-        rest = rest.strip()
-        if rest.startswith("INPUT"):
-            _, side, braced = rest.split(None, 2)
-            nodes.append(Input(_parse_braced_clause(braced), side))
-        elif rest.startswith("RES"):
-            _, left, right, pivot = rest.split()
-            nodes.append(Resolve(int(left), int(right), Atom(pivot)))
-        elif rest.startswith("WEAK"):
-            _, premise, braced = rest.split(None, 2)
-            nodes.append(Weaken(int(premise), _parse_braced_clause(braced)))
-        else:
-            raise ResolutionError(f"bad refutation line: {line!r}")
+        try:
+            head, _, rest = line.partition(":")
+            idx = int(head)
+            if idx != len(nodes):
+                raise ResolutionError(f"node ids must be sequential, found {idx}")
+            rest = rest.strip()
+            if rest.startswith("INPUT"):
+                _, side, braced = rest.split(None, 2)
+                nodes.append(Input(_parse_braced_clause(braced), side))
+            elif rest.startswith("RES"):
+                _, left, right, pivot = rest.split()
+                nodes.append(Resolve(int(left), int(right), Atom(pivot)))
+            elif rest.startswith("WEAK"):
+                _, premise, braced = rest.split(None, 2)
+                nodes.append(Weaken(int(premise), _parse_braced_clause(braced)))
+            else:
+                raise ResolutionError(f"bad refutation line: {line!r}")
+        except (FormulaError, ResolutionError):
+            raise
+        except ValueError as e:  # a missing field or a non-numeric node id
+            raise ResolutionError(f"bad refutation line: {line!r}") from e
     if not nodes:
         raise ResolutionError("empty refutation text")
     return ResolutionProof(tuple(nodes), len(nodes) - 1)
@@ -412,6 +448,4 @@ def _parse_braced_clause(text):
     inner = text[1:-1].strip()
     if not inner:
         return frozenset()
-    from .formulas import _split_clause_line
-
     return frozenset(parse_literal(tok) for tok in _split_clause_line(inner))

@@ -1,8 +1,11 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import craig
 from craig.cli import main
 
 
@@ -74,6 +77,52 @@ class TestBasicCommands:
         )
         assert code == 0
         assert again == out
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "argv",
+        [("refute", "false ~s; q; s ~q"), ("res-interpolate", "q; s ~q", "false ~s")],
+    )
+    def test_non_atomic_literal_is_a_usage_error(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "literal false" in err
+
+    def test_missing_file_is_a_usage_error(self, capsys, tmp_path):
+        code, _, err = run(capsys, "refute", str(tmp_path / "missing.cls"))
+        assert code == 2
+        assert "cannot read" in err and "missing.cls" in err
+
+    def test_malformed_refutation_file_is_a_logical_failure(self, capsys, tmp_path):
+        res = tmp_path / "bad.res"
+        res.write_text("0: INPUT A {p}\nx: RES 0 0 p\n")
+        code, _, err = run(capsys, "res-interpolate", "p", "~p", "--refutation", str(res))
+        assert code == 1
+        assert "bad refutation line" in err
+
+    def test_failed_refutation_check_is_internal(self, capsys, monkeypatch):
+        import craig.resolution
+
+        monkeypatch.setattr(
+            craig.resolution,
+            "check_refutation",
+            lambda rp: craig.resolution.Violation(0, "injected"),
+        )
+        code, _, err = run(capsys, "refute", "p;~p")
+        assert code == 3
+        assert "RefutationCheckFailed" in err and "injected" in err
+
+    def test_unexpected_exception_is_internal(self, capsys, monkeypatch):
+        import craig.cli
+
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(craig.cli, "cmd_parse", broken)
+        code, _, err = run(capsys, "parse", "p")
+        assert code == 3
+        assert "Traceback" in err and "RuntimeError: boom" in err
 
 
 class TestProofPipelineCommands:
@@ -158,10 +207,14 @@ class TestRepros:
 
 class TestConsoleEntry:
     def test_module_invocation(self):
+        # the child imports the same craig, installed or not
+        source_root = str(Path(craig.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
         out = subprocess.run(
             [sys.executable, "-m", "craig.cli", "parse", "true"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert out.returncode == 0
         assert out.stdout.strip() == "true"

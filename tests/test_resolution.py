@@ -7,6 +7,7 @@ from craig.formulas import (
     Atom,
     BOTTOM,
     Literal,
+    clause_key,
     Neg,
     Or,
     TOP,
@@ -21,6 +22,7 @@ from craig.formulas import (
 )
 from craig.resolution import (
     Input,
+    NonAtomicLiteral,
     Partition,
     RefutationCheckFailed,
     Resolve,
@@ -140,6 +142,169 @@ class TestRefute:
         for n in rp.nodes:
             if isinstance(n, Resolve):
                 assert n.left not in taut_ids and n.right not in taut_ids
+
+
+# The scan-based search that the incremental one in craig.resolution
+# replaced: at every node it rescans all clauses for the first falsified one
+# and for satisfaction.  It is the reference the differential tests hold the
+# library to, text for text.
+def reference_refute_with_sides(clauses, atoms, sides):
+    nodes = []
+    input_ids = {}
+
+    def input_node(c):
+        if c not in input_ids:
+            nodes.append(Input(c, sides[c]))
+            input_ids[c] = len(nodes) - 1
+        return input_ids[c]
+
+    def falsified_clause(assignment):
+        for c in clauses:
+            if all(
+                isinstance(l.body, Atom)
+                and l.body.name in assignment
+                and assignment[l.body.name] == l.negated
+                or (not isinstance(l.body, Atom) and not l.negated)
+                for l in c
+            ):
+                return c
+        return None
+
+    def satisfied(assignment):
+        for c in clauses:
+            if not any(
+                (isinstance(l.body, Atom) and assignment.get(l.body.name) == (not l.negated))
+                or (not isinstance(l.body, Atom) and l.negated)
+                for l in c
+            ):
+                return False
+        return True
+
+    def solve(assignment, depth):
+        c = falsified_clause(assignment)
+        if c is not None:
+            return input_node(c), c
+        if satisfied(assignment) or depth == len(atoms):
+            full = dict(assignment)
+            for name in atoms:
+                full.setdefault(name, False)
+            return Satisfiable(tuple(sorted(full.items())))
+        name = atoms[depth]
+        atom = Atom(name)
+        res_t = solve({**assignment, name: True}, depth + 1)
+        if isinstance(res_t, Satisfiable):
+            return res_t
+        id_t, cl_t = res_t
+        if Literal(True, atom) not in cl_t:
+            return id_t, cl_t
+        res_f = solve({**assignment, name: False}, depth + 1)
+        if isinstance(res_f, Satisfiable):
+            return res_f
+        id_f, cl_f = res_f
+        if Literal(False, atom) not in cl_f:
+            return id_f, cl_f
+        nodes.append(Resolve(id_f, id_t, atom))
+        merged = (cl_f - {Literal(False, atom)}) | (cl_t - {Literal(True, atom)})
+        return len(nodes) - 1, merged
+
+    result = solve({}, 0)
+    if isinstance(result, Satisfiable):
+        return result
+    return ResolutionProof(tuple(nodes), result[0])
+
+
+def reference_refute_partitioned(a_clauses, b_clauses):
+    sides = {c: "B" for c in b_clauses}
+    sides.update({c: "A" for c in a_clauses})
+    clauses = sorted(set(a_clauses) | set(b_clauses), key=clause_key)
+    atoms = sorted({l.body.name for c in clauses for l in c})
+    return reference_refute_with_sides(clauses, atoms, sides)
+
+
+def outcome(out):
+    if isinstance(out, Satisfiable):
+        return out.assignment
+    return format_refutation(out)
+
+
+def php(n):
+    """n + 1 pigeons in n holes."""
+    def hole(i, j):
+        return Atom(f"p{i}h{j}")
+
+    cs = [frozenset(Literal(False, hole(i, j)) for j in range(n)) for i in range(n + 1)]
+    for j in range(n):
+        for i in range(n + 1):
+            for k in range(i + 1, n + 1):
+                cs.append(frozenset([Literal(True, hole(i, j)), Literal(True, hole(k, j))]))
+    return frozenset(cs)
+
+
+class TestReferenceSearch:
+    """The incremental search returns exactly what the rescanning one does."""
+
+    def test_random_cnfs(self):
+        rng = random.Random(3)
+        kinds = {"sat": 0, "unsat": 0}
+        for _ in range(600):
+            names = [f"x{i}" for i in range(rng.randint(3, 8))]
+            cs = [
+                frozenset(
+                    Literal(rng.random() < 0.5, Atom(rng.choice(names)))
+                    for _ in range(rng.randint(1, 3))
+                )
+                for _ in range(rng.randint(1, 4 * len(names)))
+            ]
+            a_cls, b_cls = [], []
+            for c in cs:
+                roll = rng.random()
+                if roll < 0.55:
+                    a_cls.append(c)
+                if roll >= 0.45:
+                    b_cls.append(c)
+            whole = frozenset(cs)
+            got = refute(whole)
+            assert outcome(got) == outcome(reference_refute_partitioned(whole, []))
+            assert outcome(refute_partitioned(a_cls, b_cls)) == outcome(
+                reference_refute_partitioned(a_cls, b_cls)
+            )
+            kinds["sat" if isinstance(got, Satisfiable) else "unsat"] += 1
+        assert min(kinds.values()) > 100
+
+    @pytest.mark.parametrize(
+        "cs",
+        [
+            php(3),
+            frozenset([clause("p", "~p"), clause("q", "r"), clause("~q"), clause("~r", "p")]),
+            frozenset([clause("p", "~p"), clause("q")]),
+            frozenset([clause(), clause("p"), clause("~p")]),
+            frozenset(),
+        ],
+        ids=["php3", "tautology-unsat", "tautology-sat", "empty-clause", "empty-set"],
+    )
+    def test_fixed_sets(self, cs):
+        expected = outcome(reference_refute_partitioned(cs, []))
+        assert outcome(refute(cs)) == expected
+        halves = sorted(cs, key=clause_key)
+        a_cls, b_cls = halves[::2], halves[1::2]
+        assert outcome(refute_partitioned(a_cls, b_cls)) == outcome(
+            reference_refute_partitioned(a_cls, b_cls)
+        )
+
+
+class TestNonAtomicLiterals:
+    @pytest.mark.parametrize("text", ["false", "~false", "[]p", "~[]p"])
+    def test_rejected_before_search(self, text):
+        bad = clause(text, "~s")
+        cs = [bad, clause("q"), clause("s", "~q")]
+        with pytest.raises(NonAtomicLiteral, match=r"literal \S+ in clause"):
+            refute(frozenset(cs))
+        with pytest.raises(NonAtomicLiteral):
+            refute_partitioned(cs[1:], [bad])
+
+    def test_names_the_literal(self):
+        with pytest.raises(NonAtomicLiteral, match=r"literal \[\]\(p\) "):
+            refute(frozenset([clause("q", "[]p")]))
 
 
 def reverse_interpolant_ok(c, a_clauses, b_clauses, part):
@@ -285,6 +450,14 @@ class TestSerialization:
             4,
         )
         assert parse_refutation(format_refutation(rp)) == rp
+
+    @pytest.mark.parametrize(
+        "text",
+        ["0: INPUT A {p}\nx: RES 0 0 p\n", "0: INPUT A {p}\n1: RES 0 p\n", "0: INPUT A\n"],
+    )
+    def test_malformed_line_is_a_named_error(self, text):
+        with pytest.raises(ResolutionError, match="bad refutation line"):
+            parse_refutation(text)
 
     def test_round_trip_refute_outputs(self, rng):
         from conftest import random_clause_set
