@@ -46,7 +46,8 @@ class TooManySharedVars(FormulaError):
 # Formula AST
 # ---------------------------------------------------------------------------
 
-ATOM_NAME = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
+# true and false name the constants, never an atom
+ATOM_NAME = re.compile(r"(?!(?:true|false)\Z)[a-z][a-zA-Z0-9_]*\Z")
 
 
 @dataclass(frozen=True)

@@ -316,9 +316,13 @@ def replace_at(p: Proof, path, new: Proof) -> Proof:
 
 
 def iter_nodes(p: Proof, path=()):
-    yield path, p
-    for i, c in enumerate(p.children):
-        yield from iter_nodes(c, path + (i,))
+    """(path, node) for every node in preorder, on an explicit stack."""
+    stack = [(path, p)]
+    while stack:
+        path, node = stack.pop()
+        yield path, node
+        for i in range(len(node.children) - 1, -1, -1):
+            stack.append((path + (i,), node.children[i]))
 
 
 # ---------------------------------------------------------------------------
@@ -781,24 +785,17 @@ def cut_occurrences(node: Proof):
 
 
 def _pair_contexts(child: Sequent, concl: Sequent, child_skip, concl_skip):
-    """Context wiring: per component, the k-th copy of a formula in the
-    premise goes to its k-th copy in the conclusion, skipped ones aside."""
+    """Context wiring: per component, the unskipped premise formulas go to
+    the unskipped conclusion formulas in order.  Both are sorted, so the
+    k-th copy of a formula goes to its k-th copy."""
     edges = []
     for c in COMPONENTS:
-        free = {}
-        for i, f in enumerate(concl.comp(c)):
-            if (c, i) not in concl_skip:
-                free.setdefault(f, []).append(i)
-        for i, f in enumerate(child.comp(c)):
-            if (c, i) in child_skip:
-                continue
-            slots = free.get(f)
-            if not slots:
-                raise ProofError(f"context mismatch on {format_formula(f)}")
-            edges.append(((c, i), (c, slots.pop(0))))
-        for f, slots in free.items():
-            if slots:
-                raise ProofError(f"context mismatch on {format_formula(f)}")
+        have, want = child.comp(c), concl.comp(c)
+        src = [i for i in range(len(have)) if (c, i) not in child_skip]
+        dst = [i for i in range(len(want)) if (c, i) not in concl_skip]
+        if [have[i] for i in src] != [want[i] for i in dst]:
+            raise ProofError(f"context mismatch in {c}")
+        edges += [((c, i), (c, j)) for i, j in zip(src, dst)]
     return edges
 
 
@@ -1139,7 +1136,9 @@ def _tokenize_sexpr(text):
             out.append(ch)
             i += 1
         elif ch == '"':
-            j = text.index('"', i + 1)
+            j = text.find('"', i + 1)
+            if j < 0:
+                raise ProofError("unterminated quote in proof text")
             out.append(('"', text[i + 1 : j]))
             i = j + 1
         else:
@@ -1153,32 +1152,32 @@ def _tokenize_sexpr(text):
 
 def parse_proof(text: str) -> Proof:
     toks = _tokenize_sexpr(text)
-    pos = 0
-
-    def parse_node():
-        nonlocal pos
-        if toks[pos] != "(":
-            raise ProofError(f"expected '(' at token {pos}")
-        pos += 1
-        rule = toks[pos]
-        pos += 1
-        kind, seq_text = toks[pos]
-        if kind != '"':
-            raise ProofError("expected quoted sequent text")
-        pos += 1
-        seq = parse_sequent(seq_text)
-        main_tok = toks[pos]
-        pos += 1
-        children = []
-        while toks[pos] != ")":
-            children.append(parse_node())
-        pos += 1
-        return _rebuild_node(rule, seq, main_tok, tuple(children))
-
-    node = parse_node()
+    node, pos = _parse_node(toks, 0)
     if pos != len(toks):
         raise ProofError("trailing tokens after proof")
     return node
+
+
+def _take(toks, pos):
+    if pos >= len(toks):
+        raise ProofError("proof text ends before its last ')'")
+    return toks[pos]
+
+
+def _parse_node(toks, pos):
+    """The node whose '(' is token pos, and the position after its ')'."""
+    if _take(toks, pos) != "(":
+        raise ProofError(f"expected '(' at token {pos}")
+    rule, seq_tok, main_tok = [_take(toks, i) for i in range(pos + 1, pos + 4)]
+    if rule not in RULES or not isinstance(seq_tok, tuple):
+        raise ProofError(f"expected a rule name and quoted sequent text after token {pos}")
+    seq = parse_sequent(seq_tok[1])
+    pos += 4
+    children = []
+    while _take(toks, pos) != ")":
+        child, pos = _parse_node(toks, pos)
+        children.append(child)
+    return _rebuild_node(rule, seq, main_tok, tuple(children)), pos + 1
 
 
 def _rebuild_node(rule, seq, main_tok, children):
@@ -1186,9 +1185,9 @@ def _rebuild_node(rule, seq, main_tok, children):
         comp = main_tok
         if comp not in ("d1", "d2"):
             raise ProofError(f"bad cut placement {main_tok!r}")
-        left = children[0].sequentv
-        extra = list(left.comp(comp))
+        extra = list(children[0].sequentv.comp(comp)) if children else []
         for f in seq.comp(comp):
+            _need(f in extra, "cut premise must extend the conclusion")
             extra.remove(f)
         if len(extra) != 1:
             raise ProofError("cut premise must add exactly one succedent formula")
@@ -1196,9 +1195,10 @@ def _rebuild_node(rule, seq, main_tok, children):
     if rule in ("ax", "bot", "d"):
         return Proof(rule, seq, children)
     if rule in ("k", "4"):
+        _need(seq.d1 or seq.d2, f"rule {rule} needs a succedent formula")
         dcomp = "d1" if seq.d1 else "d2"
         return Proof(rule, seq, children, dcomp, seq.comp(dcomp)[0])
-    if main_tok == "-":
-        raise ProofError(f"rule {rule} needs a main occurrence index")
+    if not (isinstance(main_tok, str) and main_tok.isdecimal()):
+        raise ProofError(f"rule {rule} needs a main occurrence index, not {main_tok!r}")
     comp, idx = seq.from_flat(int(main_tok))
     return Proof(rule, seq, children, comp, seq.comp(comp)[idx])

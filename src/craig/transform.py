@@ -4,6 +4,7 @@ on tame proofs with right-side cuts, with a subsumption trace."""
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .formulas import (
@@ -176,21 +177,29 @@ def _is_negative_literal_cut(f: Formula) -> bool:
 
 def literal_cuts_to_atomic(p: Proof) -> Proof:
     """Replace every cut on a negated atom or box by a cut on its body,
-    keeping the clause-set form of the interpolant."""
-    while True:
-        targets = [
-            (path, node)
-            for path, node in iter_nodes(p)
-            if node.rule == "cut" and _is_negative_literal_cut(node.main_formula)
-        ]
-        if not targets:
-            return p
-        path, node = max(targets, key=lambda pn: len(pn[0]))
-        left_occ, right_occ = cut_occurrences(node)
-        left_inv = _invert(node.children[0], left_occ)
-        right_inv = _invert(node.children[1], right_occ)
-        replacement = cut(right_inv, left_inv, node.main_formula.body, int(node.main_comp[1]))
-        p = replace_at(p, path, replacement)
+    keeping the clause-set form of the interpolant.  One post-order pass on
+    an explicit stack: a subproof shared by several parents is rewritten
+    once, and one with nothing to rewrite is kept as it is."""
+    done = {}  # id(node) -> its rewrite
+    stack = [p]
+    while stack:
+        node = stack.pop()
+        if type(node) is not tuple:
+            if id(node) not in done:
+                stack.append((node,))  # finished once its children are
+                stack += node.children
+            continue
+        node = node[0]
+        kids = tuple([done[id(c)] for c in node.children])
+        new = node
+        if node.rule == "cut" and _is_negative_literal_cut(node.main_formula):
+            left_occ, right_occ = cut_occurrences(node)
+            new = cut(_invert(kids[1], right_occ), _invert(kids[0], left_occ),
+                      node.main_formula.body, int(node.main_comp[1]))
+        elif not all(map(operator.is_, kids, node.children)):
+            new = Proof(node.rule, node.sequentv, kids, node.main_comp, node.main_formula)
+        done[id(node)] = new
+    return done[id(p)]
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +217,7 @@ def is_w_reduced(p: Proof) -> bool:
 def w_reduce(p: Proof) -> Proof:
     """Shift weakenings up until each sits just below an axiom or weakening."""
     kids = [w_reduce(c) for c in p.children]
-    node = rebuild(p, kids) if kids else p
+    node = p if all(map(operator.is_, kids, p.children)) else rebuild(p, kids)
     if node.rule in ("lw", "rw"):
         return _push_weakening(node)
     return node
@@ -499,7 +508,9 @@ def eliminate_cuts(p: Proof) -> CutEliminationResult:
             raise TransformError(
                 f"{kind} reduction changed the sequent at {path}"
             )
-        p = w_reduce(replace_at(p, path, replacement))
+        # p is w-reduced, so no weakening sits below the cut at path and
+        # reducing the replacement reduces the whole proof
+        p = replace_at(p, path, w_reduce(replacement))
         new_cuts = []
         for sub_path, node in iter_nodes(replacement):
             if node.rule == "cut":

@@ -101,6 +101,25 @@ class TestExitCodes:
         assert code == 1
         assert "bad refutation line" in err
 
+    @pytest.mark.parametrize("command", ["check-proof", "cut-eliminate"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '(ax "p ; => ; p"',
+            '(lw "p, q ; => p ; " x (ax "p ; => p ; " -))',
+            '(ax "p ; => ; p -)',
+            "(ax p ; => ; p -)",
+            "",
+        ],
+        ids=["truncated", "non-numeric-main", "unterminated-quote", "bare-sequent", "empty"],
+    )
+    def test_malformed_proof_file_is_a_logical_failure(self, capsys, tmp_path, command, text):
+        prf = tmp_path / "bad.prf"
+        prf.write_text(text)
+        code, _, err = run(capsys, command, str(prf))
+        assert code == 1
+        assert "Traceback" not in err
+
     def test_failed_refutation_check_is_internal(self, capsys, monkeypatch):
         import craig.resolution
 

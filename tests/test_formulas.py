@@ -7,6 +7,7 @@ from craig.formulas import (
     Atom,
     BOTTOM,
     Box,
+    FormulaError,
     IncompleteAssignment,
     ModalNotSupported,
     Neg,
@@ -70,6 +71,14 @@ class TestParse:
             parse_formula("p q")
         with pytest.raises(ParseError):
             parse_formula("(p")
+
+    @pytest.mark.parametrize("name", ["true", "false"])
+    def test_constant_names_are_not_atoms(self, name):
+        with pytest.raises(FormulaError, match="bad atom name"):
+            Atom(name)
+        assert format_formula(parse_formula(name)) == name
+        assert Atom(name + "x").name == name + "x"
+        assert Atom("x" + name).name == "x" + name
 
     def test_round_trip_random(self):
         rng = random.Random(7)

@@ -1,6 +1,14 @@
 
-from craig.formulas import And, Atom, BOTTOM, Box, Neg, Or, TOP, vars_of
+import importlib
+import random
+import sys
+from functools import lru_cache
+
+import pytest
+
+from craig.formulas import And, Atom, BOTTOM, Box, Neg, Or, TOP, format_formula, vars_of
 from craig.sequent import (
+    COMPONENTS,
     K,
     K4,
     LK,
@@ -9,6 +17,7 @@ from craig.sequent import (
     LKMINUS,
     LKMONO,
     Proof,
+    ProofError,
     ancestors,
     ax,
     axiom_type,
@@ -53,6 +62,8 @@ from craig.sequent import (
 )
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
+# the module itself: the package exports a function of the same name
+sequent_module = importlib.import_module("craig.sequent")
 pq = And(p, q)
 porq = Or(p, q)
 
@@ -419,3 +430,172 @@ class TestSerialization:
             bot_axiom("g2"),
         ):
             assert parse_proof(format_proof(proof)) == proof
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "(",
+            '(ax "p ; => ; p"',
+            '(ax "p ; => ; p" -',
+            '(ax "p ; => ; p -)',
+            '(lw "p, q ; => p ; " x (ax "p ; => p ; " -))',
+            '(lw "p, q ; => p ; " -1 (ax "p ; => p ; " -))',
+            '(lw "p, q ; => p ; " "0" (ax "p ; => p ; " -))',
+            "(ax p ; => ; p -)",
+            '("ax" "p ; => ; p" -)',
+            '(cut "p ; => ; " d2)',
+            '(cut "p ; => ; r" d2 (ax "q ; => ; q" -) (ax "q ; => ; q" -))',
+            '(k "[]p ; => ; " -)',
+            '(ax "p ; => ; p" -))',
+            ")",
+        ],
+        ids=[
+            "empty", "open-paren", "truncated", "truncated-children",
+            "unterminated-quote", "non-numeric-main", "negative-main",
+            "quoted-main", "bare-sequent", "quoted-rule", "cut-without-premises",
+            "cut-premise-mismatch", "k-without-succedent", "trailing", "close-paren",
+        ],
+    )
+    def test_malformed_proof_text_is_a_named_error(self, text):
+        with pytest.raises(ProofError):
+            parse_proof(text)
+
+
+# ---------------------------------------------------------------------------
+# Differential tests against the earlier implementations
+# ---------------------------------------------------------------------------
+
+def reference_iter_nodes(p, path=()):
+    """The recursive preorder walk that iter_nodes replaced."""
+    yield path, p
+    for i, c in enumerate(p.children):
+        yield from reference_iter_nodes(c, path + (i,))
+
+
+def reference_pair_contexts(child, concl, child_skip, concl_skip):
+    """The hash-based context pairing that _pair_contexts replaced."""
+    edges = []
+    for c in COMPONENTS:
+        free = {}
+        for i, f in enumerate(concl.comp(c)):
+            if (c, i) not in concl_skip:
+                free.setdefault(f, []).append(i)
+        for i, f in enumerate(child.comp(c)):
+            if (c, i) in child_skip:
+                continue
+            slots = free.get(f)
+            if not slots:
+                raise ProofError(f"context mismatch on {format_formula(f)}")
+            edges.append(((c, i), (c, slots.pop(0))))
+        for f, slots in free.items():
+            if slots:
+                raise ProofError(f"context mismatch on {format_formula(f)}")
+    return edges
+
+
+def criterion_draws(pipelines=12):
+    """Seeded inputs of acceptance criteria 4 and 5: (a, b, target) for
+    every interpolant class of the criterion-4 implications, hand-picked
+    ones included, and (a, b, cs) for the first criterion-5 pruned
+    pipelines."""
+    from craig.formulas import enumerate_interpolants
+    from test_acceptance import _pruned_instances, _valid_implications
+
+    implications = _valid_implications(random.Random(104), 47) + [
+        (a, b, enumerate_interpolants(a, b))
+        for a, b in [(And(pq, r), Or(porq, r)), (pq, porq), (p, p)]
+    ]
+    classes = [(a, b, t) for a, b, targets in implications for t in targets]
+    return classes, _pruned_instances(random.Random(105), pipelines)
+
+
+@lru_cache(maxsize=None)
+def differential_proofs():
+    """Realized and cut-eliminated proofs of the criterion 4 and 5 draws."""
+    from craig.construct import realize_interpolant, realize_pruned
+    from craig.transform import eliminate_cuts
+
+    classes, pipelines = criterion_draws()
+    out = [realize_interpolant(a, b, t, LKAT, cminus_cap=10**6) for a, b, t in classes]
+    for a, b, cs in pipelines:
+        realized = realize_pruned(a, b, cs)
+        out += [realized, eliminate_cuts(realized).proof]
+    return tuple(out) + (example_sigma(), omega_proof()) + modal_proofs()
+
+
+class TestReferenceWalks:
+    """The explicit-stack walk and the positional pairing give exactly what
+    the recursive walk and the hash-based pairing did."""
+
+    def test_iter_nodes_order(self):
+        for proof in differential_proofs():
+            got = list(iter_nodes(proof))
+            want = list(reference_iter_nodes(proof))
+            assert [path for path, _ in got] == [path for path, _ in want]
+            assert all(a is b for (_, a), (_, b) in zip(got, want))
+            sub = proof.children[-1] if proof.children else proof
+            assert [path for path, _ in iter_nodes(sub, (7,))] == [
+                path for path, _ in reference_iter_nodes(sub, (7,))
+            ]
+
+    def test_node_links_at_every_node(self, monkeypatch):
+        proofs = differential_proofs()
+        nodes = [
+            (node, ci) for proof in proofs for _, node in iter_nodes(proof)
+            for ci in range(len(node.children))
+        ]
+        got = [node_links(node, ci) for node, ci in nodes]
+        monkeypatch.setattr(sequent_module, "_pair_contexts", reference_pair_contexts)
+        assert got == [node_links(node, ci) for node, ci in nodes]
+        assert len(nodes) > 1000
+
+    def test_both_pairings_reject_a_corrupted_context(self):
+        pair = sequent_module._pair_contexts
+        alien = Atom("zz")
+        checked = 0
+        for proof in differential_proofs()[:40]:
+            for _, node in iter_nodes(proof):
+                s = node.sequentv
+                for c in COMPONENTS:
+                    assert pair(s, s, set(), set()) == reference_pair_contexts(s, s, set(), set())
+                    corrupted = [s.insert(c, alien)]
+                    if s.comp(c):
+                        corrupted.append(s.remove_one(c, s.comp(c)[0]))
+                        corrupted.append(s.remove_one(c, s.comp(c)[-1]).insert(c, alien))
+                    for bad in corrupted:
+                        for x, y in ((s, bad), (bad, s)):
+                            with pytest.raises(ProofError):
+                                pair(x, y, set(), set())
+                            with pytest.raises(ProofError):
+                                reference_pair_contexts(x, y, set(), set())
+                            checked += 1
+        assert checked > 1000
+
+
+@pytest.fixture
+def shallow_stack():
+    """A recursion limit far below the depth of the proofs under test."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(old)
+
+
+def deep_weakening_proof(levels=10_000):
+    """p => p under alternating lw/lc steps, one rule per level."""
+    proof = ax(p, "g1", "d1")
+    for i in range(levels):
+        proof = lw(proof, p, "g1") if i % 2 == 0 else lc(proof, p, "g1")
+    return proof
+
+
+class TestDeepProofs:
+    def test_iter_nodes_is_iterative(self, shallow_stack):
+        proof = deep_weakening_proof()
+        with pytest.raises(RecursionError):
+            list(reference_iter_nodes(proof))
+        nodes = list(iter_nodes(proof))
+        assert len(nodes) == 10_001
+        assert [len(path) for path, _ in nodes] == list(range(10_001))
+        assert nodes[-1][1].rule == "ax"

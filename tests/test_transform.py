@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import craig.transform as transform_module
 from craig.formulas import (
     And,
     Atom,
@@ -23,6 +24,7 @@ from craig.sequent import (
     check_proof,
     classify_cut,
     cut,
+    cut_occurrences,
     first_index,
     is_tame,
     iter_nodes,
@@ -35,8 +37,10 @@ from craig.sequent import (
     rand,
     rc,
     rneg,
+    replace_at,
     rw,
     sequent,
+    subproof_at,
     wax,
     weaken_to,
     weight,
@@ -52,8 +56,15 @@ from craig.transform import (
     neg_invert,
     w_reduce,
 )
-from craig.construct import prove_cutfree, realize_clause, realize_pruned
-from test_sequent import example_sigma, omega_proof
+from craig.construct import prove_cutfree, realize_clause, realize_interpolant, realize_pruned
+from test_sequent import (
+    criterion_draws,
+    deep_weakening_proof,
+    example_sigma,
+    omega_proof,
+    reference_iter_nodes,
+    shallow_stack,  # a fixture
+)
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 
@@ -387,3 +398,139 @@ class TestEliminateCuts:
         result = eliminate_cuts(proof)
         assert check_proof(result.proof, LKMINUS) is None
         assert subsumes(cs, formula_cnf(interp(result.proof)))
+
+
+# ---------------------------------------------------------------------------
+# Differential tests against the earlier implementations
+# ---------------------------------------------------------------------------
+
+def reference_literal_cuts_to_atomic(p):
+    """The rescanning conversion that the one-pass literal_cuts_to_atomic
+    replaced: rewrite the deepest negative-literal cut, then scan again."""
+    while True:
+        targets = [
+            (path, node)
+            for path, node in reference_iter_nodes(p)
+            if node.rule == "cut" and transform_module._is_negative_literal_cut(node.main_formula)
+        ]
+        if not targets:
+            return p
+        path, node = max(targets, key=lambda pn: len(pn[0]))
+        left_occ, right_occ = cut_occurrences(node)
+        left_inv = transform_module._invert(node.children[0], left_occ)
+        right_inv = transform_module._invert(node.children[1], right_occ)
+        replacement = cut(right_inv, left_inv, node.main_formula.body, int(node.main_comp[1]))
+        p = replace_at(p, path, replacement)
+
+
+def conversion_inputs(monkeypatch):
+    """The proofs conjoin hands to literal_cuts_to_atomic on the criterion 4
+    and 5 draws."""
+    seen = []
+    convert = transform_module.literal_cuts_to_atomic
+
+    def spy(psi):
+        seen.append(psi)
+        return convert(psi)
+
+    monkeypatch.setattr(transform_module, "literal_cuts_to_atomic", spy)
+    classes, pipelines = criterion_draws()
+    for a, b, t in classes:
+        realize_interpolant(a, b, t, LKAT, cminus_cap=10**6)
+    for a, b, cs in pipelines:
+        realize_pruned(a, b, cs)
+    monkeypatch.undo()
+    return seen
+
+
+class TestReferenceConversion:
+    def test_equal_proofs_on_criterion_draws(self, monkeypatch):
+        inputs = conversion_inputs(monkeypatch)
+        outputs = [literal_cuts_to_atomic(psi) for psi in inputs]
+        assert outputs == [reference_literal_cuts_to_atomic(psi) for psi in inputs]
+        assert sum(out is not psi for psi, out in zip(inputs, outputs)) > 40
+
+    def test_shared_subproofs_are_rewritten_once(self, monkeypatch):
+        calls = []
+        occurrences = transform_module.cut_occurrences
+        monkeypatch.setattr(
+            transform_module, "cut_occurrences", lambda node: calls.append(node) or occurrences(node)
+        )
+        inner = TestLiteralCutsToAtomic().negated_cut_proof()  # p & q ; => ; p
+        left = rw(inner, q, "d2")
+        right = lw(inner, q, "g2")
+        proof = cut(left, right, q, 2)
+        out = literal_cuts_to_atomic(proof)
+        assert calls == [inner]  # the one negative-literal cut, rewritten once
+        assert out.children[0].children[0] is out.children[1].children[0]
+        assert out == reference_literal_cuts_to_atomic(proof)
+
+    def test_w_reduction_commutes_with_splicing(self, monkeypatch):
+        # at every step, reducing the spliced proof equals splicing the
+        # reduced replacement
+        replacements = []
+        reduce_cut, splice = transform_module._reduce_cut, transform_module.replace_at
+
+        def spy_reduce(chi):
+            out = reduce_cut(chi)
+            replacements.append(out[0])
+            return out
+
+        def spy_splice(p, path, new):
+            assert new == w_reduce(replacements[-1])
+            out = splice(p, path, new)
+            assert out == w_reduce(splice(p, path, replacements[-1]))
+            # the same for a replacement that is not w-reduced: a weakening
+            # over the cut, contracted away
+            chi = subproof_at(p, path)
+            comp = "g1" if chi.sequentv.g1 else "g2"
+            f = chi.sequentv.comp(comp)[0]
+            noisy = lc(lw(chi, f, comp), f, comp)
+            assert w_reduce(noisy) != noisy
+            assert splice(p, path, w_reduce(noisy)) == w_reduce(splice(p, path, noisy))
+            return out
+
+        monkeypatch.setattr(transform_module, "_reduce_cut", spy_reduce)
+        monkeypatch.setattr(transform_module, "replace_at", spy_splice)
+        _, pipelines = criterion_draws()
+        for a, b, cs in pipelines:
+            eliminate_cuts(realize_pruned(a, b, cs))
+        eliminate_cuts(example_sigma())
+        assert len(replacements) > 30
+
+
+class TestWReduceIdentity:
+    def test_reduced_proof_is_kept(self):
+        sigma = w_reduce(example_sigma())
+        assert w_reduce(sigma) is sigma
+
+    def test_only_changed_branches_are_rebuilt(self):
+        left = lw(ax(p, "g1", "d1"), q, "g1")  # p, q => p, already reduced
+        contracted = lc(lw(ax(q, "g1", "d1"), q, "g1"), q, "g1")
+        right = lw(contracted, p, "g1")  # p, q => q, weakening over lc
+        proof = rand(left, right, And(p, q), "d1")
+        out = w_reduce(proof)
+        assert is_w_reduced(out) and not is_w_reduced(proof)
+        assert out.children[0] is left
+        assert out.children[1] is not right
+
+
+class TestDeepProofs:
+    def test_deep_weakening_proof_is_kept(self, shallow_stack):
+        proof = deep_weakening_proof()
+        assert literal_cuts_to_atomic(proof) is proof
+
+    def test_deep_cut_chain(self, shallow_stack):
+        levels = 2_500  # a cut and a weakening per level: 5,000 deep
+        side = lw(ax(p, "g2", "d2"), Neg(q), "g2")  # ; p, ~q => ; p
+        proof = ax(p, "g2", "d2")
+        for _ in range(levels):
+            proof = cut(rw(proof, Neg(q), "d2"), side, Neg(q), 2)
+        assert len(list(iter_nodes(proof))) == 4 * levels + 1
+        with pytest.raises(RecursionError):
+            reference_literal_cuts_to_atomic(proof)
+        out = literal_cuts_to_atomic(proof)
+        assert out.sequentv == proof.sequentv
+        cuts = [node.main_formula for _, node in iter_nodes(out) if node.rule == "cut"]
+        assert cuts == [q] * levels
+        assert check_proof(out, LKAT) is None
