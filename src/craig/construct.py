@@ -133,20 +133,21 @@ def _prop_countermodel(s: Sequent):
 
 
 def _fail_tree_to_model(tree: _FailNode):
+    """One world per fail node, numbered in preorder, each seeing the worlds
+    of its children."""
     worlds = []
     succ = {}
     val = {}
-
-    def build(node):
+    stack = [(tree, None)]
+    while stack:
+        node, parent = stack.pop()
         w = len(worlds)
         worlds.append(w)
         val[w] = _prop_countermodel(node.sequent)
         succ[w] = set()
-        for child in node.children:
-            succ[w].add(build(child))
-        return w
-
-    build(tree)
+        if parent is not None:
+            succ[parent].add(w)
+        stack.extend((child, w) for child in reversed(node.children))
     return make_model(worlds, succ, val)
 
 

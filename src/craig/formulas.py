@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import itertools
 import re
+import threading
+import weakref
 from dataclasses import dataclass
-from functools import lru_cache
 
 
 class FormulaError(ValueError):
@@ -45,53 +46,144 @@ class TooManySharedVars(FormulaError):
 # ---------------------------------------------------------------------------
 # Formula AST
 # ---------------------------------------------------------------------------
+#
+# Formulas are hash-consed (Filliâtre & Conchon, "Type-safe modular
+# hash-consing", 2006): building a node returns the one live node with that
+# structure, so equal formulas are the same object, and equality and hashing
+# are by identity.  The intern table maps (Atom, name) or (class, the
+# identities of the children) to a weak reference to the node.  A node holds
+# its children, so while it lives the identities in its key name the same
+# objects; when it dies its entry goes with it, so the table holds only
+# live formulas.  A node keeps its nesting depth, and stores its printed
+# text (the canonical sort key), variable set, length and modality on first
+# use.
 
 # true and false name the constants, never an atom
 ATOM_NAME = re.compile(r"(?!(?:true|false)\Z)[a-z][a-zA-Z0-9_]*\Z")
 
+# The deepest nesting the parser accepts.  The formula walkers recurse up to
+# three times per level and the parser four times per parenthesis, so a
+# formula this deep stays far inside the recursion limit craig.sequent sets.
+MAX_DEPTH = 1000
 
-@dataclass(frozen=True)
+_INTERN = {}
+_INTERN_LOCK = threading.RLock()
+_store = object.__setattr__
+
+
+class _Entry(weakref.ref):
+    """A weak reference to an interned node that knows the node's key."""
+
+    __slots__ = ("key",)
+
+
+def _forget(ref):
+    """Weak-reference callback: the node died, so its entry goes, unless a
+    new node has taken the key already."""
+    with _INTERN_LOCK:
+        if _INTERN.get(ref.key) is ref:
+            del _INTERN[ref.key]
+
+
+def _live(key):
+    """The live node for key, or None."""
+    ref = _INTERN.get(key)
+    return ref() if ref is not None else None
+
+
+def _intern(key, cls, depth, *fields):
+    """The live node for key; one made of cls, depth and the field values
+    (in __slots__ order) if there is none."""
+    with _INTERN_LOCK:
+        node = _live(key)
+        if node is None:
+            node = object.__new__(cls)
+            for name, value in zip(cls.__slots__, fields):
+                _store(node, name, value)
+            _store(node, "depth", depth)
+            entry = _Entry(node, _forget)
+            entry.key = key
+            _INTERN[key] = entry
+    return node
+
+
+def _not_a_formula(f):
+    return FormulaError(f"not a formula: {f!r}")
+
+
+def _atom_name(name) -> str:
+    if not ATOM_NAME.match(name):
+        raise FormulaError(f"bad atom name: {name!r}")
+    return name
+
+
+def _depth(child) -> int:
+    if not isinstance(child, Formula):
+        raise _not_a_formula(child)
+    return child.depth
+
+
 class Formula:
-    __slots__ = ()
+    """An immutable interned formula node.  Build one with Atom, Neg, And,
+    Or or Box, or take BOTTOM or TOP."""
+
+    __slots__ = ("depth", "_key", "_vars", "_length", "_modal", "__weakref__")
+
+    def __setattr__(self, name, value):
+        raise AttributeError("formulas are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("formulas are immutable")
 
     def __repr__(self):
         return f"<{format_formula(self)}>"
 
 
-@dataclass(frozen=True, repr=False)
 class Bottom(Formula):
     __slots__ = ()
 
+    def __new__(cls):
+        return _intern((Bottom,), Bottom, 0)
 
-@dataclass(frozen=True, repr=False)
+
 class Atom(Formula):
-    name: str
+    __slots__ = ("name",)
 
-    def __post_init__(self):
-        if not ATOM_NAME.match(self.name):
-            raise FormulaError(f"bad atom name: {self.name!r}")
+    def __new__(cls, name):
+        key = (Atom, name)
+        return _live(key) or _intern(key, Atom, 0, _atom_name(name))
 
 
-@dataclass(frozen=True, repr=False)
 class Neg(Formula):
-    body: Formula
+    __slots__ = ("body",)
+
+    def __new__(cls, body):
+        key = (Neg, id(body))
+        return _live(key) or _intern(key, Neg, _depth(body) + 1, body)
 
 
-@dataclass(frozen=True, repr=False)
-class And(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True, repr=False)
-class Or(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True, repr=False)
 class Box(Formula):
-    body: Formula
+    __slots__ = ("body",)
+
+    def __new__(cls, body):
+        key = (Box, id(body))
+        return _live(key) or _intern(key, Box, _depth(body) + 1, body)
+
+
+class And(Formula):
+    __slots__ = ("left", "right")
+
+    def __new__(cls, left, right):
+        key = (And, id(left), id(right))
+        return _live(key) or _intern(key, And, max(_depth(left), _depth(right)) + 1, left, right)
+
+
+class Or(Formula):
+    __slots__ = ("left", "right")
+
+    def __new__(cls, left, right):
+        key = (Or, id(left), id(right))
+        return _live(key) or _intern(key, Or, max(_depth(left), _depth(right)) + 1, left, right)
 
 
 BOTTOM = Bottom()
@@ -103,35 +195,60 @@ def impl(a, b):
     return Or(Neg(a), b)
 
 
-@lru_cache(maxsize=None)
 def vars_of(f: Formula) -> frozenset:
-    if isinstance(f, Bottom):
-        return frozenset()
+    try:
+        return f._vars
+    except AttributeError:
+        pass
     if isinstance(f, Atom):
-        return frozenset([f.name])
-    if isinstance(f, (Neg, Box)):
-        return vars_of(f.body)
-    return vars_of(f.left) | vars_of(f.right)
+        v = frozenset([f.name])
+    elif isinstance(f, (Neg, Box)):
+        v = vars_of(f.body)
+    elif isinstance(f, (And, Or)):
+        v = vars_of(f.left) | vars_of(f.right)
+    elif isinstance(f, Bottom):
+        v = frozenset()
+    else:
+        raise _not_a_formula(f)
+    _store(f, "_vars", v)
+    return v
 
 
-@lru_cache(maxsize=None)
 def formula_length(f: Formula) -> int:
     """Symbol count: atoms and false weigh 1, each connective adds 1."""
-    if isinstance(f, (Bottom, Atom)):
-        return 1
-    if isinstance(f, (Neg, Box)):
-        return 1 + formula_length(f.body)
-    return 1 + formula_length(f.left) + formula_length(f.right)
+    try:
+        return f._length
+    except AttributeError:
+        pass
+    if isinstance(f, (Atom, Bottom)):
+        n = 1
+    elif isinstance(f, (Neg, Box)):
+        n = 1 + formula_length(f.body)
+    elif isinstance(f, (And, Or)):
+        n = 1 + formula_length(f.left) + formula_length(f.right)
+    else:
+        raise _not_a_formula(f)
+    _store(f, "_length", n)
+    return n
 
 
 def is_modal(f: Formula) -> bool:
+    try:
+        return f._modal
+    except AttributeError:
+        pass
     if isinstance(f, Box):
-        return True
-    if isinstance(f, Neg):
-        return is_modal(f.body)
-    if isinstance(f, (And, Or)):
-        return is_modal(f.left) or is_modal(f.right)
-    return False
+        m = True
+    elif isinstance(f, Neg):
+        m = is_modal(f.body)
+    elif isinstance(f, (And, Or)):
+        m = is_modal(f.left) or is_modal(f.right)
+    elif isinstance(f, (Atom, Bottom)):
+        m = False
+    else:
+        raise _not_a_formula(f)
+    _store(f, "_modal", m)
+    return m
 
 
 def signed_subformulas(f: Formula, positive=True):
@@ -151,41 +268,51 @@ def signed_subformulas(f: Formula, positive=True):
 # Printing
 # ---------------------------------------------------------------------------
 
-_PREC_OR = 1
-_PREC_AND = 2
-_PREC_UNARY = 3
+# How tightly each node binds; a child that binds looser than its place in
+# the parent needs parentheses.  & and | group to the left.
+_PREC_OR, _PREC_AND, _PREC_UNARY = 1, 2, 3
+_PREC = {Or: _PREC_OR, And: _PREC_AND}
 
 
-def _fmt(f, parent_prec, spaced):
-    amp = " & " if spaced else "&"
-    bar = " | " if spaced else "|"
-    if f == TOP:
+def _wrap(g, text, prec):
+    """text(g), parenthesized when g binds looser than prec."""
+    t = text(g)
+    return "(" + t + ")" if _PREC.get(type(g), _PREC_UNARY) < prec else t
+
+
+def _text(f, text, amp, bar):
+    """f printed, with text printing its children."""
+    if f is TOP:
         return "true"
-    if isinstance(f, Bottom):
-        return "false"
-    if isinstance(f, Atom):
+    cls = type(f)
+    if cls is Atom:
         return f.name
-    if isinstance(f, Neg):
-        return "~" + _fmt(f.body, _PREC_UNARY, spaced)
-    if isinstance(f, Box):
-        return "[]" + _fmt(f.body, _PREC_UNARY, spaced)
-    if isinstance(f, And):
-        text = _fmt(f.left, _PREC_AND, spaced) + amp + _fmt(f.right, _PREC_AND + 1, spaced)
-        return "(" + text + ")" if parent_prec > _PREC_AND else text
-    if isinstance(f, Or):
-        text = _fmt(f.left, _PREC_OR, spaced) + bar + _fmt(f.right, _PREC_OR + 1, spaced)
-        return "(" + text + ")" if parent_prec > _PREC_OR else text
-    raise FormulaError(f"not a formula: {f!r}")
+    if cls is Bottom:
+        return "false"
+    if cls is Neg:
+        return "~" + _wrap(f.body, text, _PREC_UNARY)
+    if cls is Box:
+        return "[]" + _wrap(f.body, text, _PREC_UNARY)
+    if cls is And:
+        return _wrap(f.left, text, _PREC_AND) + amp + _wrap(f.right, text, _PREC_AND + 1)
+    if cls is Or:
+        return _wrap(f.left, text, _PREC_OR) + bar + _wrap(f.right, text, _PREC_OR + 1)
+    raise _not_a_formula(f)
 
 
-@lru_cache(maxsize=None)
 def format_formula(f: Formula) -> str:
-    return _fmt(f, 0, True)
+    """The printed text, which is also the canonical sort key."""
+    try:
+        return f._key
+    except AttributeError:
+        pass
+    key = _text(f, format_formula, " & ", " | ")
+    _store(f, "_key", key)
+    return key
 
 
-@lru_cache(maxsize=None)
 def format_formula_compact(f: Formula) -> str:
-    return _fmt(f, 0, False)
+    return _text(f, format_formula_compact, "&", "|")
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +354,7 @@ class _Tokens:
             pos = m.end()
         self.items.append(("eof", "", line, len(text) - line_start + 1))
         self.idx = 0
+        self.parens = 0  # parentheses open at the current token
 
     def peek(self):
         return self.items[self.idx]
@@ -243,48 +371,70 @@ class _Tokens:
         return item
 
 
+def _too_deep(token):
+    return ParseError(f"formula nested deeper than {MAX_DEPTH}", token[2], token[3])
+
+
+def _bounded(f, token):
+    """f, built at token, unless it is nested deeper than MAX_DEPTH."""
+    if f.depth > MAX_DEPTH:
+        raise _too_deep(token)
+    return f
+
+
 def _parse_impl(toks):
-    left = _parse_or(toks)
-    if toks.peek()[0] == "->":
-        toks.next()
-        right = _parse_impl(toks)
-        return impl(left, right)
-    return left
+    # right-associative, folded without recursion
+    operands = [_parse_or(toks)]
+    arrows = []
+    while toks.peek()[0] == "->":
+        arrows.append(toks.next())
+        operands.append(_parse_or(toks))
+    f = operands.pop()
+    while operands:
+        f = _bounded(impl(operands.pop(), f), arrows.pop())
+    return f
 
 
 def _parse_or(toks):
     f = _parse_and(toks)
     while toks.peek()[0] == "|":
-        toks.next()
-        f = Or(f, _parse_and(toks))
+        op = toks.next()
+        f = _bounded(Or(f, _parse_and(toks)), op)
     return f
 
 
 def _parse_and(toks):
     f = _parse_unary(toks)
     while toks.peek()[0] == "&":
-        toks.next()
-        f = And(f, _parse_unary(toks))
+        op = toks.next()
+        f = _bounded(And(f, _parse_unary(toks)), op)
     return f
 
 
 def _parse_unary(toks):
-    kind, value, line, col = toks.next()
-    if kind == "~":
-        return Neg(_parse_unary(toks))
-    if kind == "[]":
-        return Box(_parse_unary(toks))
+    prefixes = []  # applied innermost first, without recursion
+    while toks.peek()[0] in ("~", "[]"):
+        prefixes.append(toks.next())
+    token = toks.next()
+    kind, value, line, col = token
     if kind == "atom":
-        return Atom(value)
-    if kind == "false":
-        return BOTTOM
-    if kind == "true":
-        return TOP
-    if kind == "(":
+        f = Atom(value)
+    elif kind == "false":
+        f = BOTTOM
+    elif kind == "true":
+        f = TOP
+    elif kind == "(":
+        toks.parens += 1
+        if toks.parens > MAX_DEPTH:
+            raise _too_deep(token)
         f = _parse_impl(toks)
         toks.expect(")")
-        return f
-    raise ParseError(f"unexpected token {value!r}", line, col)
+        toks.parens -= 1
+    else:
+        raise ParseError(f"unexpected token {value!r}", line, col)
+    for op in reversed(prefixes):
+        f = _bounded(Neg(f) if op[0] == "~" else Box(f), op)
+    return f
 
 
 def parse_formula(text: str) -> Formula:

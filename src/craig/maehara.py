@@ -85,22 +85,16 @@ def axiom_interpolant(s: Sequent) -> Formula:
 def maehara(p: Proof, system: System) -> AnnotatedProof:
     """Annotate every node with its interpolant; the root one interpolates
     the end-sequent's partition."""
-    notes = []
-
-    def go(node: Proof, path):
+    nodes = list(iter_nodes(p))
+    notes = [None] * len(nodes)
+    # preorder: the leaves' interpolants, and every check that can fail
+    for i, (_, node) in enumerate(nodes):
         rule = node.rule
         if rule == "ax":
-            c = axiom_interpolant(node.sequentv)
+            notes[i] = axiom_interpolant(node.sequentv)
         elif rule == "bot":
-            c = BOTTOM if node.sequentv.g1 else TOP
-        elif rule in _PASS_THROUGH:
-            c = go(node.children[0], path + (0,))
-        elif rule in ("rand", "lor"):
-            left = go(node.children[0], path + (0,))
-            right = go(node.children[1], path + (1,))
-            c = Or(left, right) if node.main_comp in ("d1", "g1") else And(left, right)
+            notes[i] = BOTTOM if node.sequentv.g1 else TOP
         elif rule == "cut":
-            side = int(node.main_comp[1])
             v = vars_of(node.main_formula)
             if not (
                 v <= node.sequentv.side_vars(1) or v <= node.sequentv.side_vars(2)
@@ -109,28 +103,37 @@ def maehara(p: Proof, system: System) -> AnnotatedProof:
                     f"cut on {node.main_formula!r} in "
                     f"{format_sequent(node.sequentv)}"
                 )
-            left = go(node.children[0], path + (0,))
-            right = go(node.children[1], path + (1,))
-            c = Or(left, right) if side == 1 else And(left, right)
-        elif rule in ("k", "4"):
-            inner = go(node.children[0], path + (0,))
-            if node.main_comp == "d2":
-                c = Box(inner)
-            else:
-                c = Neg(Box(Neg(inner)))
         elif rule == "d":
             if not ({"k", "4"} & system.modal_rules):
                 raise UnsupportedRule(
                     "interpolating the seriality rule needs a box-introducing rule"
                 )
-            c = Box(go(node.children[0], path + (0,)))
-        else:
+        elif rule not in _PASS_THROUGH and rule not in ("rand", "lor", "k", "4"):
             raise UnsupportedRule(f"no interpolation case for rule {rule!r}")
-        notes.append((path, c))
-        return c
-
-    go(p, ())
-    return AnnotatedProof(p, tuple(sorted(notes)))
+    # reverse preorder: every inner node right after its premises, whose
+    # interpolants are on top of the stack, the first premise's topmost
+    done = []
+    for i in range(len(nodes) - 1, -1, -1):
+        node = nodes[i][1]
+        rule = node.rule
+        if rule not in ("ax", "bot"):
+            first = done.pop()
+            if rule in _PASS_THROUGH:
+                c = first
+            elif rule in ("rand", "lor"):
+                second = done.pop()
+                c = Or(first, second) if node.main_comp in ("d1", "g1") else And(first, second)
+            elif rule == "cut":
+                second = done.pop()
+                c = Or(first, second) if node.main_comp[1] == "1" else And(first, second)
+            elif rule in ("k", "4"):
+                c = Box(first) if node.main_comp == "d2" else Neg(Box(Neg(first)))
+            else:  # d
+                c = Box(first)
+            notes[i] = c
+        done.append(notes[i])
+    # preorder lists the paths in sorted order
+    return AnnotatedProof(p, tuple(zip([path for path, _ in nodes], notes)))
 
 
 def is_nnf_interpolant(f: Formula) -> bool:

@@ -3,7 +3,9 @@ cut/axiom classification for propositional and normal modal systems."""
 
 from __future__ import annotations
 
+import operator
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .formulas import (
@@ -129,6 +131,14 @@ def _sorted(fs) -> tuple:
     return tuple(sorted(fs, key=format_formula))
 
 
+def _in_order(fs) -> bool:
+    """fs is in the canonical order: no key is above the next one."""
+    if len(fs) < 2:
+        return True
+    keys = [format_formula(f) for f in fs]
+    return all(map(operator.le, keys, keys[1:]))
+
+
 @dataclass(frozen=True)
 class Sequent:
     g1: tuple = ()
@@ -139,18 +149,23 @@ class Sequent:
     def comp(self, name) -> tuple:
         return getattr(self, name)
 
-    def replace(self, name, formulas) -> "Sequent":
-        parts = {c: self.comp(c) for c in COMPONENTS}
-        parts[name] = _sorted(formulas)
-        return Sequent(**parts)
+    def _with(self, name, comp) -> "Sequent":
+        """This sequent with component name replaced by comp, which must
+        be in the canonical order."""
+        parts = [self.g1, self.g2, self.d1, self.d2]
+        parts[COMPONENTS.index(name)] = comp
+        return Sequent(*parts)
 
     def insert(self, name, f) -> "Sequent":
-        return self.replace(name, self.comp(name) + (f,))
+        """Add f to component name at its place in the canonical order."""
+        comp = self.comp(name)
+        i = bisect_right(comp, format_formula(f), key=format_formula)
+        return self._with(name, comp[:i] + (f,) + comp[i:])
 
     def remove_one(self, name, f) -> "Sequent":
-        comp = list(self.comp(name))
-        comp.remove(f)
-        return self.replace(name, comp)
+        comp = self.comp(name)
+        i = comp.index(f)
+        return self._with(name, comp[:i] + comp[i + 1:])
 
     def count(self, name, f) -> int:
         return self.comp(name).count(f)
@@ -210,6 +225,12 @@ def format_sequent(s: Sequent) -> str:
 
 
 def parse_sequent(text: str) -> Sequent:
+    return _parse_sequent(text, {})
+
+
+def _parse_sequent(text: str, memo) -> Sequent:
+    """parse_sequent, taking each formula text already parsed from memo
+    (a dict from text to formula that this call extends)."""
     if text.count("=>") != 1:
         raise ProofError(f"sequent text needs exactly one '=>': {text!r}")
     left, right = text.split("=>")
@@ -227,7 +248,13 @@ def parse_sequent(text: str) -> Sequent:
         chunk = chunk.strip()
         if not chunk:
             return ()
-        return tuple(parse_formula(piece) for piece in chunk.split(","))
+        out = []
+        for piece in chunk.split(","):
+            f = memo.get(piece)
+            if f is None:
+                f = memo[piece] = parse_formula(piece)
+            out.append(f)
+        return tuple(out)
 
     return sequent(formulas(g1), formulas(g2), formulas(d1), formulas(d2))
 
@@ -660,11 +687,12 @@ def check_proof(p: Proof, system: System):
     """None if every node matches its schema and the system's cut policy."""
     for path, node in iter_nodes(p):
         s = node.sequentv
-        for c in COMPONENTS:
-            if tuple(s.comp(c)) != _sorted(s.comp(c)):
+        comps = (s.g1, s.g2, s.d1, s.d2)
+        for c, fs in zip(COMPONENTS, comps):
+            if not _in_order(fs):
                 return Violation(path, f"component {c} is not canonically sorted")
         if not system.modal:
-            if any(is_modal(f) for _, _, f in s.occurrences()):
+            if any(is_modal(f) for fs in comps for f in fs):
                 return Violation(path, "boxed formula in a non-modal system")
         if node.rule == "ax":
             ants, sucs = s.antecedent(), s.succedent()
@@ -1103,8 +1131,15 @@ def _flip_sides_of_cut(node: Proof) -> Proof:
 # ---------------------------------------------------------------------------
 
 def format_proof(p: Proof) -> str:
-    def go(node):
-        seq = format_sequent(node.sequentv)
+    """(rule "sequent" main child ...), written in preorder from an
+    explicit stack on which None stands for a closing parenthesis."""
+    out = []
+    stack = [p]
+    while stack:
+        node = stack.pop()
+        if node is None:
+            out.append(")")
+            continue
         occ = main_occurrence(node)
         if occ is not None:
             main = str(node.sequentv.flat_index(*occ))
@@ -1112,10 +1147,10 @@ def format_proof(p: Proof) -> str:
             main = node.main_comp  # placement component; formula is derivable
         else:
             main = "-"
-        inner = " ".join([node.rule, f'"{seq}"', main] + [go(c) for c in node.children])
-        return f"({inner})"
-
-    return go(p)
+        out.append(f'{" (" if out else "("}{node.rule} "{format_sequent(node.sequentv)}" {main}')
+        stack.append(None)
+        stack.extend(reversed(node.children))
+    return "".join(out)
 
 
 def format_proof_text(p: Proof, indent=0) -> str:
@@ -1151,8 +1186,9 @@ def _tokenize_sexpr(text):
 
 
 def parse_proof(text: str) -> Proof:
+    """Each distinct formula text in the file is parsed once."""
     toks = _tokenize_sexpr(text)
-    node, pos = _parse_node(toks, 0)
+    node, pos = _parse_node(toks, 0, {})
     if pos != len(toks):
         raise ProofError("trailing tokens after proof")
     return node
@@ -1164,18 +1200,19 @@ def _take(toks, pos):
     return toks[pos]
 
 
-def _parse_node(toks, pos):
-    """The node whose '(' is token pos, and the position after its ')'."""
+def _parse_node(toks, pos, memo):
+    """The node whose '(' is token pos, and the position after its ')';
+    memo maps the formula texts parsed so far to their formulas."""
     if _take(toks, pos) != "(":
         raise ProofError(f"expected '(' at token {pos}")
     rule, seq_tok, main_tok = [_take(toks, i) for i in range(pos + 1, pos + 4)]
     if rule not in RULES or not isinstance(seq_tok, tuple):
         raise ProofError(f"expected a rule name and quoted sequent text after token {pos}")
-    seq = parse_sequent(seq_tok[1])
+    seq = _parse_sequent(seq_tok[1], memo)
     pos += 4
     children = []
     while _take(toks, pos) != ")":
-        child, pos = _parse_node(toks, pos)
+        child, pos = _parse_node(toks, pos, memo)
         children.append(child)
     return _rebuild_node(rule, seq, main_tok, tuple(children)), pos + 1
 

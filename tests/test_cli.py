@@ -224,16 +224,28 @@ class TestRepros:
         assert first == second
 
 
+def run_module(*argv):
+    """craig.cli in a child process that imports the same craig, installed
+    or not."""
+    source_root = str(Path(craig.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "craig.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+
+
 class TestConsoleEntry:
     def test_module_invocation(self):
-        # the child imports the same craig, installed or not
-        source_root = str(Path(craig.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
-        out = subprocess.run(
-            [sys.executable, "-m", "craig.cli", "parse", "true"],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
-        )
+        out = run_module("parse", "true")
         assert out.returncode == 0
         assert out.stdout.strip() == "true"
+
+    def test_too_deep_formula_is_a_usage_error(self):
+        # a crash in the child would show as a negative return code
+        out = run_module("parse", "~" * 20_000 + "p")
+        assert out.returncode == 2
+        assert "nested deeper than" in out.stderr

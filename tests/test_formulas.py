@@ -9,6 +9,7 @@ from craig.formulas import (
     Box,
     FormulaError,
     IncompleteAssignment,
+    MAX_DEPTH,
     ModalNotSupported,
     Neg,
     NotValidImplication,
@@ -85,6 +86,41 @@ class TestParse:
         for _ in range(300):
             f = random_formula(rng, depth=5, modal=True)
             assert parse_formula(format_formula(f)) == f
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "~" * MAX_DEPTH + "p",
+            "[]" * MAX_DEPTH + "p",
+            "(" * MAX_DEPTH + "p" + ")" * MAX_DEPTH,
+            " & ".join(["p"] * (MAX_DEPTH + 1)),
+            "p -> " * (MAX_DEPTH - 1) + "p",
+        ],
+        ids=["negations", "boxes", "parentheses", "conjunctions", "implications"],
+    )
+    def test_nesting_up_to_the_bound_parses(self, text):
+        f = parse_formula(text)
+        assert f.depth <= MAX_DEPTH
+        assert parse_formula(format_formula(f)) is f
+
+    @pytest.mark.parametrize(
+        "text, offending",
+        [
+            ("~" * 20_000 + "p", 20_000 - MAX_DEPTH - 1),
+            ("[]" * (MAX_DEPTH + 1) + "p", 0),
+            ("(" * (MAX_DEPTH + 1) + "p" + ")" * (MAX_DEPTH + 1), MAX_DEPTH),
+            (" & ".join(["p"] * 20_000), 4 * MAX_DEPTH + 2),
+            ("q | " + " | ".join(["p"] * 20_000), 4 * MAX_DEPTH + 2),
+            ("p -> " * MAX_DEPTH + "p", 2),
+            ("[](" * MAX_DEPTH + "~p" + ")" * MAX_DEPTH, 0),
+        ],
+        ids=["negations", "boxes", "parentheses", "conjunctions", "disjunctions",
+             "implications", "mixed"],
+    )
+    def test_nesting_past_the_bound_is_a_parse_error(self, text, offending):
+        with pytest.raises(ParseError, match=f"nested deeper than {MAX_DEPTH}") as info:
+            parse_formula(text)
+        assert (info.value.line, info.value.col) == (1, offending + 1)
 
 
 def is_valid_by_tables(f):

@@ -14,8 +14,11 @@ from craig.formulas import (
     formula_cnf,
     formula_length,
 )
+from craig.formulas import vars_of
 from craig.maehara import (
     NonMonochromaticCut,
+    UnsupportedRule,
+    axiom_interpolant,
     format_annotated,
     is_nnf_interpolant,
     maehara,
@@ -23,6 +26,7 @@ from craig.maehara import (
 )
 from craig.sequent import (
     K,
+    KD4,
     LK,
     LKAT,
     LKMINUS,
@@ -36,7 +40,7 @@ from craig.sequent import (
     rw,
     sequent,
 )
-from test_sequent import example_sigma
+from test_sequent import differential_proofs, example_sigma
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 
@@ -181,3 +185,62 @@ class TestSoundnessSweep:
         sigma = example_sigma()
         text = format_annotated(maehara(sigma, LKAT))
         assert text.strip().endswith("q & (p & true)")
+
+
+def reference_maehara(p, system):
+    """The recursive annotation that maehara replaced: (path, interpolant)
+    pairs in path order."""
+    notes = []
+
+    def go(node, path):
+        rule = node.rule
+        if rule == "ax":
+            c = axiom_interpolant(node.sequentv)
+        elif rule == "bot":
+            c = BOTTOM if node.sequentv.g1 else TOP
+        elif rule in ("lw", "rw", "lc", "rc", "land1", "land2", "ror1", "ror2",
+                      "lneg", "rneg", "t"):
+            c = go(node.children[0], path + (0,))
+        elif rule in ("rand", "lor"):
+            left = go(node.children[0], path + (0,))
+            right = go(node.children[1], path + (1,))
+            c = Or(left, right) if node.main_comp in ("d1", "g1") else And(left, right)
+        elif rule == "cut":
+            side = int(node.main_comp[1])
+            v = vars_of(node.main_formula)
+            if not (v <= node.sequentv.side_vars(1) or v <= node.sequentv.side_vars(2)):
+                raise NonMonochromaticCut("non-monochromatic cut")
+            left = go(node.children[0], path + (0,))
+            right = go(node.children[1], path + (1,))
+            c = Or(left, right) if side == 1 else And(left, right)
+        elif rule in ("k", "4"):
+            inner = go(node.children[0], path + (0,))
+            c = Box(inner) if node.main_comp == "d2" else Neg(Box(Neg(inner)))
+        elif rule == "d":
+            if not ({"k", "4"} & system.modal_rules):
+                raise UnsupportedRule("seriality without a box-introducing rule")
+            c = Box(go(node.children[0], path + (0,)))
+        else:
+            raise UnsupportedRule(f"no interpolation case for rule {rule!r}")
+        notes.append((path, c))
+        return c
+
+    go(p, ())
+    return tuple(sorted(notes))
+
+
+class TestReferenceAnnotation:
+    def test_same_interpolant_at_every_node(self):
+        for proof in differential_proofs():
+            assert maehara(proof, KD4).interpolants == reference_maehara(proof, KD4)
+
+    def test_same_first_failure(self):
+        # two offending cuts: the one first in preorder is reported
+        bad = cut(rw(ax(p, "g1", "d1"), q, "d2"), lw(ax(p, "g1", "d1"), q, "g2"), q, 2)
+        worse = cut(rw(bad, r, "d2"), lw(bad, r, "g2"), r, 2)
+        for proof in (bad, worse):
+            with pytest.raises(NonMonochromaticCut) as got:
+                maehara(proof, LK)
+            assert f"cut on {proof.main_formula!r}" in str(got.value)
+            with pytest.raises(NonMonochromaticCut):
+                reference_maehara(proof, LK)

@@ -1,4 +1,6 @@
 
+import dataclasses
+import gc
 import importlib
 import random
 import sys
@@ -18,6 +20,7 @@ from craig.sequent import (
     LKMONO,
     Proof,
     ProofError,
+    Violation,
     ancestors,
     ax,
     axiom_type,
@@ -168,6 +171,41 @@ class TestConstructionAndChecking:
     def test_wax(self):
         proof = wax(q, sequent([p, q], [], [q, r], []), "g1", "d1")
         assert check_proof(proof, LKMINUS) is None
+
+
+class TestCanonicalOrder:
+    @pytest.mark.parametrize("comp", COMPONENTS)
+    def test_out_of_order_component_is_reported(self, comp):
+        weaken = lw if comp[0] == "g" else rw
+        proof = weaken(weaken(ax(p, "g1", "d1"), r, comp), q, comp)
+        s = proof.sequentv
+        assert check_proof(proof, LKMINUS) is None
+        # built directly, bypassing sequent(), with comp reversed
+        shuffled = dataclasses.replace(s, **{comp: tuple(reversed(s.comp(comp)))})
+        bad = dataclasses.replace(proof, sequentv=shuffled)
+        assert check_proof(bad, LKMINUS) == Violation(
+            (), f"component {comp} is not canonically sorted"
+        )
+
+    def test_insert_and_remove_one_match_sorting(self):
+        """On every sequent of the criterion 4 and 5 draws, inserting or
+        removing one formula gives the tuple a full sort gives."""
+        resort = sequent_module._sorted
+        seqs = {node.sequentv for proof in differential_proofs() for _, node in iter_nodes(proof)}
+        checked = 0
+        for s in seqs:
+            present = set(s.antecedent() + s.succedent())
+            for c in COMPONENTS:
+                have = s.comp(c)
+                for f in present | {Atom("a"), Atom("zz"), TOP, BOTTOM}:
+                    assert s.insert(c, f).comp(c) == resort(have + (f,))
+                    checked += 1
+                for i, f in enumerate(have):
+                    assert s.remove_one(c, f).comp(c) == resort(have[:i] + have[i + 1:])
+                    checked += 1
+                others = [x for x in COMPONENTS if x != c]
+                assert all(s.insert(c, p).comp(x) is s.comp(x) for x in others)
+        assert len(seqs) > 1000 and checked > 50_000
 
 
 class TestSubformulaProperty:
@@ -473,6 +511,20 @@ def reference_iter_nodes(p, path=()):
         yield from reference_iter_nodes(c, path + (i,))
 
 
+def reference_format_proof(p):
+    """The recursive serializer that format_proof replaced."""
+    seq = format_sequent(p.sequentv)
+    occ = sequent_module.main_occurrence(p)
+    if occ is not None:
+        main = str(p.sequentv.flat_index(*occ))
+    elif p.rule == "cut":
+        main = p.main_comp
+    else:
+        main = "-"
+    inner = " ".join([p.rule, f'"{seq}"', main] + [reference_format_proof(c) for c in p.children])
+    return f"({inner})"
+
+
 def reference_pair_contexts(child, concl, child_skip, concl_skip):
     """The hash-based context pairing that _pair_contexts replaced."""
     edges = []
@@ -539,6 +591,12 @@ class TestReferenceWalks:
                 path for path, _ in reference_iter_nodes(sub, (7,))
             ]
 
+    def test_format_proof_text(self):
+        for proof in differential_proofs():
+            text = format_proof(proof)
+            assert text == reference_format_proof(proof)
+            assert parse_proof(text) == proof
+
     def test_node_links_at_every_node(self, monkeypatch):
         proofs = differential_proofs()
         nodes = [
@@ -599,3 +657,52 @@ class TestDeepProofs:
         assert len(nodes) == 10_001
         assert [len(path) for path, _ in nodes] == list(range(10_001))
         assert nodes[-1][1].rule == "ax"
+
+    def test_format_proof_is_iterative(self, shallow_stack):
+        proof = deep_weakening_proof()
+        with pytest.raises(RecursionError):
+            reference_format_proof(proof)
+        text = format_proof(proof)
+        assert text.startswith('(lc "p ;  => p ; " 0 (lw "p, p ;  => p ; " 0 (lc ')
+        assert text.endswith('(ax "p ;  => p ; " -)' + ")" * 10_000)
+        assert text.count("(") == 10_001
+
+    def test_maehara_is_iterative(self, shallow_stack):
+        from craig.maehara import maehara
+
+        ann = maehara(deep_weakening_proof(3_000), LKMINUS)
+        assert len(ann.interpolants) == 3_001
+        assert {c for _, c in ann.interpolants} == {BOTTOM}
+
+
+def cyclic_garbage(call):
+    """The number of objects only the cyclic collector frees after call()."""
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+class TestNoReferenceCycles:
+    """The recursive walks kept themselves alive through closure cells, so
+    every call left a cycle, with its results, for the collector."""
+
+    def test_format_proof(self):
+        proof = example_sigma()
+        assert cyclic_garbage(lambda: format_proof(proof)) == 0
+
+    def test_maehara(self):
+        from craig.maehara import maehara
+
+        proof = example_sigma()
+        assert cyclic_garbage(lambda: maehara(proof, LKAT)) == 0
+
+    def test_fail_tree_to_model(self):
+        from craig.construct import _FailNode, _fail_tree_to_model
+
+        leaf = _FailNode(sequent([p], [], [q]), [])
+        tree = _FailNode(sequent([Box(p)], [], [Box(q)]), [leaf, _FailNode(sequent([], [], [p]), [leaf])])
+        assert cyclic_garbage(lambda: _fail_tree_to_model(tree)) == 0
