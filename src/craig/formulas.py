@@ -50,61 +50,42 @@ class TooManySharedVars(FormulaError):
 # Formulas are hash-consed (Filliâtre & Conchon, "Type-safe modular
 # hash-consing", 2006): building a node returns the one live node with that
 # structure, so equal formulas are the same object, and equality and hashing
-# are by identity.  The intern table maps (Atom, name) or (class, the
-# identities of the children) to a weak reference to the node.  A node holds
-# its children, so while it lives the identities in its key name the same
-# objects; when it dies its entry goes with it, so the table holds only
-# live formulas.  A node keeps its nesting depth, and stores its printed
-# text (the canonical sort key), variable set, length and modality on first
-# use.
+# are by identity.  The intern table is a weak-valued dictionary from
+# (Atom, name) or (class, the identities of the children) to the node.  A
+# node holds its children, so while it lives the identities in its key name
+# the same objects; when it dies its entry goes with it, so the table holds
+# only live formulas.  A node keeps its nesting depth, and stores its
+# printed text (the canonical sort key), variable set, length and modality
+# on first use.
 
 # true and false name the constants, never an atom
 ATOM_NAME = re.compile(r"(?!(?:true|false)\Z)[a-z][a-zA-Z0-9_]*\Z")
 
-# The deepest nesting the parser accepts.  The formula walkers recurse up to
-# three times per level and the parser four times per parenthesis, so a
-# formula this deep stays far inside the recursion limit craig.sequent sets.
+# The deepest nesting the parser accepts, as depth of the built tree: atoms
+# and false are 0 deep and each connective adds one, so a flat chain of &,
+# | or -> operands counts as nesting too.  The formula walkers recurse up to
+# three times per level and the parser four times per parenthesis, well
+# inside the recursion limit craig.sequent sets; that limit does not guard
+# the C stack, though, which Python 3.10 spends on every frame.  There,
+# with an 8 MB stack, printing, nnf and evaluation of one formula crash
+# between 6000 and 7000 levels, so this bound leaves a sixfold margin for
+# the walkers that run over formulas inside proofs.
 MAX_DEPTH = 1000
 
-_INTERN = {}
-_INTERN_LOCK = threading.RLock()
+_INTERN = weakref.WeakValueDictionary()
+_INTERN_LOCK = threading.Lock()
 _store = object.__setattr__
-
-
-class _Entry(weakref.ref):
-    """A weak reference to an interned node that knows the node's key."""
-
-    __slots__ = ("key",)
-
-
-def _forget(ref):
-    """Weak-reference callback: the node died, so its entry goes, unless a
-    new node has taken the key already."""
-    with _INTERN_LOCK:
-        if _INTERN.get(ref.key) is ref:
-            del _INTERN[ref.key]
-
-
-def _live(key):
-    """The live node for key, or None."""
-    ref = _INTERN.get(key)
-    return ref() if ref is not None else None
 
 
 def _intern(key, cls, depth, *fields):
     """The live node for key; one made of cls, depth and the field values
     (in __slots__ order) if there is none."""
+    node = object.__new__(cls)
+    for name, value in zip(cls.__slots__, fields):
+        _store(node, name, value)
+    _store(node, "depth", depth)
     with _INTERN_LOCK:
-        node = _live(key)
-        if node is None:
-            node = object.__new__(cls)
-            for name, value in zip(cls.__slots__, fields):
-                _store(node, name, value)
-            _store(node, "depth", depth)
-            entry = _Entry(node, _forget)
-            entry.key = key
-            _INTERN[key] = entry
-    return node
+        return _INTERN.setdefault(key, node)
 
 
 def _not_a_formula(f):
@@ -138,6 +119,11 @@ class Formula:
     def __repr__(self):
         return f"<{format_formula(self)}>"
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, which returns
+        # the interned node
+        return type(self), tuple(getattr(self, name) for name in type(self).__slots__)
+
 
 class Bottom(Formula):
     __slots__ = ()
@@ -151,7 +137,7 @@ class Atom(Formula):
 
     def __new__(cls, name):
         key = (Atom, name)
-        return _live(key) or _intern(key, Atom, 0, _atom_name(name))
+        return _INTERN.get(key) or _intern(key, Atom, 0, _atom_name(name))
 
 
 class Neg(Formula):
@@ -159,7 +145,7 @@ class Neg(Formula):
 
     def __new__(cls, body):
         key = (Neg, id(body))
-        return _live(key) or _intern(key, Neg, _depth(body) + 1, body)
+        return _INTERN.get(key) or _intern(key, Neg, _depth(body) + 1, body)
 
 
 class Box(Formula):
@@ -167,7 +153,7 @@ class Box(Formula):
 
     def __new__(cls, body):
         key = (Box, id(body))
-        return _live(key) or _intern(key, Box, _depth(body) + 1, body)
+        return _INTERN.get(key) or _intern(key, Box, _depth(body) + 1, body)
 
 
 class And(Formula):
@@ -175,7 +161,7 @@ class And(Formula):
 
     def __new__(cls, left, right):
         key = (And, id(left), id(right))
-        return _live(key) or _intern(key, And, max(_depth(left), _depth(right)) + 1, left, right)
+        return _INTERN.get(key) or _intern(key, And, max(_depth(left), _depth(right)) + 1, left, right)
 
 
 class Or(Formula):
@@ -183,7 +169,7 @@ class Or(Formula):
 
     def __new__(cls, left, right):
         key = (Or, id(left), id(right))
-        return _live(key) or _intern(key, Or, max(_depth(left), _depth(right)) + 1, left, right)
+        return _INTERN.get(key) or _intern(key, Or, max(_depth(left), _depth(right)) + 1, left, right)
 
 
 BOTTOM = Bottom()

@@ -7,6 +7,7 @@ import pytest
 
 import craig
 from craig.cli import main
+from craig.formulas import MAX_DEPTH
 
 
 def run(capsys, *argv):
@@ -249,3 +250,12 @@ class TestConsoleEntry:
         out = run_module("parse", "~" * 20_000 + "p")
         assert out.returncode == 2
         assert "nested deeper than" in out.stderr
+
+    def test_flat_chain_counts_as_nesting(self, capsys):
+        # n operands of & build a left-leaning tree n - 1 deep
+        code, out, _ = run(capsys, "parse", " & ".join(["p"] * (MAX_DEPTH + 1)))
+        assert code == 0
+        assert out.count("&") == MAX_DEPTH
+        code, _, err = run(capsys, "parse", " & ".join(["p"] * (MAX_DEPTH + 2)))
+        assert code == 2
+        assert f"nested deeper than {MAX_DEPTH}" in err

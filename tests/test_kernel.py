@@ -2,7 +2,9 @@
 equality, stored fields equal to their recursive definitions, and an
 intern table that holds only live formulas."""
 
+import copy
 import gc
+import pickle
 import sys
 import threading
 
@@ -27,6 +29,7 @@ from craig.formulas import (
     parse_formula,
     vars_of,
 )
+from craig.sequent import parse_sequent
 
 # Derandomized, with a fixed number of bounded-size examples, and no example
 # database, so every run checks the same formulas in about the same time.
@@ -130,6 +133,18 @@ class TestInterning:
         with pytest.raises(AttributeError):
             del f.right
         assert format_formula(f) == "p & q"
+
+    def test_copy_and_pickle_give_the_interned_node(self):
+        f = parse_formula("[](p & ~q) | false -> true")
+        for g in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+            assert g is f
+        assert pickle.loads(pickle.dumps(BOTTOM)) is BOTTOM
+        assert copy.deepcopy(TOP) is TOP
+        s = parse_sequent("p & q ; r => ~p ; []q")
+        for back in (copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+            assert back == s
+            assert all(a is b for a, b in zip(back.g1 + back.g2 + back.d1 + back.d2,
+                                              s.g1 + s.g2 + s.d1 + s.d2))
 
     def test_children_must_be_formulas(self):
         with pytest.raises(FormulaError, match="not a formula"):
