@@ -409,7 +409,10 @@ def conjoin(
         memo[key] = out
         return out
 
-    psi = derive(0, frozenset())
+    try:
+        psi = derive(0, frozenset())
+    finally:
+        del derive  # it refers to itself: a cycle holding every memo entry
     psi = weaken_to(psi, sequent([a], [], [], [b]))
     return literal_cuts_to_atomic(psi)
 
@@ -506,7 +509,10 @@ def enumerate_cutfree_interpolants(s: Sequent, system: System, max_depth: int):
         memo[key] = frozenset(out)
         return memo[key]
 
-    return mset(s, max_depth)
+    try:
+        return mset(s, max_depth)
+    finally:
+        del mset  # it refers to itself: a cycle holding the whole memo
 
 
 def _modal_backward(seq: Sequent, system: System, depth: int, mset):

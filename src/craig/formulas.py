@@ -305,42 +305,30 @@ def format_formula_compact(f: Formula) -> str:
 # Parsing
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"->|\[\]|[~&|()]|[a-z][a-zA-Z0-9_]*|\S")
+_TOKEN_RE = re.compile(r"->|\[\]|[~&|()]|(?P<word>[a-z][a-zA-Z0-9_]*)|\S")
+_SYMBOLS = frozenset(("->", "[]", "~", "&", "|", "(", ")", "true", "false"))
 
 
 class _Tokens:
     def __init__(self, text):
-        self.items = []  # (kind, value, line, col)
-        line = 1
-        line_start = 0
-        pos = 0
-        while pos < len(text):
-            ch = text[pos]
-            if ch == "\n":
-                line += 1
-                line_start = pos + 1
-                pos += 1
-                continue
-            if ch.isspace():
-                pos += 1
-                continue
-            m = _TOKEN_RE.match(text, pos)
-            col = pos - line_start + 1
-            if not m:
-                raise ParseError(f"bad character {ch!r}", line, col)
+        self.text = text
+        self.items = []  # (kind, value, offset)
+        for m in _TOKEN_RE.finditer(text):
             tok = m.group()
-            if tok in ("->", "[]", "~", "&", "|", "(", ")"):
-                self.items.append((tok, tok, line, col))
-            elif tok in ("true", "false"):
-                self.items.append((tok, tok, line, col))
-            elif ATOM_NAME.match(tok):
-                self.items.append(("atom", tok, line, col))
+            if tok in _SYMBOLS:
+                self.items.append((tok, tok, m.start()))
+            elif m.lastgroup:
+                self.items.append(("atom", tok, m.start()))
             else:
-                raise ParseError(f"unexpected token {tok!r}", line, col)
-            pos = m.end()
-        self.items.append(("eof", "", line, len(text) - line_start + 1))
+                raise self.error(f"unexpected token {tok!r}", m.start())
+        self.items.append(("eof", "", len(text)))
         self.idx = 0
         self.parens = 0  # parentheses open at the current token
+
+    def error(self, message, offset) -> ParseError:
+        """A ParseError at the 1-based line and column of offset."""
+        line_start = self.text.rfind("\n", 0, offset) + 1
+        return ParseError(message, self.text.count("\n", 0, offset) + 1, offset - line_start + 1)
 
     def peek(self):
         return self.items[self.idx]
@@ -353,18 +341,18 @@ class _Tokens:
     def expect(self, kind):
         item = self.next()
         if item[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {item[1]!r}", item[2], item[3])
+            raise self.error(f"expected {kind!r}, found {item[1]!r}", item[2])
         return item
 
 
-def _too_deep(token):
-    return ParseError(f"formula nested deeper than {MAX_DEPTH}", token[2], token[3])
+def _too_deep(toks, token):
+    return toks.error(f"formula nested deeper than {MAX_DEPTH}", token[2])
 
 
-def _bounded(f, token):
+def _bounded(toks, f, token):
     """f, built at token, unless it is nested deeper than MAX_DEPTH."""
     if f.depth > MAX_DEPTH:
-        raise _too_deep(token)
+        raise _too_deep(toks, token)
     return f
 
 
@@ -377,7 +365,7 @@ def _parse_impl(toks):
         operands.append(_parse_or(toks))
     f = operands.pop()
     while operands:
-        f = _bounded(impl(operands.pop(), f), arrows.pop())
+        f = _bounded(toks, impl(operands.pop(), f), arrows.pop())
     return f
 
 
@@ -385,7 +373,7 @@ def _parse_or(toks):
     f = _parse_and(toks)
     while toks.peek()[0] == "|":
         op = toks.next()
-        f = _bounded(Or(f, _parse_and(toks)), op)
+        f = _bounded(toks, Or(f, _parse_and(toks)), op)
     return f
 
 
@@ -393,7 +381,7 @@ def _parse_and(toks):
     f = _parse_unary(toks)
     while toks.peek()[0] == "&":
         op = toks.next()
-        f = _bounded(And(f, _parse_unary(toks)), op)
+        f = _bounded(toks, And(f, _parse_unary(toks)), op)
     return f
 
 
@@ -402,7 +390,7 @@ def _parse_unary(toks):
     while toks.peek()[0] in ("~", "[]"):
         prefixes.append(toks.next())
     token = toks.next()
-    kind, value, line, col = token
+    kind, value, offset = token
     if kind == "atom":
         f = Atom(value)
     elif kind == "false":
@@ -412,23 +400,23 @@ def _parse_unary(toks):
     elif kind == "(":
         toks.parens += 1
         if toks.parens > MAX_DEPTH:
-            raise _too_deep(token)
+            raise _too_deep(toks, token)
         f = _parse_impl(toks)
         toks.expect(")")
         toks.parens -= 1
     else:
-        raise ParseError(f"unexpected token {value!r}", line, col)
+        raise toks.error(f"unexpected token {value!r}", offset)
     for op in reversed(prefixes):
-        f = _bounded(Neg(f) if op[0] == "~" else Box(f), op)
+        f = _bounded(toks, Neg(f) if op[0] == "~" else Box(f), op)
     return f
 
 
 def parse_formula(text: str) -> Formula:
     toks = _Tokens(text)
     f = _parse_impl(toks)
-    kind, value, line, col = toks.peek()
+    kind, value, offset = toks.peek()
     if kind != "eof":
-        raise ParseError(f"trailing input {value!r}", line, col)
+        raise toks.error(f"trailing input {value!r}", offset)
     return f
 
 
@@ -925,18 +913,16 @@ def enumerate_interpolants(a: Formula, b: Formula, max_shared=4):
 def outer_boxes(f: Formula):
     """Boxed subformulas not nested inside another box, in first-seen order."""
     out = []
-
-    def walk(g):
+    stack = [f]
+    while stack:
+        g = stack.pop()
         if isinstance(g, Box):
             if g not in out:
                 out.append(g)
         elif isinstance(g, Neg):
-            walk(g.body)
+            stack.append(g.body)
         elif isinstance(g, (And, Or)):
-            walk(g.left)
-            walk(g.right)
-
-    walk(f)
+            stack += (g.right, g.left)
     return out
 
 
@@ -964,7 +950,10 @@ def mcnf(f: Formula) -> frozenset:
         return g
 
     back = {name: box for box, name in names.items()}
-    cs = formula_cnf(abstract(f))
+    try:
+        cs = formula_cnf(abstract(f))
+    finally:
+        del abstract  # it refers to itself: a cycle per call
     result = []
     for c in cs:
         lits = []

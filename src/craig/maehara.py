@@ -49,10 +49,7 @@ class AnnotatedProof:
 
     @property
     def interpolant(self) -> Formula:
-        return dict(self.interpolants)[()]
-
-    def at(self, path) -> Formula:
-        return dict(self.interpolants)[path]
+        return self.interpolants[0][1]
 
 
 _PASS_THROUGH = {
@@ -169,11 +166,11 @@ def format_annotated(ann: AnnotatedProof) -> str:
     from .formulas import format_formula
 
     lines = []
-    for path, node in iter_nodes(ann.proof):
+    for (path, node), (_, c) in zip(iter_nodes(ann.proof), ann.interpolants):
         indent = "  " * len(path)
         lines.append(
             f"{indent}{node.rule}: {format_sequent(node.sequentv)} @ "
-            f"{format_formula(ann.at(path))}"
+            f"{format_formula(c)}"
         )
     lines.append(format_formula(ann.interpolant))
     return "\n".join(lines) + "\n"

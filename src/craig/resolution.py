@@ -288,7 +288,10 @@ def _refute_with_sides(clauses, sides):
         return len(nodes) - 1, (cl_f - {pos_lit}) | (cl_t - {neg_lit})
 
     empty = next((c for c in clauses if not c), None)
-    result = solve(0) if empty is None else input_node(empty)
+    try:
+        result = solve(0) if empty is None else input_node(empty)
+    finally:
+        del solve, branch  # they refer to each other: a cycle per call
     if isinstance(result, Satisfiable):
         return result
     rp = ResolutionProof(tuple(nodes), result[0])
@@ -390,7 +393,10 @@ def enumerate_refutations(cs, max_nodes, allow_weakening=False):
                                 clauses + [clauses[i] | {lit}],
                             )
 
-    yield from extend([], [])
+    try:
+        yield from extend([], [])
+    finally:
+        del extend  # it refers to itself: a cycle per call
 
 
 # ---------------------------------------------------------------------------

@@ -751,9 +751,10 @@ def respects_subformula_property(p: Proof) -> bool:
 # ---------------------------------------------------------------------------
 #
 # An occurrence is (path, comp, idx): the idx-th formula of component comp in
-# the sequent at path.  node_links sends every premise occurrence to exactly
-# one conclusion occurrence, or to none when a cut consumes it, so the
-# ancestors of an occurrence form a tree inside the subproof at its path.
+# the sequent at path.  Every premise occurrence has exactly one direct
+# descendant in the conclusion (direct_ancestors runs that link backwards),
+# or none when a cut consumes it (cut_occurrences), so the ancestors of an
+# occurrence form a tree inside the subproof at its path.
 
 def _first_indices(comp_tuple, formula, k):
     """Indices of the first k copies of formula in the tuple."""
@@ -812,64 +813,55 @@ def cut_occurrences(node: Proof):
     return aux_occurrences(node, 0)[0], aux_occurrences(node, 1)[0]
 
 
-def _pair_contexts(child: Sequent, concl: Sequent, child_skip, concl_skip):
-    """Context wiring: per component, the unskipped premise formulas go to
-    the unskipped conclusion formulas in order.  Both are sorted, so the
-    k-th copy of a formula goes to its k-th copy."""
-    edges = []
-    for c in COMPONENTS:
-        have, want = child.comp(c), concl.comp(c)
-        src = [i for i in range(len(have)) if (c, i) not in child_skip]
-        dst = [i for i in range(len(want)) if (c, i) not in concl_skip]
-        if [have[i] for i in src] != [want[i] for i in dst]:
-            raise ProofError(f"context mismatch in {c}")
-        edges += [((c, i), (c, j)) for i, j in zip(src, dst)]
-    return edges
-
-
-def _modal_links(node: Proof, child: Sequent):
-    """k, d and 4: each boxed antecedent formula comes from its body (and,
-    for 4, from its own copy too); the boxed succedent from its body."""
-    s = node.sequentv
-    edges = []
-    for c in ("g1", "g2"):
-        strip_alloc = {}
-        for oi, f in enumerate(s.comp(c)):
-            body_positions = [i for i, g in enumerate(child.comp(c)) if g == f.body]
-            k = strip_alloc.get(f.body, 0)
-            strip_alloc[f.body] = k + 1
-            edges.append(((c, body_positions[k]), (c, oi)))
-        if node.rule == "4":
-            strip_counts = {}
-            for f in s.comp(c):
-                strip_counts[f.body] = strip_counts.get(f.body, 0) + 1
-            own_alloc = {}
-            for oi, f in enumerate(s.comp(c)):
-                own_positions = [i for i, g in enumerate(child.comp(c)) if g == f]
-                k = strip_counts.get(f, 0) + own_alloc.get(f, 0)
-                own_alloc[f] = own_alloc.get(f, 0) + 1
-                edges.append(((c, own_positions[k]), (c, oi)))
-    if node.rule != "d":
-        edges.append(((node.main_comp, 0), (node.main_comp, 0)))
-    return edges
-
-
-def node_links(node: Proof, child_idx: int):
-    """Direct-ancestor wiring for one premise.
-
-    Returns (edges, consumed) where edges maps child occurrences
-    (comp, idx) to conclusion occurrences and consumed lists child
-    occurrences with no conclusion descendant (cut formula occurrences).
-    """
-    child = node.children[child_idx].sequentv
+def direct_ancestors(node: Proof, ci: int, occ):
+    """The (comp, idx) occurrences of premise ci whose direct descendant is
+    the conclusion occurrence occ: the auxiliary occurrences of the main
+    one, and for a context occurrence the same-rank formula of its
+    component with the main and auxiliary positions skipped.  Raises
+    ProofError when the premise does not match the conclusion."""
+    child = node.children[ci].sequentv
     if node.rule in ("k", "d", "4"):
-        return _modal_links(node, child), []
-    aux = aux_occurrences(node, child_idx)
+        if child != expected_premises(node)[0]:
+            raise ProofError(f"premise mismatch under rule {node.rule}")
+        return _modal_ancestors(node, child, occ)
+    aux = aux_occurrences(node, ci)
     main = main_occurrence(node)
-    edges = [(a, main) for a in aux] if main else []
-    consumed = [] if main else aux
-    edges += _pair_contexts(child, node.sequentv, set(aux), {main})
-    return edges, consumed
+    for c in COMPONENTS:
+        have, want = child.comp(c), node.sequentv.comp(c)
+        for ac, ai in reversed(aux):
+            if ac == c:
+                have = have[:ai] + have[ai + 1:]
+        if main and main[0] == c:
+            want = want[:main[1]] + want[main[1] + 1:]
+        if have != want:
+            raise ProofError(f"context mismatch in {c}")
+    if occ == main:
+        return aux
+    comp, idx = occ
+    if main and main[0] == comp and main[1] < idx:
+        idx -= 1
+    for ac, ai in aux:
+        if ac == comp and ai <= idx:
+            idx += 1
+    return [(comp, idx)]
+
+
+def _modal_ancestors(node: Proof, child: Sequent, occ):
+    """k, d and 4: the k-th copy of a boxed antecedent formula comes from
+    the k-th copy of its body (and, for 4, from the next unused copy of
+    itself, after those that are bodies); the boxed succedent from its
+    body."""
+    comp, idx = occ
+    if comp in ("d1", "d2"):
+        return [occ]
+    fs = node.sequentv.comp(comp)
+    f = fs[idx]
+    k = fs[:idx].count(f)
+    out = [(comp, _first_indices(child.comp(comp), f.body, k + 1)[k])]
+    if node.rule == "4":
+        k += fs.count(Box(f))
+        out.append((comp, _first_indices(child.comp(comp), f, k + 1)[k]))
+    return out
 
 
 def _cone(p: Proof, occ):
@@ -884,10 +876,10 @@ def _cone(p: Proof, occ):
         for ci, child in enumerate(node.children):
             cpath = path + (ci,)
             there = {}
-            for src, dst in node_links(node, ci)[0]:
-                if dst in here:
+            for dst, d in here.items():
+                for src in direct_ancestors(node, ci, dst):
                     there[src] = len(cone)
-                    cone.append(((cpath,) + src, child, here[dst]))
+                    cone.append(((cpath,) + src, child, d))
             if there:
                 stack.append((cpath, child, there))
     return cone
@@ -1070,7 +1062,10 @@ def _flip_cone(p: Proof, occ):
             node.main_formula,
         )
 
-    return rebuild(p, ())
+    try:
+        return rebuild(p, ())
+    finally:
+        del rebuild  # it refers to itself: a cycle per call
 
 
 def _placement_consistent(node: Proof) -> bool:

@@ -32,6 +32,7 @@ from .sequent import (
     classify_cut,
     cut,
     cut_occurrences,
+    direct_ancestors,
     first_index,
     is_tame,
     is_weak,
@@ -40,7 +41,6 @@ from .sequent import (
     lneg,
     lw,
     main_occurrence,
-    node_links,
     premise_aux,
     rc,
     rebuild,
@@ -151,18 +151,10 @@ def _invert(node: Proof, occ) -> Proof:
             )
         raise TransformError(f"rule {rule} cannot introduce the negation {nf!r}")
     # context occurrence: invert the corresponding ancestors and rebuild
-    new_children = list(node.children)
-    found = False
-    for ci in range(len(node.children)):
-        edges, _ = node_links(node, ci)
-        for (cc, cidx), (oc, oidx) in edges:
-            if (oc, oidx) == occ:
-                new_children[ci] = _invert(new_children[ci], (cc, cidx))
-                found = True
-                break
-    if not found:
-        raise TransformError(f"occurrence {occ} has no ancestors to invert")
-    return rebuild(node, new_children)
+    return rebuild(node, [
+        _invert(child, direct_ancestors(node, ci, occ)[0])
+        for ci, child in enumerate(node.children)
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +251,7 @@ def _delete(node: Proof, kill) -> Proof:
     if rule in ("ax", "bot"):
         raise TransformError("cannot delete an axiom-active occurrence")
     child_kills = [
-        [src for src, dst in node_links(node, ci)[0] if dst in kill]
+        [src for occ in kill for src in direct_ancestors(node, ci, occ)]
         for ci in range(len(node.children))
     ]
     if main_occurrence(node) in kill:

@@ -1,8 +1,13 @@
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from craig import formulas
 from craig.formulas import (
+    ATOM_NAME,
     And,
     Atom,
     BOTTOM,
@@ -121,6 +126,86 @@ class TestParse:
         with pytest.raises(ParseError, match=f"nested deeper than {MAX_DEPTH}") as info:
             parse_formula(text)
         assert (info.value.line, info.value.col) == (1, offending + 1)
+
+
+REFERENCE_TOKEN_RE = re.compile(r"->|\[\]|[~&|()]|[a-z][a-zA-Z0-9_]*|\S")
+
+
+class ReferenceTokens:
+    """The character-at-a-time tokenizer that the one-pass _Tokens replaced:
+    items are (kind, value, line, col)."""
+
+    def __init__(self, text):
+        self.items = []
+        line = 1
+        line_start = 0
+        pos = 0
+        while pos < len(text):
+            ch = text[pos]
+            if ch == "\n":
+                line += 1
+                line_start = pos + 1
+                pos += 1
+                continue
+            if ch.isspace():
+                pos += 1
+                continue
+            m = REFERENCE_TOKEN_RE.match(text, pos)
+            col = pos - line_start + 1
+            if not m:
+                raise ParseError(f"bad character {ch!r}", line, col)
+            tok = m.group()
+            if tok in ("->", "[]", "~", "&", "|", "(", ")"):
+                self.items.append((tok, tok, line, col))
+            elif tok in ("true", "false"):
+                self.items.append((tok, tok, line, col))
+            elif ATOM_NAME.match(tok):
+                self.items.append(("atom", tok, line, col))
+            else:
+                raise ParseError(f"unexpected token {tok!r}", line, col)
+            pos = m.end()
+        self.items.append(("eof", "", line, len(text) - line_start + 1))
+
+
+def tokens_or_error(text, reference):
+    """Every token with its line and column, or the tokenizer's error."""
+    try:
+        if reference:
+            return ReferenceTokens(text).items
+        toks = formulas._Tokens(text)
+    except ParseError as e:
+        return str(e), e.line, e.col
+    out = []
+    for kind, value, offset in toks.items:
+        at = toks.error("", offset)
+        out.append((kind, value, at.line, at.col))
+    return out
+
+
+# Formula-like text with line breaks, tabs, other whitespace, uppercase
+# letters and stray characters, from fragments and from single characters.
+formula_texts = st.one_of(
+    st.lists(st.sampled_from([
+        "p", "q1", "ab_C", "true", "false", "truex", "~", "&", "|", "->", "-",
+        ">", "[]", "[", "]", "(", ")", " ", "\n", "\t", "\r\n", "\x0c",
+        "\u00a0", "A", "Xy", "1", "_", "#", "\u00e9",
+    ]), max_size=30).map("".join),
+    st.text(alphabet="pqTF ~&|->[]()\n\t_1!", max_size=30),
+)
+
+
+class TestTokenizer:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=500)
+    @given(formula_texts)
+    def test_same_tokens_and_errors_as_the_reference(self, text):
+        want = tokens_or_error(text, reference=True)
+        assert tokens_or_error(text, reference=False) == want
+        if isinstance(want, list):
+            # a parser error points at one of the tokens
+            try:
+                parse_formula(text)
+            except ParseError as e:
+                assert (e.line, e.col) in {(line, col) for _, _, line, col in want}
 
 
 def is_valid_by_tables(f):

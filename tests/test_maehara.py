@@ -11,6 +11,7 @@ from craig.formulas import (
     Or,
     TOP,
     equiv,
+    format_formula,
     formula_cnf,
     formula_length,
 )
@@ -33,8 +34,11 @@ from craig.sequent import (
     ax,
     bot_axiom,
     cut,
+    format_sequent,
+    iter_nodes,
     land1,
     lw,
+    parse_sequent,
     proof_length,
     rule_k,
     rw,
@@ -182,9 +186,23 @@ class TestSoundnessSweep:
             assert formula_length(ann.interpolant) <= proof_length(proof)
 
     def test_annotated_output_mentions_root(self):
+        from craig.construct import prove_cutfree
+
         sigma = example_sigma()
         text = format_annotated(maehara(sigma, LKAT))
         assert text.strip().endswith("q & (p & true)")
+        # 1,601 nodes, one line each, every interpolant read by its path
+        names = [f"c{i:03}" for i in range(400)]
+        wide = parse_sequent(" & ".join(names) + " ; => ; " + " | ".join(names))
+        for proof, system in ((sigma, LKAT), (prove_cutfree(wide, LKMINUS), LKMINUS)):
+            ann = maehara(proof, system)
+            notes = dict(ann.interpolants)
+            want = [
+                f"{'  ' * len(path)}{node.rule}: {format_sequent(node.sequentv)} @ "
+                f"{format_formula(notes[path])}"
+                for path, node in iter_nodes(proof)
+            ]
+            assert format_annotated(ann) == "\n".join(want + [format_formula(notes[()])]) + "\n"
 
 
 def reference_maehara(p, system):

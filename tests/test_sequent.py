@@ -29,6 +29,8 @@ from craig.sequent import (
     classify_cut,
     contract_to,
     cut,
+    cut_occurrences,
+    direct_ancestors,
     format_proof,
     format_sequent,
     is_tame,
@@ -41,7 +43,6 @@ from craig.sequent import (
     lor,
     lw,
     monochromatize,
-    node_links,
     parse_proof,
     parse_sequent,
     proof_depth,
@@ -311,13 +312,8 @@ class TestAncestryExample:
         inner = proof.children[0]
         assert inner.rule == "lor"
         idx = inner.sequentv.g1.index(Or(p, q))
-        direct = [
-            src
-            for ci in (0, 1)
-            for src, dst in node_links(inner, ci)[0]
-            if dst == ("g1", idx)
-        ]
-        assert len(direct) == 2
+        direct = [direct_ancestors(inner, ci, ("g1", idx)) for ci in (0, 1)]
+        assert direct == [[("g1", 0)], [("g1", 0)]]
 
     def test_root_negation_has_eight_ancestors(self):
         proof = self.build()
@@ -330,25 +326,36 @@ class TestAncestryExample:
         for proof in (self.build(), example_sigma(), omega_proof()) + modal_proofs():
             for path, node in iter_nodes(proof):
                 for ci, child in enumerate(node.children):
-                    edges, consumed = node_links(node, ci)
-                    sources = [src for src, _ in edges] + consumed
+                    sources = [
+                        src
+                        for c, i, _ in node.sequentv.occurrences()
+                        for src in direct_ancestors(node, ci, (c, i))
+                    ]
+                    if node.rule == "cut":
+                        sources.append(cut_occurrences(node)[ci])
                     assert sorted(sources) == sorted(
                         (c, i) for c, i, _ in child.sequentv.occurrences()
                     )
 
 
 def modal_proofs():
-    """Cut-free proofs that use the k, d and 4 rules (and t in s4)."""
+    """Cut-free proofs that use the k, d and 4 rules (and t in s4), and a
+    4 step whose conclusion holds both []p and [][]p, so that its premise
+    has a copy of []p as the body of [][]p and another as []p's own."""
     from craig.construct import prove_cutfree
     from craig.sequent import KD, S4
 
     imp = Or(Neg(p), q)
+    bp, bbp = Box(p), Box(Box(p))
+    premise = weaken_to(ax(bp, "g1", "d1"), sequent([p, bp, bp, bbp], [], [bp], []))
     out = (
         prove_cutfree(sequent([Box(p)], [Box(imp)], [], [Box(q)]), K),
         prove_cutfree(sequent([Box(p)], [], [], [Neg(Box(Neg(p)))]), KD),
         prove_cutfree(sequent([Box(p)], [], [Box(Box(p))], []), K4),
         prove_cutfree(sequent([Box(p)], [Box(imp)], [], [Box(Box(q))]), S4),
+        Proof("4", sequent([bp, bbp], [], [bbp], []), (premise,), "d1", bbp),
     )
+    assert check_proof(out[-1], K4) is None
     rules = {node.rule for proof in out for _, node in iter_nodes(proof)}
     assert {"k", "d", "4", "t"} <= rules
     return out
@@ -546,6 +553,46 @@ def reference_pair_contexts(child, concl, child_skip, concl_skip):
     return edges
 
 
+def reference_modal_links(node, child):
+    """The k, d and 4 wiring that direct_ancestors replaced: each boxed
+    antecedent formula comes from its body (and, for 4, from its own copy
+    too); the boxed succedent from its body."""
+    s = node.sequentv
+    edges = []
+    for c in ("g1", "g2"):
+        strip_alloc = {}
+        for oi, f in enumerate(s.comp(c)):
+            body_positions = [i for i, g in enumerate(child.comp(c)) if g == f.body]
+            k = strip_alloc.get(f.body, 0)
+            strip_alloc[f.body] = k + 1
+            edges.append(((c, body_positions[k]), (c, oi)))
+        if node.rule == "4":
+            strip_counts = {}
+            for f in s.comp(c):
+                strip_counts[f.body] = strip_counts.get(f.body, 0) + 1
+            own_alloc = {}
+            for oi, f in enumerate(s.comp(c)):
+                own_positions = [i for i, g in enumerate(child.comp(c)) if g == f]
+                k = strip_counts.get(f, 0) + own_alloc.get(f, 0)
+                own_alloc[f] = own_alloc.get(f, 0) + 1
+                edges.append(((c, own_positions[k]), (c, oi)))
+    if node.rule != "d":
+        edges.append(((node.main_comp, 0), (node.main_comp, 0)))
+    return edges
+
+
+def reference_links(node, ci):
+    """Every (premise ci occurrence, its direct descendant) edge, built for
+    the whole node at once as the wiring before direct_ancestors did."""
+    child = node.children[ci].sequentv
+    if node.rule in ("k", "d", "4"):
+        return reference_modal_links(node, child)
+    aux = sequent_module.aux_occurrences(node, ci)
+    main = sequent_module.main_occurrence(node)
+    edges = [(a, main) for a in aux] if main else []
+    return edges + reference_pair_contexts(child, node.sequentv, set(aux), {main})
+
+
 def criterion_draws(pipelines=12):
     """Seeded inputs of acceptance criteria 4 and 5: (a, b, target) for
     every interpolant class of the criterion-4 implications, hand-picked
@@ -597,37 +644,38 @@ class TestReferenceWalks:
             assert text == reference_format_proof(proof)
             assert parse_proof(text) == proof
 
-    def test_node_links_at_every_node(self, monkeypatch):
-        proofs = differential_proofs()
-        nodes = [
-            (node, ci) for proof in proofs for _, node in iter_nodes(proof)
-            for ci in range(len(node.children))
-        ]
-        got = [node_links(node, ci) for node, ci in nodes]
-        monkeypatch.setattr(sequent_module, "_pair_contexts", reference_pair_contexts)
-        assert got == [node_links(node, ci) for node, ci in nodes]
-        assert len(nodes) > 1000
+    def test_direct_ancestors_at_every_node(self):
+        traced = 0
+        for proof in differential_proofs():
+            for _, node in iter_nodes(proof):
+                for ci in range(len(node.children)):
+                    edges = reference_links(node, ci)
+                    for c, i, _ in node.sequentv.occurrences():
+                        want = [src for src, dst in edges if dst == (c, i)]
+                        assert direct_ancestors(node, ci, (c, i)) == want
+                    traced += 1
+        assert traced > 1000
 
-    def test_both_pairings_reject_a_corrupted_context(self):
-        pair = sequent_module._pair_contexts
+    def test_trace_rejects_a_corrupted_context(self):
         alien = Atom("zz")
         checked = 0
-        for proof in differential_proofs()[:40]:
+        for proof in differential_proofs()[:40] + modal_proofs():
             for _, node in iter_nodes(proof):
-                s = node.sequentv
-                for c in COMPONENTS:
-                    assert pair(s, s, set(), set()) == reference_pair_contexts(s, s, set(), set())
-                    corrupted = [s.insert(c, alien)]
-                    if s.comp(c):
-                        corrupted.append(s.remove_one(c, s.comp(c)[0]))
-                        corrupted.append(s.remove_one(c, s.comp(c)[-1]).insert(c, alien))
-                    for bad in corrupted:
-                        for x, y in ((s, bad), (bad, s)):
-                            with pytest.raises(ProofError):
-                                pair(x, y, set(), set())
-                            with pytest.raises(ProofError):
-                                reference_pair_contexts(x, y, set(), set())
-                            checked += 1
+                for ci, child in enumerate(node.children):
+                    s = child.sequentv
+                    for c in COMPONENTS:
+                        corrupted = [s.insert(c, alien)]
+                        if s.comp(c):
+                            corrupted.append(s.remove_one(c, s.comp(c)[0]))
+                            corrupted.append(s.remove_one(c, s.comp(c)[-1]).insert(c, alien))
+                        for bad in corrupted:
+                            kids = list(node.children)
+                            kids[ci] = dataclasses.replace(child, sequentv=bad)
+                            broken = dataclasses.replace(node, children=tuple(kids))
+                            for oc, oi, _ in node.sequentv.occurrences():
+                                with pytest.raises(ProofError):
+                                    direct_ancestors(broken, ci, (oc, oi))
+                                checked += 1
         assert checked > 1000
 
 
@@ -706,3 +754,46 @@ class TestNoReferenceCycles:
         leaf = _FailNode(sequent([p], [], [q]), [])
         tree = _FailNode(sequent([Box(p)], [], [Box(q)]), [leaf, _FailNode(sequent([], [], [p]), [leaf])])
         assert cyclic_garbage(lambda: _fail_tree_to_model(tree)) == 0
+
+    def test_enumerate_cutfree_interpolants(self):
+        from craig.construct import enumerate_cutfree_interpolants
+
+        s = sequent([pq], [], [], [porq])
+        assert cyclic_garbage(lambda: enumerate_cutfree_interpolants(s, LKMINUS, 3)) == 0
+
+    def test_realize_interpolant(self):
+        from craig.construct import realize_interpolant
+
+        assert cyclic_garbage(lambda: realize_interpolant(pq, porq, p, LKAT)) == 0
+
+    def test_realize_pruned(self):
+        from craig.construct import realize_pruned
+        from craig.formulas import clause
+
+        cs = frozenset([clause("p"), clause("q")])
+        assert cyclic_garbage(lambda: realize_pruned(pq, porq, cs)) == 0
+
+    def test_refute(self):
+        from craig.formulas import clause
+        from craig.resolution import refute
+
+        cs = frozenset([clause("p", "q"), clause("~p"), clause("~q")])
+        assert cyclic_garbage(lambda: refute(cs)) == 0
+
+    def test_enumerate_refutations(self):
+        from craig.formulas import clause
+        from craig.resolution import enumerate_refutations
+
+        cs = frozenset([clause("p"), clause("~p")])
+        assert cyclic_garbage(lambda: list(enumerate_refutations(cs, 3))) == 0
+
+    def test_mcnf(self):
+        from craig.formulas import mcnf
+
+        assert cyclic_garbage(lambda: mcnf(Or(Box(p), And(Box(q), p)))) == 0
+
+    def test_monochromatize(self):
+        # a cut on p placed on side 2 while p occurs only on side 1: the
+        # cut formula's cone is flipped
+        proof = cut(rw(ax(p, "g1", "d1"), p, "d2"), lw(ax(p, "g1", "d1"), p, "g2"), p, 2)
+        assert cyclic_garbage(lambda: monochromatize(proof, LKAT)) == 0
