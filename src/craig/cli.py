@@ -153,6 +153,7 @@ def cmd_res_interpolate(args):
             items = ", ".join(f"{k}={int(v)}" for k, v in out.assignment)
             print(f"satisfiable: {items}")
             return EXIT_LOGICAL
+    R.check_sides(out, a_cls, b_cls)
     part = R.Partition.from_vars(
         F.clause_set_vars(a_cls), F.clause_set_vars(b_cls)
     )

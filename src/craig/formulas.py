@@ -56,7 +56,7 @@ class TooManySharedVars(FormulaError):
 # the same objects; when it dies its entry goes with it, so the table holds
 # only live formulas.  A node keeps its nesting depth, and stores its
 # printed text (the canonical sort key), variable set, length and modality
-# on first use.
+# on first use.  Literals are interned in the same table.
 
 # true and false name the constants, never an atom
 ATOM_NAME = re.compile(r"(?!(?:true|false)\Z)[a-z][a-zA-Z0-9_]*\Z")
@@ -77,13 +77,14 @@ _INTERN_LOCK = threading.Lock()
 _store = object.__setattr__
 
 
-def _intern(key, cls, depth, *fields):
-    """The live node for key; one made of cls, depth and the field values
-    (in __slots__ order) if there is none."""
+def _intern(key, cls, *fields, **stored):
+    """The live node for key; one made of cls, the field values (in
+    __slots__ order) and the stored attributes if there is none."""
     node = object.__new__(cls)
     for name, value in zip(cls.__slots__, fields):
         _store(node, name, value)
-    _store(node, "depth", depth)
+    for name, value in stored.items():
+        _store(node, name, value)
     with _INTERN_LOCK:
         return _INTERN.setdefault(key, node)
 
@@ -129,7 +130,7 @@ class Bottom(Formula):
     __slots__ = ()
 
     def __new__(cls):
-        return _intern((Bottom,), Bottom, 0)
+        return _intern((Bottom,), Bottom, depth=0)
 
 
 class Atom(Formula):
@@ -137,7 +138,7 @@ class Atom(Formula):
 
     def __new__(cls, name):
         key = (Atom, name)
-        return _INTERN.get(key) or _intern(key, Atom, 0, _atom_name(name))
+        return _INTERN.get(key) or _intern(key, Atom, _atom_name(name), depth=0)
 
 
 class Neg(Formula):
@@ -145,7 +146,7 @@ class Neg(Formula):
 
     def __new__(cls, body):
         key = (Neg, id(body))
-        return _INTERN.get(key) or _intern(key, Neg, _depth(body) + 1, body)
+        return _INTERN.get(key) or _intern(key, Neg, body, depth=_depth(body) + 1)
 
 
 class Box(Formula):
@@ -153,7 +154,7 @@ class Box(Formula):
 
     def __new__(cls, body):
         key = (Box, id(body))
-        return _INTERN.get(key) or _intern(key, Box, _depth(body) + 1, body)
+        return _INTERN.get(key) or _intern(key, Box, body, depth=_depth(body) + 1)
 
 
 class And(Formula):
@@ -161,7 +162,7 @@ class And(Formula):
 
     def __new__(cls, left, right):
         key = (And, id(left), id(right))
-        return _INTERN.get(key) or _intern(key, And, max(_depth(left), _depth(right)) + 1, left, right)
+        return _INTERN.get(key) or _intern(key, And, left, right, depth=max(_depth(left), _depth(right)) + 1)
 
 
 class Or(Formula):
@@ -169,7 +170,7 @@ class Or(Formula):
 
     def __new__(cls, left, right):
         key = (Or, id(left), id(right))
-        return _INTERN.get(key) or _intern(key, Or, max(_depth(left), _depth(right)) + 1, left, right)
+        return _INTERN.get(key) or _intern(key, Or, left, right, depth=max(_depth(left), _depth(right)) + 1)
 
 
 BOTTOM = Bottom()
@@ -529,14 +530,32 @@ def sel(c: Formula, x: Formula, y: Formula) -> Formula:
 # Literals, clauses, clause sets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Literal:
-    negated: bool
-    body: Formula
+def _literal_body(body):
+    if not isinstance(body, (Atom, Bottom, Box)):
+        raise FormulaError(f"literal body must be an atom, false, or boxed: {body!r}")
+    return body
 
-    def __post_init__(self):
-        if not isinstance(self.body, (Atom, Bottom, Box)):
-            raise FormulaError(f"literal body must be an atom, false, or boxed: {self.body!r}")
+
+class Literal:
+    """A signed atom, false or boxed formula, interned in the formula
+    kernel's table under (Literal, negated, the identity of its body), so
+    equality and hashing are by identity.  It stores its literal_key on
+    first use."""
+
+    __slots__ = ("negated", "body", "_key", "__weakref__")
+
+    def __new__(cls, negated, body):
+        key = (Literal, negated, id(body))
+        return _INTERN.get(key) or _intern(key, Literal, negated, _literal_body(body))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("literals are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("literals are immutable")
+
+    def __reduce__(self):
+        return Literal, (self.negated, self.body)
 
     def dual(self) -> "Literal":
         return Literal(not self.negated, self.body)
@@ -587,7 +606,13 @@ def format_literal(lit: Literal) -> str:
 
 
 def literal_key(lit: Literal):
-    return (lit.negated, format_literal(lit).lstrip("~"))
+    try:
+        return lit._key
+    except AttributeError:
+        pass
+    key = (lit.negated, format_literal(lit).lstrip("~"))
+    _store(lit, "_key", key)
+    return key
 
 
 def clause(*lits) -> frozenset:

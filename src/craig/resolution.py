@@ -37,6 +37,10 @@ class RefutationCheckFailed(ResolutionError):
     """A refutation the search built fails check_refutation: an internal bug."""
 
 
+class SideMismatch(ResolutionError):
+    """An INPUT node of a refutation is not a clause of the side it names."""
+
+
 class NonAtomicLiteral(ResolutionError):
     """A clause given to the refutation search has a literal over `false` or
     a boxed formula, which resolution on atoms can never remove."""
@@ -76,6 +80,10 @@ class ResolutionProof:
 
     def __len__(self):
         return len(self.nodes)
+
+    def __reduce__(self):
+        # copies and pickles carry the fields, never the stored verdict
+        return type(self), (self.nodes, self.root)
 
 
 @dataclass(frozen=True)
@@ -133,7 +141,33 @@ def node_clauses(rp: ResolutionProof):
 
 
 def check_refutation(rp: ResolutionProof):
-    """None when every node matches its rule shape and the root is empty."""
+    """None when every node matches its rule shape and the root is empty.
+
+    A refutation that passes stores that fact outside its fields, when its
+    node list is a tuple and its clauses are frozensets, so that nothing can
+    change it; checking it again costs nothing.  Copies, and refutations
+    built from its nodes, do not carry the fact."""
+    if rp.__dict__.get("_checked"):
+        return None
+    bad = _violation(rp)
+    if bad is None and _frozen(rp):
+        rp.__dict__["_checked"] = True
+    return bad
+
+
+def _frozen(rp: ResolutionProof) -> bool:
+    """rp's node list is a tuple and its clauses are frozensets."""
+    if type(rp.nodes) is not tuple:
+        return False
+    for node in rp.nodes:
+        if isinstance(node, Input) and type(node.clause) is not frozenset:
+            return False
+        if isinstance(node, Weaken) and type(node.added) is not frozenset:
+            return False
+    return True
+
+
+def _violation(rp: ResolutionProof):
     clauses = []
     for i, node in enumerate(rp.nodes):
         if isinstance(node, Input):
@@ -306,6 +340,18 @@ def _refute_with_sides(clauses, sides):
 # ---------------------------------------------------------------------------
 # Interpolant extraction
 # ---------------------------------------------------------------------------
+
+def check_sides(rp: ResolutionProof, a_clauses, b_clauses):
+    """Raise SideMismatch at the first INPUT node whose clause is not a
+    clause of the side it names, A in a_clauses and B in b_clauses."""
+    sides = {"A": frozenset(a_clauses), "B": frozenset(b_clauses)}
+    for i, node in enumerate(rp.nodes):
+        if isinstance(node, Input) and node.clause not in sides[node.side]:
+            raise SideMismatch(
+                f"node {i}: INPUT {node.side} {{{format_clause(node.clause)}}} "
+                f"is not a clause of {node.side}"
+            )
+
 
 def interpolant_from_refutation(rp: ResolutionProof, part: Partition) -> Formula:
     """Reverse-interpolant extraction: bottom constants on A inputs, top on B

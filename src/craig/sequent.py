@@ -311,20 +311,55 @@ class Proof:
     def __repr__(self):
         return f"<proof {self.rule} {format_sequent(self.sequentv)}>"
 
+    def __reduce__(self):
+        # copies and pickles carry the fields, never the facts stored on
+        # the node
+        return type(self), (self.rule, self.sequentv, self.children, self.main_comp, self.main_formula)
+
+
+# Facts that depend only on a node are stored in its __dict__, outside its
+# fields, so they take no part in equality, hashing or repr, and
+# dataclasses.replace, the constructors and the parsers build nodes without
+# them.  A fact is stored only when every node it reads is _frozen, since
+# only then can nothing change it.
+
+def _frozen(node: Proof) -> bool:
+    """node's premises and the components of its sequent are tuples."""
+    s = node.sequentv
+    return type(node.children) is type(s.g1) is type(s.g2) is type(s.d1) is type(s.d2) is tuple
+
+
+def _fold(p: Proof, combine):
+    """combine(node, the values of its premises), computed bottom-up on an
+    explicit stack once per distinct node; the value at p."""
+    done = {}
+    stack = [p]
+    while stack:
+        node = stack[-1]
+        if id(node) in done:
+            stack.pop()
+            continue
+        todo = [c for c in node.children if id(c) not in done]
+        if todo:
+            stack.extend(todo)
+        else:
+            stack.pop()
+            done[id(node)] = combine(node, [done[id(c)] for c in node.children])
+    return done[id(p)]
+
 
 def proof_size(p: Proof) -> int:
-    return 1 + sum(proof_size(c) for c in p.children)
+    """Node count of the tree, a shared subproof counted at each use."""
+    return _fold(p, lambda node, sizes: 1 + sum(sizes))
 
 
 def proof_depth(p: Proof) -> int:
-    if not p.children:
-        return 0
-    return 1 + max(proof_depth(c) for c in p.children)
+    return _fold(p, lambda node, depths: 1 + max(depths) if depths else 0)
 
 
 def proof_length(p: Proof) -> int:
     """Symbol count summed over every sequent in the tree."""
-    return p.sequentv.length() + sum(proof_length(c) for c in p.children)
+    return _fold(p, lambda node, lengths: node.sequentv.length() + sum(lengths))
 
 
 def subproof_at(p: Proof, path) -> Proof:
@@ -684,51 +719,83 @@ def _d_premise(s: Sequent):
 # ---------------------------------------------------------------------------
 
 def check_proof(p: Proof, system: System):
-    """None if every node matches its schema and the system's cut policy."""
-    for path, node in iter_nodes(p):
-        s = node.sequentv
-        comps = (s.g1, s.g2, s.d1, s.d2)
-        for c, fs in zip(COMPONENTS, comps):
-            if not _in_order(fs):
-                return Violation(path, f"component {c} is not canonically sorted")
-        if not system.modal:
-            if any(is_modal(f) for fs in comps for f in fs):
-                return Violation(path, "boxed formula in a non-modal system")
-        if node.rule == "ax":
-            ants, sucs = s.antecedent(), s.succedent()
-            if len(ants) != 1 or len(sucs) != 1 or ants[0] != sucs[0]:
-                return Violation(path, "axiom must be exactly f => f")
-            if node.children:
-                return Violation(path, "axiom has no premises")
+    """None if every node matches its schema and the system's cut policy,
+    else the Violation at the first offending node in preorder.
+
+    Each distinct node is checked once per call.  When the proof passes and
+    every node walked is _frozen, each of them stores the system, and a
+    later call under an equal system skips it with the subproof above it,
+    which passed too (its nodes were walked, or skipped for the same
+    reason)."""
+    walked = {}
+    stack = [(p, None)]  # (node, its path as a linked (index, parent link))
+    while stack:
+        node, link = stack.pop()
+        if id(node) in walked or system in node.__dict__.get("_passed", ()):
             continue
-        if node.rule == "bot":
-            if s.antecedent() != (BOTTOM,) or s.succedent() or node.children:
-                return Violation(path, "false-axiom must be exactly false =>")
-            continue
-        if node.rule not in RULES:
-            return Violation(path, f"unknown rule {node.rule!r}")
-        if node.rule in ("k", "d", "t", "4") and node.rule not in system.modal_rules:
-            return Violation(path, f"rule {node.rule} not available in {system.name}")
-        if node.rule == "cut":
-            if node.main_comp not in ("d1", "d2"):
-                return Violation(path, "cut placement must name a succedent component")
-            if not cut_allowed(node.main_formula, system, s):
-                return Violation(path, f"cut on {format_formula(node.main_formula)} violates the {system.name} policy")
-        try:
-            expected = expected_premises(node)
-        except ProofError as e:
-            return Violation(path, str(e))
-        if len(expected) != len(node.children):
-            return Violation(path, f"rule {node.rule} expects {len(expected)} premises")
-        for i, (want, child) in enumerate(zip(expected, node.children)):
-            if child.sequentv != want:
-                return Violation(
-                    path + (i,),
-                    f"premise is {format_sequent(child.sequentv)} but {node.rule} needs {format_sequent(want)}",
-                )
-        if node.rule in _UNARY_MAIN or node.rule in ("rand", "lor", "cut"):
-            if node.main_comp not in COMPONENTS or node.main_formula is None:
-                return Violation(path, f"rule {node.rule} needs a main occurrence")
+        bad = _violation(node, system)
+        if bad is not None:
+            below, reason = bad
+            path = []
+            while link is not None:
+                i, link = link
+                path.append(i)
+            return Violation(tuple(reversed(path)) + below, reason)
+        walked[id(node)] = node
+        kids = node.children
+        for i in range(len(kids) - 1, -1, -1):
+            stack.append((kids[i], (i, link)))
+    nodes = walked.values()
+    if all(map(_frozen, nodes)):
+        for node in nodes:
+            facts = node.__dict__
+            facts["_passed"] = facts.get("_passed", ()) + (system,)
+    return None
+
+
+def _violation(node: Proof, system: System):
+    """((), reason) when node breaks a rule, ((i,), reason) when its
+    premise i does not match the rule, or None."""
+    s = node.sequentv
+    comps = (s.g1, s.g2, s.d1, s.d2)
+    for c, fs in zip(COMPONENTS, comps):
+        if not _in_order(fs):
+            return (), f"component {c} is not canonically sorted"
+    if not system.modal:
+        if any(is_modal(f) for fs in comps for f in fs):
+            return (), "boxed formula in a non-modal system"
+    if node.rule == "ax":
+        ants, sucs = s.antecedent(), s.succedent()
+        if len(ants) != 1 or len(sucs) != 1 or ants[0] != sucs[0]:
+            return (), "axiom must be exactly f => f"
+        if node.children:
+            return (), "axiom has no premises"
+        return None
+    if node.rule == "bot":
+        if s.antecedent() != (BOTTOM,) or s.succedent() or node.children:
+            return (), "false-axiom must be exactly false =>"
+        return None
+    if node.rule not in RULES:
+        return (), f"unknown rule {node.rule!r}"
+    if node.rule in ("k", "d", "t", "4") and node.rule not in system.modal_rules:
+        return (), f"rule {node.rule} not available in {system.name}"
+    if node.rule == "cut":
+        if node.main_comp not in ("d1", "d2"):
+            return (), "cut placement must name a succedent component"
+        if not cut_allowed(node.main_formula, system, s):
+            return (), f"cut on {format_formula(node.main_formula)} violates the {system.name} policy"
+    try:
+        expected = expected_premises(node)
+    except ProofError as e:
+        return (), str(e)
+    if len(expected) != len(node.children):
+        return (), f"rule {node.rule} expects {len(expected)} premises"
+    for i, (want, child) in enumerate(zip(expected, node.children)):
+        if child.sequentv != want:
+            return (i,), f"premise is {format_sequent(child.sequentv)} but {node.rule} needs {format_sequent(want)}"
+    if node.rule in _UNARY_MAIN or node.rule in ("rand", "lor", "cut"):
+        if node.main_comp not in COMPONENTS or node.main_formula is None:
+            return (), f"rule {node.rule} needs a main occurrence"
     return None
 
 
@@ -898,7 +965,10 @@ def is_weak(p: Proof, occ) -> bool:
 def weight(p: Proof, occ) -> int:
     """The number of ancestors of occ that are not weak and do not sit in
     the conclusion of a weakening."""
-    cone = _cone(p, occ)
+    return _cone_weight(_cone(p, occ))
+
+
+def _cone_weight(cone) -> int:
     strong = [node.rule in ("ax", "bot") for _, node, _ in cone]
     for i in range(len(cone) - 1, 0, -1):
         if strong[i]:
@@ -936,7 +1006,13 @@ def propositional_degree(f: Formula) -> int:
 
 
 def classify_cut(p: Proof, path) -> CutInfo:
+    """The CutInfo of the cut at path.  It reads only the cut node, the
+    nodes in the cones of its cut occurrences and their premises, so when
+    those are _frozen the cut node stores it."""
     node = subproof_at(p, path)
+    info = node.__dict__.get("_cut_info")
+    if info is not None:
+        return info
     if node.rule != "cut":
         raise ProofError("classify_cut needs a cut node")
     f = node.main_formula
@@ -946,15 +1022,20 @@ def classify_cut(p: Proof, path) -> CutInfo:
     for _, _, g in s.occurrences():
         closure |= {h for h, _ in signed_subformulas(g)}
     left, right = cut_occurrences(node)
-    return CutInfo(
+    cones = (_cone(node, ((0,),) + left), _cone(node, ((1,),) + right))
+    info = CutInfo(
         type_r=node.main_comp == "d2",
         atomic=is_atomic_cut_formula(f),
         literal=is_literal_cut_formula(f),
         monochromatic=v <= s.side_vars(1) or v <= s.side_vars(2),
         analytic=f in closure,
         degree=propositional_degree(f),
-        weight=weight(node, ((0,),) + left) + weight(node, ((1,),) + right),
+        weight=_cone_weight(cones[0]) + _cone_weight(cones[1]),
     )
+    read = [node, *node.children] + [m for cone in cones for _, n, _ in cone for m in n.children]
+    if all(map(_frozen, read)):
+        node.__dict__["_cut_info"] = info
+    return info
 
 
 def axiom_kind(s: Sequent) -> str:
@@ -1149,9 +1230,13 @@ def format_proof(p: Proof) -> str:
 
 
 def format_proof_text(p: Proof, indent=0) -> str:
-    lines = [("  " * indent) + f"{p.rule}: {format_sequent(p.sequentv)}"]
-    for c in p.children:
-        lines.append(format_proof_text(c, indent + 1))
+    """One line per node in preorder, indented two spaces per level."""
+    lines = []
+    stack = [(p, indent)]
+    while stack:
+        node, level = stack.pop()
+        lines.append(("  " * level) + f"{node.rule}: {format_sequent(node.sequentv)}")
+        stack.extend((c, level + 1) for c in reversed(node.children))
     return "\n".join(lines)
 
 

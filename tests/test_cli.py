@@ -102,6 +102,21 @@ class TestExitCodes:
         assert code == 1
         assert "bad refutation line" in err
 
+    @pytest.mark.parametrize(
+        "lines, node",
+        [(["INPUT B {p}", "INPUT A {~p}"], 0), (["INPUT A {p}", "INPUT A {~p}"], 1)],
+        ids=["swapped-sides", "all-a"],
+    )
+    def test_refutation_input_from_the_wrong_side_is_a_logical_failure(
+        self, capsys, tmp_path, lines, node
+    ):
+        res = tmp_path / "sides.res"
+        res.write_text(f"0: {lines[0]}\n1: {lines[1]}\n2: RES 0 1 p\n")
+        code, out, err = run(capsys, "res-interpolate", "p", "~p", "--refutation", str(res))
+        assert code == 1
+        assert out == ""
+        assert f"node {node}: INPUT" in err and "is not a clause of" in err
+
     @pytest.mark.parametrize("command", ["check-proof", "cut-eliminate"])
     @pytest.mark.parametrize(
         "text",

@@ -1,6 +1,6 @@
 """The hash-consed formula kernel: one node per structure, identity
 equality, stored fields equal to their recursive definitions, and an
-intern table that holds only live formulas."""
+intern table that holds only live formulas and literals."""
 
 import copy
 import gc
@@ -20,13 +20,17 @@ from craig.formulas import (
     Bottom,
     Box,
     FormulaError,
+    Literal,
     Neg,
     Or,
     TOP,
     format_formula,
+    format_literal,
     formula_length,
     is_modal,
+    literal_key,
     parse_formula,
+    parse_literal,
     vars_of,
 )
 from craig.sequent import parse_sequent
@@ -170,6 +174,94 @@ class TestInterning:
 
         def work(k):
             results[k] = [Or(Neg(Atom(n)), And(Atom(n), BOTTOM)) for n in names]
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert len(results) == 8
+        first = results[0]
+        for got in results.values():
+            assert all(a is b for a, b in zip(got, first))
+
+
+# Literal shapes: a sign and an atom, false or boxed body.
+literal_shapes = st.tuples(
+    st.booleans(),
+    st.one_of(
+        st.sampled_from(["p", "q"]).map(lambda name: ("atom", name)),
+        st.just(("false",)),
+        shapes.map(lambda shape: ("box", shape)),
+    ),
+)
+
+
+def build_literal(shape):
+    negated, body = shape
+    return Literal(negated, build(body))
+
+
+class TestLiterals:
+    @KERNEL
+    @given(literal_shapes, literal_shapes)
+    def test_equal_structure_is_identity(self, a_shape, b_shape):
+        a, b = build_literal(a_shape), build_literal(b_shape)
+        assert (a is b) == (a_shape == b_shape)
+        assert (a == b) == (a is b)
+        assert (a == b) == (hash(a) == hash(b))
+
+    @KERNEL
+    @given(literal_shapes)
+    def test_round_trip_and_stored_key(self, shape):
+        lit = build_literal(shape)
+        assert parse_literal(format_literal(lit)) is lit
+        for _ in range(2):  # computed, then read back
+            assert literal_key(lit) == (lit.negated, format_literal(lit).lstrip("~"))
+
+    def test_body_must_be_an_atom_false_or_boxed(self):
+        for body in (Neg(Atom("p")), And(Atom("p"), Atom("q")), "p"):
+            with pytest.raises(FormulaError, match="literal body"):
+                Literal(False, body)
+
+    def test_literals_are_immutable(self):
+        lit = Literal(True, Atom("p"))
+        with pytest.raises(AttributeError):
+            lit.negated = False
+        with pytest.raises(AttributeError):
+            del lit.body
+        assert format_literal(lit) == "~p"
+
+    def test_copy_and_pickle_give_the_interned_literal(self):
+        for lit in (Literal(True, Atom("p")), Literal(False, parse_formula("[](p & ~q)")),
+                    Literal(True, BOTTOM)):
+            for other in (copy.copy(lit), copy.deepcopy(lit), pickle.loads(pickle.dumps(lit))):
+                assert other is lit
+
+    def test_table_holds_only_live_literals(self):
+        gc.collect()
+        before = len(formulas._INTERN)
+        built = [Literal(i % 2 == 0, Atom(f"droppedlit{i}")) for i in range(50_000)]
+        for lit in built[::1000]:
+            literal_key(lit)
+        assert len(formulas._INTERN) == before + 100_000
+        del built, lit
+        gc.collect()
+        assert len(formulas._INTERN) == before
+
+    def test_threads_share_one_literal_per_key(self):
+        """More threads than cores build the same new literals at once."""
+        names = [f"sharedlit{i}" for i in range(3_000)]
+        results = {}
+
+        def work(k):
+            results[k] = [Literal(True, Atom(n)) for n in names]
 
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -29,8 +32,11 @@ from craig.resolution import (
     ResolutionError,
     ResolutionProof,
     Satisfiable,
+    SideMismatch,
+    Violation,
     Weaken,
     check_refutation,
+    check_sides,
     enumerate_refutations,
     format_refutation,
     interpolant_from_refutation,
@@ -85,6 +91,25 @@ class TestCheckRefutation:
         rp = ResolutionProof((Input(clause("p"), "A"),), 0)
         v = check_refutation(rp)
         assert v is not None
+
+    def test_verdict_stays_with_the_checked_refutation(self):
+        rp = refute(frozenset([clause("p", "q"), clause("~p"), clause("~q")]))
+        assert check_refutation(rp) is None
+        assert set(vars(rp)) > {"nodes", "root"}
+        for other in (ResolutionProof(rp.nodes, 0), dataclasses.replace(rp, root=0)):
+            assert set(vars(other)) == {"nodes", "root"}
+            v = check_refutation(other)
+            assert v is not None and v.reason == "root clause is not empty"
+        for other in (copy.copy(rp), copy.deepcopy(rp), pickle.loads(pickle.dumps(rp)),
+                      parse_refutation(format_refutation(rp))):
+            assert other == rp and set(vars(other)) == {"nodes", "root"}
+
+    def test_a_refutation_with_list_parts_stores_nothing(self):
+        nodes = [Input(clause("p"), "A"), Input(clause("~p"), "B"), Resolve(0, 1, p)]
+        rp = ResolutionProof(nodes, 2)
+        assert check_refutation(rp) is None
+        nodes[2] = Input(clause("q"), "A")
+        assert check_refutation(rp) == Violation(2, "root clause is not empty")
 
 
 def clause_set_unsat(cs):
@@ -347,6 +372,14 @@ class TestInterpolant:
         c = interpolant_from_refutation(rp, part)
         assert c == sel(q, sel(p, BOTTOM, TOP), TOP)
         assert equiv(c, Or(p, q))
+
+    def test_inputs_must_be_clauses_of_their_side(self):
+        a_cls, b_cls = [clause("p")], [clause("~p")]
+        check_sides(simple_refutation(p), a_cls, b_cls)
+        check_sides(simple_refutation(p), a_cls + b_cls, b_cls)  # ~p is in both
+        for sides, bad in ((("B", "A"), 0), (("A", "A"), 1)):
+            with pytest.raises(SideMismatch, match=f"node {bad}: INPUT"):
+                check_sides(simple_refutation(p, sides), a_cls, b_cls)
 
     def test_partition_mismatch(self):
         rp = simple_refutation(p)

@@ -1,9 +1,12 @@
 
+import copy
 import dataclasses
 import gc
 import importlib
+import pickle
 import random
 import sys
+import threading
 from functools import lru_cache
 
 import pytest
@@ -19,6 +22,7 @@ from craig.sequent import (
     LKMINUS,
     LKMONO,
     Proof,
+    SYSTEMS,
     ProofError,
     Violation,
     ancestors,
@@ -32,6 +36,7 @@ from craig.sequent import (
     cut_occurrences,
     direct_ancestors,
     format_proof,
+    format_proof_text,
     format_sequent,
     is_tame,
     is_weak,
@@ -532,6 +537,27 @@ def reference_format_proof(p):
     return f"({inner})"
 
 
+def reference_proof_size(p):
+    return 1 + sum(reference_proof_size(c) for c in p.children)
+
+
+def reference_proof_depth(p):
+    if not p.children:
+        return 0
+    return 1 + max(reference_proof_depth(c) for c in p.children)
+
+
+def reference_proof_length(p):
+    return p.sequentv.length() + sum(reference_proof_length(c) for c in p.children)
+
+
+def reference_format_proof_text(p, indent=0):
+    lines = [("  " * indent) + f"{p.rule}: {format_sequent(p.sequentv)}"]
+    for c in p.children:
+        lines.append(reference_format_proof_text(c, indent + 1))
+    return "\n".join(lines)
+
+
 def reference_pair_contexts(child, concl, child_skip, concl_skip):
     """The hash-based context pairing that _pair_contexts replaced."""
     edges = []
@@ -643,6 +669,13 @@ class TestReferenceWalks:
             text = format_proof(proof)
             assert text == reference_format_proof(proof)
             assert parse_proof(text) == proof
+            assert format_proof_text(proof) == reference_format_proof_text(proof)
+
+    def test_metrics(self):
+        for proof in differential_proofs():
+            assert proof_size(proof) == reference_proof_size(proof)
+            assert proof_depth(proof) == reference_proof_depth(proof)
+            assert proof_length(proof) == reference_proof_length(proof)
 
     def test_direct_ancestors_at_every_node(self):
         traced = 0
@@ -677,6 +710,222 @@ class TestReferenceWalks:
                                     direct_ancestors(broken, ci, (oc, oi))
                                 checked += 1
         assert checked > 1000
+
+
+def reference_check_proof(p, system):
+    """The checker before verdicts were stored: every node of the tree, a
+    shared subproof at each of its uses, with its path built as it goes."""
+    for path, node in iter_nodes(p):
+        s = node.sequentv
+        comps = (s.g1, s.g2, s.d1, s.d2)
+        for c, fs in zip(COMPONENTS, comps):
+            if not sequent_module._in_order(fs):
+                return Violation(path, f"component {c} is not canonically sorted")
+        if not system.modal:
+            if any(sequent_module.is_modal(f) for fs in comps for f in fs):
+                return Violation(path, "boxed formula in a non-modal system")
+        if node.rule == "ax":
+            ants, sucs = s.antecedent(), s.succedent()
+            if len(ants) != 1 or len(sucs) != 1 or ants[0] != sucs[0]:
+                return Violation(path, "axiom must be exactly f => f")
+            if node.children:
+                return Violation(path, "axiom has no premises")
+            continue
+        if node.rule == "bot":
+            if s.antecedent() != (BOTTOM,) or s.succedent() or node.children:
+                return Violation(path, "false-axiom must be exactly false =>")
+            continue
+        if node.rule not in sequent_module.RULES:
+            return Violation(path, f"unknown rule {node.rule!r}")
+        if node.rule in ("k", "d", "t", "4") and node.rule not in system.modal_rules:
+            return Violation(path, f"rule {node.rule} not available in {system.name}")
+        if node.rule == "cut":
+            if node.main_comp not in ("d1", "d2"):
+                return Violation(path, "cut placement must name a succedent component")
+            if not sequent_module.cut_allowed(node.main_formula, system, s):
+                return Violation(path, f"cut on {format_formula(node.main_formula)} violates the {system.name} policy")
+        try:
+            expected = sequent_module.expected_premises(node)
+        except ProofError as e:
+            return Violation(path, str(e))
+        if len(expected) != len(node.children):
+            return Violation(path, f"rule {node.rule} expects {len(expected)} premises")
+        for i, (want, child) in enumerate(zip(expected, node.children)):
+            if child.sequentv != want:
+                return Violation(
+                    path + (i,),
+                    f"premise is {format_sequent(child.sequentv)} but {node.rule} needs {format_sequent(want)}",
+                )
+        if node.rule in sequent_module._UNARY_MAIN or node.rule in ("rand", "lor", "cut"):
+            if node.main_comp not in COMPONENTS or node.main_formula is None:
+                return Violation(path, f"rule {node.rule} needs a main occurrence")
+    return None
+
+
+def passing_system(proof):
+    return next(s for s in SYSTEMS.values() if reference_check_proof(proof, s) is None)
+
+
+def first_shared_node(proof):
+    """The first node in preorder that two distinct parent nodes hold."""
+    parents = {}
+    for _, node in iter_nodes(proof):
+        for child in node.children:
+            parents.setdefault(id(child), (child, set()))[1].add(id(node))
+    for _, node in iter_nodes(proof):
+        if len(parents.get(id(node), (None, ()))[1]) > 1:
+            return node
+    return None
+
+
+def replace_node(proof, old, new):
+    """proof with the node old replaced by new wherever it occurs, and every
+    node above it rebuilt once with dataclasses.replace."""
+    memo = {}
+
+    def walk(node):
+        if node is old:
+            return new
+        if id(node) not in memo:
+            kids = tuple(walk(c) for c in node.children)
+            same = all(a is b for a, b in zip(kids, node.children))
+            memo[id(node)] = node if same else dataclasses.replace(node, children=kids)
+        return memo[id(node)]
+
+    return walk(proof)
+
+
+def corruptions(node):
+    return [
+        dataclasses.replace(node, sequentv=node.sequentv.insert("g1", Atom("zz"))),
+        dataclasses.replace(node, rule="nope"),
+    ]
+
+
+def only_fields(obj):
+    """obj carries nothing besides its dataclass fields."""
+    return set(vars(obj)) == {f.name for f in dataclasses.fields(obj)}
+
+
+class TestStoredFacts:
+    """check_proof and classify_cut store what they find on immutable
+    nodes, and give what the checker and the classifier computed afresh
+    give."""
+
+    def test_corrupted_copies_of_checked_proofs(self):
+        shared = compared = 0
+        for proof in differential_proofs():
+            system = passing_system(proof)
+            assert check_proof(proof, system) is None
+            targets = [proof]
+            node = first_shared_node(proof)
+            if node is not None:
+                targets.append(node)
+                shared += 1
+            for target in targets:
+                for bad in corruptions(target):
+                    broken = replace_node(proof, target, bad)
+                    want = reference_check_proof(broken, system)
+                    assert want is not None
+                    assert check_proof(broken, system) == want
+                    compared += 1
+            assert check_proof(proof, system) is None
+        assert shared > 50 and compared > 300
+
+    def test_verdict_is_per_system(self):
+        sigma = example_sigma()
+        assert check_proof(sigma, LK) is None
+        bad = check_proof(sigma, LKMINUS)
+        assert bad == reference_check_proof(sigma, LKMINUS)
+        assert "violates the lk-minus policy" in bad.reason
+        assert check_proof(sigma, LK) is None
+        equal_to_lk = sequent_module.System("lk", frozenset(), "any")
+        assert equal_to_lk is not LK and check_proof(sigma, equal_to_lk) is None
+
+    def test_each_distinct_node_is_checked_once_per_call(self, monkeypatch):
+        calls = []
+        real = sequent_module.expected_premises
+        monkeypatch.setattr(sequent_module, "expected_premises",
+                            lambda node: calls.append(node) or real(node))
+        tree = distinct = 0
+        for proof in differential_proofs():
+            system = passing_system(proof)
+            fresh = copy.deepcopy(proof)  # shares as proof does, with no facts
+            nodes = {id(node): node for _, node in iter_nodes(fresh)}
+            inner = [node for node in nodes.values() if node.rule not in ("ax", "bot")]
+            tree += sum(1 for _ in iter_nodes(fresh))
+            distinct += len(nodes)
+            calls.clear()
+            assert check_proof(fresh, system) is None
+            assert sorted(map(id, calls)) == sorted(map(id, inner))
+            calls.clear()
+            assert check_proof(fresh, system) is None
+            assert calls == []
+        assert tree > distinct
+
+    def test_stored_cut_info_equals_a_fresh_one(self):
+        cuts = 0
+        for proof in differential_proofs():
+            fresh = copy.deepcopy(proof)  # shares as proof does, with no facts
+            for path, node in iter_nodes(proof):
+                if node.rule == "cut":
+                    info = classify_cut(proof, path)
+                    assert classify_cut(proof, path) is info
+                    assert classify_cut(fresh, path) == info
+                    cuts += 1
+        assert cuts > 100
+
+    def test_copies_and_rebuilt_nodes_carry_no_facts(self):
+        sigma = example_sigma()
+        assert check_proof(sigma, LKAT) is None
+        classify_cut(sigma, (0,))
+        assert not only_fields(sigma) and not only_fields(sigma.children[0])
+        copies = (
+            copy.copy(sigma), copy.deepcopy(sigma), pickle.loads(pickle.dumps(sigma)),
+            dataclasses.replace(sigma), parse_proof(format_proof(sigma)),
+        )
+        for other in copies:
+            assert other == sigma
+            assert only_fields(other)
+        assert only_fields(copy.copy(sigma.children[0]))
+
+    def test_threads_check_shared_nodes_at_once(self):
+        """More threads than cores check the same unchecked proofs under
+        different systems at once.  Storing a verdict is not atomic, so a
+        lost update may drop one, but every answer is the checker's."""
+        systems = (LK, LKMINUS, LKAT)
+        proofs = [copy.deepcopy(proof) for proof in differential_proofs()[:60]]
+        want = {(i, s.name): reference_check_proof(proof, s)
+                for i, proof in enumerate(proofs) for s in systems}
+        got = {}
+
+        def work(k):
+            for i, proof in enumerate(proofs):
+                for s in systems[k % 3:] + systems[:k % 3]:
+                    got[k, i, s.name] = check_proof(proof, s)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert len(got) == 8 * len(want)
+        assert all(v == want[i, name] for (_, i, name), v in got.items())
+        assert any(v is None for v in want.values()) and any(want.values())
+
+    def test_a_proof_with_list_parts_stores_nothing(self):
+        leaf = ax(p, "g1", "d1")
+        node = Proof("lw", sequent([p, q], [], [p]), [leaf], "g1", q)
+        assert check_proof(node, LKMINUS) is None
+        assert only_fields(node) and only_fields(leaf)
+        node.children.append(leaf)
+        assert check_proof(node, LKMINUS) == Violation((), "rule lw expects 1 premises")
 
 
 @pytest.fixture
@@ -714,6 +963,32 @@ class TestDeepProofs:
         assert text.startswith('(lc "p ;  => p ; " 0 (lw "p, p ;  => p ; " 0 (lc ')
         assert text.endswith('(ax "p ;  => p ; " -)' + ")" * 10_000)
         assert text.count("(") == 10_001
+
+    def test_metrics_are_iterative(self, shallow_stack):
+        proof = deep_weakening_proof()
+        for reference in (reference_proof_size, reference_proof_depth, reference_proof_length):
+            with pytest.raises(RecursionError):
+                reference(proof)
+        assert proof_size(proof) == 10_001
+        assert proof_depth(proof) == 10_000
+        # p => p, then p, p => p and p => p in turn
+        assert proof_length(proof) == 2 + 5_000 * 3 + 5_000 * 2
+
+    def test_format_proof_text_is_iterative(self, shallow_stack):
+        # the text is quadratic in the depth, so this chain is a short one
+        proof = deep_weakening_proof(1_500)
+        with pytest.raises(RecursionError):
+            reference_format_proof_text(proof)
+        lines = format_proof_text(proof).split("\n")
+        assert len(lines) == 1_501
+        assert lines[0] == "lc: p ;  => p ; "
+        assert lines[-1] == "  " * 1_500 + "ax: p ;  => p ; "
+
+    def test_check_proof_is_iterative(self, shallow_stack):
+        proof = deep_weakening_proof()
+        assert check_proof(proof, LKMINUS) is None
+        broken = replace_node(proof, proof.children[0], dataclasses.replace(proof.children[0], rule="nope"))
+        assert check_proof(broken, LKMINUS) == Violation((0,), "unknown rule 'nope'")
 
     def test_maehara_is_iterative(self, shallow_stack):
         from craig.maehara import maehara
