@@ -24,10 +24,11 @@ from .formulas import (
     sorted_clauses,
     sorted_literals,
 )
-from .maehara import axiom_interpolant, verify_interpolant
+from .maehara import axiom_interpolant, combine, verify_interpolant
 from .sequent import (
     COMPONENTS,
     LKAT,
+    MODAL_JUMPS,
     Proof,
     ProofError,
     Sequent,
@@ -36,6 +37,7 @@ from .sequent import (
     bot_axiom,
     check_proof,
     cut,
+    jump_premise,
     land1,
     land2,
     lc,
@@ -46,9 +48,6 @@ from .sequent import (
     ror1,
     ror2,
     rneg,
-    rule_4,
-    rule_d,
-    rule_k,
     rule_t,
     rw,
     sequent,
@@ -222,49 +221,23 @@ def _search(s: Sequent, system: System, unfolded, blocked):
     fails = []
     jump = "4" if "4" in system.modal_rules else ("k" if "k" in system.modal_rules else None)
     if jump is not None:
-        boxed = {c: sorted(set(g for g in s.comp(c) if isinstance(g, Box)),
-                           key=format_formula)
-                 for c in ("g1", "g2")}
-        for dcomp in ("d1", "d2"):
-            for f in s.comp(dcomp):
-                if not isinstance(f, Box):
-                    continue
-                if jump == "k":
-                    premise = sequent(
-                        [g.body for g in boxed["g1"]],
-                        [g.body for g in boxed["g2"]],
-                        [f.body] if dcomp == "d1" else [],
-                        [f.body] if dcomp == "d2" else [],
-                    )
-                else:
-                    premise = sequent(
-                        [g.body for g in boxed["g1"]] + boxed["g1"],
-                        [g.body for g in boxed["g2"]] + boxed["g2"],
-                        [f.body] if dcomp == "d1" else [],
-                        [f.body] if dcomp == "d2" else [],
-                    )
-                key = (premise, jump)
-                if key in blocked:
-                    continue
-                sub, fail = _search(premise, system, frozenset(), blocked | {key})
-                if sub is not None:
-                    conclusion = weaken_to(
-                        rule_k(sub) if jump == "k" else rule_4(sub), s
-                    )
-                    return conclusion, None
-                if fail is not None:
-                    fails.append(fail)
+        # each jump's conclusion: the distinct boxed antecedent formulas of s
+        # over one boxed succedent formula of s, or over nothing for d
+        boxed = [{g for g in s.comp(c) if isinstance(g, Box)} for c in ("g1", "g2")]
+        goals = [(jump, sequent(*boxed, [f], []) if dcomp == "d1" else sequent(*boxed, [], [f]))
+                 for dcomp in ("d1", "d2") for f in s.comp(dcomp) if isinstance(f, Box)]
         if "d" in system.modal_rules:
-            premise = sequent(
-                [g.body for g in boxed["g1"]], [g.body for g in boxed["g2"]]
-            )
-            key = (premise, "d")
-            if key not in blocked:
-                sub, fail = _search(premise, system, frozenset(), blocked | {key})
-                if sub is not None:
-                    return weaken_to(rule_d(sub), s), None
-                if fail is not None:
-                    fails.append(fail)
+            goals.append(("d", sequent(*boxed)))
+        for rule, goal in goals:
+            premise = jump_premise(rule, goal)
+            key = (premise, rule)
+            if key in blocked:
+                continue
+            sub, fail = _search(premise, system, frozenset(), blocked | {key})
+            if sub is not None:
+                return weaken_to(MODAL_JUMPS[rule](sub), s), None
+            if fail is not None:
+                fails.append(fail)
     return None, _FailNode(s, fails)
 
 
@@ -489,8 +462,7 @@ def enumerate_cutfree_interpolants(s: Sequent, system: System, max_depth: int):
                     elif ant and isinstance(f, Or):
                         ls = mset(base.insert(comp, f.left), depth - 1)
                         rs = mset(base.insert(comp, f.right), depth - 1)
-                        op = Or if comp == "g1" else And
-                        out |= {op(x, y) for x in ls for y in rs}
+                        out |= {combine("lor", comp, (x, y)) for x in ls for y in rs}
                     elif ant and isinstance(f, Neg):
                         out |= mset(base.insert("d" + comp[1], f.body), depth - 1)
                     elif ant and isinstance(f, Box) and "t" in system.modal_rules:
@@ -498,8 +470,7 @@ def enumerate_cutfree_interpolants(s: Sequent, system: System, max_depth: int):
                     elif not ant and isinstance(f, And):
                         ls = mset(base.insert(comp, f.left), depth - 1)
                         rs = mset(base.insert(comp, f.right), depth - 1)
-                        op = Or if comp == "d1" else And
-                        out |= {op(x, y) for x in ls for y in rs}
+                        out |= {combine("rand", comp, (x, y)) for x in ls for y in rs}
                     elif not ant and isinstance(f, Or):
                         out |= mset(base.insert(comp, f.left), depth - 1)
                         out |= mset(base.insert(comp, f.right), depth - 1)
@@ -516,34 +487,15 @@ def enumerate_cutfree_interpolants(s: Sequent, system: System, max_depth: int):
 
 
 def _modal_backward(seq: Sequent, system: System, depth: int, mset):
+    """The interpolants of the modal jumps that conclude seq."""
     out = set()
-    boxes_only = all(isinstance(f, Box) for f in seq.antecedent())
-    sucs = seq.succedent()
-    if not boxes_only:
-        return out
-    single = len(sucs) == 1 and isinstance(sucs[0], Box)
     dcomp = "d1" if seq.d1 else "d2"
-
-    def wrap(x):
-        return Box(x) if dcomp == "d2" else Neg(Box(Neg(x)))
-
-    if single and "k" in system.modal_rules:
-        premise = sequent(
-            [f.body for f in seq.g1],
-            [f.body for f in seq.g2],
-            [sucs[0].body] if dcomp == "d1" else [],
-            [sucs[0].body] if dcomp == "d2" else [],
-        )
-        out |= {wrap(x) for x in mset(premise, depth - 1)}
-    if single and "4" in system.modal_rules:
-        premise = sequent(
-            [f.body for f in seq.g1] + list(seq.g1),
-            [f.body for f in seq.g2] + list(seq.g2),
-            [sucs[0].body] if dcomp == "d1" else [],
-            [sucs[0].body] if dcomp == "d2" else [],
-        )
-        out |= {wrap(x) for x in mset(premise, depth - 1)}
-    if not sucs and "d" in system.modal_rules:
-        premise = sequent([f.body for f in seq.g1], [f.body for f in seq.g2])
-        out |= {Box(x) for x in mset(premise, depth - 1)}
+    for rule in MODAL_JUMPS:
+        if rule not in system.modal_rules:
+            continue
+        try:
+            premise = jump_premise(rule, seq)
+        except ProofError:
+            continue
+        out |= {combine(rule, dcomp, (x,)) for x in mset(premise, depth - 1)}
     return out

@@ -20,6 +20,7 @@ from .formulas import (
     vars_of,
 )
 from .sequent import (
+    RULE_SCHEMA,
     Proof,
     ProofError,
     Sequent,
@@ -52,21 +53,6 @@ class AnnotatedProof:
         return self.interpolants[0][1]
 
 
-_PASS_THROUGH = {
-    "lw",
-    "rw",
-    "lc",
-    "rc",
-    "land1",
-    "land2",
-    "ror1",
-    "ror2",
-    "lneg",
-    "rneg",
-    "t",
-}
-
-
 def axiom_interpolant(s: Sequent) -> Formula:
     f = s.antecedent()[0]
     kind = axiom_kind(s)
@@ -77,6 +63,20 @@ def axiom_interpolant(s: Sequent) -> Formula:
     if kind == "L/R":
         return f
     return Neg(f)
+
+
+def combine(rule, comp, parts) -> Formula:
+    """The interpolant of an inner node from its premises' interpolants
+    parts: a two-premise rule (lor, rand, cut) joins them with Or when its
+    main occurrence (a cut's placement) is on side 1 and with And on side 2;
+    k and 4 box the one part on side 2 and take its dual on side 1, d boxes
+    it, and the other one-premise rules pass it on."""
+    if len(parts) == 2:
+        return (Or if comp[1] == "1" else And)(*parts)
+    (c,) = parts
+    if rule in ("k", "4"):
+        return Box(c) if comp == "d2" else Neg(Box(Neg(c)))
+    return Box(c) if rule == "d" else c
 
 
 def maehara(p: Proof, system: System) -> AnnotatedProof:
@@ -105,29 +105,17 @@ def maehara(p: Proof, system: System) -> AnnotatedProof:
                 raise UnsupportedRule(
                     "interpolating the seriality rule needs a box-introducing rule"
                 )
-        elif rule not in _PASS_THROUGH and rule not in ("rand", "lor", "k", "4"):
+        elif rule not in RULE_SCHEMA and rule not in ("k", "4"):
             raise UnsupportedRule(f"no interpolation case for rule {rule!r}")
     # reverse preorder: every inner node right after its premises, whose
     # interpolants are on top of the stack, the first premise's topmost
     done = []
     for i in range(len(nodes) - 1, -1, -1):
         node = nodes[i][1]
-        rule = node.rule
-        if rule not in ("ax", "bot"):
-            first = done.pop()
-            if rule in _PASS_THROUGH:
-                c = first
-            elif rule in ("rand", "lor"):
-                second = done.pop()
-                c = Or(first, second) if node.main_comp in ("d1", "g1") else And(first, second)
-            elif rule == "cut":
-                second = done.pop()
-                c = Or(first, second) if node.main_comp[1] == "1" else And(first, second)
-            elif rule in ("k", "4"):
-                c = Box(first) if node.main_comp == "d2" else Neg(Box(Neg(first)))
-            else:  # d
-                c = Box(first)
-            notes[i] = c
+        n = len(node.children)
+        if n:
+            notes[i] = combine(node.rule, node.main_comp, done[:-n - 1:-1])
+            del done[-n:]
         done.append(notes[i])
     # preorder lists the paths in sorted order
     return AnnotatedProof(p, tuple(zip([path for path, _ in nodes], notes)))

@@ -462,7 +462,9 @@ def format_refutation(rp: ResolutionProof) -> str:
 
 
 def parse_refutation(text: str) -> ResolutionProof:
+    """Each distinct literal text in the file is parsed once."""
     nodes = []
+    memo = {}
     for raw in text.split("\n"):
         line = raw.strip()
         if not line:
@@ -475,13 +477,13 @@ def parse_refutation(text: str) -> ResolutionProof:
             rest = rest.strip()
             if rest.startswith("INPUT"):
                 _, side, braced = rest.split(None, 2)
-                nodes.append(Input(_parse_braced_clause(braced), side))
+                nodes.append(Input(_parse_braced_clause(braced, memo), side))
             elif rest.startswith("RES"):
                 _, left, right, pivot = rest.split()
                 nodes.append(Resolve(int(left), int(right), Atom(pivot)))
             elif rest.startswith("WEAK"):
                 _, premise, braced = rest.split(None, 2)
-                nodes.append(Weaken(int(premise), _parse_braced_clause(braced)))
+                nodes.append(Weaken(int(premise), _parse_braced_clause(braced, memo)))
             else:
                 raise ResolutionError(f"bad refutation line: {line!r}")
         except (FormulaError, ResolutionError):
@@ -493,11 +495,19 @@ def parse_refutation(text: str) -> ResolutionProof:
     return ResolutionProof(tuple(nodes), len(nodes) - 1)
 
 
-def _parse_braced_clause(text):
+def _parse_braced_clause(text, memo):
+    """The clause in braces; memo maps the literal texts parsed so far to
+    their literals."""
     text = text.strip()
     if not (text.startswith("{") and text.endswith("}")):
         raise ResolutionError(f"expected braced clause, found {text!r}")
     inner = text[1:-1].strip()
     if not inner:
         return frozenset()
-    return frozenset(parse_literal(tok) for tok in _split_clause_line(inner))
+    out = []
+    for tok in _split_clause_line(inner):
+        lit = memo.get(tok)
+        if lit is None:
+            lit = memo[tok] = parse_literal(tok)
+        out.append(lit)
+    return frozenset(out)

@@ -164,7 +164,10 @@ class Sequent:
 
     def remove_one(self, name, f) -> "Sequent":
         comp = self.comp(name)
-        i = comp.index(f)
+        try:
+            i = comp.index(f)
+        except ValueError:
+            raise ProofError(f"no {format_formula(f)} in {name} to remove") from None
         return self._with(name, comp[:i] + comp[i + 1:])
 
     def count(self, name, f) -> int:
@@ -263,41 +266,31 @@ def _parse_sequent(text: str, memo) -> Sequent:
 # Proof trees
 # ---------------------------------------------------------------------------
 
-RULES = (
-    "ax",
-    "bot",
-    "lw",
-    "rw",
-    "lc",
-    "rc",
-    "land1",
-    "land2",
-    "rand",
-    "lor",
-    "ror1",
-    "ror2",
-    "lneg",
-    "rneg",
-    "cut",
-    "k",
-    "d",
-    "t",
-    "4",
-)
-
-_UNARY_MAIN = {
-    "lw",
-    "rw",
-    "lc",
-    "rc",
-    "land1",
-    "land2",
-    "ror1",
-    "ror2",
-    "lneg",
-    "rneg",
-    "t",
+# The propositional rules, t and cut, one schema each after the G-systems
+# of Troelstra and Schwichtenberg: the side of the main occurrence (g for an
+# antecedent component, d for a succedent one; a cut's main occurrence is
+# its placement), the connective of the main formula (None for any) and the
+# number of premises.  premise_aux gives each premise's auxiliary formulas;
+# infer, rebuild and expected_premises are derived from the two.
+RULE_SCHEMA = {
+    "lw": ("g", None, 1),
+    "rw": ("d", None, 1),
+    "lc": ("g", None, 1),
+    "rc": ("d", None, 1),
+    "land1": ("g", And, 1),
+    "land2": ("g", And, 1),
+    "rand": ("d", And, 2),
+    "lor": ("g", Or, 2),
+    "ror1": ("d", Or, 1),
+    "ror2": ("d", Or, 1),
+    "lneg": ("g", Neg, 1),
+    "rneg": ("d", Neg, 1),
+    "t": ("g", Box, 1),
+    "cut": ("d", None, 2),
 }
+
+# k, d and 4 are the modal jumps: their premise comes from jump_premise
+RULES = ("ax", "bot", *RULE_SCHEMA, "k", "d", "4")
 
 
 @dataclass(frozen=True)
@@ -310,6 +303,29 @@ class Proof:
 
     def __repr__(self):
         return f"<proof {self.rule} {format_sequent(self.sequentv)}>"
+
+    def __eq__(self, other):
+        """Field by field on an explicit stack, each pair of nodes once."""
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        seen = set()
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b or (id(a), id(b)) in seen:
+                continue
+            seen.add((id(a), id(b)))
+            if (a.rule != b.rule or a.sequentv != b.sequentv or a.main_comp != b.main_comp
+                    or a.main_formula != b.main_formula or len(a.children) != len(b.children)):
+                return False
+            stack.extend(zip(a.children, b.children))
+        return True
+
+    def __hash__(self):
+        # the node's own fields and its arity, never its premises
+        return hash((self.rule, self.sequentv, len(self.children), self.main_comp, self.main_formula))
 
     def __reduce__(self):
         # copies and pickles carry the fields, never the facts stored on
@@ -408,154 +424,203 @@ def _need(cond, msg):
         raise ProofError(msg)
 
 
+_SIDES = {"g": "an antecedent", "d": "a succedent"}
+
+
+def _schema(rule, main, comp) -> int:
+    """The number of premises of rule, after checking that main at comp
+    fits its schema; raises ProofError otherwise."""
+    try:
+        side, connective, arity = RULE_SCHEMA[rule]
+    except KeyError:
+        raise ProofError(f"unknown rule {rule!r}") from None
+    if not isinstance(main, Formula) or comp not in COMPONENTS:
+        raise ProofError(f"rule {rule} needs a main occurrence")
+    if comp[0] != side:
+        raise ProofError(f"rule {rule} needs its main occurrence in {_SIDES[side]} component")
+    if connective is not None and not isinstance(main, connective):
+        raise ProofError(f"rule {rule} needs a main formula of type {connective.__name__}")
+    return arity
+
+
+# the component on the other side of the sequent arrow, same partition side
+_ACROSS = {"g1": "d1", "g2": "d2", "d1": "g1", "d2": "g2"}
+
+
+def premise_aux(rule, main, comp, ci: int):
+    """(comp, formula) pairs of premise ci that become the main occurrence
+    main at comp, or that a cut consumes, for the rules of RULE_SCHEMA."""
+    if rule == "cut":
+        return [(comp if ci == 0 else _ACROSS[comp], main)]
+    if rule in ("lw", "rw"):
+        return []
+    if rule in ("lc", "rc"):
+        return [(comp, main), (comp, main)]
+    if rule in ("land1", "ror1") or (rule in ("rand", "lor") and ci == 0):
+        return [(comp, main.left)]
+    if rule in ("land2", "ror2", "rand", "lor"):
+        return [(comp, main.right)]
+    if rule in ("lneg", "rneg"):
+        return [(_ACROSS[comp], main.body)]
+    if rule == "t":
+        return [(comp, main.body)]
+    raise ProofError(f"no auxiliary formulas for rule {rule!r}")
+
+
+def infer(rule, premises, main: Formula, comp) -> Proof:
+    """The instance of rule over the premise proofs with main occurrence
+    main at comp: every premise less its auxiliary formulas is one shared
+    context, and the conclusion is that context plus main (a cut adds
+    nothing)."""
+    premises = tuple(premises)
+    arity = _schema(rule, main, comp)
+    if len(premises) != arity:
+        raise ProofError(f"rule {rule} takes {arity} premises")
+    # the structural rules add main to the premise or drop one of its copies
+    s = premises[0].sequentv
+    if rule in ("lw", "rw"):
+        return Proof(rule, s.insert(comp, main), premises, comp, main)
+    if rule in ("lc", "rc"):
+        if s.count(comp, main) < 2:
+            raise ProofError(f"{rule} needs two copies")
+        return Proof(rule, s.remove_one(comp, main), premises, comp, main)
+    context = None
+    for ci, child in enumerate(premises):
+        s = child.sequentv
+        for c, f in premise_aux(rule, main, comp, ci):
+            s = s.remove_one(c, f)
+        if context is None:
+            context = s
+        elif s != context:
+            raise ProofError(f"{rule} premises must share their context")
+    return Proof(rule, context if rule == "cut" else context.insert(comp, main), premises, comp, main)
+
+
 def lw(child: Proof, f: Formula, comp="g1") -> Proof:
-    _need(comp in ("g1", "g2"), "lw adds to an antecedent component")
-    return Proof("lw", child.sequentv.insert(comp, f), (child,), comp, f)
+    return infer("lw", (child,), f, comp)
 
 
 def rw(child: Proof, f: Formula, comp="d1") -> Proof:
-    _need(comp in ("d1", "d2"), "rw adds to a succedent component")
-    return Proof("rw", child.sequentv.insert(comp, f), (child,), comp, f)
+    return infer("rw", (child,), f, comp)
 
 
 def lc(child: Proof, f: Formula, comp="g1") -> Proof:
-    _need(comp in ("g1", "g2"), "lc contracts an antecedent component")
-    _need(child.sequentv.count(comp, f) >= 2, "lc needs two copies")
-    return Proof("lc", child.sequentv.remove_one(comp, f), (child,), comp, f)
+    return infer("lc", (child,), f, comp)
 
 
 def rc(child: Proof, f: Formula, comp="d1") -> Proof:
-    _need(comp in ("d1", "d2"), "rc contracts a succedent component")
-    _need(child.sequentv.count(comp, f) >= 2, "rc needs two copies")
-    return Proof("rc", child.sequentv.remove_one(comp, f), (child,), comp, f)
+    return infer("rc", (child,), f, comp)
 
 
 def land1(child: Proof, main: Formula, comp="g1") -> Proof:
-    _need(isinstance(main, And), "land1 main must be a conjunction")
-    _need(comp in ("g1", "g2"), "land1 works in an antecedent component")
-    _need(child.sequentv.count(comp, main.left) >= 1, "land1 premise lacks the left conjunct")
-    return Proof("land1", child.sequentv.remove_one(comp, main.left).insert(comp, main), (child,), comp, main)
+    return infer("land1", (child,), main, comp)
 
 
 def land2(child: Proof, main: Formula, comp="g1") -> Proof:
-    _need(isinstance(main, And), "land2 main must be a conjunction")
-    _need(comp in ("g1", "g2"), "land2 works in an antecedent component")
-    _need(child.sequentv.count(comp, main.right) >= 1, "land2 premise lacks the right conjunct")
-    return Proof("land2", child.sequentv.remove_one(comp, main.right).insert(comp, main), (child,), comp, main)
+    return infer("land2", (child,), main, comp)
 
 
 def rand(left: Proof, right: Proof, main: Formula, comp="d1") -> Proof:
-    _need(isinstance(main, And), "rand main must be a conjunction")
-    _need(comp in ("d1", "d2"), "rand works in a succedent component")
-    ctx_l = left.sequentv.remove_one(comp, main.left)
-    ctx_r = right.sequentv.remove_one(comp, main.right)
-    _need(ctx_l == ctx_r, "rand premises must share their context")
-    return Proof("rand", ctx_l.insert(comp, main), (left, right), comp, main)
+    return infer("rand", (left, right), main, comp)
 
 
 def lor(left: Proof, right: Proof, main: Formula, comp="g1") -> Proof:
-    _need(isinstance(main, Or), "lor main must be a disjunction")
-    _need(comp in ("g1", "g2"), "lor works in an antecedent component")
-    ctx_l = left.sequentv.remove_one(comp, main.left)
-    ctx_r = right.sequentv.remove_one(comp, main.right)
-    _need(ctx_l == ctx_r, "lor premises must share their context")
-    return Proof("lor", ctx_l.insert(comp, main), (left, right), comp, main)
+    return infer("lor", (left, right), main, comp)
 
 
 def ror1(child: Proof, main: Formula, comp="d1") -> Proof:
-    _need(isinstance(main, Or), "ror1 main must be a disjunction")
-    _need(comp in ("d1", "d2"), "ror1 works in a succedent component")
-    return Proof("ror1", child.sequentv.remove_one(comp, main.left).insert(comp, main), (child,), comp, main)
+    return infer("ror1", (child,), main, comp)
 
 
 def ror2(child: Proof, main: Formula, comp="d1") -> Proof:
-    _need(isinstance(main, Or), "ror2 main must be a disjunction")
-    _need(comp in ("d1", "d2"), "ror2 works in a succedent component")
-    return Proof("ror2", child.sequentv.remove_one(comp, main.right).insert(comp, main), (child,), comp, main)
+    return infer("ror2", (child,), main, comp)
 
 
 def lneg(child: Proof, main: Formula, comp="g1") -> Proof:
-    _need(isinstance(main, Neg), "lneg main must be a negation")
-    _need(comp in ("g1", "g2"), "lneg works in an antecedent component")
-    dcomp = "d" + comp[1]
-    return Proof("lneg", child.sequentv.remove_one(dcomp, main.body).insert(comp, main), (child,), comp, main)
+    return infer("lneg", (child,), main, comp)
 
 
 def rneg(child: Proof, main: Formula, comp="d1") -> Proof:
-    _need(isinstance(main, Neg), "rneg main must be a negation")
-    _need(comp in ("d1", "d2"), "rneg works in a succedent component")
-    gcomp = "g" + comp[1]
-    return Proof("rneg", child.sequentv.remove_one(gcomp, main.body).insert(comp, main), (child,), comp, main)
+    return infer("rneg", (child,), main, comp)
 
 
 def cut(left: Proof, right: Proof, f: Formula, side=2) -> Proof:
-    dcomp, gcomp = f"d{side}", f"g{side}"
-    ctx_l = left.sequentv.remove_one(dcomp, f)
-    ctx_r = right.sequentv.remove_one(gcomp, f)
-    _need(ctx_l == ctx_r, "cut premises must share their context")
-    return Proof("cut", ctx_l, (left, right), dcomp, f)
-
-
-def rule_k(child: Proof) -> Proof:
-    s = child.sequentv
-    _need(len(s.d1) + len(s.d2) == 1, "k premise has exactly one succedent formula")
-    dcomp = "d1" if s.d1 else "d2"
-    a = (s.d1 + s.d2)[0]
-    return Proof(
-        "k",
-        sequent(
-            [Box(f) for f in s.g1],
-            [Box(f) for f in s.g2],
-            [Box(a)] if dcomp == "d1" else [],
-            [Box(a)] if dcomp == "d2" else [],
-        ),
-        (child,),
-        dcomp,
-        Box(a),
-    )
-
-
-def rule_d(child: Proof) -> Proof:
-    s = child.sequentv
-    _need(not s.d1 and not s.d2, "d premise has an empty succedent")
-    return Proof("d", sequent([Box(f) for f in s.g1], [Box(f) for f in s.g2]), (child,))
+    return infer("cut", (left, right), f, f"d{side}")
 
 
 def rule_t(child: Proof, main: Formula, comp="g1") -> Proof:
-    _need(isinstance(main, Box), "t main must be boxed")
-    _need(comp in ("g1", "g2"), "t works in an antecedent component")
-    return Proof("t", child.sequentv.remove_one(comp, main.body).insert(comp, main), (child,), comp, main)
+    return infer("t", (child,), main, comp)
+
+
+def rule_k(child: Proof) -> Proof:
+    return _jump("k", child, lambda fs: [Box(f) for f in fs])
+
+
+def rule_d(child: Proof) -> Proof:
+    return _jump("d", child, lambda fs: [Box(f) for f in fs])
 
 
 def rule_4(child: Proof) -> Proof:
+    return _jump("4", child, _four_context)
+
+
+def _four_context(fs):
+    """The boxed formulas whose bodies and themselves make up fs, when there
+    are any: a deepest formula of fs is the body of none, so it is one of
+    them, and so on for the rest less it and its body."""
+    rest = sorted(fs, key=lambda f: f.depth)
+    out = []
+    while rest and isinstance(rest[-1], Box) and rest[-1].body in rest[:-1]:
+        f = rest.pop()
+        rest.remove(f.body)
+        out.append(f)
+    return out
+
+
+def _jump(rule, child: Proof, boxes) -> Proof:
+    """The modal jump rule over child, with boxes(component) for each
+    antecedent component of the conclusion and, for k and 4, the box of the
+    premise's one succedent formula as main; the conclusion's jump_premise
+    must be the premise."""
     s = child.sequentv
-    _need(len(s.d1) + len(s.d2) == 1, "4 premise has exactly one succedent formula")
-    dcomp = "d1" if s.d1 else "d2"
-    a = (s.d1 + s.d2)[0]
-    new_gs = {}
-    for comp in ("g1", "g2"):
-        boxed = [f for f in s.comp(comp) if isinstance(f, Box)]
-        stripped = sorted((f.body for f in boxed), key=format_formula)
-        base = list(s.comp(comp))
-        for f in stripped:
-            base.remove(f)  # raises if the premise lacks the unboxed copy
-        _need(
-            _sorted(base) == _sorted(boxed),
-            "4 premise antecedent must be the boxed context plus its bodies",
-        )
-        new_gs[comp] = boxed
-    return Proof(
-        "4",
-        sequent(
-            new_gs["g1"],
-            new_gs["g2"],
-            [Box(a)] if dcomp == "d1" else [],
-            [Box(a)] if dcomp == "d2" else [],
-        ),
-        (child,),
-        dcomp,
-        Box(a),
-    )
+    g1, g2 = boxes(s.g1), boxes(s.g2)
+    if rule == "d":
+        dcomp = main = None
+        conclusion = sequent(g1, g2)
+    else:
+        sucs = s.succedent()
+        if len(sucs) != 1:
+            raise ProofError(f"{rule} premise has exactly one succedent formula")
+        dcomp, main = "d1" if s.d1 else "d2", Box(sucs[0])
+        conclusion = sequent(g1, g2, [main] if s.d1 else [], [main] if s.d2 else [])
+    if jump_premise(rule, conclusion) != s:
+        raise ProofError(f"{rule} does not apply to {format_sequent(s)}")
+    return Proof(rule, conclusion, (child,), dcomp, main)
+
+
+MODAL_JUMPS = {"k": rule_k, "d": rule_d, "4": rule_4}
+
+
+def jump_premise(rule, s: Sequent) -> Sequent:
+    """The premise of the modal jump rule (k, d or 4) with conclusion s: the
+    bodies of s's boxed antecedent (for 4 followed by the boxes themselves)
+    over the body of s's one boxed succedent formula, or for d over nothing.
+    Raises ProofError when s does not fit the rule."""
+    if rule not in MODAL_JUMPS:
+        raise ProofError(f"{rule!r} is not a modal jump rule")
+    if not all(isinstance(f, Box) for f in s.antecedent()):
+        raise ProofError(f"{rule} conclusion antecedent must be boxed")
+    sucs = s.succedent()
+    if rule == "d":
+        _need(not sucs, "d conclusion succedent must be empty")
+        ds = ((), ())
+    elif len(sucs) == 1 and isinstance(sucs[0], Box):
+        ds = ((sucs[0].body,), ()) if s.d1 else ((), (sucs[0].body,))
+    else:
+        raise ProofError(f"{rule} conclusion succedent must be one boxed formula")
+    four = rule == "4"
+    gs = [[f.body for f in fs] + (list(fs) if four else []) for fs in (s.g1, s.g2)]
+    return sequent(*gs, *ds)
 
 
 def first_index(s: Sequent, comp: str, f: Formula) -> int:
@@ -565,43 +630,11 @@ def first_index(s: Sequent, comp: str, f: Formula) -> int:
 def rebuild(node: Proof, children) -> Proof:
     """The same rule instance over new premise proofs (contexts may differ)."""
     children = tuple(children)
-    r = node.rule
-    m, comp = node.main_formula, node.main_comp
-    if r == "lw":
-        return lw(children[0], m, comp)
-    if r == "rw":
-        return rw(children[0], m, comp)
-    if r == "lc":
-        return lc(children[0], m, comp)
-    if r == "rc":
-        return rc(children[0], m, comp)
-    if r == "land1":
-        return land1(children[0], m, comp)
-    if r == "land2":
-        return land2(children[0], m, comp)
-    if r == "rand":
-        return rand(children[0], children[1], m, comp)
-    if r == "lor":
-        return lor(children[0], children[1], m, comp)
-    if r == "ror1":
-        return ror1(children[0], m, comp)
-    if r == "ror2":
-        return ror2(children[0], m, comp)
-    if r == "lneg":
-        return lneg(children[0], m, comp)
-    if r == "rneg":
-        return rneg(children[0], m, comp)
-    if r == "cut":
-        return cut(children[0], children[1], m, int(comp[1]))
-    if r == "t":
-        return rule_t(children[0], m, comp)
-    if r == "k":
-        return rule_k(children[0])
-    if r == "d":
-        return rule_d(children[0])
-    if r == "4":
-        return rule_4(children[0])
-    raise ProofError(f"cannot rebuild rule {r!r}")
+    if node.rule in RULE_SCHEMA:
+        return infer(node.rule, children, node.main_formula, node.main_comp)
+    if node.rule in MODAL_JUMPS and len(children) == 1:
+        return MODAL_JUMPS[node.rule](children[0])
+    raise ProofError(f"cannot rebuild rule {node.rule!r} over {len(children)} premises")
 
 
 def weaken_to(p: Proof, target: Sequent) -> Proof:
@@ -642,76 +675,37 @@ def top_right(comp="d1") -> Proof:
 
 
 # ---------------------------------------------------------------------------
-# Expected premises (rule schemas)
+# Expected premises
 # ---------------------------------------------------------------------------
 
 def expected_premises(p: Proof):
-    """The premise sequents this node's rule demands, or None for leaves."""
-    s = p.sequentv
-    rule = p.rule
+    """The premise sequents this node's rule demands, () for the axioms.
+    Raises ProofError when the node does not fit its rule's schema."""
+    s, rule = p.sequentv, p.rule
     m, comp = p.main_formula, p.main_comp
     if rule in ("ax", "bot"):
         return ()
-    if rule == "lw" or rule == "rw":
+    if rule in MODAL_JUMPS:
+        premise = jump_premise(rule, s)
+        if rule != "d" and not (comp in ("d1", "d2") and s.comp(comp) == (m,)):
+            raise ProofError(f"rule {rule} needs its succedent formula as main occurrence")
+        return (premise,)
+    arity = _schema(rule, m, comp)
+    # the structural rules: the premise lacks main, or has one more copy
+    if rule in ("lw", "rw"):
         return (s.remove_one(comp, m),)
-    if rule == "lc" or rule == "rc":
+    if rule in ("lc", "rc"):
+        if m not in s.comp(comp):
+            raise ProofError(f"rule {rule} has no {format_formula(m)} in {comp} to contract")
         return (s.insert(comp, m),)
-    if rule == "land1":
-        return (s.remove_one(comp, m).insert(comp, m.left),)
-    if rule == "land2":
-        return (s.remove_one(comp, m).insert(comp, m.right),)
-    if rule == "rand":
-        base = s.remove_one(comp, m)
-        return (base.insert(comp, m.left), base.insert(comp, m.right))
-    if rule == "lor":
-        base = s.remove_one(comp, m)
-        return (base.insert(comp, m.left), base.insert(comp, m.right))
-    if rule == "ror1":
-        return (s.remove_one(comp, m).insert(comp, m.left),)
-    if rule == "ror2":
-        return (s.remove_one(comp, m).insert(comp, m.right),)
-    if rule == "lneg":
-        return (s.remove_one(comp, m).insert("d" + comp[1], m.body),)
-    if rule == "rneg":
-        return (s.remove_one(comp, m).insert("g" + comp[1], m.body),)
-    if rule == "cut":
-        side = comp[1]
-        return (s.insert(f"d{side}", m), s.insert(f"g{side}", m))
-    if rule == "t":
-        return (s.remove_one(comp, m).insert(comp, m.body),)
-    if rule == "k":
-        return (_k_premise(s, comp, m, four=False),)
-    if rule == "4":
-        return (_k_premise(s, comp, m, four=True),)
-    if rule == "d":
-        return (_d_premise(s),)
-    raise ProofError(f"unknown rule {rule!r}")
-
-
-def _boxed_only(fs):
-    return all(isinstance(f, Box) for f in fs)
-
-
-def _k_premise(s: Sequent, dcomp, boxed_main, four):
-    if not (_boxed_only(s.g1) and _boxed_only(s.g2)):
-        raise ProofError("modal rule conclusion antecedent must be boxed")
-    if s.comp(dcomp) != (boxed_main,) or s.comp("d1" if dcomp == "d2" else "d2"):
-        raise ProofError("modal rule conclusion succedent must be the single boxed main")
-    gs = {}
-    for comp in ("g1", "g2"):
-        bodies = [f.body for f in s.comp(comp)]
-        gs[comp] = bodies + list(s.comp(comp)) if four else bodies
-    return sequent(gs["g1"], gs["g2"],
-                   [boxed_main.body] if dcomp == "d1" else [],
-                   [boxed_main.body] if dcomp == "d2" else [])
-
-
-def _d_premise(s: Sequent):
-    if not (_boxed_only(s.g1) and _boxed_only(s.g2)):
-        raise ProofError("d conclusion antecedent must be boxed")
-    if s.d1 or s.d2:
-        raise ProofError("d conclusion succedent must be empty")
-    return sequent([f.body for f in s.g1], [f.body for f in s.g2])
+    base = s if rule == "cut" else s.remove_one(comp, m)
+    out = []
+    for ci in range(arity):
+        premise = base
+        for c, f in premise_aux(rule, m, comp, ci):
+            premise = premise.insert(c, f)
+        out.append(premise)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -775,27 +769,19 @@ def _violation(node: Proof, system: System):
         if s.antecedent() != (BOTTOM,) or s.succedent() or node.children:
             return (), "false-axiom must be exactly false =>"
         return None
-    if node.rule not in RULES:
-        return (), f"unknown rule {node.rule!r}"
     if node.rule in ("k", "d", "t", "4") and node.rule not in system.modal_rules:
         return (), f"rule {node.rule} not available in {system.name}"
-    if node.rule == "cut":
-        if node.main_comp not in ("d1", "d2"):
-            return (), "cut placement must name a succedent component"
-        if not cut_allowed(node.main_formula, system, s):
-            return (), f"cut on {format_formula(node.main_formula)} violates the {system.name} policy"
     try:
         expected = expected_premises(node)
     except ProofError as e:
         return (), str(e)
+    if node.rule == "cut" and not cut_allowed(node.main_formula, system, s):
+        return (), f"cut on {format_formula(node.main_formula)} violates the {system.name} policy"
     if len(expected) != len(node.children):
         return (), f"rule {node.rule} expects {len(expected)} premises"
     for i, (want, child) in enumerate(zip(expected, node.children)):
         if child.sequentv != want:
             return (i,), f"premise is {format_sequent(child.sequentv)} but {node.rule} needs {format_sequent(want)}"
-    if node.rule in _UNARY_MAIN or node.rule in ("rand", "lor", "cut"):
-        if node.main_comp not in COMPONENTS or node.main_formula is None:
-            return (), f"rule {node.rule} needs a main occurrence"
     return None
 
 
@@ -842,32 +828,9 @@ def main_occurrence(node: Proof):
     return node.main_comp, first_index(node.sequentv, node.main_comp, node.main_formula)
 
 
-def premise_aux(node: Proof, ci: int):
-    """(comp, formula) pairs of premise ci that become the main occurrence,
-    or that a cut consumes, for the propositional rules and t."""
-    r, m, c = node.rule, node.main_formula, node.main_comp
-    if r in ("lw", "rw"):
-        return []
-    if r in ("lc", "rc"):
-        return [(c, m), (c, m)]
-    if r in ("land1", "ror1") or (r in ("rand", "lor") and ci == 0):
-        return [(c, m.left)]
-    if r in ("land2", "ror2", "rand", "lor"):
-        return [(c, m.right)]
-    if r == "lneg":
-        return [("d" + c[1], m.body)]
-    if r == "rneg":
-        return [("g" + c[1], m.body)]
-    if r == "t":
-        return [(c, m.body)]
-    if r == "cut":
-        return [(("d" if ci == 0 else "g") + c[1], m)]
-    raise ProofError(f"no auxiliary formulas for rule {r!r}")
-
-
 def aux_occurrences(node: Proof, ci: int):
-    """premise_aux(node, ci) as (comp, idx) in premise ci: the first copies."""
-    aux = premise_aux(node, ci)
+    """premise_aux of node's premise ci as (comp, idx): the first copies."""
+    aux = premise_aux(node.rule, node.main_formula, node.main_comp, ci)
     if not aux:
         return []
     comp, f = aux[0]  # one formula, twice for a contraction

@@ -414,7 +414,7 @@ def _permute(chi: Proof, over_left: bool):
         # premise's auxiliary formulas
         br = w_reduce(_weaken_add(active.children[ci], m, mcomp))
         ps = passive
-        for c, g in premise_aux(active, ci):
+        for c, g in premise_aux(rule, m, mcomp, ci):
             ps = _weaken_add(ps, g, c)
         ps = w_reduce(ps)
         return cut(br, ps, f, side) if over_left else cut(ps, br, f, side)

@@ -8,6 +8,7 @@ import pytest
 import craig
 from craig.cli import main
 from craig.formulas import MAX_DEPTH
+from test_sequent import UNSOUND_PROOFS
 
 
 def run(capsys, *argv):
@@ -135,6 +136,15 @@ class TestExitCodes:
         code, _, err = run(capsys, command, str(prf))
         assert code == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text, system", UNSOUND_PROOFS)
+    def test_unsound_rule_instance_is_a_logical_failure(self, capsys, tmp_path, text, system):
+        prf = tmp_path / "unsound.prf"
+        prf.write_text(text)
+        code, out, err = run(capsys, "check-proof", "--system", system.name, str(prf))
+        assert code == 1
+        assert out.startswith("violation at []: rule ")
+        assert err == ""
 
     def test_failed_refutation_check_is_internal(self, capsys, monkeypatch):
         import craig.resolution

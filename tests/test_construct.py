@@ -173,6 +173,17 @@ class TestProveCutfree:
         assert try_prove_cutfree(four_axiom, KD4) is not None
         assert try_prove_cutfree(d_axiom, K4) is None
 
+    @pytest.mark.parametrize("system", [K4, S4], ids=["k4", "s4"])
+    def test_4_step_over_a_box_and_its_box(self, system):
+        """In the 4 step's premise []p is both the body of [][]p and a box
+        of the context, so rule_4 reads the context from the deepest box
+        down."""
+        for side in ([Box(p)], [Box(q)]):
+            seq = sequent(side + [Box(Box(p))], [], [Box(Box(Box(p)))], [])
+            proof = prove_cutfree(seq, system)
+            assert check_proof(proof, system) is None
+            assert "4" in {node.rule for _, node in iter_nodes(proof)}
+
 
 class TestRealizeClause:
     def test_paper_pieces(self):

@@ -11,17 +11,22 @@ from functools import lru_cache
 
 import pytest
 
-from craig.formulas import And, Atom, BOTTOM, Box, Neg, Or, TOP, format_formula, vars_of
+from craig.formulas import (
+    And, Atom, BOTTOM, Box, Formula, Neg, Or, TOP, assignments_over, eval_formula, format_formula,
+    vars_of,
+)
 from craig.sequent import (
     COMPONENTS,
     K,
     K4,
+    KT,
     LK,
     LKAT,
     LKLIT,
     LKMINUS,
     LKMONO,
     Proof,
+    RULE_SCHEMA,
     SYSTEMS,
     ProofError,
     Violation,
@@ -35,6 +40,7 @@ from craig.sequent import (
     cut,
     cut_occurrences,
     direct_ancestors,
+    expected_premises,
     format_proof,
     format_proof_text,
     format_sequent,
@@ -53,6 +59,7 @@ from craig.sequent import (
     proof_depth,
     proof_length,
     proof_size,
+    rebuild,
     respects_subformula_property,
     rneg,
     ror1,
@@ -712,9 +719,92 @@ class TestReferenceWalks:
         assert checked > 1000
 
 
+_SIDES = {"g": "an antecedent", "d": "a succedent"}
+
+
+def reference_expected_premises(p):
+    """expected_premises as it was written rule by rule before the rule
+    table, with the side and the connective of the main formula and its
+    presence in the conclusion checked too."""
+    s, rule = p.sequentv, p.rule
+    m, comp = p.main_formula, p.main_comp
+
+    def main(side, connective=Formula):
+        if not isinstance(m, Formula) or comp not in COMPONENTS:
+            raise ProofError(f"rule {rule} needs a main occurrence")
+        if comp[0] != side:
+            raise ProofError(f"rule {rule} needs its main occurrence in {_SIDES[side]} component")
+        if not isinstance(m, connective):
+            raise ProofError(f"rule {rule} needs a main formula of type {connective.__name__}")
+
+    if rule in ("ax", "bot"):
+        return ()
+    if rule == "lw" or rule == "rw":
+        main("g" if rule == "lw" else "d")
+        return (s.remove_one(comp, m),)
+    if rule == "lc" or rule == "rc":
+        main("g" if rule == "lc" else "d")
+        if m not in s.comp(comp):
+            raise ProofError(f"rule {rule} has no {format_formula(m)} in {comp} to contract")
+        return (s.insert(comp, m),)
+    if rule == "land1":
+        main("g", And)
+        return (s.remove_one(comp, m).insert(comp, m.left),)
+    if rule == "land2":
+        main("g", And)
+        return (s.remove_one(comp, m).insert(comp, m.right),)
+    if rule == "rand":
+        main("d", And)
+        base = s.remove_one(comp, m)
+        return (base.insert(comp, m.left), base.insert(comp, m.right))
+    if rule == "lor":
+        main("g", Or)
+        base = s.remove_one(comp, m)
+        return (base.insert(comp, m.left), base.insert(comp, m.right))
+    if rule == "ror1":
+        main("d", Or)
+        return (s.remove_one(comp, m).insert(comp, m.left),)
+    if rule == "ror2":
+        main("d", Or)
+        return (s.remove_one(comp, m).insert(comp, m.right),)
+    if rule == "lneg":
+        main("g", Neg)
+        return (s.remove_one(comp, m).insert("d" + comp[1], m.body),)
+    if rule == "rneg":
+        main("d", Neg)
+        return (s.remove_one(comp, m).insert("g" + comp[1], m.body),)
+    if rule == "cut":
+        main("d")
+        side = comp[1]
+        return (s.insert(f"d{side}", m), s.insert(f"g{side}", m))
+    if rule == "t":
+        main("g", Box)
+        return (s.remove_one(comp, m).insert(comp, m.body),)
+    if rule in ("k", "4", "d"):
+        if not all(isinstance(f, Box) for f in s.g1 + s.g2):
+            raise ProofError(f"{rule} conclusion antecedent must be boxed")
+        gs = {}
+        for c in ("g1", "g2"):
+            bodies = [f.body for f in s.comp(c)]
+            gs[c] = bodies + list(s.comp(c)) if rule == "4" else bodies
+        if rule == "d":
+            if s.d1 or s.d2:
+                raise ProofError("d conclusion succedent must be empty")
+            return (sequent(gs["g1"], gs["g2"]),)
+        if comp not in ("d1", "d2") or not isinstance(m, Box):
+            raise ProofError(f"rule {rule} needs a boxed main occurrence")
+        if s.comp(comp) != (m,) or s.comp("d1" if comp == "d2" else "d2"):
+            raise ProofError(f"{rule} conclusion succedent must be the single boxed main")
+        return (sequent(gs["g1"], gs["g2"],
+                        [m.body] if comp == "d1" else [],
+                        [m.body] if comp == "d2" else []),)
+    raise ProofError(f"unknown rule {rule!r}")
+
+
 def reference_check_proof(p, system):
     """The checker before verdicts were stored: every node of the tree, a
-    shared subproof at each of its uses, with its path built as it goes."""
+    shared subproof at each of its uses, with its path built as it goes,
+    and the premises from reference_expected_premises."""
     for path, node in iter_nodes(p):
         s = node.sequentv
         comps = (s.g1, s.g2, s.d1, s.d2)
@@ -735,19 +825,14 @@ def reference_check_proof(p, system):
             if s.antecedent() != (BOTTOM,) or s.succedent() or node.children:
                 return Violation(path, "false-axiom must be exactly false =>")
             continue
-        if node.rule not in sequent_module.RULES:
-            return Violation(path, f"unknown rule {node.rule!r}")
         if node.rule in ("k", "d", "t", "4") and node.rule not in system.modal_rules:
             return Violation(path, f"rule {node.rule} not available in {system.name}")
-        if node.rule == "cut":
-            if node.main_comp not in ("d1", "d2"):
-                return Violation(path, "cut placement must name a succedent component")
-            if not sequent_module.cut_allowed(node.main_formula, system, s):
-                return Violation(path, f"cut on {format_formula(node.main_formula)} violates the {system.name} policy")
         try:
-            expected = sequent_module.expected_premises(node)
+            expected = reference_expected_premises(node)
         except ProofError as e:
             return Violation(path, str(e))
+        if node.rule == "cut" and not sequent_module.cut_allowed(node.main_formula, system, s):
+            return Violation(path, f"cut on {format_formula(node.main_formula)} violates the {system.name} policy")
         if len(expected) != len(node.children):
             return Violation(path, f"rule {node.rule} expects {len(expected)} premises")
         for i, (want, child) in enumerate(zip(expected, node.children)):
@@ -756,9 +841,6 @@ def reference_check_proof(p, system):
                     path + (i,),
                     f"premise is {format_sequent(child.sequentv)} but {node.rule} needs {format_sequent(want)}",
                 )
-        if node.rule in sequent_module._UNARY_MAIN or node.rule in ("rand", "lor", "cut"):
-            if node.main_comp not in COMPONENTS or node.main_formula is None:
-                return Violation(path, f"rule {node.rule} needs a main occurrence")
     return None
 
 
@@ -928,6 +1010,115 @@ class TestStoredFacts:
         assert check_proof(node, LKMINUS) == Violation((), "rule lw expects 1 premises")
 
 
+def schema_corruptions(node):
+    """corruptions(node), and node with its main occurrence on the other
+    side, with an atom or no formula as main, or with no main at all."""
+    other_side = {"g1": "d1", "g2": "d2", "d1": "g1", "d2": "g2"}
+    return corruptions(node) + [
+        dataclasses.replace(node, main_comp=other_side.get(node.main_comp, "g1")),
+        dataclasses.replace(node, main_formula=Atom("zz")),
+        dataclasses.replace(node, main_formula=None),
+        dataclasses.replace(node, main_comp=None, main_formula=None),
+    ]
+
+
+def truth_table_valid(s):
+    """Every assignment falsifying the antecedent or verifying the succedent."""
+    return all(
+        not all(eval_formula(f, a) for f in s.antecedent())
+        or any(eval_formula(f, a) for f in s.succedent())
+        for a in assignments_over(s.all_vars())
+    )
+
+
+UNSOUND_PROOFS = [
+    pytest.param('(lneg "p ; => ~p ;" 1 (ax "p ; => p ;" -))', LK, id="lneg-right"),
+    pytest.param('(rneg "~p ; => p ;" 0 (ax "p ; => p ;" -))', LK, id="rneg-left"),
+    pytest.param('(land1 "p ; => p & q ;" 1 (ax "p ; => p ;" -))', LK, id="land1-right"),
+    pytest.param('(ror1 "p | q ; => p ;" 0 (ax "p ; => p ;" -))', LK, id="ror1-left"),
+    pytest.param('(land1 "p | q ; => p ;" 0 (ax "p ; => p ;" -))', LK, id="land1-on-or"),
+    pytest.param('(t "p ; => []p ;" 1 (ax "p ; => p ;" -))', KT, id="t-right"),
+    pytest.param('(land1 "; => p ;" 0 (ax "p ; => p ;" -))', LK, id="land1-on-atom"),
+]
+
+
+class TestRuleSchema:
+    """One table declares the rules: the checker admits only the instances
+    it declares, and the rule-by-rule reference and the table agree."""
+
+    @pytest.mark.parametrize("text, system", UNSOUND_PROOFS)
+    def test_unsound_instances_are_violations(self, text, system):
+        proof = parse_proof(text)
+        v = check_proof(proof, system)
+        assert v is not None and v.path == ()
+        assert v == reference_check_proof(proof, system)
+
+    def test_a_node_without_main_occurrence_is_a_violation(self):
+        child = ax(p, "g1", "d1")
+        node = Proof("lw", child.sequentv.insert("g1", q), (child,))
+        assert check_proof(node, LK) == Violation((), "rule lw needs a main occurrence")
+
+    def test_schema_agrees_with_the_reference(self):
+        raised = compared = 0
+        for proof in differential_proofs():
+            for _, node in iter_nodes(proof):
+                for n in [node] + schema_corruptions(node):
+                    try:
+                        want = reference_expected_premises(n)
+                    except ProofError:
+                        with pytest.raises(ProofError):
+                            expected_premises(n)
+                        raised += 1
+                    else:
+                        assert expected_premises(n) == want
+                    compared += 1
+        assert raised > 1000 and compared > raised + 1000
+
+    def test_rebuild_gives_back_every_node(self):
+        rebuilt = 0
+        for proof in differential_proofs():
+            for _, node in iter_nodes(proof):
+                if node.children:
+                    assert rebuild(node, node.children) == node
+                    rebuilt += 1
+        assert rebuilt > 1000
+
+    def test_checked_instances_are_sound(self):
+        """Every instance over small main formulas and contexts whose
+        premises the KT prover proves and that check_proof accepts has a
+        valid conclusion: by truth table, or for t by the KT prover."""
+        from craig.construct import try_prove_cutfree
+
+        pool = [p, q, Neg(p), And(p, q), Or(p, q), Box(p)]
+        # no formula, one formula, or an axiom f => f: contexts the
+        # weakenings and cuts can conclude from
+        contexts = [sequent()] + [sequent().insert(c, f) for c in COMPONENTS for f in pool]
+        contexts += [ax(f, g, d).sequentv for f in pool for g in ("g1", "g2") for d in ("d1", "d2")]
+        accepted = set()
+        for rule in RULE_SCHEMA:
+            system = KT if rule == "t" else LK
+            for comp in COMPONENTS:
+                for main in pool:
+                    for context in contexts:
+                        conclusion = context if rule == "cut" else context.insert(comp, main)
+                        try:
+                            premises = expected_premises(Proof(rule, conclusion, (), comp, main))
+                        except ProofError:
+                            continue
+                        kids = tuple(try_prove_cutfree(s, KT) for s in premises)
+                        if None in kids:
+                            continue
+                        node = Proof(rule, conclusion, kids, comp, main)
+                        if check_proof(node, system) is not None:
+                            continue
+                        if rule == "t":
+                            assert try_prove_cutfree(conclusion, KT) is not None, node
+                        else:
+                            assert truth_table_valid(conclusion), node
+                        accepted.add(rule)
+        assert accepted == set(RULE_SCHEMA)
+
+
 @pytest.fixture
 def shallow_stack():
     """A recursion limit far below the depth of the proofs under test."""
@@ -937,9 +1128,10 @@ def shallow_stack():
     sys.setrecursionlimit(old)
 
 
-def deep_weakening_proof(levels=10_000):
-    """p => p under alternating lw/lc steps, one rule per level."""
-    proof = ax(p, "g1", "d1")
+def deep_weakening_proof(levels=10_000, leaf=None):
+    """p => p (or leaf, which concludes it) under alternating lw/lc steps,
+    one rule per level."""
+    proof = leaf or ax(p, "g1", "d1")
     for i in range(levels):
         proof = lw(proof, p, "g1") if i % 2 == 0 else lc(proof, p, "g1")
     return proof
@@ -996,6 +1188,36 @@ class TestDeepProofs:
         ann = maehara(deep_weakening_proof(3_000), LKMINUS)
         assert len(ann.interpolants) == 3_001
         assert {c for _, c in ann.interpolants} == {BOTTOM}
+
+    def test_equality_and_hash_are_iterative(self, shallow_stack):
+        proof, other = deep_weakening_proof(), deep_weakening_proof()
+        # the two differ only in the rule of their deepest node
+        changed = deep_weakening_proof(leaf=Proof("nope", sequent([p], [], [p], [])))
+        try:
+            got = (proof is not other, proof == other, hash(proof) == hash(other), proof != changed)
+        except RecursionError:
+            # caught here: a report of its thousand frames would compare
+            # the deep proofs they hold
+            got = "RecursionError"
+        assert got == (True, True, True, True)
+
+    def test_equality_compares_each_pair_of_nodes_once(self, monkeypatch):
+        """Each node holds its premise twice, so the tree doubles per level;
+        == compares the sequents of each pair of nodes once."""
+
+        def doubling(leaf, levels=16):
+            node = leaf
+            for _ in range(levels):
+                node = Proof("cut", node.sequentv, (node, node), "d1", p)
+            return node
+
+        compared = []
+        real = sequent_module.Sequent.__eq__
+        monkeypatch.setattr(sequent_module.Sequent, "__eq__", lambda a, b: compared.append(a) or real(a, b))
+        left, right = doubling(ax(p, "g1", "d1")), doubling(ax(p, "g1", "d1"))
+        assert left == right
+        assert len(compared) == 17
+        assert left != doubling(Proof("nope", sequent([p], [], [p], [])))
 
 
 def cyclic_garbage(call):
