@@ -17,8 +17,8 @@ from .formulas import (
     format_formula,
     formula_cnf,
     is_clause_set_interpolant,
+    is_modal,
     is_pruned_interpolant,
-    literal_formula,
     make_model,
     mcnf,
     sorted_clauses,
@@ -37,6 +37,7 @@ from .sequent import (
     bot_axiom,
     check_proof,
     cut,
+    format_sequent,
     jump_premise,
     land1,
     land2,
@@ -243,7 +244,12 @@ def _search(s: Sequent, system: System, unfolded, blocked):
 
 def prove_cutfree(s: Sequent, system: System) -> Proof:
     """Backward root-first search; raises NotProvable with a countermodel for
-    the propositional systems and for k."""
+    the propositional systems and for k, and ConstructError for a boxed
+    formula under a propositional system."""
+    if not system.modal and any(is_modal(f) for f in s.antecedent() + s.succedent()):
+        raise ConstructError(
+            f"boxed formula in a non-modal system {system.name}: {format_sequent(s)}"
+        )
     proof, fail = _search(s, system, frozenset(), frozenset())
     if proof is not None:
         bad = check_proof(proof, system)
@@ -274,13 +280,12 @@ def try_prove_cutfree(s: Sequent, system: System):
 def realize_clause(a: Formula, clause_, system: System = LKAT) -> Proof:
     """A proof of  a ; => ; l1, ..., lk  whose interpolant is the false
     constant disjoined with the clause's literals, via literal cuts."""
-    lits = sorted_literals(clause_)
-    fls = [literal_formula(l) for l in lits]
+    fls = sorted_literals(clause_)
     try:
         cur = prove_cutfree(sequent([a], [], fls, []), system)
     except NotProvable as e:
         raise NotEntailed(f"{format_formula(a)} does not entail the clause") from e
-    for j, lf in enumerate(fls):
+    for lf in fls:
         left = rw(cur, lf, "d2")
         ctx = left.sequentv.remove_one("d1", lf)
         right = wax(lf, ctx.insert("g1", lf), "g1", "d2")
@@ -314,7 +319,7 @@ def conjoin(
     if len(pis) != len(clauses):
         raise SubproofMismatch("one subproof per clause is required")
     for clause_, pi in zip(clauses, pis):
-        want = sequent([a], [], [], [literal_formula(l) for l in sorted_literals(clause_)])
+        want = sequent([a], [], [], sorted_literals(clause_))
         if pi.sequentv != want:
             raise SubproofMismatch(
                 f"subproof proves {pi.sequentv!r} instead of {want!r}"
@@ -346,12 +351,7 @@ def conjoin(
 
     def leaf(selection) -> Proof:
         if selection not in leaves:
-            fls = sorted(
-                {literal_formula(l) for l in selection}, key=format_formula
-            )
-            leaves[selection] = prove_cutfree(
-                sequent([], fls, [], [b]), system
-            )
+            leaves[selection] = prove_cutfree(sequent([], selection, [], [b]), system)
         return leaves[selection]
 
     memo = {}
@@ -361,20 +361,13 @@ def conjoin(
         key = (i, selection)
         if key in memo:
             return memo[key]
-        t_formulas = sorted(
-            {literal_formula(l) for l in selection}, key=format_formula
-        )
         if i == len(clauses):
-            out = weaken_to(leaf(selection), sequent([a], t_formulas, [], [b]))
+            out = weaken_to(leaf(selection), sequent([a], selection, [], [b]))
         else:
             lits = sorted_literals(clauses[i])
-            pending = [literal_formula(l) for l in lits]
-            cur = weaken_to(
-                pis[i], sequent([a], t_formulas, [], pending + [b])
-            )
-            for j, lit in enumerate(lits):
-                lf = pending[j]
-                prem = derive(i + 1, selection | {lit})
+            cur = weaken_to(pis[i], sequent([a], selection, [], lits + [b]))
+            for lf in lits:
+                prem = derive(i + 1, selection | {lf})
                 ctx = cur.sequentv.remove_one("d2", lf)
                 right = weaken_to(prem, ctx.insert("g2", lf))
                 cur = cut(cur, right, lf, 2)
@@ -412,8 +405,7 @@ def realize_pruned(a: Formula, b: Formula, cs) -> Proof:
         raise NotPrunedInterpolant("need a pruned interpolant of a -> b")
     pis = []
     for clause_ in sorted_clauses(cs):
-        fls = [literal_formula(l) for l in sorted_literals(clause_)]
-        pis.append(prove_cutfree(sequent([a], [], [], fls), LKAT))
+        pis.append(prove_cutfree(sequent([a], [], [], sorted_literals(clause_)), LKAT))
     return conjoin(a, b, cs, pis, LKAT)
 
 

@@ -56,7 +56,7 @@ class TooManySharedVars(FormulaError):
 # the same objects; when it dies its entry goes with it, so the table holds
 # only live formulas.  A node keeps its nesting depth, and stores its
 # printed text (the canonical sort key), variable set, length and modality
-# on first use.  Literals are interned in the same table.
+# on first use.
 
 # true and false name the constants, never an atom
 ATOM_NAME = re.compile(r"(?!(?:true|false)\Z)[a-z][a-zA-Z0-9_]*\Z")
@@ -261,14 +261,14 @@ _PREC_OR, _PREC_AND, _PREC_UNARY = 1, 2, 3
 _PREC = {Or: _PREC_OR, And: _PREC_AND}
 
 
-def _wrap(g, text, prec):
-    """text(g), parenthesized when g binds looser than prec."""
-    t = text(g)
+def _wrap(g, prec):
+    """format_formula(g), parenthesized when g binds looser than prec."""
+    t = format_formula(g)
     return "(" + t + ")" if _PREC.get(type(g), _PREC_UNARY) < prec else t
 
 
-def _text(f, text, amp, bar):
-    """f printed, with text printing its children."""
+def _text(f):
+    """f printed, its children through format_formula."""
     if f is TOP:
         return "true"
     cls = type(f)
@@ -277,13 +277,13 @@ def _text(f, text, amp, bar):
     if cls is Bottom:
         return "false"
     if cls is Neg:
-        return "~" + _wrap(f.body, text, _PREC_UNARY)
+        return "~" + _wrap(f.body, _PREC_UNARY)
     if cls is Box:
-        return "[]" + _wrap(f.body, text, _PREC_UNARY)
+        return "[]" + _wrap(f.body, _PREC_UNARY)
     if cls is And:
-        return _wrap(f.left, text, _PREC_AND) + amp + _wrap(f.right, text, _PREC_AND + 1)
+        return _wrap(f.left, _PREC_AND) + " & " + _wrap(f.right, _PREC_AND + 1)
     if cls is Or:
-        return _wrap(f.left, text, _PREC_OR) + bar + _wrap(f.right, text, _PREC_OR + 1)
+        return _wrap(f.left, _PREC_OR) + " | " + _wrap(f.right, _PREC_OR + 1)
     raise _not_a_formula(f)
 
 
@@ -293,13 +293,15 @@ def format_formula(f: Formula) -> str:
         return f._key
     except AttributeError:
         pass
-    key = _text(f, format_formula, " & ", " | ")
+    key = _text(f)
     _store(f, "_key", key)
     return key
 
 
 def format_formula_compact(f: Formula) -> str:
-    return _text(f, format_formula_compact, "&", "|")
+    """The printed text without the spaces around & and |, the only spaces
+    it holds."""
+    return format_formula(f).replace(" ", "")
 
 
 # ---------------------------------------------------------------------------
@@ -530,89 +532,38 @@ def sel(c: Formula, x: Formula, y: Formula) -> Formula:
 # Literals, clauses, clause sets
 # ---------------------------------------------------------------------------
 
-def _literal_body(body):
+# A clause literal is the formula itself: an atom, false or a boxed formula
+# when positive, and the negation of one when negative.  TOP, ~false, is the
+# literal `true`.
+
+def Literal(negated, body) -> Formula:
+    """The literal over body: body itself, or Neg(body) when negated."""
     if not isinstance(body, (Atom, Bottom, Box)):
         raise FormulaError(f"literal body must be an atom, false, or boxed: {body!r}")
-    return body
+    return Neg(body) if negated else body
 
 
-class Literal:
-    """A signed atom, false or boxed formula, interned in the formula
-    kernel's table under (Literal, negated, the identity of its body), so
-    equality and hashing are by identity.  It stores its literal_key on
-    first use."""
-
-    __slots__ = ("negated", "body", "_key", "__weakref__")
-
-    def __new__(cls, negated, body):
-        key = (Literal, negated, id(body))
-        return _INTERN.get(key) or _intern(key, Literal, negated, _literal_body(body))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("literals are immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("literals are immutable")
-
-    def __reduce__(self):
-        return Literal, (self.negated, self.body)
-
-    def dual(self) -> "Literal":
-        return Literal(not self.negated, self.body)
-
-    @property
-    def is_modal(self):
-        return isinstance(self.body, Box)
-
-    def __repr__(self):
-        return f"<lit {format_literal(self)}>"
+def split_literal(lit):
+    """(negated, body) of a literal; raises if lit is not one."""
+    negated = type(lit) is Neg
+    body = lit.body if negated else lit
+    if not isinstance(body, (Atom, Bottom, Box)):
+        raise FormulaError(f"not a literal: {lit!r}")
+    return negated, body
 
 
-def pos(body) -> Literal:
-    if isinstance(body, str):
-        body = Atom(body)
-    return Literal(False, body)
+def format_literal(lit: Formula) -> str:
+    negated, body = split_literal(lit)
+    if isinstance(body, Bottom):
+        return "true" if negated else "false"
+    text = "[](" + format_formula_compact(body.body) + ")" if isinstance(body, Box) else body.name
+    return "~" + text if negated else text
 
 
-def neg(body) -> Literal:
-    if isinstance(body, str):
-        body = Atom(body)
-    return Literal(True, body)
-
-
-TOP_LITERAL = Literal(True, BOTTOM)  # the literal reading of ~false
-
-
-def literal_formula(lit: Literal) -> Formula:
-    return Neg(lit.body) if lit.negated else lit.body
-
-
-def literal_of_formula(f: Formula) -> Literal:
-    """Inverse of literal_formula; raises if f is not a literal."""
-    if isinstance(f, Neg) and isinstance(f.body, (Atom, Bottom, Box)):
-        return Literal(True, f.body)
-    if isinstance(f, (Atom, Bottom, Box)):
-        return Literal(False, f)
-    raise FormulaError(f"not a literal: {f!r}")
-
-
-def format_literal(lit: Literal) -> str:
-    body = format_formula_compact(lit.body)
-    if isinstance(lit.body, Box):
-        body = "[](" + format_formula_compact(lit.body.body) + ")"
-    if isinstance(lit.body, Bottom):
-        return "true" if lit.negated else "false"
-    return ("~" if lit.negated else "") + body
-
-
-def literal_key(lit: Literal):
-    try:
-        return lit._key
-    except AttributeError:
-        pass
-    key = (lit.negated, format_literal(lit).lstrip("~"))
-    _store(lit, "_key", key)
-    return key
+def literal_key(lit: Formula):
+    """(negated, the literal's text without its sign): the canonical
+    literal order."""
+    return isinstance(lit, Neg), format_literal(lit).lstrip("~")
 
 
 def clause(*lits) -> frozenset:
@@ -645,9 +596,9 @@ def clause_formula(c) -> Formula:
     lits = sorted_literals(c)
     if not lits:
         return BOTTOM
-    f = literal_formula(lits[-1])
+    f = lits[-1]
     for l in reversed(lits[:-1]):
-        f = Or(literal_formula(l), f)
+        f = Or(l, f)
     return f
 
 
@@ -662,21 +613,19 @@ def clause_set_formula(cs) -> Formula:
     return f
 
 
-def parse_literal(text: str) -> Literal:
+def parse_literal(text: str) -> Formula:
     text = text.strip()
-    negated = False
-    if text.startswith("~"):
-        negated = True
+    negated = text.startswith("~")
+    if negated:
         text = text[1:]
     if text == "false":
         return Literal(negated, BOTTOM)
     if text == "true":
         return Literal(not negated, BOTTOM)
-    f = parse_formula(text)
-    lit = literal_of_formula(f)
-    if lit.negated:
+    doubly, body = split_literal(parse_formula(text))
+    if doubly:
         raise FormulaError(f"doubly negated literal text: {text!r}")
-    return Literal(negated, lit.body)
+    return Literal(negated, body)
 
 
 def _split_clause_line(line):
@@ -754,7 +703,8 @@ def cnf(f: Formula) -> frozenset:
         return cnf(f.left) | cnf(f.right)
     if isinstance(f, Or):
         return cross(cnf(f.left), cnf(f.right))
-    return frozenset([frozenset([literal_of_formula(f)])])
+    split_literal(f)  # raises unless f is a literal
+    return frozenset([frozenset([f])])
 
 
 def formula_cnf(f: Formula) -> frozenset:
@@ -774,10 +724,11 @@ def is_pruned_clause_set(cs) -> bool:
     polarity = {}
     for c in cs:
         for lit in c:
-            if lit == TOP_LITERAL:
+            if lit is TOP:
                 return False
-            seen = polarity.setdefault(lit.body, set())
-            seen.add(lit.negated)
+            negated, body = split_literal(lit)
+            seen = polarity.setdefault(body, set())
+            seen.add(negated)
             if len(seen) == 2:
                 return False
     return True
@@ -790,20 +741,20 @@ def prune(cs) -> frozenset:
     clauses, then eliminates each mixed-polarity atom in canonical order by
     replacing its clauses with all resolvents.
     """
-    cs = frozenset(c for c in cs if TOP_LITERAL not in c)
+    cs = frozenset(c for c in cs if TOP not in c)
     mixed = set()
     polarity = {}
     for c in cs:
         for lit in c:
-            if isinstance(lit.body, Bottom):
+            negated, body = split_literal(lit)
+            if body is BOTTOM:
                 continue
-            seen = polarity.setdefault(lit.body, set())
-            seen.add(lit.negated)
+            seen = polarity.setdefault(body, set())
+            seen.add(negated)
             if len(seen) == 2:
-                mixed.add(lit.body)
-    for body in sorted(mixed, key=format_formula_compact):
-        plus = Literal(False, body)
-        minus = Literal(True, body)
+                mixed.add(body)
+    for plus in sorted(mixed, key=format_formula_compact):
+        minus = Neg(plus)
         cs = frozenset(c for c in cs if not (plus in c and minus in c))
         keep = [c for c in cs if plus not in c and minus not in c]
         with_plus = [c for c in cs if plus in c]
@@ -819,7 +770,7 @@ def clause_set_vars(cs) -> frozenset:
     out = set()
     for c in cs:
         for lit in c:
-            out |= vars_of(lit.body)
+            out |= vars_of(lit)
     return frozenset(out)
 
 
@@ -884,24 +835,13 @@ def _forcing_rows(b, shared):
 
 def _prime_implicate_cnf(true_rows, shared):
     """Canonical CNF of a boolean function given by its true rows: all minimal implied clauses."""
-    all_rows = list(itertools.product([False, True], repeat=len(shared)))
-
-    def clause_holds(c, row):
-        for lit in c:
-            value = row[shared.index(lit.body.name)]
-            if value != lit.negated:
-                return True
-        return False
-
     implied = []
     for signs in itertools.product([None, False, True], repeat=len(shared)):
-        c = frozenset(
-            Literal(not sign, Atom(shared[i]))
-            for i, sign in enumerate(signs)
-            if sign is not None
-        )
-        if all(clause_holds(c, row) for row in all_rows if row in true_rows):
-            implied.append(c)
+        # signs[i] True puts shared[i] in the clause, False puts ~shared[i]
+        if all(any(sign == value for sign, value in zip(signs, row)) for row in true_rows):
+            implied.append(frozenset(
+                Literal(not sign, Atom(name)) for name, sign in zip(shared, signs) if sign is not None
+            ))
     minimal = [c for c in implied if not any(d < c for d in implied)]
     return frozenset(minimal)
 
@@ -983,8 +923,9 @@ def mcnf(f: Formula) -> frozenset:
     for c in cs:
         lits = []
         for lit in c:
-            if isinstance(lit.body, Atom) and lit.body.name in back:
-                lits.append(Literal(lit.negated, back[lit.body.name]))
+            negated, body = split_literal(lit)
+            if isinstance(body, Atom) and body.name in back:
+                lits.append(Literal(negated, back[body.name]))
             else:
                 lits.append(lit)
         result.append(frozenset(lits))

@@ -11,7 +11,7 @@ from .formulas import (
     BOTTOM,
     Formula,
     FormulaError,
-    Literal,
+    Neg,
     Or,
     TOP,
     _split_clause_line,
@@ -22,6 +22,7 @@ from .formulas import (
     parse_literal,
     sel,
     sorted_literals,
+    split_literal,
 )
 
 
@@ -130,9 +131,7 @@ def node_clauses(rp: ResolutionProof):
         if isinstance(node, Input):
             out.append(node.clause)
         elif isinstance(node, Resolve):
-            pos_lit = Literal(False, node.pivot)
-            neg_lit = Literal(True, node.pivot)
-            out.append((out[node.left] - {pos_lit}) | (out[node.right] - {neg_lit}))
+            out.append((out[node.left] - {node.pivot}) | (out[node.right] - {Neg(node.pivot)}))
         elif isinstance(node, Weaken):
             out.append(out[node.premise] | node.added)
         else:
@@ -175,8 +174,7 @@ def _violation(rp: ResolutionProof):
         elif isinstance(node, Resolve):
             if not (0 <= node.left < i and 0 <= node.right < i):
                 return Violation(i, "premise ids must precede the node")
-            pos_lit = Literal(False, node.pivot)
-            neg_lit = Literal(True, node.pivot)
+            pos_lit, neg_lit = node.pivot, Neg(node.pivot)
             if pos_lit not in clauses[node.left]:
                 return Violation(i, "left premise lacks the positive pivot")
             if neg_lit not in clauses[node.right]:
@@ -238,17 +236,18 @@ def _refute_with_sides(clauses, sides):
     occurrences = {}
     for ci, c in enumerate(clauses):
         for lit in c:
-            if not isinstance(lit.body, Atom):
-                bad = next(l for l in sorted_literals(c) if not isinstance(l.body, Atom))
+            negated, body = split_literal(lit)
+            if not isinstance(body, Atom):
+                bad = next(l for l in sorted_literals(c) if not isinstance(split_literal(l)[1], Atom))
                 raise NonAtomicLiteral(
                     f"literal {format_literal(bad)} in clause {{{format_clause(c)}}} "
                     "is not over an atom; refutation search resolves on atoms only"
                 )
-            pos, neg = occurrences.setdefault(lit.body.name, ([], []))
-            (neg if lit.negated else pos).append(ci)
+            pos, neg = occurrences.setdefault(body.name, ([], []))
+            (neg if negated else pos).append(ci)
     atoms = sorted(occurrences)
     occ = [occurrences[name] for name in atoms]
-    pivots = [(Literal(False, Atom(name)), Literal(True, Atom(name))) for name in atoms]
+    pivots = [(Atom(name), Neg(Atom(name))) for name in atoms]
     n_open = [len(c) for c in clauses]
     n_true = [0] * len(clauses)
     unsatisfied = len(clauses)
@@ -318,7 +317,7 @@ def _refute_with_sides(clauses, sides):
         if isinstance(res_f, Satisfiable) or pos_lit not in res_f[1]:
             return res_f
         (id_t, cl_t), (id_f, cl_f) = res_t, res_f
-        nodes.append(Resolve(id_f, id_t, pos_lit.body))
+        nodes.append(Resolve(id_f, id_t, pos_lit))
         return len(nodes) - 1, (cl_f - {pos_lit}) | (cl_t - {neg_lit})
 
     empty = next((c for c in clauses if not c), None)
@@ -363,9 +362,10 @@ def interpolant_from_refutation(rp: ResolutionProof, part: Partition) -> Formula
     for i, node in enumerate(rp.nodes):
         if isinstance(node, Input):
             for lit in node.clause:
-                if not isinstance(lit.body, Atom):
+                body = split_literal(lit)[1]
+                if not isinstance(body, Atom):
                     continue
-                name = lit.body.name
+                name = body.name
                 kind = part.classify(name)
                 if node.side == "A" and kind == "b":
                     raise PartitionMismatch(f"A-side input mentions B-local atom {name}")
@@ -397,8 +397,8 @@ def enumerate_refutations(cs, max_nodes, allow_weakening=False):
     are produced.  Weakening nodes, when allowed, add one literal at a time.
     """
     inputs = sorted(cs, key=clause_key)
-    atoms = sorted({l.body for c in cs for l in c if isinstance(l.body, Atom)},
-                   key=format_formula)
+    bodies = {split_literal(l)[1] for c in cs for l in c}
+    atoms = sorted((b for b in bodies if isinstance(b, Atom)), key=format_formula)
 
     def extend(nodes, clauses):
         if len(nodes) <= max_nodes and clauses and not clauses[-1]:
@@ -423,16 +423,13 @@ def enumerate_refutations(cs, max_nodes, allow_weakening=False):
         for i in range(len(nodes)):
             for j in range(len(nodes)):
                 for a in atoms:
-                    if Literal(False, a) in clauses[i] and Literal(True, a) in clauses[j]:
-                        merged = (clauses[i] - {Literal(False, a)}) | (
-                            clauses[j] - {Literal(True, a)}
-                        )
+                    if a in clauses[i] and Neg(a) in clauses[j]:
+                        merged = (clauses[i] - {a}) | (clauses[j] - {Neg(a)})
                         yield from extend(nodes + [Resolve(i, j, a)], clauses + [merged])
         if allow_weakening:
             for i in range(len(nodes)):
                 for a in atoms:
-                    for negated in (False, True):
-                        lit = Literal(negated, a)
+                    for lit in (a, Neg(a)):
                         if lit not in clauses[i]:
                             yield from extend(
                                 nodes + [Weaken(i, frozenset([lit]))],

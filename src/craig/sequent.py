@@ -351,16 +351,13 @@ def _fold(p: Proof, combine):
     done = {}
     stack = [p]
     while stack:
-        node = stack[-1]
-        if id(node) in done:
-            stack.pop()
-            continue
-        todo = [c for c in node.children if id(c) not in done]
-        if todo:
-            stack.extend(todo)
-        else:
-            stack.pop()
+        node = stack.pop()
+        if type(node) is tuple:  # a node whose premises are done
+            node = node[0]
             done[id(node)] = combine(node, [done[id(c)] for c in node.children])
+        elif id(node) not in done:
+            stack.append((node,))  # popped again after its premises
+            stack += node.children
     return done[id(p)]
 
 

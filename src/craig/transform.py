@@ -25,6 +25,7 @@ from .sequent import (
     LK,
     Proof,
     ProofError,
+    _fold,
     aux_occurrences,
     ax,
     bot_axiom,
@@ -169,29 +170,20 @@ def _is_negative_literal_cut(f: Formula) -> bool:
 
 def literal_cuts_to_atomic(p: Proof) -> Proof:
     """Replace every cut on a negated atom or box by a cut on its body,
-    keeping the clause-set form of the interpolant.  One post-order pass on
-    an explicit stack: a subproof shared by several parents is rewritten
-    once, and one with nothing to rewrite is kept as it is."""
-    done = {}  # id(node) -> its rewrite
-    stack = [p]
-    while stack:
-        node = stack.pop()
-        if type(node) is not tuple:
-            if id(node) not in done:
-                stack.append((node,))  # finished once its children are
-                stack += node.children
-            continue
-        node = node[0]
-        kids = tuple([done[id(c)] for c in node.children])
-        new = node
+    keeping the clause-set form of the interpolant.  One bottom-up pass: a
+    subproof shared by several parents is rewritten once, and one with
+    nothing to rewrite is kept as it is."""
+
+    def step(node, kids):
         if node.rule == "cut" and _is_negative_literal_cut(node.main_formula):
             left_occ, right_occ = cut_occurrences(node)
-            new = cut(_invert(kids[1], right_occ), _invert(kids[0], left_occ),
-                      node.main_formula.body, int(node.main_comp[1]))
-        elif not all(map(operator.is_, kids, node.children)):
-            new = Proof(node.rule, node.sequentv, kids, node.main_comp, node.main_formula)
-        done[id(node)] = new
-    return done[id(p)]
+            return cut(_invert(kids[1], right_occ), _invert(kids[0], left_occ),
+                       node.main_formula.body, int(node.main_comp[1]))
+        if all(map(operator.is_, kids, node.children)):
+            return node
+        return Proof(node.rule, node.sequentv, tuple(kids), node.main_comp, node.main_formula)
+
+    return _fold(p, step)
 
 
 # ---------------------------------------------------------------------------
@@ -207,12 +199,16 @@ def is_w_reduced(p: Proof) -> bool:
 
 
 def w_reduce(p: Proof) -> Proof:
-    """Shift weakenings up until each sits just below an axiom or weakening."""
-    kids = [w_reduce(c) for c in p.children]
-    node = p if all(map(operator.is_, kids, p.children)) else rebuild(p, kids)
-    if node.rule in ("lw", "rw"):
-        return _push_weakening(node)
-    return node
+    """Shift weakenings up until each sits just below an axiom or weakening.
+    One bottom-up pass: a shared subproof is reduced once, and one with
+    nothing to shift is kept as it is."""
+
+    def step(node, kids):
+        if not all(map(operator.is_, kids, node.children)):
+            node = rebuild(node, kids)
+        return _push_weakening(node) if node.rule in ("lw", "rw") else node
+
+    return _fold(p, step)
 
 
 def _push_weakening(w: Proof) -> Proof:

@@ -91,6 +91,13 @@ class TestExitCodes:
         assert code == 2
         assert "literal false" in err
 
+    @pytest.mark.parametrize("text", ["[]p ; => ; []p", "; => []p ;"])
+    def test_boxed_formula_under_a_propositional_system_is_a_logical_failure(self, capsys, text):
+        code, out, err = run(capsys, "prove", "--system", "lk", text)
+        assert code == 1
+        assert out == ""
+        assert "boxed formula in a non-modal system lk" in err and "Traceback" not in err
+
     def test_missing_file_is_a_usage_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "refute", str(tmp_path / "missing.cls"))
         assert code == 2

@@ -16,7 +16,6 @@ from craig.formulas import (
     eval_formula,
     formula_cnf,
     impl,
-    literal_formula,
     sorted_clauses,
     vars_of,
 )
@@ -77,6 +76,18 @@ class TestProveCutfree:
         )
         with pytest.raises(ProofCheckFailed, match="injected"):
             prove_cutfree(sequent([And(p, q)], [], [p, q], []), LKMINUS)
+
+    @pytest.mark.parametrize("system", [LKMINUS, LKAT])
+    @pytest.mark.parametrize(
+        "seq",
+        [sequent([Box(p)], [], [], [Box(p)]), sequent([], [], [Box(p)], []),
+         sequent([Or(p, Neg(Box(q)))], [], [p], [])],
+        ids=["provable", "unprovable", "nested"],
+    )
+    def test_boxed_formula_in_a_propositional_system_is_a_named_error(self, seq, system):
+        with pytest.raises(ConstructError, match="boxed formula in a non-modal system") as info:
+            prove_cutfree(seq, system)
+        assert type(info.value) is ConstructError
 
     def test_atom_not_provable(self):
         with pytest.raises(NotProvable) as info:
@@ -226,7 +237,7 @@ class TestConjoin:
         a, b = And(p, q), Or(p, q)
         cs = frozenset([clause("p"), clause("q")])
         pis = [
-            prove_cutfree(sequent([a], [], [], [literal_formula(l) for l in sorted(c, key=str)]), LKAT)
+            prove_cutfree(sequent([a], [], [], sorted(c, key=str)), LKAT)
             for c in sorted_clauses(cs)
         ]
         psi = conjoin(a, b, cs, pis)

@@ -14,6 +14,7 @@ from craig.formulas import (
     Box,
     FormulaError,
     IncompleteAssignment,
+    Literal,
     MAX_DEPTH,
     ModalNotSupported,
     Neg,
@@ -21,7 +22,6 @@ from craig.formulas import (
     Or,
     ParseError,
     TOP,
-    TOP_LITERAL,
     TooManySharedVars,
     assignments_over,
     clause,
@@ -39,13 +39,12 @@ from craig.formulas import (
     is_pruned_interpolant,
     make_model,
     mcnf,
-    neg,
     nnf,
     parse_clause_set,
     parse_formula,
-    pos,
     prune,
     sel,
+    split_literal,
     subsumes,
     vars_of,
 )
@@ -310,7 +309,7 @@ class TestClauseSetFormula:
             assert parse_clause_set(format_clause_set(cs)) == cs
 
     def test_modal_literal_text(self):
-        cs = frozenset([frozenset([neg(Box(And(p, q))), pos("r")])])
+        cs = frozenset([frozenset([Neg(Box(And(p, q))), r])])
         assert parse_clause_set(format_clause_set(cs)) == cs
 
 
@@ -374,7 +373,7 @@ class TestPrune:
 
     def test_top_clause_deleted(self):
         cs = frozenset([clause("true", "p"), clause("q")])
-        assert TOP_LITERAL in clause("true", "p")
+        assert TOP in clause("true", "p")
         assert prune(cs) == frozenset([clause("q")])
 
     def test_properties_random(self):
@@ -471,18 +470,18 @@ class TestEnumerateInterpolants:
 
 class TestMcnf:
     def test_single_modal_literal(self):
-        assert mcnf(Box(p)) == frozenset([frozenset([pos(Box(p))])])
+        assert mcnf(Box(p)) == frozenset([frozenset([Box(p)])])
 
     def test_mixed(self):
         f = And(Box(p), Or(q, Box(r)))
         expected = frozenset(
-            [frozenset([pos(Box(p))]), frozenset([pos("q"), pos(Box(r))])]
+            [frozenset([Box(p)]), frozenset([q, Box(r)])]
         )
         assert mcnf(f) == expected
 
     def test_negated_box(self):
         f = Or(Neg(Box(p)), s)
-        assert mcnf(f) == frozenset([frozenset([neg(Box(p)), pos("s")])])
+        assert mcnf(f) == frozenset([frozenset([Neg(Box(p)), s])])
 
     def test_abstraction_equivalence(self):
         # substituting fresh atoms for outer boxes must give a propositional
@@ -508,10 +507,16 @@ class TestMcnf:
 
 
 class TestLiterals:
-    def test_dual_flips_polarity_only(self):
-        lit = pos("p")
-        assert lit.dual() == neg("p")
-        assert lit.dual().dual() == lit
+    def test_literal_is_its_formula(self):
+        for body in (p, BOTTOM, Box(And(p, q))):
+            assert Literal(False, body) is body
+            assert Literal(True, body) is Neg(body)
+            assert split_literal(body) == (False, body)
+            assert split_literal(Neg(body)) == (True, body)
+        assert Literal(True, BOTTOM) is TOP
+        for f in (And(p, q), Neg(Neg(p)), Neg(And(p, q))):
+            with pytest.raises(FormulaError, match="not a literal"):
+                split_literal(f)
 
     def test_clause_formula_ordering(self):
         # right-associated disjunction in canonical literal order

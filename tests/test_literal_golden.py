@@ -1,0 +1,100 @@
+"""Golden text and order of clause literals.  The `.cls` and `.res` texts,
+the canonical literal order and the resolution interpolants are pinned
+byte for byte, so a change to how literals are represented cannot change
+a file or an interpolant unnoticed."""
+
+import hashlib
+
+from craig.formulas import (
+    clause_set_vars,
+    format_clause_set,
+    format_formula,
+    format_literal,
+    formula_length,
+    literal_key,
+    parse_clause_set,
+    sorted_literals,
+)
+from craig.resolution import (
+    Partition,
+    format_refutation,
+    interpolant_from_refutation,
+    parse_refutation,
+    refute,
+    refute_partitioned,
+)
+from test_resolution import php
+
+# p, ~p, false, true, a boxed and a negated boxed literal
+GOLDEN_TEXT = "p ~[](p|q)\n~p [](p&q) false\ntrue p\n~p\n[](p&q) ~[](p|q) ~p\n"
+GOLDEN_CLS = "[](p&q) false ~p\n[](p&q) ~[](p|q) ~p\np ~[](p|q)\np true\n~p\n"
+GOLDEN_ORDER = [
+    ("[](p&q)", (False, "[](p&q)")),
+    ("false", (False, "false")),
+    ("p", (False, "p")),
+    ("~[](p|q)", (True, "[](p|q)")),
+    ("~p", (True, "p")),
+    ("true", (True, "true")),
+]
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def php_split(n):
+    """php(n) as the pigeon clauses (A) and the hole clauses (B)."""
+    cs = php(n)
+    holes = frozenset(c for c in cs if all(format_literal(l).startswith("~") for l in c))
+    return cs - holes, holes
+
+
+class TestClauseText:
+    def test_format_clause_set(self):
+        assert format_clause_set(parse_clause_set(GOLDEN_TEXT)) == GOLDEN_CLS
+
+    def test_round_trip(self):
+        cs = parse_clause_set(GOLDEN_TEXT)
+        assert parse_clause_set(GOLDEN_CLS) == cs
+        assert format_clause_set(parse_clause_set(format_clause_set(cs))) == GOLDEN_CLS
+
+    def test_literal_order_and_keys(self):
+        lits = sorted_literals(frozenset().union(*parse_clause_set(GOLDEN_TEXT)))
+        assert [(format_literal(l), literal_key(l)) for l in lits] == GOLDEN_ORDER
+
+
+class TestRefutationText:
+    def check(self, rp, part, nodes, text_sha, itp_length, itp_sha):
+        text = format_refutation(rp)
+        itp = interpolant_from_refutation(rp, part)
+        assert (len(rp), sha256(text)) == (nodes, text_sha)
+        assert (formula_length(itp), sha256(format_formula(itp))) == (itp_length, itp_sha)
+        assert parse_refutation(text) == rp
+
+    def test_php3_refute(self):
+        cs = php(3)
+        self.check(
+            refute(cs),
+            Partition.from_vars(clause_set_vars(cs), ()),
+            100, "edc760077a09d15b78e5760fef82ebde39b0273b03af3d3e63e904c118283d9c",
+            97, "69f928fe1ef7e59290b8914342243ff3b64d67d452eb663f474c3fbfb37ac270",
+        )
+
+    def test_php3_refute_partitioned(self):
+        pigeons, holes = php_split(3)
+        self.check(
+            refute_partitioned(pigeons, holes),
+            Partition.from_vars(clause_set_vars(pigeons), clause_set_vars(holes)),
+            100, "b24a58055847ec957f7f3850cf58d51ef580c53b292cea087a994792091ffdbf",
+            370, "52f2ca05979f8cef562d225ae038a2e9cc9544c157c735d759d39a95b5b0a7ee",
+        )
+
+    def test_small_split(self):
+        a, b = parse_clause_set("p\n~p q\n"), parse_clause_set("~q r\n~r\n")
+        rp = refute_partitioned(a, b)
+        assert format_refutation(rp) == (
+            "0: INPUT B {~r}\n1: INPUT B {r ~q}\n2: RES 1 0 r\n3: INPUT A {q ~p}\n"
+            "4: RES 3 2 q\n5: INPUT A {p}\n6: RES 5 4 p\n"
+        )
+        itp = interpolant_from_refutation(rp, Partition.from_vars(clause_set_vars(a), clause_set_vars(b)))
+        assert format_formula(itp) == "false | (q | false) & (~q | true & true)"

@@ -132,9 +132,7 @@ class TestClauseTargets:
             out = formula_cnf(m)
             assert len(out) == 1
             (clause_,) = out
-            from craig.formulas import literal_of_formula
-
-            assert clause_ <= frozenset(literal_of_formula(l) for l in lits)
+            assert clause_ <= frozenset(lits)
 
 
 class TestModalCases:

@@ -21,6 +21,7 @@ from craig.formulas import (
     equiv,
     eval_formula,
     sel,
+    split_literal,
     vars_of,
 )
 from craig.resolution import (
@@ -186,11 +187,11 @@ def reference_refute_with_sides(clauses, atoms, sides):
     def falsified_clause(assignment):
         for c in clauses:
             if all(
-                isinstance(l.body, Atom)
-                and l.body.name in assignment
-                and assignment[l.body.name] == l.negated
-                or (not isinstance(l.body, Atom) and not l.negated)
-                for l in c
+                isinstance(body, Atom)
+                and body.name in assignment
+                and assignment[body.name] == negated
+                or (not isinstance(body, Atom) and not negated)
+                for negated, body in map(split_literal, c)
             ):
                 return c
         return None
@@ -198,9 +199,9 @@ def reference_refute_with_sides(clauses, atoms, sides):
     def satisfied(assignment):
         for c in clauses:
             if not any(
-                (isinstance(l.body, Atom) and assignment.get(l.body.name) == (not l.negated))
-                or (not isinstance(l.body, Atom) and l.negated)
-                for l in c
+                (isinstance(body, Atom) and assignment.get(body.name) == (not negated))
+                or (not isinstance(body, Atom) and negated)
+                for negated, body in map(split_literal, c)
             ):
                 return False
         return True
@@ -242,7 +243,7 @@ def reference_refute_partitioned(a_clauses, b_clauses):
     sides = {c: "B" for c in b_clauses}
     sides.update({c: "A" for c in a_clauses})
     clauses = sorted(set(a_clauses) | set(b_clauses), key=clause_key)
-    atoms = sorted({l.body.name for c in clauses for l in c})
+    atoms = sorted({split_literal(l)[1].name for c in clauses for l in c})
     return reference_refute_with_sides(clauses, atoms, sides)
 
 

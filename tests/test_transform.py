@@ -514,10 +514,24 @@ class TestWReduceIdentity:
         assert out.children[0] is left
         assert out.children[1] is not right
 
+    def test_shared_subproof_is_reduced_once(self):
+        noisy = rw(lneg(ax(p, "g2", "d2"), Neg(p), "g2"), q, "d2")  # ; ~p => ; q
+        proof = rand(noisy, noisy, And(q, q), "d2")
+        out = w_reduce(proof)
+        assert is_w_reduced(out) and out.sequentv == proof.sequentv
+        assert out.children[0] is out.children[1]
+
 
 class TestDeepProofs:
     def test_deep_weakening_proof_is_kept(self, shallow_stack):
         proof = deep_weakening_proof()
+        assert literal_cuts_to_atomic(proof) is proof
+
+    def test_deep_weakening_chain_is_kept_by_w_reduce(self, shallow_stack):
+        proof = ax(p, "g1", "d1")
+        for _ in range(10_000):
+            proof = lw(proof, p, "g1")
+        assert w_reduce(proof) is proof
         assert literal_cuts_to_atomic(proof) is proof
 
     def test_deep_cut_chain(self, shallow_stack):
