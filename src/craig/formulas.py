@@ -43,6 +43,10 @@ class TooManySharedVars(FormulaError):
     pass
 
 
+class PruneTooLarge(FormulaError):
+    """prune would build more than MAX_PRUNE_RESOLVENTS resolvents for one atom."""
+
+
 # ---------------------------------------------------------------------------
 # Formula AST
 # ---------------------------------------------------------------------------
@@ -630,6 +634,8 @@ def parse_literal(text: str) -> Formula:
 
 def _split_clause_line(line):
     # split on whitespace outside parentheses so boxed bodies stay intact
+    if "(" not in line and ")" not in line:
+        return line.split()
     parts = []
     depth = 0
     cur = []
@@ -734,12 +740,19 @@ def is_pruned_clause_set(cs) -> bool:
     return True
 
 
+# The most resolvents prune builds for one atom.  Each elimination can
+# square the clause count, and a few dozen random 3-clauses already exhaust
+# memory; the largest elimination in the tests and the benchmark builds 2.
+MAX_PRUNE_RESOLVENTS = 100_000
+
+
 def prune(cs) -> frozenset:
     """Resolve away every atom occurring in both polarities.
 
     Deletes clauses containing the literal `true` first, drops tautological
     clauses, then eliminates each mixed-polarity atom in canonical order by
-    replacing its clauses with all resolvents.
+    replacing its clauses with all resolvents.  Raises PruneTooLarge before
+    an elimination that would build more than MAX_PRUNE_RESOLVENTS.
     """
     cs = frozenset(c for c in cs if TOP not in c)
     mixed = set()
@@ -759,6 +772,11 @@ def prune(cs) -> frozenset:
         keep = [c for c in cs if plus not in c and minus not in c]
         with_plus = [c for c in cs if plus in c]
         with_minus = [c for c in cs if minus in c]
+        if len(with_plus) * len(with_minus) > MAX_PRUNE_RESOLVENTS:
+            raise PruneTooLarge(
+                f"eliminating {format_formula_compact(plus)} would build "
+                f"{len(with_plus)} x {len(with_minus)} resolvents, more than {MAX_PRUNE_RESOLVENTS}"
+            )
         resolvents = [
             (c1 - {plus}) | (c2 - {minus}) for c1 in with_plus for c2 in with_minus
         ]

@@ -4,6 +4,7 @@ and interpolant extraction from partitioned refutations."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, chain
 
 from .formulas import (
     And,
@@ -203,38 +204,41 @@ def refute(cs):
 
     DPLL without unit propagation: atoms are decided in sorted order, True
     first, and the refutation is read off the decision tree, so tautological
-    clauses are never resolved upon.  Per-atom occurrence lists and
-    per-clause literal counters replace rescanning the clauses at each node;
-    the refutation is the one a rescanning search finds, node for node.  A
-    literal over `false` or a boxed formula raises NonAtomicLiteral, since
-    no resolution step on atoms can remove it."""
+    clauses are never resolved upon.  Each search node is one bit mask of
+    satisfied clauses, each atom value a precomputed mask of the clauses it
+    makes true, and the clauses an assignment falsifies are one mask
+    operation away, so no node rescans the clauses; the refutation is the
+    one a rescanning search finds, node for node.  The decision tree is
+    walked on an explicit stack, so any number of atoms fits.  A literal
+    over `false` or a boxed formula raises NonAtomicLiteral, since no
+    resolution step on atoms can remove it."""
     return _refute_with_sides(sorted(cs, key=clause_key), {c: "A" for c in cs})
 
 
 def refute_partitioned(a_clauses, b_clauses):
     """Refute the union, tagging input sides.  Clauses in both sets count as A."""
-    sides = {}
-    for c in b_clauses:
-        sides[c] = "B"
-    for c in a_clauses:
-        sides[c] = "A"
-    clauses = sorted(set(a_clauses) | set(b_clauses), key=clause_key)
-    return _refute_with_sides(clauses, sides)
+    sides = dict.fromkeys(b_clauses, "B") | dict.fromkeys(a_clauses, "A")
+    return _refute_with_sides(sorted(sides, key=clause_key), sides)
 
 
 def _refute_with_sides(clauses, sides):
-    # The search keeps, per atom, the indices of the clauses it occurs in
-    # positively and negatively (a tautology is in both lists), and per
-    # clause the number of literals over unassigned atoms and the number of
-    # true literals.  Assigning an atom touches only its own clauses, and
-    # unassigning it on the way back restores them.  A clause falsified at
-    # a node is falsified by the atom just assigned, since a clause falsified
-    # higher up would have closed that branch already; so the lowest-index
-    # clause the last assignment falsifies is the first falsified clause of
-    # the clause_key-sorted list, the one a full rescan would find, and the
-    # refutation is the same node for node.
-    occurrences = {}
-    for ci, c in enumerate(clauses):
+    # Bit masks over the clauses, numbered by the depth of their last atom in
+    # the decision order and by clause_key order within one depth, so that
+    # the clauses depth d closes, closing[d], hold the bits [lo[d], lo[d + 1]).
+    # A search node at depth d is one int, sat: the mask of satisfied clauses
+    # among those that close at depth d or deeper, shifted down by lo[d].
+    # The clauses closed higher up are satisfied on every open branch, so
+    # dropping their bits keeps sat as small as the window of open clauses.
+    # makes[d] holds the masks, shifted by lo[d], of the clauses that
+    # atoms[d] makes true when False and when True; a tautology is in both.
+    # A clause falsified at a node is falsified by the atom just assigned,
+    # or it would have closed the branch higher up; so the lowest set bit of
+    # closes[d] & ~sat is the first falsified clause of the clause_key-sorted
+    # list, the one a full rescan would find, and the refutation is the same
+    # node for node.
+    literals = {}
+    for c in clauses:
+        row = literals[c] = []
         for lit in c:
             negated, body = split_literal(lit)
             if not isinstance(body, Atom):
@@ -243,91 +247,71 @@ def _refute_with_sides(clauses, sides):
                     f"literal {format_literal(bad)} in clause {{{format_clause(c)}}} "
                     "is not over an atom; refutation search resolves on atoms only"
                 )
-            pos, neg = occurrences.setdefault(body.name, ([], []))
-            (neg if negated else pos).append(ci)
-    atoms = sorted(occurrences)
-    occ = [occurrences[name] for name in atoms]
+            row.append((body.name, negated))
+    empty = next((c for c in clauses if not c), None)
+    if empty is not None:
+        return _checked(ResolutionProof((Input(empty, sides[empty]),), 0))
+    atoms = sorted({name for row in literals.values() for name, _ in row})
+    n = len(atoms)
+    depth_of = {name: d for d, name in enumerate(atoms)}
+    closing = [[] for _ in atoms]
+    for c, row in literals.items():
+        closing[max(depth_of[name] for name, _ in row)].append(c)
+    width = [len(group) for group in closing]
+    lo = list(accumulate(width, initial=0))
+    makes = [[0, 0] for _ in atoms]
+    for bit, c in enumerate(chain.from_iterable(closing)):
+        for name, negated in literals[c]:
+            d = depth_of[name]
+            makes[d][not negated] |= 1 << (bit - lo[d])
+    closes = [(1 << w) - 1 for w in width]
+    still_open = [len(literals) - k for k in lo]
     pivots = [(Atom(name), Neg(Atom(name))) for name in atoms]
-    n_open = [len(c) for c in clauses]
-    n_true = [0] * len(clauses)
-    unsatisfied = len(clauses)
-    assignment = {}
+
+    # One explicit-stack walk of the decision tree, True before False.  On
+    # the current branch values[d] is the value of atoms[d], sats[d] the
+    # node above that decision, and, while the False branch runs, trues[d]
+    # the (node_id, clause) that the True branch returned.  A branch
+    # returns the (node_id, clause) of a clause it falsifies, and a
+    # Satisfiable ends the search.
+    values, sats, trues = [True] * n, [0] * n, [None] * n
     nodes = []
     input_ids = {}
+    sat = d = 0
+    while True:
+        if sat.bit_length() == still_open[d] and not sat & (sat + 1):
+            return Satisfiable(tuple(zip(atoms, values[:d] + [False] * (n - d))))
+        values[d], sats[d] = True, sat
+        while True:  # assign values[d] to atoms[d]
+            sat = sats[d] | makes[d][values[d]]
+            closed = closes[d] & ~sat
+            if not closed:
+                sat >>= width[d]
+                d += 1
+                break
+            c = closing[d][(closed & -closed).bit_length() - 1]
+            if c not in input_ids:
+                input_ids[c] = len(nodes)
+                nodes.append(Input(c, sides[c]))
+            result = input_ids[c], c
+            while d >= 0:  # hand result up the branch
+                pos_lit, neg_lit = pivots[d]
+                if values[d]:
+                    if neg_lit in result[1]:
+                        # the True branch used atoms[d]: search the False one
+                        values[d], trues[d] = False, result
+                        break
+                elif pos_lit in result[1]:
+                    (id_t, cl_t), (id_f, cl_f) = trues[d], result
+                    nodes.append(Resolve(id_f, id_t, pos_lit))
+                    result = len(nodes) - 1, (cl_f - {pos_lit}) | (cl_t - {neg_lit})
+                d -= 1
+            else:
+                return _checked(ResolutionProof(tuple(nodes), result[0]))
 
-    def input_node(c):
-        if c not in input_ids:
-            nodes.append(Input(c, sides[c]))
-            input_ids[c] = len(nodes) - 1
-        return input_ids[c], c
 
-    def assign(depth, value):
-        # Returns the lowest index of a clause this assignment falsifies.
-        nonlocal unsatisfied
-        pos, neg = occ[depth]
-        made_true, made_false = (pos, neg) if value else (neg, pos)
-        for ci in made_true:
-            n_open[ci] -= 1
-            n_true[ci] += 1
-            if n_true[ci] == 1:
-                unsatisfied -= 1
-        falsified = None
-        for ci in made_false:
-            n_open[ci] -= 1
-            if falsified is None and not n_open[ci] and not n_true[ci]:
-                falsified = ci
-        return falsified
-
-    def unassign(depth, value):
-        nonlocal unsatisfied
-        pos, neg = occ[depth]
-        made_true, made_false = (pos, neg) if value else (neg, pos)
-        for ci in made_true:
-            n_open[ci] += 1
-            n_true[ci] -= 1
-            if not n_true[ci]:
-                unsatisfied += 1
-        for ci in made_false:
-            n_open[ci] += 1
-
-    def branch(depth, value):
-        assignment[atoms[depth]] = value
-        falsified = assign(depth, value)
-        if falsified is None:
-            out = solve(depth + 1)
-        else:
-            out = input_node(clauses[falsified])
-        unassign(depth, value)
-        del assignment[atoms[depth]]
-        return out
-
-    def solve(depth):
-        # atoms[:depth] are assigned and no clause is falsified.  Returns
-        # (node_id, clause) with the clause falsified under the assignment,
-        # or Satisfiable.
-        if not unsatisfied:
-            full = dict.fromkeys(atoms, False)
-            full.update(assignment)
-            return Satisfiable(tuple(sorted(full.items())))
-        pos_lit, neg_lit = pivots[depth]
-        res_t = branch(depth, True)
-        if isinstance(res_t, Satisfiable) or neg_lit not in res_t[1]:
-            return res_t
-        res_f = branch(depth, False)
-        if isinstance(res_f, Satisfiable) or pos_lit not in res_f[1]:
-            return res_f
-        (id_t, cl_t), (id_f, cl_f) = res_t, res_f
-        nodes.append(Resolve(id_f, id_t, pos_lit))
-        return len(nodes) - 1, (cl_f - {pos_lit}) | (cl_t - {neg_lit})
-
-    empty = next((c for c in clauses if not c), None)
-    try:
-        result = solve(0) if empty is None else input_node(empty)
-    finally:
-        del solve, branch  # they refer to each other: a cycle per call
-    if isinstance(result, Satisfiable):
-        return result
-    rp = ResolutionProof(tuple(nodes), result[0])
+def _checked(rp: ResolutionProof) -> ResolutionProof:
+    """rp, which the search built, once check_refutation passes it."""
     bad = check_refutation(rp)
     if bad is not None:
         raise RefutationCheckFailed(

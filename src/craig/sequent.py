@@ -4,6 +4,7 @@ cut/axiom classification for propositional and normal modal systems."""
 from __future__ import annotations
 
 import operator
+import re
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -232,20 +233,15 @@ def parse_sequent(text: str) -> Sequent:
 
 
 def _parse_sequent(text: str, memo) -> Sequent:
-    """parse_sequent, taking each formula text already parsed from memo
-    (a dict from text to formula that this call extends)."""
+    """parse_sequent, taking each formula from memo, a dict from formula
+    text without its outer whitespace to formula that this call extends.
+    A parsed formula enters its own text and the canonical text of each of
+    its subformulas, since parse_formula(format_formula(f)) is f."""
     if text.count("=>") != 1:
         raise ProofError(f"sequent text needs exactly one '=>': {text!r}")
     left, right = text.split("=>")
-
-    def halves(part):
-        if part.count(";") != 1:
-            raise ProofError(f"each side needs exactly one ';': {text!r}")
-        a, b = part.split(";")
-        return a, b
-
-    g1, g2 = halves(left)
-    d1, d2 = halves(right)
+    if left.count(";") != 1 or right.count(";") != 1:
+        raise ProofError(f"each side needs exactly one ';': {text!r}")
 
     def formulas(chunk):
         chunk = chunk.strip()
@@ -253,13 +249,17 @@ def _parse_sequent(text: str, memo) -> Sequent:
             return ()
         out = []
         for piece in chunk.split(","):
-            f = memo.get(piece)
+            key = piece.strip()
+            f = memo.get(key)
             if f is None:
-                f = memo[piece] = parse_formula(piece)
+                # the piece as written, so that a ParseError keeps its column
+                f = parse_formula(piece)
+                memo.update((format_formula(g), g) for g, _ in signed_subformulas(f))
+                memo[key] = f
             out.append(f)
         return tuple(out)
 
-    return sequent(formulas(g1), formulas(g2), formulas(d1), formulas(d2))
+    return sequent(*map(formulas, left.split(";") + right.split(";")))
 
 
 # ---------------------------------------------------------------------------
@@ -1200,61 +1200,57 @@ def format_proof_text(p: Proof, indent=0) -> str:
     return "\n".join(lines)
 
 
+# a parenthesis, a quoted sequent (its closing quote may be missing), or a
+# word up to the next space or parenthesis
+_SEXPR_TOKEN = re.compile(r'[()]|"(?P<quoted>[^"]*)(?P<close>"?)|[^\s()"][^\s()]*')
+
+
 def _tokenize_sexpr(text):
     out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "()":
-            out.append(ch)
-            i += 1
-        elif ch == '"':
-            j = text.find('"', i + 1)
-            if j < 0:
-                raise ProofError("unterminated quote in proof text")
-            out.append(('"', text[i + 1 : j]))
-            i = j + 1
+    for m in _SEXPR_TOKEN.finditer(text):
+        quoted = m.group("quoted")
+        if quoted is None:
+            out.append(m.group())
+        elif m.group("close"):
+            out.append(('"', quoted))
         else:
-            j = i
-            while j < len(text) and not text[j].isspace() and text[j] not in "()":
-                j += 1
-            out.append(text[i:j])
-            i = j
+            raise ProofError("unterminated quote in proof text")
     return out
 
 
 def parse_proof(text: str) -> Proof:
-    """Each distinct formula text in the file is parsed once."""
+    """Each formula text in the file is parsed once, its subformulas' texts
+    included.  The nodes are read from an explicit stack that holds, per
+    '(' not yet closed, its rule, sequent, main token and children."""
     toks = _tokenize_sexpr(text)
-    node, pos = _parse_node(toks, 0, {})
-    if pos != len(toks):
-        raise ProofError("trailing tokens after proof")
-    return node
+    memo = {}
+    open_nodes = []
+    pos = 0
+    while True:
+        tok = _take(toks, pos)
+        if tok == "(":
+            rule, seq_tok, main_tok = [_take(toks, i) for i in range(pos + 1, pos + 4)]
+            if rule not in RULES or not isinstance(seq_tok, tuple):
+                raise ProofError(f"expected a rule name and quoted sequent text after token {pos}")
+            open_nodes.append((rule, _parse_sequent(seq_tok[1], memo), main_tok, []))
+            pos += 4
+        elif tok == ")" and open_nodes:
+            rule, seq, main_tok, children = open_nodes.pop()
+            node = _rebuild_node(rule, seq, main_tok, tuple(children))
+            pos += 1
+            if not open_nodes:
+                if pos != len(toks):
+                    raise ProofError("trailing tokens after proof")
+                return node
+            open_nodes[-1][3].append(node)
+        else:
+            raise ProofError(f"expected '(' at token {pos}")
 
 
 def _take(toks, pos):
     if pos >= len(toks):
         raise ProofError("proof text ends before its last ')'")
     return toks[pos]
-
-
-def _parse_node(toks, pos, memo):
-    """The node whose '(' is token pos, and the position after its ')';
-    memo maps the formula texts parsed so far to their formulas."""
-    if _take(toks, pos) != "(":
-        raise ProofError(f"expected '(' at token {pos}")
-    rule, seq_tok, main_tok = [_take(toks, i) for i in range(pos + 1, pos + 4)]
-    if rule not in RULES or not isinstance(seq_tok, tuple):
-        raise ProofError(f"expected a rule name and quoted sequent text after token {pos}")
-    seq = _parse_sequent(seq_tok[1], memo)
-    pos += 4
-    children = []
-    while _take(toks, pos) != ")":
-        child, pos = _parse_node(toks, pos, memo)
-        children.append(child)
-    return _rebuild_node(rule, seq, main_tok, tuple(children)), pos + 1
 
 
 def _rebuild_node(rule, seq, main_tok, children):

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -49,6 +50,27 @@ def random_clause_set(rng, atoms=("p", "q", "r", "s"), max_clauses=4, max_width=
     return frozenset(clauses)
 
 
+def random_3cnf(rng, variables=20, clauses=90):
+    """clauses random 3-clauses over x00, x01, ...: the benchmark's refute
+    draw, call for call."""
+    from craig.formulas import Literal
+
+    atoms = [Atom(f"x{v:02d}") for v in range(variables)]
+    return [
+        frozenset(Literal(rng.random() < 0.5, atoms[v]) for v in rng.sample(range(variables), 3))
+        for _ in range(clauses)
+    ]
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240901)
+
+
+@pytest.fixture
+def shallow_stack():
+    """A recursion limit far below the depth of the inputs under test."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(old)

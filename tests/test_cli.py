@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,7 @@ import pytest
 
 import craig
 from craig.cli import main
-from craig.formulas import MAX_DEPTH
+from craig.formulas import MAX_DEPTH, format_clause_set
 from test_sequent import UNSOUND_PROOFS
 
 
@@ -54,6 +55,15 @@ class TestBasicCommands:
         code, out, _ = run(capsys, "prune", "p;r ~p")
         assert code == 0
         assert out == "r\n"
+
+    def test_prune_past_its_bound_exits_1(self, capsys, tmp_path):
+        from conftest import random_3cnf
+
+        path = tmp_path / "a.cls"
+        path.write_text(format_clause_set(frozenset(random_3cnf(random.Random(301))[:45])))
+        code, out, err = run(capsys, "prune", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: eliminating x10 would build ")
 
     def test_refute(self, capsys):
         code, out, _ = run(capsys, "refute", "p;~p")

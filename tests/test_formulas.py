@@ -16,11 +16,13 @@ from craig.formulas import (
     IncompleteAssignment,
     Literal,
     MAX_DEPTH,
+    MAX_PRUNE_RESOLVENTS,
     ModalNotSupported,
     Neg,
     NotValidImplication,
     Or,
     ParseError,
+    PruneTooLarge,
     TOP,
     TooManySharedVars,
     assignments_over,
@@ -48,7 +50,7 @@ from craig.formulas import (
     subsumes,
     vars_of,
 )
-from conftest import random_clause_set, random_formula, random_nnf
+from conftest import random_3cnf, random_clause_set, random_formula, random_nnf
 
 p, q, r, s = Atom("p"), Atom("q"), Atom("r"), Atom("s")
 
@@ -359,6 +361,14 @@ def models_of(cs, names):
 
 
 class TestPrune:
+    def test_an_elimination_past_the_bound_is_refused(self):
+        """The A half of a benchmark refute draw, 45 random 3-clauses over 20
+        atoms, multiplies its clause count with each elimination until it
+        exhausts memory; prune raises before it builds that many."""
+        a_half = random_3cnf(random.Random(301))[:45]
+        with pytest.raises(PruneTooLarge, match=f" resolvents, more than {MAX_PRUNE_RESOLVENTS}$"):
+            prune(frozenset(a_half))
+
     def test_example_resolves_mixed_atom(self):
         cs = frozenset([clause("p"), clause("r", "~p")])
         assert prune(cs) == frozenset([clause("r")])

@@ -317,6 +317,49 @@ class TestReferenceSearch:
             reference_refute_partitioned(a_cls, b_cls)
         )
 
+    def test_sets_wider_than_a_machine_word(self):
+        """Clause masks of more than 64 bits: php(4) and 90-clause 3-CNF
+        draws over 20 atoms, one of them with a tautology added."""
+        from conftest import random_3cnf
+
+        rng = random.Random(5)
+        draws = [random_3cnf(rng) for _ in range(6)]
+        tautology = frozenset([Atom("x00"), Neg(Atom("x00")), Atom("x07")])
+        cases = [(php(4), [])] + [(cs[:45], cs[45:]) for cs in draws]
+        cases.append((draws[2][:45] + [tautology], draws[2][45:]))
+        kinds = []
+        for a_cls, b_cls in cases:
+            got = refute_partitioned(a_cls, b_cls)
+            assert outcome(got) == outcome(reference_refute_partitioned(a_cls, b_cls))
+            kinds.append(type(got).__name__)
+        assert outcome(refute(php(4))) == outcome(reference_refute_partitioned(php(4), []))
+        assert kinds == ["ResolutionProof"] + ["Satisfiable"] * 2 + ["ResolutionProof"] * 2 + [
+            "Satisfiable", "ResolutionProof", "ResolutionProof",
+        ]
+
+
+class TestDeepSearch:
+    """The search walks its decision tree on an explicit stack; the
+    recursive one overflowed the C stack of Python 3.10 on long chains."""
+
+    def chain(self, n):
+        """x0, x0 -> x1, ..., x(n-1) -> xn: unsatisfiable with ~xn."""
+        x = [Atom(f"x{i:05d}") for i in range(n + 1)]
+        return [frozenset([x[0]])] + [frozenset([Neg(x[i]), x[i + 1]]) for i in range(n)], x[n]
+
+    def test_implication_chain(self, shallow_stack):
+        cs, last = self.chain(20_000)
+        rp = refute(frozenset(cs + [frozenset([Neg(last)])]))
+        # every clause is an input, and each of the 20,001 atoms is resolved once
+        assert len(rp) == 40_003
+        assert check_refutation(rp) is None
+
+    def test_satisfiable_chain(self, shallow_stack):
+        cs, _ = self.chain(20_000)
+        out = refute(frozenset(cs))
+        assert isinstance(out, Satisfiable)
+        assert set(out.as_dict().values()) == {True}
+
 
 class TestNonAtomicLiterals:
     @pytest.mark.parametrize("text", ["false", "~false", "[]p", "~[]p"])

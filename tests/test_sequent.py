@@ -12,8 +12,8 @@ from functools import lru_cache
 import pytest
 
 from craig.formulas import (
-    And, Atom, BOTTOM, Box, Formula, Neg, Or, TOP, assignments_over, eval_formula, format_formula,
-    vars_of,
+    And, Atom, BOTTOM, Box, Formula, Neg, Or, ParseError, TOP, assignments_over, eval_formula,
+    format_formula, vars_of,
 )
 from craig.sequent import (
     COMPONENTS,
@@ -517,6 +517,48 @@ class TestSerialization:
     def test_malformed_proof_text_is_a_named_error(self, text):
         with pytest.raises(ProofError):
             parse_proof(text)
+
+    def test_irregular_whitespace_parses_to_the_same_proof(self):
+        proof = example_sigma()
+        text = format_proof(proof)
+        messy = (
+            text.replace(", ", " ,\t").replace(" ; ", ";  ").replace(" => ", "=>\n ")
+            .replace(" & ", "&").replace(" | ", "  |")
+        )
+        assert messy.count("&") and messy.count("\t") and messy.count("\n")
+        assert parse_proof(messy) == proof
+
+    @pytest.mark.parametrize(
+        "text, line, col, message",
+        [
+            ('(ax "p, q & (r ;  => p ; " -)', 1, 8, "expected ')', found ''"),
+            # the piece is " ~": the column counts its leading space
+            ('(ax "  p ;  =>  p, ~ ;  " -)', 1, 3, "unexpected token ''"),
+        ],
+    )
+    def test_a_bad_formula_keeps_its_parse_error(self, text, line, col, message):
+        with pytest.raises(ParseError) as info:
+            parse_proof(text)
+        assert (str(info.value), info.value.line, info.value.col) == (f"{line}:{col}: {message}", line, col)
+
+    def test_subformulas_are_not_parsed_again(self, monkeypatch):
+        """parse_formula runs once per text that is not the canonical text of
+        a subformula of a formula parsed before: on a chain proof, only on
+        the two formulas of its conclusion."""
+        from craig.construct import prove_cutfree
+
+        atoms = [Atom(f"c{i:02d}") for i in range(12)]
+        conj, disj = atoms[0], atoms[0]
+        for x in atoms[1:]:
+            conj, disj = And(conj, x), Or(disj, x)
+        proof = prove_cutfree(sequent([conj], [], [], [disj]), LKMINUS)
+        text = format_proof(proof)
+        parsed = []
+        real = sequent_module.parse_formula
+        monkeypatch.setattr(sequent_module, "parse_formula", lambda t: parsed.append(t) or real(t))
+        assert parse_proof(text) == proof
+        assert parsed == [format_formula(conj), format_formula(disj)]
+        assert proof_size(proof) > 20
 
 
 # ---------------------------------------------------------------------------
@@ -1119,15 +1161,6 @@ class TestRuleSchema:
         assert accepted == set(RULE_SCHEMA)
 
 
-@pytest.fixture
-def shallow_stack():
-    """A recursion limit far below the depth of the proofs under test."""
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)
-    yield
-    sys.setrecursionlimit(old)
-
-
 def deep_weakening_proof(levels=10_000, leaf=None):
     """p => p (or leaf, which concludes it) under alternating lw/lc steps,
     one rule per level."""
@@ -1165,6 +1198,10 @@ class TestDeepProofs:
         assert proof_depth(proof) == 10_000
         # p => p, then p, p => p and p => p in turn
         assert proof_length(proof) == 2 + 5_000 * 3 + 5_000 * 2
+
+    def test_parse_proof_is_iterative(self, shallow_stack):
+        proof = deep_weakening_proof()
+        assert parse_proof(format_proof(proof)) == proof
 
     def test_format_proof_text_is_iterative(self, shallow_stack):
         # the text is quadratic in the depth, so this chain is a short one

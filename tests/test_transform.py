@@ -63,7 +63,6 @@ from test_sequent import (
     example_sigma,
     omega_proof,
     reference_iter_nodes,
-    shallow_stack,  # a fixture
 )
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
