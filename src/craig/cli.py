@@ -500,7 +500,7 @@ def main(argv=None):
     except (R.NonAtomicLiteral, UnreadableInput) as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (R.RefutationCheckFailed, ProofCheckFailed):
+    except (R.RefutationCheckFailed, R.AssignmentCheckFailed, ProofCheckFailed):
         return _internal_error()
     except (F.FormulaError, R.ResolutionError, ProofError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -26,6 +26,7 @@ from .formulas import (
 )
 from .maehara import axiom_interpolant, combine, verify_interpolant
 from .sequent import (
+    ACROSS,
     COMPONENTS,
     LKAT,
     MODAL_JUMPS,
@@ -36,6 +37,7 @@ from .sequent import (
     ax,
     bot_axiom,
     check_proof,
+    contract,
     cut,
     format_sequent,
     jump_premise,
@@ -45,7 +47,6 @@ from .sequent import (
     lneg,
     lor,
     rand,
-    rc,
     ror1,
     ror2,
     rneg,
@@ -105,8 +106,8 @@ def _closure_proof(s: Sequent):
 
 
 def _first_composite(s: Sequent):
-    for comp in COMPONENTS:
-        for f in s.comp(comp):
+    for comp, fs in zip(COMPONENTS, s):
+        for f in fs:
             if isinstance(f, (And, Or, Neg)):
                 return comp, f
     return None
@@ -161,61 +162,29 @@ def _search(s: Sequent, system: System, unfolded, blocked):
         comp, f = pick
         ant = comp in ("g1", "g2")
         base = s.remove_one(comp, f)
-        if ant and isinstance(f, And):
-            sub, fail = _search(
-                base.insert(comp, f.left).insert(comp, f.right), system, unfolded, blocked
-            )
+        if isinstance(f, Neg):
+            premises, rule = [base.insert(ACROSS[comp], f.body)], lneg if ant else rneg
+        elif isinstance(f, Or) == ant:  # lor and rand: one premise per part
+            premises = [base.insert(comp, f.left), base.insert(comp, f.right)]
+            rule = lor if ant else rand
+        else:  # both parts in one premise, then the two copies of f contracted
+            premises = [base.insert(comp, f.left).insert(comp, f.right)]
+            inner, outer = (land2, land1) if ant else (ror2, ror1)
+            rule = lambda sub, f, comp: contract(outer(inner(sub, f, comp), f, comp), f, comp)
+        subs = []
+        for premise in premises:
+            sub, fail = _search(premise, system, unfolded, blocked)
             if sub is None:
                 return None, fail
-            return lc(land1(land2(sub, f, comp), f, comp), f, comp), None
-        if ant and isinstance(f, Or):
-            left, fail = _search(base.insert(comp, f.left), system, unfolded, blocked)
-            if left is None:
-                return None, fail
-            right, fail = _search(base.insert(comp, f.right), system, unfolded, blocked)
-            if right is None:
-                return None, fail
-            return lor(left, right, f, comp), None
-        if ant and isinstance(f, Neg):
-            sub, fail = _search(
-                base.insert("d" + comp[1], f.body), system, unfolded, blocked
-            )
-            if sub is None:
-                return None, fail
-            return lneg(sub, f, comp), None
-        if not ant and isinstance(f, And):
-            left, fail = _search(base.insert(comp, f.left), system, unfolded, blocked)
-            if left is None:
-                return None, fail
-            right, fail = _search(base.insert(comp, f.right), system, unfolded, blocked)
-            if right is None:
-                return None, fail
-            return rand(left, right, f, comp), None
-        if not ant and isinstance(f, Or):
-            sub, fail = _search(
-                base.insert(comp, f.left).insert(comp, f.right), system, unfolded, blocked
-            )
-            if sub is None:
-                return None, fail
-            return rc(ror1(ror2(sub, f, comp), f, comp), f, comp), None
-        if not ant and isinstance(f, Neg):
-            sub, fail = _search(
-                base.insert("g" + comp[1], f.body), system, unfolded, blocked
-            )
-            if sub is None:
-                return None, fail
-            return rneg(sub, f, comp), None
+            subs.append(sub)
+        return rule(*subs, f, comp), None
     # literals and boxes only
     if "t" in system.modal_rules:
         for comp in ("g1", "g2"):
             for f in s.comp(comp):
                 if isinstance(f, Box) and (comp, f) not in unfolded:
                     sub, fail = _search(
-                        s.insert(comp, f.body),
-                        system,
-                        unfolded | {(comp, f)},
-                        blocked,
-                    )
+                        s.insert(comp, f.body), system, unfolded | {(comp, f)}, blocked)
                     if sub is None:
                         return None, fail
                     return lc(rule_t(sub, f, comp), f, comp), None
@@ -456,7 +425,7 @@ def enumerate_cutfree_interpolants(s: Sequent, system: System, max_depth: int):
                         rs = mset(base.insert(comp, f.right), depth - 1)
                         out |= {combine("lor", comp, (x, y)) for x in ls for y in rs}
                     elif ant and isinstance(f, Neg):
-                        out |= mset(base.insert("d" + comp[1], f.body), depth - 1)
+                        out |= mset(base.insert(ACROSS[comp], f.body), depth - 1)
                     elif ant and isinstance(f, Box) and "t" in system.modal_rules:
                         out |= mset(seq.insert(comp, f.body), depth - 1)
                     elif not ant and isinstance(f, And):
@@ -467,7 +436,7 @@ def enumerate_cutfree_interpolants(s: Sequent, system: System, max_depth: int):
                         out |= mset(base.insert(comp, f.left), depth - 1)
                         out |= mset(base.insert(comp, f.right), depth - 1)
                     elif not ant and isinstance(f, Neg):
-                        out |= mset(base.insert("g" + comp[1], f.body), depth - 1)
+                        out |= mset(base.insert(ACROSS[comp], f.body), depth - 1)
             out |= _modal_backward(seq, system, depth, mset)
         memo[key] = frozenset(out)
         return memo[key]

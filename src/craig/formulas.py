@@ -584,7 +584,8 @@ def sorted_literals(c) -> list:
 
 
 def clause_key(c):
-    return tuple(literal_key(l) for l in sorted_literals(c))
+    """The literal keys of c in order, each computed once."""
+    return tuple(sorted(map(literal_key, c)))
 
 
 def sorted_clauses(cs) -> list:

@@ -39,6 +39,10 @@ class RefutationCheckFailed(ResolutionError):
     """A refutation the search built fails check_refutation: an internal bug."""
 
 
+class AssignmentCheckFailed(ResolutionError):
+    """An assignment the search found falsifies an input clause: an internal bug."""
+
+
 class SideMismatch(ResolutionError):
     """An INPUT node of a refutation is not a clause of the side it names."""
 
@@ -280,7 +284,12 @@ def _refute_with_sides(clauses, sides):
     sat = d = 0
     while True:
         if sat.bit_length() == still_open[d] and not sat & (sat + 1):
-            return Satisfiable(tuple(zip(atoms, values[:d] + [False] * (n - d))))
+            model = Satisfiable(tuple(zip(atoms, values[:d] + [False] * (n - d))))
+            bad = falsified_clause(clauses, model.as_dict())
+            if bad is not None:
+                raise AssignmentCheckFailed(
+                    f"search found an assignment that falsifies {{{format_clause(bad)}}}")
+            return model
         values[d], sats[d] = True, sat
         while True:  # assign values[d] to atoms[d]
             sat = sats[d] | makes[d][values[d]]
@@ -308,6 +317,15 @@ def _refute_with_sides(clauses, sides):
                 d -= 1
             else:
                 return _checked(ResolutionProof(tuple(nodes), result[0]))
+
+
+def falsified_clause(clauses, assignment):
+    """The first of the clauses over atoms with no literal true under
+    assignment, a dict from atom name to value, or None."""
+    for c in clauses:
+        if not any(assignment[body.name] != negated for negated, body in map(split_literal, c)):
+            return c
+    return None
 
 
 def _checked(rp: ResolutionProof) -> ResolutionProof:

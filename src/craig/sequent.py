@@ -126,6 +126,10 @@ def cut_allowed(f: Formula, system: System, conclusion: "Sequent") -> bool:
 # ---------------------------------------------------------------------------
 
 COMPONENTS = ("g1", "g2", "d1", "d2")
+_INDEX = {c: i for i, c in enumerate(COMPONENTS)}
+# the component on the other side of the sequent arrow, same partition side
+ACROSS = {"g1": "d1", "g2": "d2", "d1": "g1", "d2": "g2"}
+_new = tuple.__new__
 
 
 def _sorted(fs) -> tuple:
@@ -140,92 +144,95 @@ def _in_order(fs) -> bool:
     return all(map(operator.le, keys, keys[1:]))
 
 
-@dataclass(frozen=True)
-class Sequent:
-    g1: tuple = ()
-    g2: tuple = ()
-    d1: tuple = ()
-    d2: tuple = ()
+class Sequent(tuple):
+    """g1 ; g2 => d1 ; d2 as the positional 4-tuple of its components, each
+    a tuple of formulas in the canonical order, so that building, comparing
+    and hashing a sequent are tuple's.  The names in COMPONENTS address the
+    components at the edges: the rule constructors' comp=, main_comp, .prf
+    text and format_sequent."""
+
+    __slots__ = ()
+
+    def __new__(cls, g1=(), g2=(), d1=(), d2=()):
+        return _new(cls, (g1, g2, d1, d2))
+
+    def __reduce__(self):
+        # copies and pickles rebuild the sequent from its four components
+        return type(self), tuple(self)
+
+    g1, g2, d1, d2 = (property(operator.itemgetter(i)) for i in range(4))
 
     def comp(self, name) -> tuple:
-        return getattr(self, name)
-
-    def _with(self, name, comp) -> "Sequent":
-        """This sequent with component name replaced by comp, which must
-        be in the canonical order."""
-        parts = [self.g1, self.g2, self.d1, self.d2]
-        parts[COMPONENTS.index(name)] = comp
-        return Sequent(*parts)
+        return self[_INDEX[name]]
 
     def insert(self, name, f) -> "Sequent":
         """Add f to component name at its place in the canonical order."""
-        comp = self.comp(name)
-        i = bisect_right(comp, format_formula(f), key=format_formula)
-        return self._with(name, comp[:i] + (f,) + comp[i:])
+        parts = list(self)
+        i = _INDEX[name]
+        fs = parts[i]
+        k = bisect_right(fs, format_formula(f), key=format_formula)
+        parts[i] = fs[:k] + (f,) + fs[k:]
+        return _new(Sequent, parts)
 
     def remove_one(self, name, f) -> "Sequent":
-        comp = self.comp(name)
+        parts = list(self)
+        i = _INDEX[name]
+        fs = parts[i]
         try:
-            i = comp.index(f)
+            k = fs.index(f)
         except ValueError:
             raise ProofError(f"no {format_formula(f)} in {name} to remove") from None
-        return self._with(name, comp[:i] + comp[i + 1:])
+        parts[i] = fs[:k] + fs[k + 1:]
+        return _new(Sequent, parts)
 
     def count(self, name, f) -> int:
-        return self.comp(name).count(f)
+        """The copies of f in component name.  This shadows tuple.count,
+        which would count the components equal to its one argument."""
+        return self[_INDEX[name]].count(f)
 
     def antecedent(self):
-        return self.g1 + self.g2
+        return self[0] + self[1]
 
     def succedent(self):
-        return self.d1 + self.d2
+        return self[2] + self[3]
 
     def side_vars(self, side) -> frozenset:
-        out = frozenset()
-        for f in self.comp(f"g{side}") + self.comp(f"d{side}"):
-            out |= vars_of(f)
-        return out
+        return frozenset().union(*map(vars_of, self[side - 1] + self[side + 1]))
 
     def all_vars(self) -> frozenset:
         return self.side_vars(1) | self.side_vars(2)
 
     def occurrences(self):
-        for c in COMPONENTS:
-            for i, f in enumerate(self.comp(c)):
+        for c, fs in zip(COMPONENTS, self):
+            for i, f in enumerate(fs):
                 yield c, i, f
 
     def flat_index(self, comp, idx) -> int:
-        offset = 0
-        for c in COMPONENTS:
-            if c == comp:
-                return offset + idx
-            offset += len(self.comp(c))
-        raise ProofError(f"bad component {comp!r}")
+        if comp not in _INDEX:
+            raise ProofError(f"bad component {comp!r}")
+        return sum(map(len, self[:_INDEX[comp]])) + idx
 
     def from_flat(self, flat):
-        for c in COMPONENTS:
-            n = len(self.comp(c))
-            if flat < n:
+        for c, fs in zip(COMPONENTS, self):
+            if flat < len(fs):
                 return c, flat
-            flat -= n
+            flat -= len(fs)
         raise ProofError(f"flat index out of range")
 
     def length(self) -> int:
-        return sum(formula_length(f) for c in COMPONENTS for f in self.comp(c))
+        return sum(formula_length(f) for fs in self for f in fs)
 
     def __repr__(self):
         return f"<seq {format_sequent(self)}>"
 
 
 def sequent(g1=(), g2=(), d1=(), d2=()) -> Sequent:
-    return Sequent(_sorted(g1), _sorted(g2), _sorted(d1), _sorted(d2))
+    return _new(Sequent, (_sorted(g1), _sorted(g2), _sorted(d1), _sorted(d2)))
 
 
 def format_sequent(s: Sequent) -> str:
-    def side(fs):
-        return ", ".join(format_formula(f) for f in fs)
-
-    return f"{side(s.g1)} ; {side(s.g2)} => {side(s.d1)} ; {side(s.d2)}"
+    g1, g2, d1, d2 = (", ".join(map(format_formula, fs)) for fs in s)
+    return f"{g1} ; {g2} => {d1} ; {d2}"
 
 
 def parse_sequent(text: str) -> Sequent:
@@ -341,8 +348,8 @@ class Proof:
 
 def _frozen(node: Proof) -> bool:
     """node's premises and the components of its sequent are tuples."""
-    s = node.sequentv
-    return type(node.children) is type(s.g1) is type(s.g2) is type(s.d1) is type(s.d2) is tuple
+    g1, g2, d1, d2 = node.sequentv
+    return type(node.children) is type(g1) is type(g2) is type(d1) is type(d2) is tuple
 
 
 def _fold(p: Proof, combine):
@@ -382,12 +389,17 @@ def subproof_at(p: Proof, path) -> Proof:
 
 
 def replace_at(p: Proof, path, new: Proof) -> Proof:
-    if not path:
-        return new
-    i = path[0]
-    kids = list(p.children)
-    kids[i] = replace_at(kids[i], path[1:], new)
-    return Proof(p.rule, p.sequentv, tuple(kids), p.main_comp, p.main_formula)
+    """p with the node at path replaced by new and each node below it
+    rebuilt, from the deepest up."""
+    spine = []
+    for i in path:
+        spine.append((p, i))
+        p = p.children[i]
+    for node, i in reversed(spine):
+        kids = list(node.children)
+        kids[i] = new
+        new = Proof(node.rule, node.sequentv, tuple(kids), node.main_comp, node.main_formula)
+    return new
 
 
 def iter_nodes(p: Proof, path=()):
@@ -440,15 +452,11 @@ def _schema(rule, main, comp) -> int:
     return arity
 
 
-# the component on the other side of the sequent arrow, same partition side
-_ACROSS = {"g1": "d1", "g2": "d2", "d1": "g1", "d2": "g2"}
-
-
 def premise_aux(rule, main, comp, ci: int):
     """(comp, formula) pairs of premise ci that become the main occurrence
     main at comp, or that a cut consumes, for the rules of RULE_SCHEMA."""
     if rule == "cut":
-        return [(comp if ci == 0 else _ACROSS[comp], main)]
+        return [(comp if ci == 0 else ACROSS[comp], main)]
     if rule in ("lw", "rw"):
         return []
     if rule in ("lc", "rc"):
@@ -458,7 +466,7 @@ def premise_aux(rule, main, comp, ci: int):
     if rule in ("land2", "ror2", "rand", "lor"):
         return [(comp, main.right)]
     if rule in ("lneg", "rneg"):
-        return [(_ACROSS[comp], main.body)]
+        return [(ACROSS[comp], main.body)]
     if rule == "t":
         return [(comp, main.body)]
     raise ProofError(f"no auxiliary formulas for rule {rule!r}")
@@ -547,6 +555,16 @@ def cut(left: Proof, right: Proof, f: Formula, side=2) -> Proof:
 
 def rule_t(child: Proof, main: Formula, comp="g1") -> Proof:
     return infer("t", (child,), main, comp)
+
+
+def weaken(child: Proof, f: Formula, comp) -> Proof:
+    """lw or rw, by the side of comp."""
+    return infer("lw" if comp[0] == "g" else "rw", (child,), f, comp)
+
+
+def contract(child: Proof, f: Formula, comp) -> Proof:
+    """lc or rc, by the side of comp."""
+    return infer("lc" if comp[0] == "g" else "rc", (child,), f, comp)
 
 
 def rule_k(child: Proof) -> Proof:
@@ -642,7 +660,7 @@ def weaken_to(p: Proof, target: Sequent) -> Proof:
             if f in have:
                 have.remove(f)
             else:
-                p = lw(p, f, comp) if comp[0] == "g" else rw(p, f, comp)
+                p = weaken(p, f, comp)
     _need(p.sequentv == target, "weaken_to target must extend the end-sequent")
     return p
 
@@ -655,7 +673,7 @@ def contract_to(p: Proof, target: Sequent) -> Proof:
             extra = p.sequentv.count(comp, f) - want.count(f)
             _need(extra >= 0, "contract_to target must shrink the end-sequent")
             for _ in range(extra):
-                p = lc(p, f, comp) if comp[0] == "g" else rc(p, f, comp)
+                p = contract(p, f, comp)
     _need(p.sequentv == target, "contract_to mismatch")
     return p
 
@@ -667,8 +685,7 @@ def wax(f: Formula, target: Sequent, ant="g1", suc="d1") -> Proof:
 
 def top_right(comp="d1") -> Proof:
     """Derivation of the top literal on the right: false-axiom plus rneg."""
-    gcomp = "g" + comp[1]
-    return rneg(bot_axiom(gcomp), TOP, comp)
+    return rneg(bot_axiom(ACROSS[comp]), TOP, comp)
 
 
 # ---------------------------------------------------------------------------
@@ -748,12 +765,11 @@ def _violation(node: Proof, system: System):
     """((), reason) when node breaks a rule, ((i,), reason) when its
     premise i does not match the rule, or None."""
     s = node.sequentv
-    comps = (s.g1, s.g2, s.d1, s.d2)
-    for c, fs in zip(COMPONENTS, comps):
+    for c, fs in zip(COMPONENTS, s):
         if not _in_order(fs):
             return (), f"component {c} is not canonically sorted"
     if not system.modal:
-        if any(is_modal(f) for fs in comps for f in fs):
+        if any(is_modal(f) for fs in s for f in fs):
             return (), "boxed formula in a non-modal system"
     if node.rule == "ax":
         ants, sucs = s.antecedent(), s.succedent()
@@ -853,8 +869,7 @@ def direct_ancestors(node: Proof, ci: int, occ):
         return _modal_ancestors(node, child, occ)
     aux = aux_occurrences(node, ci)
     main = main_occurrence(node)
-    for c in COMPONENTS:
-        have, want = child.comp(c), node.sequentv.comp(c)
+    for c, have, want in zip(COMPONENTS, child, node.sequentv):
         for ac, ai in reversed(aux):
             if ac == c:
                 have = have[:ai] + have[ai + 1:]
@@ -893,7 +908,8 @@ def _modal_ancestors(node: Proof, child: Sequent, occ):
 
 def _cone(p: Proof, occ):
     """The ancestor tree of occ as (occurrence, its node, index of its
-    descendant) triples, each listed after its descendant."""
+    descendant) triples, each listed after its descendant.  For membership
+    only: _summaries gives weakness and weight without a cone."""
     path, comp, idx = occ
     node = subproof_at(p, path)
     cone = [(occ, node, None)]
@@ -917,25 +933,53 @@ def ancestors(p: Proof, occ) -> set:
     return {o for o, _, _ in _cone(p, occ)}
 
 
+def _summaries(roots):
+    """(strong, weight, kept) of each (node, occ) in roots, occ = (comp,
+    idx) an occurrence of node's conclusion: whether an ancestor of it sits
+    in an axiom, how many of its strong ancestors sit outside the
+    conclusions of weakenings, and whether node keeps the two.  One summary
+    per (node, occurrence), from those of its direct ancestors, bottom-up on
+    an explicit stack.  Like _passed, a summary is kept in the node's
+    _summaries when every node it read is _frozen, so a later call on a
+    proof that shares the node walks no further; a premise that does not
+    match its conclusion raises before anything is kept."""
+    roots = list(roots)
+    done = {}  # (id(node), occurrence): its summary
+    kept = []
+    stack = [(node, occ, None) for node, occ in reversed(roots)]
+    while stack:
+        n, o, links = stack.pop()
+        if links is not None:  # the direct ancestors are done
+            parts = [done[id(c), src] for c, src in links]
+            strong = n.rule in ("ax", "bot") or any(s for s, _, _ in parts)
+            w = (strong and n.rule not in ("lw", "rw")) + sum(pw for _, pw, _ in parts)
+            keep = all(k for _, _, k in parts) and _frozen(n) and all(map(_frozen, n.children))
+            done[id(n), o] = strong, w, keep
+            if keep:
+                kept.append((n, o))
+        elif (id(n), o) not in done:
+            stored = n.__dict__.get("_summaries", ())
+            if o in stored:
+                done[id(n), o] = stored[o]
+            else:
+                links = [(c, src) for ci, c in enumerate(n.children)
+                         for src in direct_ancestors(n, ci, o)]
+                stack.append((n, o, links))
+                stack += [(c, src, None) for c, src in links]
+    for n, o in kept:
+        n.__dict__.setdefault("_summaries", {})[o] = done[id(n), o]
+    return [done[id(node), occ] for node, occ in roots]
+
+
 def is_weak(p: Proof, occ) -> bool:
     """No ancestor of occ sits in an axiom: weakenings introduced all of it."""
-    return all(node.rule not in ("ax", "bot") for _, node, _ in _cone(p, occ))
+    return not _summaries([(subproof_at(p, occ[0]), occ[1:])])[0][0]
 
 
 def weight(p: Proof, occ) -> int:
     """The number of ancestors of occ that are not weak and do not sit in
     the conclusion of a weakening."""
-    return _cone_weight(_cone(p, occ))
-
-
-def _cone_weight(cone) -> int:
-    strong = [node.rule in ("ax", "bot") for _, node, _ in cone]
-    for i in range(len(cone) - 1, 0, -1):
-        if strong[i]:
-            strong[cone[i][2]] = True
-    return sum(
-        1 for s, (_, node, _) in zip(strong, cone) if s and node.rule not in ("lw", "rw")
-    )
+    return _summaries([(subproof_at(p, occ[0]), occ[1:])])[0][1]
 
 
 @dataclass(frozen=True)
@@ -966,9 +1010,9 @@ def propositional_degree(f: Formula) -> int:
 
 
 def classify_cut(p: Proof, path) -> CutInfo:
-    """The CutInfo of the cut at path.  It reads only the cut node, the
-    nodes in the cones of its cut occurrences and their premises, so when
-    those are _frozen the cut node stores it."""
+    """The CutInfo of the cut at path.  It reads only the cut node and the
+    summaries of its cut occurrences, so when the node is _frozen and its
+    premises store those summaries, the cut node stores it."""
     node = subproof_at(p, path)
     info = node.__dict__.get("_cut_info")
     if info is not None:
@@ -978,22 +1022,17 @@ def classify_cut(p: Proof, path) -> CutInfo:
     f = node.main_formula
     s = node.sequentv
     v = vars_of(f)
-    closure = set()
-    for _, _, g in s.occurrences():
-        closure |= {h for h, _ in signed_subformulas(g)}
-    left, right = cut_occurrences(node)
-    cones = (_cone(node, ((0,),) + left), _cone(node, ((1,),) + right))
+    (_, wl, kl), (_, wr, kr) = _summaries(zip(node.children, cut_occurrences(node)))
     info = CutInfo(
         type_r=node.main_comp == "d2",
         atomic=is_atomic_cut_formula(f),
         literal=is_literal_cut_formula(f),
         monochromatic=v <= s.side_vars(1) or v <= s.side_vars(2),
-        analytic=f in closure,
+        analytic=any(f == h for _, _, g in s.occurrences() for h, _ in signed_subformulas(g)),
         degree=propositional_degree(f),
-        weight=_cone_weight(cones[0]) + _cone_weight(cones[1]),
+        weight=wl + wr,
     )
-    read = [node, *node.children] + [m for cone in cones for _, n, _ in cone for m in n.children]
-    if all(map(_frozen, read)):
+    if kl and kr and _frozen(node):
         node.__dict__["_cut_info"] = info
     return info
 
@@ -1067,7 +1106,7 @@ def _substitute_proof(p: Proof, old: str, new: Formula) -> Proof:
     s = p.sequentv
     return Proof(
         p.rule,
-        sequent(*(tuple(map(sub, s.comp(c))) for c in COMPONENTS)),
+        sequent(*(map(sub, fs) for fs in s)),
         tuple(_substitute_proof(c, old, new) for c in p.children),
         p.main_comp,
         sub(p.main_formula) if p.main_formula is not None else None,

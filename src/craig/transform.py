@@ -22,6 +22,7 @@ from .formulas import (
 )
 from .maehara import maehara
 from .sequent import (
+    ACROSS,
     LK,
     Proof,
     ProofError,
@@ -31,6 +32,7 @@ from .sequent import (
     bot_axiom,
     check_proof,
     classify_cut,
+    contract,
     cut,
     cut_occurrences,
     direct_ancestors,
@@ -40,16 +42,15 @@ from .sequent import (
     iter_nodes,
     lc,
     lneg,
-    lw,
     main_occurrence,
     premise_aux,
     rc,
     rebuild,
     replace_at,
     rneg,
-    rw,
     subproof_at,
     wax,
+    weaken,
     weaken_to,
 )
 
@@ -69,8 +70,6 @@ class NotTame(TransformError):
 class NotTypeR(TransformError):
     pass
 
-
-_DUAL_COMP = {"d1": "g1", "d2": "g2", "g1": "d1", "g2": "d2"}
 
 # Rules whose main occurrence a cut can be reduced against.
 _LOGICAL = {"rand", "ror1", "ror2", "rneg", "land1", "land2", "lor", "lneg"}
@@ -92,40 +91,25 @@ def neg_invert(p: Proof, comp: str, idx: int) -> Proof:
 
 
 def _axiom_inversion(node: Proof, comp: str) -> Proof:
-    """Axiom case: rebuild a two-node proof with the same interpolant."""
+    """Axiom case: rebuild a two-node proof with the same interpolant, an
+    axiom on the body with each occurrence moved across the arrow under the
+    negation rule that brings back the target."""
     nf = node.sequentv.comp(comp)[0]
-    a = nf.body
     ant = "g1" if node.sequentv.g1 else "g2"
     suc = "d1" if node.sequentv.d1 else "d2"
-    dual = _DUAL_COMP[comp]
-    if comp in ("d1", "d2"):
-        # the other occurrence sits in the antecedent
-        if (ant, comp) == ("g1", "d2"):
-            return lneg(ax(a, "g2", "d1"), nf, "g1")
-        if (ant, comp) == ("g2", "d2"):
-            return lneg(ax(a, "g2", "d2"), nf, "g2")
-        if (ant, comp) == ("g1", "d1"):
-            return lneg(ax(a, "g1", "d1"), nf, "g1")
+    if (ant, suc) == ("g2", "d1"):
         raise TransformError(
             "inverting an axiom placed right/left needs a non-normal interpolant"
         )
-    # target in the antecedent; the other occurrence sits in the succedent
-    if (comp, suc) == ("g2", "d2"):
-        return rneg(ax(a, "g2", "d2"), nf, "d2")
-    if (comp, suc) == ("g1", "d1"):
-        return rneg(ax(a, "g1", "d1"), nf, "d1")
-    if (comp, suc) == ("g1", "d2"):
-        return rneg(ax(a, "g2", "d1"), nf, "d2")
-    raise TransformError(
-        "inverting an axiom placed right/left needs a non-normal interpolant"
-    )
+    premise = ax(nf.body, ACROSS[suc], ACROSS[ant])
+    return lneg(premise, nf, ant) if comp == suc else rneg(premise, nf, suc)
 
 
 def _invert(node: Proof, occ) -> Proof:
     comp, idx = occ
     nf = node.sequentv.comp(comp)[idx]
     a = nf.body
-    dual = _DUAL_COMP[comp]
+    dual = ACROSS[comp]
     rule = node.rule
     if rule == "ax":
         return _axiom_inversion(node, comp)
@@ -137,19 +121,14 @@ def _invert(node: Proof, occ) -> Proof:
         if rule == "lneg" and comp in ("g1", "g2"):
             return node.children[0]
         if rule in ("lw", "rw"):
-            child = node.children[0]
-            return (
-                lw(child, a, dual) if dual in ("g1", "g2") else rw(child, a, dual)
-            )
+            return weaken(node.children[0], a, dual)
         if rule in ("lc", "rc"):
             child = node.children[0]
             i1 = first_index(child.sequentv, comp, nf)
             step1 = _invert(child, (comp, i1))
             i2 = first_index(step1.sequentv, comp, nf)
             step2 = _invert(step1, (comp, i2))
-            return (
-                lc(step2, a, dual) if dual in ("g1", "g2") else rc(step2, a, dual)
-            )
+            return contract(step2, a, dual)
         raise TransformError(f"rule {rule} cannot introduce the negation {nf!r}")
     # context occurrence: invert the corresponding ancestors and rebuild
     return rebuild(node, [
@@ -220,8 +199,7 @@ def _push_weakening(w: Proof) -> Proof:
     f, comp = w.main_formula, w.main_comp
     hoisted = []
     for gk in child.children:
-        wk = lw(gk, f, comp) if comp in ("g1", "g2") else rw(gk, f, comp)
-        hoisted.append(_push_weakening(wk))
+        hoisted.append(_push_weakening(weaken(gk, f, comp)))
     return rebuild(child, hoisted)
 
 
@@ -324,10 +302,6 @@ def _wax_axiom_comp(premise: Proof, occ_comp: str):
     return "d1" if node.sequentv.d1 else "d2"
 
 
-def _weaken_add(p: Proof, f: Formula, comp: str) -> Proof:
-    return lw(p, f, comp) if comp in ("g1", "g2") else rw(p, f, comp)
-
-
 def _reduce_cut(chi: Proof):
     """One reduction step: (replacement, kind, new cut paths in replacement)."""
     f = chi.main_formula
@@ -385,8 +359,6 @@ def _reduce_cut(chi: Proof):
                 "rule-against-axiom cut crosses the partition; not supported"
             )
         return rc(left, f, dcomp), "axiom-absorb"
-    if intro_l is None or intro_r is None:
-        raise TransformError("unclassified cut configuration")
 
     return _degree_reduce(chi), "degree"
 
@@ -408,16 +380,16 @@ def _permute(chi: Proof, over_left: bool):
     def new_cut(ci: int):
         # the premise keeps the main formula, the passive side gains the
         # premise's auxiliary formulas
-        br = w_reduce(_weaken_add(active.children[ci], m, mcomp))
+        br = w_reduce(weaken(active.children[ci], m, mcomp))
         ps = passive
         for c, g in premise_aux(rule, m, mcomp, ci):
-            ps = _weaken_add(ps, g, c)
+            ps = weaken(ps, g, c)
         ps = w_reduce(ps)
         return cut(br, ps, f, side) if over_left else cut(ps, br, f, side)
 
     out = rebuild(active, [new_cut(ci) for ci in range(len(active.children))])
     # one duplicated main to contract away
-    return lc(out, m, mcomp) if mcomp in ("g1", "g2") else rc(out, m, mcomp)
+    return contract(out, m, mcomp)
 
 
 def _contract_reduce(chi: Proof, on_left: bool):
@@ -436,7 +408,7 @@ def _contract_reduce(chi: Proof, on_left: bool):
     for occ in aux_occurrences(active, 0):
         if is_weak(inner_premise, ((),) + occ):
             return cut_on(delete_occurrence(inner_premise, occ), passive)
-    widened = w_reduce(_weaken_add(passive, f, active.main_comp))
+    widened = w_reduce(weaken(passive, f, active.main_comp))
     return cut_on(cut_on(inner_premise, widened), passive)
 
 

@@ -175,6 +175,20 @@ class TestExitCodes:
         assert code == 3
         assert "RefutationCheckFailed" in err and "injected" in err
 
+    @pytest.mark.parametrize("argv", [("refute", "p q;~p"), ("res-interpolate", "p q", "~p")])
+    def test_failed_assignment_check_is_internal(self, capsys, monkeypatch, argv):
+        import craig.resolution
+        from craig.formulas import clause
+
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == (1, "satisfiable: p=0, q=1\n")
+        monkeypatch.setattr(
+            craig.resolution, "falsified_clause", lambda clauses, assignment: clause("~q")
+        )
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert "AssignmentCheckFailed: search found an assignment that falsifies {~q}" in err
+
     def test_unexpected_exception_is_internal(self, capsys, monkeypatch):
         import craig.cli
 

@@ -28,6 +28,7 @@ from craig.formulas import (
     assignments_over,
     clause,
     clause_formula,
+    clause_key,
     clause_set_formula,
     cnf,
     cross,
@@ -39,6 +40,7 @@ from craig.formulas import (
     format_formula,
     is_pruned_clause_set,
     is_pruned_interpolant,
+    literal_key,
     make_model,
     mcnf,
     nnf,
@@ -46,6 +48,7 @@ from craig.formulas import (
     parse_formula,
     prune,
     sel,
+    sorted_literals,
     split_literal,
     subsumes,
     vars_of,
@@ -527,6 +530,24 @@ class TestLiterals:
         for f in (And(p, q), Neg(Neg(p)), Neg(And(p, q))):
             with pytest.raises(FormulaError, match="not a literal"):
                 split_literal(f)
+
+    def test_clause_key_keys_each_literal_once(self, rng, monkeypatch):
+        """clause_key sorts the literals' keys, which is what keying the
+        sorted literals gave, on clauses with true, false and boxed
+        literals, and keys each literal once."""
+        atoms = (p, q, r, BOTTOM, Box(p), Box(And(p, q)))
+        clauses = [frozenset(), frozenset([TOP]), frozenset([BOTTOM, TOP])]
+        for _ in range(2000):
+            clauses.append(frozenset(
+                Literal(rng.random() < 0.5, rng.choice(atoms)) for _ in range(rng.randint(1, 5))
+            ))
+        for c in clauses:
+            assert clause_key(c) == tuple(literal_key(l) for l in sorted_literals(c))
+        calls = []
+        monkeypatch.setattr(formulas, "literal_key", lambda l: calls.append(l) or literal_key(l))
+        wide = clauses[-1] | {Box(r), Neg(Box(q))}
+        formulas.clause_key(wide)
+        assert sorted(calls, key=literal_key) == sorted(wide, key=literal_key)
 
     def test_clause_formula_ordering(self):
         # right-associated disjunction in canonical literal order

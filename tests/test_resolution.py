@@ -25,6 +25,7 @@ from craig.formulas import (
     vars_of,
 )
 from craig.resolution import (
+    AssignmentCheckFailed,
     Input,
     NonAtomicLiteral,
     Partition,
@@ -39,6 +40,7 @@ from craig.resolution import (
     check_refutation,
     check_sides,
     enumerate_refutations,
+    falsified_clause,
     format_refutation,
     interpolant_from_refutation,
     node_clauses,
@@ -138,6 +140,44 @@ class TestRefute:
         out = refute(frozenset([clause("p")]))
         assert isinstance(out, Satisfiable)
         assert out.as_dict() == {"p": True}
+
+    def test_falsified_clause(self):
+        cs = [clause("p", "q"), clause("~p"), clause("p", "~p")]
+        assert falsified_clause(cs, {"p": False, "q": True}) is None
+        assert falsified_clause(cs, {"p": False, "q": False}) == clause("p", "q")
+        assert falsified_clause(cs, {"p": True, "q": False}) == clause("~p")
+        assert falsified_clause([], {}) is None
+
+    def test_a_wrong_assignment_is_a_named_error(self, monkeypatch):
+        import craig.resolution
+
+        cs = frozenset([clause("p", "q"), clause("~p")])
+        assert refute(cs).as_dict() == {"p": False, "q": True}
+        # the search's answer, checked against a clause set it does not satisfy
+        monkeypatch.setattr(
+            craig.resolution, "falsified_clause", lambda clauses, assignment: clause("~q")
+        )
+        with pytest.raises(AssignmentCheckFailed, match=r"falsifies \{~q\}"):
+            refute(cs)
+        assert issubclass(AssignmentCheckFailed, ResolutionError)
+
+    def test_every_assignment_found_is_checked(self, rng, monkeypatch):
+        import craig.resolution
+        from conftest import random_clause_set
+
+        checked = []
+        real = craig.resolution.falsified_clause
+        monkeypatch.setattr(
+            craig.resolution, "falsified_clause",
+            lambda clauses, assignment: checked.append(len(clauses)) or real(clauses, assignment),
+        )
+        sat = 0
+        for _ in range(100):
+            cs = random_clause_set(rng, max_clauses=6, max_width=3)
+            if isinstance(refute(cs), Satisfiable):
+                sat += 1
+                assert checked.pop() == len(cs)
+        assert sat > 20 and checked == []
 
     def test_four_units(self):
         cs = frozenset([clause("p"), clause("q"), clause("~p"), clause("~q")])

@@ -29,6 +29,7 @@ from craig.sequent import (
     RULE_SCHEMA,
     SYSTEMS,
     ProofError,
+    Sequent,
     Violation,
     ancestors,
     ax,
@@ -60,6 +61,7 @@ from craig.sequent import (
     proof_length,
     proof_size,
     rebuild,
+    replace_at,
     respects_subformula_property,
     rneg,
     ror1,
@@ -194,7 +196,8 @@ class TestCanonicalOrder:
         s = proof.sequentv
         assert check_proof(proof, LKMINUS) is None
         # built directly, bypassing sequent(), with comp reversed
-        shuffled = dataclasses.replace(s, **{comp: tuple(reversed(s.comp(comp)))})
+        parts = {c: s.comp(c) for c in COMPONENTS}
+        shuffled = Sequent(**{**parts, comp: tuple(reversed(s.comp(comp)))})
         bad = dataclasses.replace(proof, sequentv=shuffled)
         assert check_proof(bad, LKMINUS) == Violation(
             (), f"component {comp} is not canonically sorted"
@@ -1052,6 +1055,151 @@ class TestStoredFacts:
         assert check_proof(node, LKMINUS) == Violation((), "rule lw expects 1 premises")
 
 
+class TestTupleSequent:
+    def test_components_by_position_and_by_name(self):
+        s = sequent([p], [q], [r], [pq])
+        assert tuple(s) == tuple(s.comp(c) for c in COMPONENTS) == ((p,), (q,), (r,), (pq,))
+        assert (s.g1, s.g2, s.d1, s.d2) == tuple(s)
+        assert Sequent(*s) == s and Sequent() == sequent() == ((), (), (), ())
+
+    def test_copies_and_pickles_rebuild_from_the_components(self):
+        s = sequent([pq, p], [q], [], [porq])
+        pickles = [pickle.loads(pickle.dumps(s, n)) for n in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for other in [copy.copy(s), copy.deepcopy(s)] + pickles:
+            assert type(other) is Sequent and other == s and hash(other) == hash(s)
+            assert other.comp("g1") == (p, pq) and other.d2 == (porq,)
+
+    def test_count_is_per_component(self):
+        # it shadows tuple.count, which would count equal components
+        s = sequent([p, p, q], [], [p], [])
+        assert (s.count("g1", p), s.count("d1", p), s.count("g2", p), s.count("g1", r)) == (2, 1, 0, 0)
+
+
+def reference_weakness_and_weight(p, occ):
+    """(is_weak, weight) read off the whole ancestor cone of occ, as they
+    were before the stored summaries."""
+    cone = sequent_module._cone(p, occ)
+    strong = [node.rule in ("ax", "bot") for _, node, _ in cone]
+    for i in range(len(cone) - 1, 0, -1):
+        if strong[i]:
+            strong[cone[i][2]] = True
+    total = sum(1 for s, (_, node, _) in zip(strong, cone) if s and node.rule not in ("lw", "rw"))
+    return not strong[0], total
+
+
+def outcome(call, *args):
+    try:
+        return call(*args)
+    except ProofError as e:
+        return "ProofError", str(e)
+
+
+def stored_summaries(proof):
+    return {(id(node), occ) for _, node in iter_nodes(proof)
+            for occ in node.__dict__.get("_summaries", ())}
+
+
+@lru_cache(maxsize=None)
+def summary_proofs():
+    """differential_proofs and the realized and cut-free proofs of the five
+    golden criterion-5 draws, each distinct proof once."""
+    from craig.construct import realize_pruned
+    from craig.formulas import parse_clause_set, parse_formula
+    from craig.transform import eliminate_cuts
+    from test_proof_golden import GOLDEN
+
+    out = []
+    for a, b, cls, *_ in GOLDEN:
+        realized = realize_pruned(parse_formula(a), parse_formula(b), parse_clause_set(cls))
+        out += [realized, eliminate_cuts(realized).proof]
+    return tuple(dict.fromkeys(differential_proofs() + tuple(out)))
+
+
+class TestOccurrenceSummary:
+    """is_weak, weight and the weight of a cut come from summaries stored
+    per (node, occurrence), and equal what the whole ancestor cone gives."""
+
+    def test_every_occurrence_agrees_with_the_cone(self):
+        occurrences = cuts = 0
+        for proof in summary_proofs():
+            nodes = list(iter_nodes(proof))
+            want = {
+                (path, c, i): reference_weakness_and_weight(proof, (path, c, i))
+                for path, node in nodes for c, i, _ in node.sequentv.occurrences()
+            }
+            occurrences += len(want)
+            # fresh copies carry no summaries: one is asked root first, so
+            # the inner nodes read what the root's walk stored, the other
+            # leaves first, so every walk stops at stored premises
+            down, up = copy.deepcopy(proof), copy.deepcopy(proof)
+            for copied, order in ((down, nodes), (up, nodes[::-1])):
+                for path, node in order:
+                    for c, i, _ in node.sequentv.occurrences():
+                        occ = (path, c, i)
+                        assert (is_weak(copied, occ), weight(copied, occ)) == want[occ]
+                    if node.rule == "cut":
+                        left, right = cut_occurrences(node)
+                        cut_weight = want[(path + (0,),) + left][1] + want[(path + (1,),) + right][1]
+                        assert classify_cut(copied, path).weight == cut_weight
+                        assert classify_cut(proof, path).weight == cut_weight
+                        cuts += 1
+        assert occurrences > 20_000 and cuts > 200
+
+    def test_summaries_are_stored_on_frozen_nodes_only(self):
+        sigma = copy.deepcopy(example_sigma())
+        occ = ((), "g1", 0)
+        assert reference_weakness_and_weight(sigma, occ) == (False, 7)
+        assert (is_weak(sigma, occ), weight(sigma, occ)) == (False, 7)
+        assert sigma.__dict__["_summaries"][("g1", 0)] == (True, 7, True)
+        leaf = ax(p, "g1", "d1")
+        listed_premises = Proof("lw", sequent([p, q], [], [p]), [leaf], "g1", q)
+        listed_parts = Proof("lw", Sequent([p, q], [], [p], []),
+                             (Proof("ax", Sequent([p], [], [p], [])),), "g1", q)
+        for proof in (listed_premises, listed_parts):
+            for c, i, _ in proof.sequentv.occurrences():
+                occ = ((), c, i)
+                assert (is_weak(proof, occ), weight(proof, occ)) == reference_weakness_and_weight(proof, occ)
+            assert "_summaries" not in proof.__dict__
+        assert "_summaries" not in listed_parts.children[0].__dict__
+        # the axiom under the list of premises is a tuple node of its own
+        assert leaf.__dict__["_summaries"] == {("g1", 0): (True, 1, True), ("d1", 0): (True, 1, True)}
+
+    def test_a_context_mismatch_raises_and_stores_nothing(self):
+        alien = Atom("zz")
+        raised = compared = 0
+        for proof in summary_proofs()[:40] + summary_proofs()[-10:]:
+            fresh = copy.deepcopy(proof)
+            for _, target in list(iter_nodes(fresh))[:12]:
+                if not target.children:
+                    continue
+                kids = list(target.children)
+                kids[-1] = dataclasses.replace(kids[-1], sequentv=kids[-1].sequentv.insert("g1", alien))
+                broken = replace_node(fresh, target, dataclasses.replace(target, children=tuple(kids)))
+                for c, i, _ in broken.sequentv.occurrences():
+                    occ = ((), c, i)
+                    before = stored_summaries(broken)
+                    want = outcome(reference_weakness_and_weight, broken, occ)
+                    got = outcome(lambda: (is_weak(broken, occ), weight(broken, occ)))
+                    assert got == want
+                    compared += 1
+                    if got[0] == "ProofError":
+                        assert stored_summaries(broken) == before
+                        raised += 1
+                if broken.rule == "cut":
+                    before = stored_summaries(broken)
+                    want = outcome(lambda: (sum(
+                        reference_weakness_and_weight(broken, ((ci,),) + occ)[1]
+                        for ci, occ in enumerate(cut_occurrences(broken))
+                    ),))
+                    got = outcome(lambda: (classify_cut(broken, ()).weight,))
+                    assert got == want
+                    if got[0] == "ProofError":
+                        assert stored_summaries(broken) == before
+                        assert "_cut_info" not in broken.__dict__
+                        raised += 1
+        assert raised > 100 and compared > raised
+
+
 def schema_corruptions(node):
     """corruptions(node), and node with its main occurrence on the other
     side, with an atom or no formula as main, or with no main at all."""
@@ -1219,6 +1367,32 @@ class TestDeepProofs:
         broken = replace_node(proof, proof.children[0], dataclasses.replace(proof.children[0], rule="nope"))
         assert check_proof(broken, LKMINUS) == Violation((0,), "unknown rule 'nope'")
 
+    def test_occurrence_summaries_are_iterative(self, shallow_stack):
+        """A cut whose left occurrence runs down a 20,000-deep alternating
+        lw/lc chain over ax(p): its ancestors are the 10,000 lc and the
+        10,000 lw conclusions, the rw above the chain and the axiom."""
+        chain = deep_weakening_proof(20_000, leaf=ax(p, "g1", "d2"))
+        left = rw(chain, p, "d1")
+        proof = cut(left, lw(ax(p, "g1", "d1"), p, "g2"), p, 2)
+        assert check_proof(proof, LK) is None
+        deep = ((0,), "d2", 0)
+        assert not is_weak(proof, deep) and weight(proof, deep) == 10_001
+        assert is_weak(proof, ((0,), "d1", 0)) and weight(proof, ((0,), "d1", 0)) == 0
+        assert classify_cut(proof, ()).weight == 10_001 + 0
+        again = deep_weakening_proof(20_000, leaf=ax(p, "g1", "d2"))
+        fresh = cut(rw(again, p, "d1"), proof.children[1], p, 2)
+        assert classify_cut(fresh, ()) == classify_cut(proof, ())
+
+    def test_replace_at_is_iterative(self, shallow_stack):
+        proof = deep_weakening_proof()
+        leaf = ax(p, "g1", "d1")
+        path = (0,) * 10_000
+        assert subproof_at(proof, path).rule == "ax"
+        replaced = replace_at(proof, path, leaf)
+        assert replaced == proof and replaced is not proof
+        assert subproof_at(replaced, path) is leaf
+        assert replace_at(proof, (), leaf) is leaf
+
     def test_maehara_is_iterative(self, shallow_stack):
         from craig.maehara import maehara
 
@@ -1240,7 +1414,9 @@ class TestDeepProofs:
 
     def test_equality_compares_each_pair_of_nodes_once(self, monkeypatch):
         """Each node holds its premise twice, so the tree doubles per level;
-        == compares the sequents of each pair of nodes once."""
+        == compares the sequents of each pair of nodes once.  Proof.__eq__
+        compares them with !=, which a tuple subclass answers with its
+        __ne__, never its __eq__, so __ne__ is the one counted."""
 
         def doubling(leaf, levels=16):
             node = leaf
@@ -1249,8 +1425,8 @@ class TestDeepProofs:
             return node
 
         compared = []
-        real = sequent_module.Sequent.__eq__
-        monkeypatch.setattr(sequent_module.Sequent, "__eq__", lambda a, b: compared.append(a) or real(a, b))
+        real = sequent_module.Sequent.__ne__
+        monkeypatch.setattr(sequent_module.Sequent, "__ne__", lambda a, b: compared.append(a) or real(a, b))
         left, right = doubling(ax(p, "g1", "d1")), doubling(ax(p, "g1", "d1"))
         assert left == right
         assert len(compared) == 17
