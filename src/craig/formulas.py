@@ -59,8 +59,8 @@ class PruneTooLarge(FormulaError):
 # node holds its children, so while it lives the identities in its key name
 # the same objects; when it dies its entry goes with it, so the table holds
 # only live formulas.  A node keeps its nesting depth, and stores its
-# printed text (the canonical sort key), variable set, length and modality
-# on first use.
+# printed text (the canonical sort key), literal key, variable set, length
+# and modality on first use.
 
 # true and false name the constants, never an atom
 ATOM_NAME = re.compile(r"(?!(?:true|false)\Z)[a-z][a-zA-Z0-9_]*\Z")
@@ -113,7 +113,7 @@ class Formula:
     """An immutable interned formula node.  Build one with Atom, Neg, And,
     Or or Box, or take BOTTOM or TOP."""
 
-    __slots__ = ("depth", "_key", "_vars", "_length", "_modal", "__weakref__")
+    __slots__ = ("depth", "_key", "_literal_key", "_vars", "_length", "_modal", "__weakref__")
 
     def __setattr__(self, name, value):
         raise AttributeError("formulas are immutable")
@@ -567,7 +567,13 @@ def format_literal(lit: Formula) -> str:
 def literal_key(lit: Formula):
     """(negated, the literal's text without its sign): the canonical
     literal order."""
-    return isinstance(lit, Neg), format_literal(lit).lstrip("~")
+    try:
+        return lit._literal_key
+    except AttributeError:
+        pass
+    key = isinstance(lit, Neg), format_literal(lit).lstrip("~")
+    _store(lit, "_literal_key", key)
+    return key
 
 
 def clause(*lits) -> frozenset:

@@ -1,11 +1,10 @@
-"""Resolution refutations with optional weakening, a DPLL-based prover,
-and interpolant extraction from partitioned refutations."""
+"""Resolution refutations with optional weakening, a DPLL refutation search
+with unit propagation that reads a tree-like refutation off its trail, and
+interpolant extraction from partitioned refutations."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain
-
 from .formulas import (
     And,
     Atom,
@@ -206,16 +205,20 @@ def refute(cs):
     """Resolution refutation of an unsatisfiable set of clauses over atoms, or
     a satisfying assignment.
 
-    DPLL without unit propagation: atoms are decided in sorted order, True
-    first, and the refutation is read off the decision tree, so tautological
-    clauses are never resolved upon.  Each search node is one bit mask of
-    satisfied clauses, each atom value a precomputed mask of the clauses it
-    makes true, and the clauses an assignment falsifies are one mask
-    operation away, so no node rescans the clauses; the refutation is the
-    one a rescanning search finds, node for node.  The decision tree is
-    walked on an explicit stack, so any number of atoms fits.  A literal
-    over `false` or a boxed formula raises NonAtomicLiteral, since no
-    resolution step on atoms can remove it."""
+    DPLL with unit propagation and no clause learning.  Atoms are decided in
+    sorted order, True first, and a clause with no true literal and one free
+    one assigns that literal and becomes its reason.  The refutation is
+    read off the trail and stays tree-like: a falsified clause is resolved
+    with the reason of each propagated literal it contains, newest first,
+    and at a decision the clauses the two branches return are resolved on
+    the decided atom; a True branch whose clause does not contain the
+    atom's negation passes it up, and the False branch is not searched.
+    Per-literal occurrence lists and per-clause counts of true literals and
+    of literals not yet false, undone on backtrack, keep propagation linear,
+    and the search runs on an explicit stack, so any number of atoms fits.
+    Tautological clauses take no part in the search, so they are never
+    resolved upon.  A literal over `false` or a boxed formula raises
+    NonAtomicLiteral, since no resolution step on atoms can remove it."""
     return _refute_with_sides(sorted(cs, key=clause_key), {c: "A" for c in cs})
 
 
@@ -226,20 +229,6 @@ def refute_partitioned(a_clauses, b_clauses):
 
 
 def _refute_with_sides(clauses, sides):
-    # Bit masks over the clauses, numbered by the depth of their last atom in
-    # the decision order and by clause_key order within one depth, so that
-    # the clauses depth d closes, closing[d], hold the bits [lo[d], lo[d + 1]).
-    # A search node at depth d is one int, sat: the mask of satisfied clauses
-    # among those that close at depth d or deeper, shifted down by lo[d].
-    # The clauses closed higher up are satisfied on every open branch, so
-    # dropping their bits keeps sat as small as the window of open clauses.
-    # makes[d] holds the masks, shifted by lo[d], of the clauses that
-    # atoms[d] makes true when False and when True; a tautology is in both.
-    # A clause falsified at a node is falsified by the atom just assigned,
-    # or it would have closed the branch higher up; so the lowest set bit of
-    # closes[d] & ~sat is the first falsified clause of the clause_key-sorted
-    # list, the one a full rescan would find, and the refutation is the same
-    # node for node.
     literals = {}
     for c in clauses:
         row = literals[c] = []
@@ -256,67 +245,119 @@ def _refute_with_sides(clauses, sides):
     if empty is not None:
         return _checked(ResolutionProof((Input(empty, sides[empty]),), 0))
     atoms = sorted({name for row in literals.values() for name, _ in row})
-    n = len(atoms)
-    depth_of = {name: d for d, name in enumerate(atoms)}
-    closing = [[] for _ in atoms]
-    for c, row in literals.items():
-        closing[max(depth_of[name] for name, _ in row)].append(c)
-    width = [len(group) for group in closing]
-    lo = list(accumulate(width, initial=0))
-    makes = [[0, 0] for _ in atoms]
-    for bit, c in enumerate(chain.from_iterable(closing)):
-        for name, negated in literals[c]:
-            d = depth_of[name]
-            makes[d][not negated] |= 1 << (bit - lo[d])
-    closes = [(1 << w) - 1 for w in width]
-    still_open = [len(literals) - k for k in lo]
-    pivots = [(Atom(name), Neg(Atom(name))) for name in atoms]
-
-    # One explicit-stack walk of the decision tree, True before False.  On
-    # the current branch values[d] is the value of atoms[d], sats[d] the
-    # node above that decision, and, while the False branch runs, trues[d]
-    # the (node_id, clause) that the True branch returned.  A branch
-    # returns the (node_id, clause) of a clause it falsifies, and a
-    # Satisfiable ends the search.
-    values, sats, trues = [True] * n, [0] * n, [None] * n
-    nodes = []
-    input_ids = {}
-    sat = d = 0
+    index = {name: a for a, name in enumerate(atoms)}
+    # Literal 2a is atoms[a] and 2a + 1 its negation.  value[a] is 0 or 1,
+    # or 2 while atoms[a] is free, so atoms[a] at value v makes literal
+    # 2a + v false and 2a + v ^ 1 true.  The clauses that are not
+    # tautologies, in clause_key order, are inputs[i] with literal set
+    # codes[i]; ntrue[i] counts its true literals and nopen[i] those not
+    # yet false, so while ntrue[i] is 0 it is unit at nopen[i] == 1 and
+    # falsified at 0.
+    inputs, codes = [], []
+    for c in clauses:
+        row = {2 * index[name] + negated for name, negated in literals[c]}
+        if not any(l ^ 1 in row for l in row):
+            inputs.append(c)
+            codes.append(row)
+    occurs = [[] for _ in range(2 * len(atoms))]
+    for i, row in enumerate(codes):
+        for l in row:
+            occurs[l].append(i)
+    ntrue, nopen = [0] * len(codes), [len(row) for row in codes]
+    value, reason = [2] * len(atoms), [None] * len(atoms)
+    pivots = [Atom(name) for name in atoms]
+    trail = []  # the assigned atoms, oldest first
+    # one [trail position, atom, the True branch's (node id, clause)] per
+    # decision on the current branch
+    levels = []
+    units = [i for i, row in enumerate(codes) if len(row) == 1]
+    head = nsat = 0
+    nodes, input_ids = [], {}
+    a = None  # with v and why: the next assignment and its reason
     while True:
-        if sat.bit_length() == still_open[d] and not sat & (sat + 1):
-            model = Satisfiable(tuple(zip(atoms, values[:d] + [False] * (n - d))))
-            bad = falsified_clause(clauses, model.as_dict())
-            if bad is not None:
-                raise AssignmentCheckFailed(
-                    f"search found an assignment that falsifies {{{format_clause(bad)}}}")
-            return model
-        values[d], sats[d] = True, sat
-        while True:  # assign values[d] to atoms[d]
-            sat = sats[d] | makes[d][values[d]]
-            closed = closes[d] & ~sat
-            if not closed:
-                sat >>= width[d]
-                d += 1
-                break
-            c = closing[d][(closed & -closed).bit_length() - 1]
-            if c not in input_ids:
-                input_ids[c] = len(nodes)
-                nodes.append(Input(c, sides[c]))
-            result = input_ids[c], c
-            while d >= 0:  # hand result up the branch
-                pos_lit, neg_lit = pivots[d]
-                if values[d]:
-                    if neg_lit in result[1]:
-                        # the True branch used atoms[d]: search the False one
-                        values[d], trues[d] = False, result
-                        break
-                elif pos_lit in result[1]:
-                    (id_t, cl_t), (id_f, cl_f) = trues[d], result
-                    nodes.append(Resolve(id_f, id_t, pos_lit))
-                    result = len(nodes) - 1, (cl_f - {pos_lit}) | (cl_t - {neg_lit})
-                d -= 1
-            else:
-                return _checked(ResolutionProof(tuple(nodes), result[0]))
+        while a is None and head < len(units):
+            i = units[head]
+            head += 1
+            if not ntrue[i]:
+                l = next(l for l in codes[i] if value[l >> 1] == 2)
+                a, v, why = l >> 1, l & 1 ^ 1, i
+        if a is None:
+            if nsat == len(codes):
+                model = Satisfiable(tuple(zip(atoms, (w == 1 for w in value))))
+                bad = falsified_clause(clauses, model.as_dict())
+                if bad is not None:
+                    raise AssignmentCheckFailed(
+                        f"search found an assignment that falsifies {{{format_clause(bad)}}}")
+                return model
+            a = levels[-1][1] + 1 if levels else 0
+            while value[a] != 2:
+                a += 1
+            levels.append([len(trail), a, None])
+            v, why = 1, None
+        value[a], reason[a] = v, why
+        trail.append(a)
+        f = 2 * a + v
+        a = conflict = None
+        for i in occurs[f ^ 1]:
+            nsat += not ntrue[i]
+            ntrue[i] += 1
+        for i in occurs[f]:
+            nopen[i] -= 1
+            if not ntrue[i] and nopen[i] < 2:
+                if nopen[i]:
+                    units.append(i)
+                elif conflict is None:
+                    conflict = i
+        if conflict is None:
+            continue
+        # Walk the trail back from the conflict, one decision level at a
+        # time, with the falsified clause as (node id, literal set).
+        del units[:]
+        head = 0
+        nid, clause = _input_id(nodes, input_ids, inputs[conflict], sides), set(codes[conflict])
+        while True:
+            start = levels[-1][0] if levels else 0
+            while len(trail) > start:
+                b = trail.pop()
+                w = value[b]
+                f = 2 * b + w
+                for i in occurs[f ^ 1]:
+                    ntrue[i] -= 1
+                    nsat -= not ntrue[i]
+                for i in occurs[f]:
+                    nopen[i] += 1
+                value[b] = 2
+                r = reason[b]
+                if r is not None and f in clause:  # resolve with the reason
+                    rid = _input_id(nodes, input_ids, inputs[r], sides)
+                    clause.remove(f)
+                    clause |= codes[r]
+                    clause.remove(f ^ 1)
+                    nodes.append(Resolve(rid, nid, pivots[b]) if w else Resolve(nid, rid, pivots[b]))
+                    nid = len(nodes) - 1
+            if not levels:
+                return _checked(ResolutionProof(tuple(nodes), nid))
+            # b is the decision, and f the literal it makes false
+            if f in clause:
+                if w:  # search the False branch
+                    levels[-1][2] = nid, clause
+                    a, v, why = b, 0, None
+                    break
+                tid, tclause = levels[-1][2]
+                clause.remove(f)
+                tclause.remove(f ^ 1)
+                clause |= tclause
+                nodes.append(Resolve(nid, tid, pivots[b]))
+                nid = len(nodes) - 1
+            levels.pop()
+
+
+def _input_id(nodes, input_ids, c, sides):
+    """The id of the INPUT node of clause c, appended to nodes on first use."""
+    if c not in input_ids:
+        input_ids[c] = len(nodes)
+        nodes.append(Input(c, sides[c]))
+    return input_ids[c]
 
 
 def falsified_clause(clauses, assignment):

@@ -739,7 +739,7 @@ def check_proof(p: Proof, system: System):
     stack = [(p, None)]  # (node, its path as a linked (index, parent link))
     while stack:
         node, link = stack.pop()
-        if id(node) in walked or system in node.__dict__.get("_passed", ()):
+        if id(node) in walked or system in getattr(node, "_passed", ()):
             continue
         bad = _violation(node, system)
         if bad is not None:
@@ -958,7 +958,7 @@ def _summaries(roots):
             if keep:
                 kept.append((n, o))
         elif (id(n), o) not in done:
-            stored = n.__dict__.get("_summaries", ())
+            stored = getattr(n, "_summaries", ())
             if o in stored:
                 done[id(n), o] = stored[o]
             else:
@@ -1014,7 +1014,7 @@ def classify_cut(p: Proof, path) -> CutInfo:
     summaries of its cut occurrences, so when the node is _frozen and its
     premises store those summaries, the cut node stores it."""
     node = subproof_at(p, path)
-    info = node.__dict__.get("_cut_info")
+    info = getattr(node, "_cut_info", None)
     if info is not None:
         return info
     if node.rule != "cut":

@@ -6,6 +6,12 @@ a file or an interpolant unnoticed."""
 import hashlib
 
 from craig.formulas import (
+    BOTTOM,
+    TOP,
+    And,
+    Atom,
+    Box,
+    Neg,
     clause_set_vars,
     format_clause_set,
     format_formula,
@@ -62,6 +68,17 @@ class TestClauseText:
         lits = sorted_literals(frozenset().union(*parse_clause_set(GOLDEN_TEXT)))
         assert [(format_literal(l), literal_key(l)) for l in lits] == GOLDEN_ORDER
 
+    def test_stored_literal_key(self):
+        """literal_key, stored on the node on first use, is the literal's
+        sign and its text without the sign."""
+        fresh = Box(And(Atom("lk0"), Atom("lk1")))
+        for lit in (TOP, BOTTOM, Atom("lk2"), Neg(Atom("lk2")), fresh, Neg(fresh)):
+            want = isinstance(lit, Neg), format_literal(lit).lstrip("~")
+            assert literal_key(lit) == want
+            assert literal_key(lit) is literal_key(lit)
+        assert literal_key(TOP) == (True, "true") and literal_key(BOTTOM) == (False, "false")
+        assert literal_key(Neg(fresh)) == (True, "[](lk0&lk1)")
+
 
 class TestRefutationText:
     def check(self, rp, part, nodes, text_sha, itp_length, itp_sha):
@@ -76,8 +93,8 @@ class TestRefutationText:
         self.check(
             refute(cs),
             Partition.from_vars(clause_set_vars(cs), ()),
-            100, "edc760077a09d15b78e5760fef82ebde39b0273b03af3d3e63e904c118283d9c",
-            97, "69f928fe1ef7e59290b8914342243ff3b64d67d452eb663f474c3fbfb37ac270",
+            76, "14134472b84a92b84d26f03a66077a33fa729bddb2724a7b484771b473f3877d",
+            85, "26ea1327fa908038a46c0fc6fa0e7a0d05fdb4a3d32e396b816d19ca15242ee6",
         )
 
     def test_php3_refute_partitioned(self):
@@ -85,16 +102,16 @@ class TestRefutationText:
         self.check(
             refute_partitioned(pigeons, holes),
             Partition.from_vars(clause_set_vars(pigeons), clause_set_vars(holes)),
-            100, "b24a58055847ec957f7f3850cf58d51ef580c53b292cea087a994792091ffdbf",
-            370, "52f2ca05979f8cef562d225ae038a2e9cc9544c157c735d759d39a95b5b0a7ee",
+            76, "8ec863dc3edd2cfe042ddf494f98c8229e83dce784e163ffc930df51c3de28b3",
+            322, "4fc651ee3d480cea1d044acc7902bc1f3abbabe4db1057782f5a664385fa8222",
         )
 
     def test_small_split(self):
         a, b = parse_clause_set("p\n~p q\n"), parse_clause_set("~q r\n~r\n")
         rp = refute_partitioned(a, b)
         assert format_refutation(rp) == (
-            "0: INPUT B {~r}\n1: INPUT B {r ~q}\n2: RES 1 0 r\n3: INPUT A {q ~p}\n"
-            "4: RES 3 2 q\n5: INPUT A {p}\n6: RES 5 4 p\n"
+            "0: INPUT B {r ~q}\n1: INPUT A {q ~p}\n2: RES 1 0 q\n3: INPUT B {~r}\n"
+            "4: RES 2 3 r\n5: INPUT A {p}\n6: RES 5 4 p\n"
         )
         itp = interpolant_from_refutation(rp, Partition.from_vars(clause_set_vars(a), clause_set_vars(b)))
-        assert format_formula(itp) == "false | (q | false) & (~q | true & true)"
+        assert format_formula(itp) == "false | (q | false) & (~q | true) & true"

@@ -17,6 +17,7 @@ from craig.formulas import (
     assignments_over,
     clause,
     clause_set_formula,
+    clause_set_vars,
     entails,
     equiv,
     eval_formula,
@@ -198,6 +199,11 @@ class TestRefute:
                 assert clause_set_unsat(cs)
                 assert check_refutation(out) is None
 
+    def test_pigeonhole_size(self):
+        rp = refute(php(5))
+        assert len(rp) == 2_491
+        assert check_refutation(rp) is None
+
     def test_tautological_inputs_never_resolved(self):
         cs = frozenset([clause("p", "~p"), clause("q"), clause("~q")])
         rp = refute(cs)
@@ -210,10 +216,9 @@ class TestRefute:
                 assert n.left not in taut_ids and n.right not in taut_ids
 
 
-# The scan-based search that the incremental one in craig.resolution
-# replaced: at every node it rescans all clauses for the first falsified one
-# and for satisfaction.  It is the reference the differential tests hold the
-# library to, text for text.
+# A scan-based DPLL search without unit propagation: at every node it
+# rescans all clauses for the first falsified one and for satisfaction.  It
+# is the verdict oracle the differential tests hold the library to.
 def reference_refute_with_sides(clauses, atoms, sides):
     nodes = []
     input_ids = {}
@@ -287,10 +292,25 @@ def reference_refute_partitioned(a_clauses, b_clauses):
     return reference_refute_with_sides(clauses, atoms, sides)
 
 
-def outcome(out):
-    if isinstance(out, Satisfiable):
-        return out.assignment
-    return format_refutation(out)
+def agrees_with_reference(got, a_cls, b_cls):
+    """Check got, the search's answer for the clauses a_cls (side A) and
+    b_cls (side B), against the reference; the sizes of both refutations,
+    (0, 0) when the clauses are satisfiable.  The interpolant is checked
+    by truth table when the clauses have at most 12 atoms."""
+    want = reference_refute_partitioned(a_cls, b_cls)
+    assert type(got) is type(want)
+    if isinstance(got, Satisfiable):
+        assert falsified_clause(set(a_cls) | set(b_cls), got.as_dict()) is None
+        return 0, 0
+    assert check_refutation(got) is None
+    check_sides(got, a_cls, b_cls)
+    part = Partition.from_vars(clause_set_vars(a_cls), clause_set_vars(b_cls))
+    itp = interpolant_from_refutation(got, part)
+    if len(clause_set_vars(set(a_cls) | set(b_cls))) <= 12:
+        assert reverse_interpolant_ok(itp, a_cls, b_cls, part)
+    else:
+        assert vars_of(itp) <= part.shared
+    return len(got), len(want)
 
 
 def php(n):
@@ -307,11 +327,14 @@ def php(n):
 
 
 class TestReferenceSearch:
-    """The incremental search returns exactly what the rescanning one does."""
+    """The search gives the rescanning reference's verdict, with a model
+    that satisfies the clauses or a refutation that checks and yields an
+    interpolant."""
 
     def test_random_cnfs(self):
         rng = random.Random(3)
         kinds = {"sat": 0, "unsat": 0}
+        size = reference_size = 0
         for _ in range(600):
             names = [f"x{i}" for i in range(rng.randint(3, 8))]
             cs = [
@@ -330,12 +353,15 @@ class TestReferenceSearch:
                     b_cls.append(c)
             whole = frozenset(cs)
             got = refute(whole)
-            assert outcome(got) == outcome(reference_refute_partitioned(whole, []))
-            assert outcome(refute_partitioned(a_cls, b_cls)) == outcome(
-                reference_refute_partitioned(a_cls, b_cls)
-            )
+            for out, a_side, b_side in ((got, whole, []), (refute_partitioned(a_cls, b_cls), a_cls, b_cls)):
+                n, m = agrees_with_reference(out, a_side, b_side)
+                size += n
+                reference_size += m
             kinds["sat" if isinstance(got, Satisfiable) else "unsat"] += 1
         assert min(kinds.values()) > 100
+        # unit propagation shortens the refutations in total, though not
+        # every single one
+        assert size < reference_size
 
     @pytest.mark.parametrize(
         "cs",
@@ -349,17 +375,14 @@ class TestReferenceSearch:
         ids=["php3", "tautology-unsat", "tautology-sat", "empty-clause", "empty-set"],
     )
     def test_fixed_sets(self, cs):
-        expected = outcome(reference_refute_partitioned(cs, []))
-        assert outcome(refute(cs)) == expected
+        agrees_with_reference(refute(cs), cs, [])
         halves = sorted(cs, key=clause_key)
         a_cls, b_cls = halves[::2], halves[1::2]
-        assert outcome(refute_partitioned(a_cls, b_cls)) == outcome(
-            reference_refute_partitioned(a_cls, b_cls)
-        )
+        agrees_with_reference(refute_partitioned(a_cls, b_cls), a_cls, b_cls)
 
     def test_sets_wider_than_a_machine_word(self):
-        """Clause masks of more than 64 bits: php(4) and 90-clause 3-CNF
-        draws over 20 atoms, one of them with a tautology added."""
+        """php(4) and 90-clause 3-CNF draws over 20 atoms, one of them with
+        a tautology added."""
         from conftest import random_3cnf
 
         rng = random.Random(5)
@@ -370,9 +393,9 @@ class TestReferenceSearch:
         kinds = []
         for a_cls, b_cls in cases:
             got = refute_partitioned(a_cls, b_cls)
-            assert outcome(got) == outcome(reference_refute_partitioned(a_cls, b_cls))
+            agrees_with_reference(got, a_cls, b_cls)
             kinds.append(type(got).__name__)
-        assert outcome(refute(php(4))) == outcome(reference_refute_partitioned(php(4), []))
+        agrees_with_reference(refute(php(4)), php(4), [])
         assert kinds == ["ResolutionProof"] + ["Satisfiable"] * 2 + ["ResolutionProof"] * 2 + [
             "Satisfiable", "ResolutionProof", "ResolutionProof",
         ]
@@ -399,6 +422,20 @@ class TestDeepSearch:
         out = refute(frozenset(cs))
         assert isinstance(out, Satisfiable)
         assert set(out.as_dict().values()) == {True}
+
+    def test_unpadded_chain(self, shallow_stack):
+        """With names x0 ... xN the decision order is not the chain's order,
+        so a search without unit propagation grew faster than N squared;
+        propagation refutes the chain in linear size and time."""
+        n = 20_000
+        x = [Atom(f"x{i}") for i in range(n + 1)]
+        cs = [frozenset([x[0]])] + [frozenset([Neg(x[i]), x[i + 1]]) for i in range(n)]
+        rp = refute(frozenset(cs + [frozenset([Neg(x[n])])]))
+        assert len(rp) == 2 * n + 3
+        assert check_refutation(rp) is None
+        out = refute(frozenset(cs))
+        assert isinstance(out, Satisfiable)
+        assert falsified_clause(cs, out.as_dict()) is None
 
 
 class TestNonAtomicLiterals:
