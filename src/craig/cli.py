@@ -12,7 +12,6 @@ from . import resolution as R
 from . import transform as T
 from .construct import (
     NotProvable,
-    ProofCheckFailed,
     enumerate_cutfree_interpolants,
     prove_cutfree,
     pruned_subsumption_pipeline,
@@ -23,6 +22,7 @@ from .maehara import format_annotated, maehara
 from .sequent import (
     LKAT,
     LKMINUS,
+    ProofCheckFailed,
     ProofError,
     check_proof,
     classify_cut,

@@ -31,6 +31,7 @@ from .sequent import (
     LKAT,
     MODAL_JUMPS,
     Proof,
+    ProofCheckFailed,
     ProofError,
     Sequent,
     System,
@@ -83,10 +84,6 @@ class NotPrunedInterpolant(ConstructError):
 
 class SubproofMismatch(ConstructError):
     pass
-
-
-class ProofCheckFailed(ConstructError):
-    """A proof the search built fails check_proof: an internal bug."""
 
 
 # ---------------------------------------------------------------------------
@@ -221,12 +218,7 @@ def prove_cutfree(s: Sequent, system: System) -> Proof:
         )
     proof, fail = _search(s, system, frozenset(), frozenset())
     if proof is not None:
-        bad = check_proof(proof, system)
-        if bad is not None:
-            raise ProofCheckFailed(
-                f"search built an invalid proof at {bad.path}: {bad.reason}"
-            )
-        return proof
+        return _checked(proof, system)
     countermodel = None
     if not system.modal:
         countermodel = _prop_countermodel(fail.sequent)
@@ -274,8 +266,8 @@ def conjoin(
     system: System = LKAT,
     cminus_cap: int = 4096,
 ) -> Proof:
-    """Stitch per-clause proofs  a ; => ; Ci  into a proof of  a ; => ; b
-    whose interpolant's clause set is the union of the pieces'.
+    """Stitch per-clause proofs  a ; => ; Ci  into a checked proof of
+    a ; => ; b  whose interpolant's clause set is the union of the pieces'.
 
     Every clause contributes cuts on its literals (right of the partition)
     against recursively built transversal premises; the transversal leaves
@@ -314,7 +306,7 @@ def conjoin(
     if empty:
         # an empty clause forces a itself to be unsatisfiable; its subproof
         # already proves a ; => ;  and the remaining clauses are redundant
-        return weaken_to(pis[empty[0]], sequent([a], [], [], [b]))
+        return _checked(weaken_to(pis[empty[0]], sequent([a], [], [], [b])), system)
 
     leaves = {}
 
@@ -349,7 +341,14 @@ def conjoin(
     finally:
         del derive  # it refers to itself: a cycle holding every memo entry
     psi = weaken_to(psi, sequent([a], [], [], [b]))
-    return literal_cuts_to_atomic(psi)
+    return _checked(literal_cuts_to_atomic(psi), system)
+
+
+def _checked(proof: Proof, system: System) -> Proof:
+    bad = check_proof(proof, system)
+    if bad is not None:
+        raise ProofCheckFailed(f"built an invalid proof at {bad.path}: {bad.reason}")
+    return proof
 
 
 # ---------------------------------------------------------------------------

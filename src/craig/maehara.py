@@ -3,7 +3,8 @@ with atomic/literal/monochromatic cuts and the normal modal systems."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .formulas import (
     And,
@@ -25,6 +26,7 @@ from .sequent import (
     ProofError,
     Sequent,
     System,
+    _frozen,
     axiom_kind,
     format_sequent,
     iter_nodes,
@@ -46,11 +48,22 @@ class UnsupportedRule(InterpolationError):
 @dataclass(frozen=True)
 class AnnotatedProof:
     proof: Proof
-    interpolants: tuple  # ((path, formula), ...) in preorder
+    # id(node): interpolant, for the nodes that maehara walked
+    notes: dict = field(repr=False, compare=False)
 
     @property
     def interpolant(self) -> Formula:
-        return self.interpolants[0][1]
+        return _note(self.proof, self.notes)
+
+    @cached_property
+    def interpolants(self) -> tuple:
+        """((path, formula), ...) for every node in preorder."""
+        return tuple((path, _note(node, self.notes)) for path, node in iter_nodes(self.proof))
+
+
+def _note(node: Proof, notes) -> Formula:
+    stored = getattr(node, "_interpolant", None)
+    return notes[id(node)] if stored is None else stored
 
 
 def axiom_interpolant(s: Sequent) -> Formula:
@@ -81,17 +94,48 @@ def combine(rule, comp, parts) -> Formula:
 
 def maehara(p: Proof, system: System) -> AnnotatedProof:
     """Annotate every node with its interpolant; the root one interpolates
-    the end-sequent's partition."""
-    nodes = list(iter_nodes(p))
-    notes = [None] * len(nodes)
-    # preorder: the leaves' interpolants, and every check that can fail
-    for i, (_, node) in enumerate(nodes):
+    the end-sequent's partition.
+
+    One bottom-up pass on an explicit stack, once per distinct node, that
+    checks each node in preorder before its premises, so the first failure
+    in preorder is the one raised.  Like the check_proof verdict, a node's
+    interpolant is stored on it when it is _frozen and its premises store
+    theirs, and a later call stops there.  Only the d rule is checked
+    against the system, so a d node and the nodes below it store nothing
+    and are checked on every call; every other check holds under any
+    system once passed.  Within cut elimination each call thus walks only
+    the nodes that the last step built."""
+    serial = bool({"k", "4"} & system.modal_rules)
+    notes = {}
+    stack = [p]
+    while stack:
+        node = stack.pop()
+        if type(node) is tuple:  # a node whose premises are done
+            node = node[0]
+            rule = node.rule
+            keep = rule != "d"
+            parts = []
+            for k in node.children:
+                c = getattr(k, "_interpolant", None)
+                if c is None:
+                    c, keep = notes[id(k)], False
+                parts.append(c)
+            if parts:
+                c = combine(rule, node.main_comp, parts)
+            elif rule == "ax":
+                c = axiom_interpolant(node.sequentv)
+            elif rule == "bot":
+                c = BOTTOM if node.sequentv.g1 else TOP
+            else:
+                c = None  # a leaf that no rule allows; check_proof rejects it
+            notes[id(node)] = c
+            if keep and _frozen(node):
+                node.__dict__["_interpolant"] = c
+            continue
+        if id(node) in notes or getattr(node, "_interpolant", None) is not None:
+            continue
         rule = node.rule
-        if rule == "ax":
-            notes[i] = axiom_interpolant(node.sequentv)
-        elif rule == "bot":
-            notes[i] = BOTTOM if node.sequentv.g1 else TOP
-        elif rule == "cut":
+        if rule == "cut":
             v = vars_of(node.main_formula)
             if not (
                 v <= node.sequentv.side_vars(1) or v <= node.sequentv.side_vars(2)
@@ -101,24 +145,16 @@ def maehara(p: Proof, system: System) -> AnnotatedProof:
                     f"{format_sequent(node.sequentv)}"
                 )
         elif rule == "d":
-            if not ({"k", "4"} & system.modal_rules):
+            if not serial:
                 raise UnsupportedRule(
                     "interpolating the seriality rule needs a box-introducing rule"
                 )
-        elif rule not in RULE_SCHEMA and rule not in ("k", "4"):
+        elif rule not in RULE_SCHEMA and rule not in ("ax", "bot", "k", "4"):
             raise UnsupportedRule(f"no interpolation case for rule {rule!r}")
-    # reverse preorder: every inner node right after its premises, whose
-    # interpolants are on top of the stack, the first premise's topmost
-    done = []
-    for i in range(len(nodes) - 1, -1, -1):
-        node = nodes[i][1]
-        n = len(node.children)
-        if n:
-            notes[i] = combine(node.rule, node.main_comp, done[:-n - 1:-1])
-            del done[-n:]
-        done.append(notes[i])
-    # preorder lists the paths in sorted order
-    return AnnotatedProof(p, tuple(zip([path for path, _ in nodes], notes)))
+        notes[id(node)] = None  # walked; its interpolant follows its premises'
+        stack.append((node,))
+        stack.extend(reversed(node.children))
+    return AnnotatedProof(p, notes)
 
 
 def is_nnf_interpolant(f: Formula) -> bool:

@@ -171,29 +171,55 @@ def _frozen(rp: ResolutionProof) -> bool:
 
 
 def _violation(rp: ResolutionProof):
+    """The first node in order that breaks its rule, or a bad root.  A
+    clause is dropped after its last reader, so a tree-like refutation
+    holds only the clauses still to be resolved."""
+    nodes, root = rp.nodes, rp.root
+    readers = [0] * len(nodes)  # per node, the nodes (and root) still to read its clause
+    if 0 <= root < len(nodes):
+        readers[root] = 1
+    for i, node in enumerate(nodes):
+        if isinstance(node, Resolve):
+            for j in (node.left, node.right):
+                if 0 <= j < i:
+                    readers[j] += 1
+        elif isinstance(node, Weaken) and 0 <= node.premise < i:
+            readers[node.premise] += 1
     clauses = []
-    for i, node in enumerate(rp.nodes):
+    for i, node in enumerate(nodes):
         if isinstance(node, Input):
-            clauses.append(node.clause)
+            clause = node.clause
         elif isinstance(node, Resolve):
-            if not (0 <= node.left < i and 0 <= node.right < i):
+            left, right = node.left, node.right
+            if not (0 <= left < i and 0 <= right < i):
                 return Violation(i, "premise ids must precede the node")
             pos_lit, neg_lit = node.pivot, Neg(node.pivot)
-            if pos_lit not in clauses[node.left]:
+            if pos_lit not in clauses[left]:
                 return Violation(i, "left premise lacks the positive pivot")
-            if neg_lit not in clauses[node.right]:
+            if neg_lit not in clauses[right]:
                 return Violation(i, "right premise lacks the negative pivot")
-            clauses.append((clauses[node.left] - {pos_lit}) | (clauses[node.right] - {neg_lit}))
+            clause = (clauses[left] - {pos_lit}) | (clauses[right] - {neg_lit})
+            readers[left] -= 1
+            if not readers[left]:
+                clauses[left] = None
+            readers[right] -= 1
+            if not readers[right]:
+                clauses[right] = None
         elif isinstance(node, Weaken):
-            if not 0 <= node.premise < i:
+            j = node.premise
+            if not 0 <= j < i:
                 return Violation(i, "premise id must precede the node")
-            clauses.append(clauses[node.premise] | node.added)
+            clause = clauses[j] | node.added
+            readers[j] -= 1
+            if not readers[j]:
+                clauses[j] = None
         else:
             return Violation(i, f"unknown node kind {type(node).__name__}")
-    if not 0 <= rp.root < len(rp.nodes):
-        return Violation(rp.root, "root id out of range")
-    if clauses[rp.root]:
-        return Violation(rp.root, "root clause is not empty")
+        clauses.append(clause if readers[i] else None)
+    if not 0 <= root < len(nodes):
+        return Violation(root, "root id out of range")
+    if clauses[root]:
+        return Violation(root, "root clause is not empty")
     return None
 
 

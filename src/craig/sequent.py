@@ -34,6 +34,10 @@ class ProofError(ValueError):
     pass
 
 
+class ProofCheckFailed(ProofError):
+    """A proof that craig built fails check_proof: an internal bug."""
+
+
 class NoAtomAvailable(ProofError):
     pass
 
@@ -352,9 +356,11 @@ def _frozen(node: Proof) -> bool:
     return type(node.children) is type(g1) is type(g2) is type(d1) is type(d2) is tuple
 
 
-def _fold(p: Proof, combine):
+def _fold(p: Proof, combine, stored=None):
     """combine(node, the values of its premises), computed bottom-up on an
-    explicit stack once per distinct node; the value at p."""
+    explicit stack once per distinct node; the value at p.  A node for
+    which stored(node) is not None takes that value, and the walk does not
+    go above it."""
     done = {}
     stack = [p]
     while stack:
@@ -363,6 +369,10 @@ def _fold(p: Proof, combine):
             node = node[0]
             done[id(node)] = combine(node, [done[id(c)] for c in node.children])
         elif id(node) not in done:
+            value = None if stored is None else stored(node)
+            if value is not None:
+                done[id(node)] = value
+                continue
             stack.append((node,))  # popped again after its premises
             stack += node.children
     return done[id(p)]

@@ -24,9 +24,12 @@ from .maehara import maehara
 from .sequent import (
     ACROSS,
     LK,
+    LKMINUS,
     Proof,
+    ProofCheckFailed,
     ProofError,
     _fold,
+    _frozen,
     aux_occurrences,
     ax,
     bot_axiom,
@@ -180,27 +183,39 @@ def is_w_reduced(p: Proof) -> bool:
 def w_reduce(p: Proof) -> Proof:
     """Shift weakenings up until each sits just below an axiom or weakening.
     One bottom-up pass: a shared subproof is reduced once, and one with
-    nothing to shift is kept as it is."""
+    nothing to shift is kept as it is.  Every node it returns is marked
+    w-reduced when it is _frozen and its premises are marked, and a later
+    call keeps a marked subproof without walking it."""
 
     def step(node, kids):
         if not all(map(operator.is_, kids, node.children)):
             node = rebuild(node, kids)
-        return _push_weakening(node) if node.rule in ("lw", "rw") else node
+        return _push_weakening(node) if node.rule in ("lw", "rw") else _marked(node)
 
-    return _fold(p, step)
+    return _fold(p, step, lambda node: node if getattr(node, "_w_reduced", False) else None)
+
+
+def _marked(node: Proof) -> Proof:
+    """node, marked w-reduced when it may be; its premises are w-reduced."""
+    for c in node.children:
+        if not getattr(c, "_w_reduced", False):
+            return node
+    if _frozen(node):
+        node.__dict__["_w_reduced"] = True
+    return node
 
 
 def _push_weakening(w: Proof) -> Proof:
     child = w.children[0]
     if child.rule in ("lw", "rw", "ax", "bot"):
-        return w
+        return _marked(w)
     if child.rule in ("k", "d", "4", "t"):
         raise TransformError("weakening normalization is propositional only")
     f, comp = w.main_formula, w.main_comp
     hoisted = []
     for gk in child.children:
         hoisted.append(_push_weakening(weaken(gk, f, comp)))
-    return rebuild(child, hoisted)
+    return _marked(rebuild(child, hoisted))
 
 
 # ---------------------------------------------------------------------------
@@ -262,11 +277,61 @@ class CutEliminationResult:
     trace: tuple
 
 
+def _cut_heights(p: Proof) -> dict:
+    """id(node): (height, first) for each node of p walked, where height is
+    the length of the longest path from the node to a cut above it or at
+    it, -1 when its subproof is cut-free, and first is the premise that
+    starts the leftmost such path, None when the node is that cut.  Like
+    the interpolant, the pair is stored on a _frozen node whose premises
+    store theirs, and the walk stops at stored nodes."""
+    walked = {}
+
+    def step(node, parts):
+        height, first = (0 if node.rule == "cut" else -1), None
+        keep = True
+        for i, c in enumerate(node.children):
+            h = parts[i][0]
+            if h >= 0 and h >= height:
+                height, first = h + 1, i
+            keep = keep and hasattr(c, "_cut_height")
+        walked[id(node)] = out = height, first
+        if keep and _frozen(node):
+            node.__dict__["_cut_height"] = out
+        return out
+
+    _fold(p, step, lambda node: getattr(node, "_cut_height", None))
+    return walked
+
+
+def _cut_height(node: Proof, walked) -> tuple:
+    return getattr(node, "_cut_height", None) or walked[id(node)]
+
+
 def _uppermost_cut(p: Proof):
-    cuts = [path for path, node in iter_nodes(p) if node.rule == "cut"]
-    if not cuts:
+    """The path of the deepest cut, the leftmost of the deepest ones: a
+    descent from the root along the stored heights."""
+    walked = _cut_heights(p)
+    height, first = _cut_height(p, walked)
+    if height < 0:
         return None
-    return max(cuts, key=lambda path: (len(path), tuple(-i for i in path)))
+    path = []
+    while first is not None:
+        path.append(first)
+        p = p.children[first]
+        first = _cut_height(p, walked)[1]
+    return tuple(path)
+
+
+def _cuts(p: Proof):
+    """The cut nodes of p in preorder, skipping its cut-free subproofs."""
+    walked = _cut_heights(p)
+    stack = [p]
+    while stack:
+        node = stack.pop()
+        if _cut_height(node, walked)[0] >= 0:
+            if node.rule == "cut":
+                yield node
+            stack.extend(reversed(node.children))
 
 
 def _is_introducing(premise: Proof, occ):
@@ -436,7 +501,17 @@ def _degree_reduce(chi: Proof):
 def eliminate_cuts(p: Proof) -> CutEliminationResult:
     """Stepwise removal of all cuts from a tame proof whose cuts all sit on
     the right of the partition; the clause-set interpolant of each reduct
-    subsumes-extends the previous one."""
+    subsumes-extends the previous one.  The result passes check_proof in
+    LK-minus, or ProofCheckFailed is raised.
+
+    Each step reduces the deepest cut, the leftmost of the deepest ones,
+    and splices the w-reduced replacement in.  The facts that the steps
+    read are stored on the nodes: each node's interpolant (maehara), the
+    height of its deepest cut (_cut_heights), its w-reduced mark
+    (w_reduce) and its occurrence summaries (classify_cut).  So a step
+    walks only the nodes that the previous one built, the new path from
+    the root to the replacement and the replacement's own nodes, and reads
+    the facts of the subproofs it kept."""
     bad = check_proof(p, LK)
     if bad is not None:
         raise TransformError(f"input does not check: {bad.reason}")
@@ -472,10 +547,9 @@ def eliminate_cuts(p: Proof) -> CutEliminationResult:
         # reducing the replacement reduces the whole proof
         p = replace_at(p, path, w_reduce(replacement))
         new_cuts = []
-        for sub_path, node in iter_nodes(replacement):
-            if node.rule == "cut":
-                info = classify_cut(replacement, sub_path)
-                new_cuts.append((info.degree, info.weight))
+        for node in _cuts(replacement):
+            info = classify_cut(node, ())
+            new_cuts.append((info.degree, info.weight))
         for dw in new_cuts:
             if dw >= (old_info.degree, old_info.weight):
                 raise TransformError(
@@ -498,4 +572,9 @@ def eliminate_cuts(p: Proof) -> CutEliminationResult:
         current_cnf = next_cnf
     if p.sequentv != end:
         raise TransformError("cut elimination changed the end-sequent")
+    bad = check_proof(p, LKMINUS)
+    if bad is not None:
+        raise ProofCheckFailed(
+            f"cut elimination built an invalid proof at {bad.path}: {bad.reason}"
+        )
     return CutEliminationResult(p, tuple(trace))

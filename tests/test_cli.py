@@ -189,6 +189,33 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert "AssignmentCheckFailed: search found an assignment that falsifies {~q}" in err
 
+    def test_failed_cut_elimination_check_is_internal(self, capsys, monkeypatch):
+        import craig.transform
+        from craig.sequent import LKMINUS, Violation, check_proof
+
+        def fake(proof, system):
+            return Violation((), "injected") if system is LKMINUS else check_proof(proof, system)
+
+        monkeypatch.setattr(craig.transform, "check_proof", fake)
+        code, out, err = run(capsys, "pipeline", "p & q", "p | q", "p;q")
+        assert (code, out) == (3, "")
+        assert "ProofCheckFailed: cut elimination built an invalid proof at (): injected" in err
+
+    def test_failed_realization_check_is_internal(self, capsys, monkeypatch):
+        import craig.construct
+        from craig.sequent import Violation, check_proof, iter_nodes
+
+        def fake(proof, system):
+            # only the conjoined proof has cuts
+            if any(node.rule == "cut" for _, node in iter_nodes(proof)):
+                return Violation((), "injected")
+            return check_proof(proof, system)
+
+        monkeypatch.setattr(craig.construct, "check_proof", fake)
+        code, out, err = run(capsys, "realize", "--interpolant", "p & q", "p & q", "p | q")
+        assert (code, out) == (3, "")
+        assert "ProofCheckFailed: built an invalid proof at (): injected" in err
+
     def test_unexpected_exception_is_internal(self, capsys, monkeypatch):
         import craig.cli
 

@@ -96,6 +96,40 @@ class TestCheckRefutation:
         v = check_refutation(rp)
         assert v is not None
 
+    def test_shared_and_unread_clauses(self):
+        # node 2 is read twice, by a node that reads it as both premises'
+        # sources and by the root; node 3 is never read
+        rp = ResolutionProof(
+            (
+                Input(clause("p", "q"), "A"),
+                Input(clause("~p"), "B"),
+                Resolve(0, 1, p),
+                Input(clause("r"), "A"),
+                Input(clause("~q"), "B"),
+                Resolve(2, 4, q),
+                Resolve(2, 2, q),
+            ),
+            5,
+        )
+        v = check_refutation(rp)
+        assert v is not None and v.node == 6 and v.reason == "right premise lacks the negative pivot"
+        fixed = ResolutionProof(rp.nodes[:6] + (Weaken(2, clause("~q")), Resolve(2, 6, q)), 5)
+        assert check_refutation(fixed) is None
+
+    def test_check_drops_each_clause_after_its_last_reader(self):
+        import tracemalloc
+
+        rp = refute(php(5))
+        rp = ResolutionProof(rp.nodes, rp.root)  # without the search's stored verdict
+        tracemalloc.start()
+        try:
+            assert check_refutation(rp) is None
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # keeping every clause of the 2,491 nodes took 1.3 MB
+        assert len(rp) == 2_491 and peak < 300_000
+
     def test_verdict_stays_with_the_checked_refutation(self):
         rp = refute(frozenset([clause("p", "q"), clause("~p"), clause("~q")]))
         assert check_refutation(rp) is None

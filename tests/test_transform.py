@@ -1,3 +1,5 @@
+import operator
+import pickle
 import random
 
 import pytest
@@ -13,19 +15,25 @@ from craig.formulas import (
     formula_cnf,
     subsumes,
 )
-from craig.maehara import maehara
+from craig.maehara import UnsupportedRule, maehara
 from craig.sequent import (
+    KD4,
     LK,
     LKAT,
     LKLIT,
     LKMINUS,
     LKMONO,
+    Proof,
+    ProofCheckFailed,
+    Violation,
+    _fold,
     ax,
     check_proof,
     classify_cut,
     cut,
     cut_occurrences,
     first_index,
+    format_proof,
     is_tame,
     iter_nodes,
     land1,
@@ -36,6 +44,7 @@ from craig.sequent import (
     proof_length,
     rand,
     rc,
+    rebuild,
     rneg,
     replace_at,
     rw,
@@ -57,9 +66,11 @@ from craig.transform import (
     w_reduce,
 )
 from craig.construct import prove_cutfree, realize_clause, realize_interpolant, realize_pruned
+from test_maehara import reference_maehara
 from test_sequent import (
     criterion_draws,
     deep_weakening_proof,
+    differential_proofs,
     example_sigma,
     omega_proof,
     reference_iter_nodes,
@@ -547,3 +558,193 @@ class TestDeepProofs:
         cuts = [node.main_formula for _, node in iter_nodes(out) if node.rule == "cut"]
         assert cuts == [q] * levels
         assert check_proof(out, LKAT) is None
+
+
+# ---------------------------------------------------------------------------
+# Stored step facts against the whole-proof scans they replaced
+# ---------------------------------------------------------------------------
+
+def fresh_interpolant(p, system=LK):
+    """The root interpolant from the recursive annotation, which reads no
+    stored fact."""
+    return dict(reference_maehara(p, system))[()]
+
+
+def scanned_uppermost_cut(p):
+    """The deepest cut, the leftmost of the deepest ones, by a full scan."""
+    cuts = [path for path, node in iter_nodes(p) if node.rule == "cut"]
+    if not cuts:
+        return None
+    return max(cuts, key=lambda path: (len(path), tuple(-i for i in path)))
+
+
+def scanned_heights(p):
+    """path: (height, first) of every node, from a full scan of the cut
+    paths: each cut is a candidate for every node on its path."""
+    best = {path: None for path, _ in iter_nodes(p)}
+    for path, node in iter_nodes(p):
+        if node.rule == "cut":
+            for k in range(len(path) + 1):
+                key = (len(path) - k, tuple(-i for i in path[k:]))
+                if best[path[:k]] is None or key > best[path[:k]]:
+                    best[path[:k]] = key
+    return {
+        path: (-1, None) if key is None else (key[0], -key[1][0] if key[1] else None)
+        for path, key in best.items()
+    }
+
+
+def reference_eliminate_cuts(p):
+    """The step loop before the stored facts, on a proof that passed the
+    input checks: every step annotates the whole proof afresh, finds the
+    uppermost cut by a full scan, reduces without reading w-reduced marks
+    and lists the new cuts by a full scan of the replacement."""
+
+    def reduce_all(proof):
+        def step(node, kids):
+            if not all(map(operator.is_, kids, node.children)):
+                node = rebuild(node, kids)
+            return transform_module._push_weakening(node) if node.rule in ("lw", "rw") else node
+
+        return _fold(proof, step)
+
+    p = reduce_all(p)
+    trace = []
+    while True:
+        path = scanned_uppermost_cut(p)
+        if path is None:
+            return transform_module.CutEliminationResult(p, tuple(trace))
+        old_info = classify_cut(p, path)
+        replacement, kind = transform_module._reduce_cut(subproof_at(p, path))
+        p = replace_at(p, path, reduce_all(replacement))
+        new_cuts = tuple(
+            (info.degree, info.weight)
+            for info in (classify_cut(replacement, sub_path)
+                         for sub_path, node in iter_nodes(replacement) if node.rule == "cut")
+        )
+        trace.append(transform_module.TraceStep(
+            kind, path, old_info.degree, old_info.weight, new_cuts,
+            formula_cnf(fresh_interpolant(p)),
+        ))
+
+
+def two_clause_product(k):
+    """a = b = (p0 | p1) & ... & (p{2k-2} | p{2k-1}) with its own pruned
+    clause set, realized."""
+    from craig.formulas import prune
+
+    a = None
+    for i in range(k):
+        c = Or(Atom(f"p{2 * i}"), Atom(f"p{2 * i + 1}"))
+        a = c if a is None else And(a, c)
+    return realize_pruned(a, a, prune(formula_cnf(a)))
+
+
+def stepped_inputs():
+    """Realized proofs whose cut elimination takes many steps: the
+    criterion-5 draws, sigma and the 4-atom product."""
+    _, pipelines = criterion_draws()
+    return [realize_pruned(a, b, cs) for a, b, cs in pipelines] + [
+        example_sigma(), two_clause_product(2)]
+
+
+class TestStoredStepFacts:
+    def test_same_trace_and_proof_as_the_rescanning_loop(self):
+        steps = 0
+        for realized in stepped_inputs():
+            got = eliminate_cuts(realized)
+            want = reference_eliminate_cuts(pickle.loads(pickle.dumps(realized)))
+            assert got.trace == want.trace
+            assert format_proof(got.proof) == format_proof(want.proof)
+            steps += len(got.trace)
+        assert steps > 250
+
+    def test_stored_interpolants_equal_a_fresh_annotation(self):
+        serial = 0
+        for proof in differential_proofs():
+            ann = maehara(proof, KD4)
+            fresh = maehara(pickle.loads(pickle.dumps(proof)), KD4).interpolants
+            assert ann.interpolants == fresh
+            stored = 0
+            for (path, node), (_, c) in zip(iter_nodes(proof), fresh):
+                if "_interpolant" in node.__dict__:
+                    assert node.__dict__["_interpolant"] == c
+                    stored += 1
+            if all(node.rule != "d" for _, node in iter_nodes(proof)):
+                assert stored == len(fresh)  # every node of a frozen proof
+                assert maehara(proof, KD4).notes == {}  # a second call walks nothing
+            else:
+                # the seriality rule is checked against the system on every call
+                serial += 1
+                with pytest.raises(UnsupportedRule):
+                    maehara(proof, LK)
+        assert serial
+
+    def test_stored_heights_equal_the_full_scan(self, monkeypatch):
+        checked = []
+        uppermost = transform_module._uppermost_cut
+
+        def spy(p):
+            got = uppermost(p)
+            assert got == scanned_uppermost_cut(p)
+            want = scanned_heights(p)
+            for path, node in iter_nodes(p):
+                if "_cut_height" in node.__dict__:
+                    assert node.__dict__["_cut_height"] == want[path]
+                    checked.append(path)
+            return got
+
+        monkeypatch.setattr(transform_module, "_uppermost_cut", spy)
+        for realized in stepped_inputs():
+            eliminate_cuts(realized)
+        assert len(checked) > 10_000
+
+    def test_marked_subproofs_are_w_reduced(self, monkeypatch):
+        spliced = []
+        splice = transform_module.replace_at
+
+        def spy(p, path, new):
+            spliced.append(new)
+            return splice(p, path, new)
+
+        monkeypatch.setattr(transform_module, "replace_at", spy)
+        finals = [eliminate_cuts(realized).proof for realized in stepped_inputs()]
+        marked = 0
+        for proof in finals + spliced:
+            for _, node in iter_nodes(proof):
+                if node.__dict__.get("_w_reduced"):
+                    assert is_w_reduced(node)
+                    marked += 1
+        assert marked > 10_000
+
+    def test_w_reduce_stops_at_marked_subproofs(self, monkeypatch):
+        reduced = w_reduce(example_sigma())
+        assert all(node.__dict__.get("_w_reduced") for _, node in iter_nodes(reduced))
+        left = w_reduce(prove_cutfree(sequent([And(p, q)], [], [p], []), LKMINUS))
+        right = w_reduce(prove_cutfree(sequent([And(p, q)], [], [q], []), LKMINUS))
+        pair = rand(left, right, And(p, q), "d1")
+        walked = []
+        mark = transform_module._marked
+        monkeypatch.setattr(transform_module, "_marked", lambda node: walked.append(node) or mark(node))
+        assert w_reduce(reduced) is reduced
+        assert walked == []
+        assert w_reduce(pair) is pair
+        assert walked == [pair]  # the premises are marked, so only the new root is walked
+        assert pair.__dict__["_w_reduced"]
+
+    def test_unfrozen_nodes_store_nothing(self):
+        proof = example_sigma()
+        listed = Proof(proof.rule, proof.sequentv, list(proof.children),
+                       proof.main_comp, proof.main_formula)
+        result = eliminate_cuts(listed)
+        assert result == eliminate_cuts(example_sigma())
+        for fact in ("_interpolant", "_cut_height", "_w_reduced"):
+            assert fact not in listed.__dict__
+
+    def test_invalid_result_is_an_internal_error(self, monkeypatch):
+        def fake(proof, system):
+            return Violation((), "injected") if system is LKMINUS else check_proof(proof, system)
+
+        monkeypatch.setattr(transform_module, "check_proof", fake)
+        with pytest.raises(ProofCheckFailed, match="injected"):
+            eliminate_cuts(example_sigma())
