@@ -189,12 +189,13 @@ def _search(s: Sequent, system: System, unfolded, blocked):
     jump = "4" if "4" in system.modal_rules else ("k" if "k" in system.modal_rules else None)
     if jump is not None:
         # each jump's conclusion: the distinct boxed antecedent formulas of s
-        # over one boxed succedent formula of s, or over nothing for d
+        # over one boxed succedent formula of s, or over nothing for d (d4
+        # under 4, whose premise keeps the boxes)
         boxed = [{g for g in s.comp(c) if isinstance(g, Box)} for c in ("g1", "g2")]
         goals = [(jump, sequent(*boxed, [f], []) if dcomp == "d1" else sequent(*boxed, [], [f]))
                  for dcomp in ("d1", "d2") for f in s.comp(dcomp) if isinstance(f, Box)]
         if "d" in system.modal_rules:
-            goals.append(("d", sequent(*boxed)))
+            goals.append(("d4" if "d4" in system.modal_rules else "d", sequent(*boxed)))
         for rule, goal in goals:
             premise = jump_premise(rule, goal)
             key = (premise, rule)

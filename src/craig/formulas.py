@@ -71,7 +71,7 @@ ATOM_NAME = re.compile(r"(?!(?:true|false)\Z)[a-z][a-zA-Z0-9_]*\Z")
 # three times per level and the parser four times per parenthesis, well
 # inside the recursion limit craig.sequent sets; that limit does not guard
 # the C stack, though, which Python 3.10 spends on every frame.  There,
-# with an 8 MB stack, printing, nnf and evaluation of one formula crash
+# with an 8 MB stack, printing and evaluation of one formula crash
 # between 6000 and 7000 levels, so this bound leaves a sixfold margin for
 # the walkers that run over formulas inside proofs.
 MAX_DEPTH = 1000
@@ -686,42 +686,79 @@ def format_clause_set(cs) -> str:
 # NNF and CNF
 # ---------------------------------------------------------------------------
 
-def nnf(f: Formula) -> Formula:
-    """Push negations to atoms; boxed subformulas are kept opaque."""
-    if isinstance(f, (Atom, Bottom, Box)):
-        return f
-    if isinstance(f, And):
-        return And(nnf(f.left), nnf(f.right))
-    if isinstance(f, Or):
-        return Or(nnf(f.left), nnf(f.right))
-    body = f.body
-    if isinstance(body, (Atom, Bottom, Box)):
-        return f
-    if isinstance(body, Neg):
-        return nnf(body.body)
-    if isinstance(body, And):
-        return Or(nnf(Neg(body.left)), nnf(Neg(body.right)))
-    if isinstance(body, Or):
-        return And(nnf(Neg(body.left)), nnf(Neg(body.right)))
-    raise FormulaError(f"cannot normalize {f!r}")
+_OPAQUE = (Atom, Bottom, Box)
 
 
-def cnf(f: Formula) -> frozenset:
-    """Distributive clause-set normal form of an NNF formula."""
-    if f == TOP:
-        return frozenset()
-    if isinstance(f, Bottom):
-        return frozenset([frozenset()])
-    if isinstance(f, And):
-        return cnf(f.left) | cnf(f.right)
-    if isinstance(f, Or):
-        return cross(cnf(f.left), cnf(f.right))
-    split_literal(f)  # raises unless f is a literal
-    return frozenset([frozenset([f])])
+def nnf(f: Formula, done=None) -> Formula:
+    """Push negations to atoms; boxed subformulas are kept opaque.  One
+    bottom-up pass on an explicit stack over the distinct formulas whose
+    NNFs make up f's: interned formulas are equal only when identical, so
+    done, a dict keyed by formula (a fresh one when None), holds each one's
+    NNF once, and a later call given the same dict reuses them.  A formula
+    that is its own NNF (an atom, false, a box or the negation of one)
+    stays out of the dict."""
+    if done is None:
+        done = {}
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if type(g) is tuple:  # a formula whose parts are done
+            g, build, parts = g
+            parts = [done.get(h, h) for h in parts]
+            done[g] = build(*parts) if build else parts[0]
+            continue
+        if g in done or isinstance(g, _OPAQUE):
+            continue
+        if isinstance(g, (And, Or)):
+            parts, build = (g.left, g.right), type(g)
+        else:
+            body = g.body
+            if isinstance(body, _OPAQUE):
+                continue
+            if isinstance(body, Neg):
+                parts, build = (body.body,), None
+            elif isinstance(body, (And, Or)):
+                parts = Neg(body.left), Neg(body.right)
+                build = Or if isinstance(body, And) else And
+            else:
+                raise FormulaError(f"cannot normalize {g!r}")
+        stack.append((g, build, parts))
+        stack += reversed(parts)  # the left part first
+    return done.get(f, f)
 
 
-def formula_cnf(f: Formula) -> frozenset:
-    return cnf(nnf(f))
+def cnf(f: Formula, done=None) -> frozenset:
+    """Distributive clause-set normal form of an NNF formula.  One
+    bottom-up pass on an explicit stack over the distinct subformulas,
+    with done as in nnf."""
+    if done is None:
+        done = {}
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if type(g) is tuple:  # a conjunction or disjunction whose parts are done
+            (g,) = g
+            left, right = done[g.left], done[g.right]
+            done[g] = left | right if isinstance(g, And) else cross(left, right)
+        elif g in done:
+            continue
+        elif isinstance(g, (And, Or)):
+            stack += ((g,), g.right, g.left)  # the left part first
+        elif g is TOP:
+            done[g] = frozenset()
+        elif isinstance(g, Bottom):
+            done[g] = frozenset([frozenset()])
+        else:
+            split_literal(g)  # raises unless g is a literal
+            done[g] = frozenset([frozenset([g])])
+    return done[f]
+
+
+def formula_cnf(f: Formula, memo=None) -> frozenset:
+    """cnf(nnf(f)).  memo, a pair of dicts for nnf and cnf, lets a later
+    call reuse the work on the subformulas it shares with f."""
+    nnfs, cnfs = ({}, {}) if memo is None else memo
+    return cnf(nnf(f, nnfs), cnfs)
 
 
 # ---------------------------------------------------------------------------

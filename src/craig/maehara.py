@@ -82,14 +82,14 @@ def combine(rule, comp, parts) -> Formula:
     """The interpolant of an inner node from its premises' interpolants
     parts: a two-premise rule (lor, rand, cut) joins them with Or when its
     main occurrence (a cut's placement) is on side 1 and with And on side 2;
-    k and 4 box the one part on side 2 and take its dual on side 1, d boxes
-    it, and the other one-premise rules pass it on."""
+    k and 4 box the one part on side 2 and take its dual on side 1, d and
+    d4 box it, and the other one-premise rules pass it on."""
     if len(parts) == 2:
         return (Or if comp[1] == "1" else And)(*parts)
     (c,) = parts
     if rule in ("k", "4"):
         return Box(c) if comp == "d2" else Neg(Box(Neg(c)))
-    return Box(c) if rule == "d" else c
+    return Box(c) if rule in ("d", "d4") else c
 
 
 def maehara(p: Proof, system: System) -> AnnotatedProof:
@@ -100,9 +100,9 @@ def maehara(p: Proof, system: System) -> AnnotatedProof:
     checks each node in preorder before its premises, so the first failure
     in preorder is the one raised.  Like the check_proof verdict, a node's
     interpolant is stored on it when it is _frozen and its premises store
-    theirs, and a later call stops there.  Only the d rule is checked
-    against the system, so a d node and the nodes below it store nothing
-    and are checked on every call; every other check holds under any
+    theirs, and a later call stops there.  Only the d and d4 rules are
+    checked against the system, so such a node and the nodes below it store
+    nothing and are checked on every call; every other check holds under any
     system once passed.  Within cut elimination each call thus walks only
     the nodes that the last step built."""
     serial = bool({"k", "4"} & system.modal_rules)
@@ -113,7 +113,7 @@ def maehara(p: Proof, system: System) -> AnnotatedProof:
         if type(node) is tuple:  # a node whose premises are done
             node = node[0]
             rule = node.rule
-            keep = rule != "d"
+            keep = rule not in ("d", "d4")
             parts = []
             for k in node.children:
                 c = getattr(k, "_interpolant", None)
@@ -144,7 +144,7 @@ def maehara(p: Proof, system: System) -> AnnotatedProof:
                     f"cut on {node.main_formula!r} in "
                     f"{format_sequent(node.sequentv)}"
                 )
-        elif rule == "d":
+        elif rule in ("d", "d4"):
             if not serial:
                 raise UnsupportedRule(
                     "interpolating the seriality rule needs a box-introducing rule"

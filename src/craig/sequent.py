@@ -77,7 +77,8 @@ K = System("k", frozenset({"k"}), "modal-atomic")
 KD = System("kd", frozenset({"k", "d"}), "modal-atomic")
 KT = System("kt", frozenset({"k", "t"}), "modal-atomic")
 K4 = System("k4", frozenset({"4"}), "modal-atomic")
-KD4 = System("kd4", frozenset({"4", "d"}), "modal-atomic")
+# d4 is the seriality rule under 4: its premise keeps the boxes too
+KD4 = System("kd4", frozenset({"4", "d", "d4"}), "modal-atomic")
 S4 = System("s4", frozenset({"4", "t"}), "modal-atomic")
 
 SYSTEMS = {
@@ -300,8 +301,8 @@ RULE_SCHEMA = {
     "cut": ("d", None, 2),
 }
 
-# k, d and 4 are the modal jumps: their premise comes from jump_premise
-RULES = ("ax", "bot", *RULE_SCHEMA, "k", "d", "4")
+# k, d, 4 and d4 are the modal jumps: their premise comes from jump_premise
+RULES = ("ax", "bot", *RULE_SCHEMA, "k", "d", "4", "d4")
 
 
 @dataclass(frozen=True)
@@ -589,6 +590,10 @@ def rule_4(child: Proof) -> Proof:
     return _jump("4", child, _four_context)
 
 
+def rule_d4(child: Proof) -> Proof:
+    return _jump("d4", child, _four_context)
+
+
 def _four_context(fs):
     """The boxed formulas whose bodies and themselves make up fs, when there
     are any: a deepest formula of fs is the body of none, so it is one of
@@ -609,7 +614,7 @@ def _jump(rule, child: Proof, boxes) -> Proof:
     must be the premise."""
     s = child.sequentv
     g1, g2 = boxes(s.g1), boxes(s.g2)
-    if rule == "d":
+    if rule in ("d", "d4"):
         dcomp = main = None
         conclusion = sequent(g1, g2)
     else:
@@ -623,27 +628,27 @@ def _jump(rule, child: Proof, boxes) -> Proof:
     return Proof(rule, conclusion, (child,), dcomp, main)
 
 
-MODAL_JUMPS = {"k": rule_k, "d": rule_d, "4": rule_4}
+MODAL_JUMPS = {"k": rule_k, "d": rule_d, "4": rule_4, "d4": rule_d4}
 
 
 def jump_premise(rule, s: Sequent) -> Sequent:
-    """The premise of the modal jump rule (k, d or 4) with conclusion s: the
-    bodies of s's boxed antecedent (for 4 followed by the boxes themselves)
-    over the body of s's one boxed succedent formula, or for d over nothing.
-    Raises ProofError when s does not fit the rule."""
+    """The premise of the modal jump rule (k, d, 4 or d4) with conclusion s:
+    the bodies of s's boxed antecedent (for 4 and d4 followed by the boxes
+    themselves) over the body of s's one boxed succedent formula, or for d
+    and d4 over nothing.  Raises ProofError when s does not fit the rule."""
     if rule not in MODAL_JUMPS:
         raise ProofError(f"{rule!r} is not a modal jump rule")
     if not all(isinstance(f, Box) for f in s.antecedent()):
         raise ProofError(f"{rule} conclusion antecedent must be boxed")
     sucs = s.succedent()
-    if rule == "d":
-        _need(not sucs, "d conclusion succedent must be empty")
+    if rule in ("d", "d4"):
+        _need(not sucs, f"{rule} conclusion succedent must be empty")
         ds = ((), ())
     elif len(sucs) == 1 and isinstance(sucs[0], Box):
         ds = ((sucs[0].body,), ()) if s.d1 else ((), (sucs[0].body,))
     else:
         raise ProofError(f"{rule} conclusion succedent must be one boxed formula")
-    four = rule == "4"
+    four = rule in ("4", "d4")
     gs = [[f.body for f in fs] + (list(fs) if four else []) for fs in (s.g1, s.g2)]
     return sequent(*gs, *ds)
 
@@ -711,7 +716,7 @@ def expected_premises(p: Proof):
         return ()
     if rule in MODAL_JUMPS:
         premise = jump_premise(rule, s)
-        if rule != "d" and not (comp in ("d1", "d2") and s.comp(comp) == (m,)):
+        if rule not in ("d", "d4") and not (comp in ("d1", "d2") and s.comp(comp) == (m,)):
             raise ProofError(f"rule {rule} needs its succedent formula as main occurrence")
         return (premise,)
     arity = _schema(rule, m, comp)
@@ -740,11 +745,28 @@ def check_proof(p: Proof, system: System):
     """None if every node matches its schema and the system's cut policy,
     else the Violation at the first offending node in preorder.
 
+    The canonical order of every component and, in a non-modal system, the
+    absence of boxes are checked on the root sequent only, by induction:
+    a premise passes only when it equals the sequent that its rule demands
+    of its checked conclusion, and expected_premises builds that sequent
+    with insert and remove_one, which keep the order, or with sequent(),
+    which sorts.  Its formulas are the conclusion's, their subformulas, or
+    a cut formula.  So a cut in a non-modal system checks its formula for
+    boxes, and reports a boxed one at its left premise, the first node in
+    preorder whose sequent holds it.
+
     Each distinct node is checked once per call.  When the proof passes and
     every node walked is _frozen, each of them stores the system, and a
     later call under an equal system skips it with the subproof above it,
     which passed too (its nodes were walked, or skipped for the same
-    reason)."""
+    reason), and skips the root checks when it is the root."""
+    if system not in getattr(p, "_passed", ()):
+        s = p.sequentv
+        for c, fs in zip(COMPONENTS, s):
+            if not _in_order(fs):
+                return Violation((), f"component {c} is not canonically sorted")
+        if not system.modal and any(is_modal(f) for fs in s for f in fs):
+            return Violation((), _BOXED)
     walked = {}
     stack = [(p, None)]  # (node, its path as a linked (index, parent link))
     while stack:
@@ -771,16 +793,15 @@ def check_proof(p: Proof, system: System):
     return None
 
 
+_BOXED = "boxed formula in a non-modal system"
+
+
 def _violation(node: Proof, system: System):
     """((), reason) when node breaks a rule, ((i,), reason) when its
-    premise i does not match the rule, or None."""
+    premise i does not match the rule or holds a boxed cut formula that the
+    system does not allow, or None.  The order and modality of node's own
+    sequent are check_proof's induction."""
     s = node.sequentv
-    for c, fs in zip(COMPONENTS, s):
-        if not _in_order(fs):
-            return (), f"component {c} is not canonically sorted"
-    if not system.modal:
-        if any(is_modal(f) for fs in s for f in fs):
-            return (), "boxed formula in a non-modal system"
     if node.rule == "ax":
         ants, sucs = s.antecedent(), s.succedent()
         if len(ants) != 1 or len(sucs) != 1 or ants[0] != sucs[0]:
@@ -792,7 +813,7 @@ def _violation(node: Proof, system: System):
         if s.antecedent() != (BOTTOM,) or s.succedent() or node.children:
             return (), "false-axiom must be exactly false =>"
         return None
-    if node.rule in ("k", "d", "t", "4") and node.rule not in system.modal_rules:
+    if node.rule in ("k", "d", "d4", "t", "4") and node.rule not in system.modal_rules:
         return (), f"rule {node.rule} not available in {system.name}"
     try:
         expected = expected_premises(node)
@@ -805,6 +826,8 @@ def _violation(node: Proof, system: System):
     for i, (want, child) in enumerate(zip(expected, node.children)):
         if child.sequentv != want:
             return (i,), f"premise is {format_sequent(child.sequentv)} but {node.rule} needs {format_sequent(want)}"
+    if node.rule == "cut" and not system.modal and is_modal(node.main_formula):
+        return (0,), _BOXED
     return None
 
 
@@ -845,7 +868,7 @@ def _first_indices(comp_tuple, formula, k):
 
 def main_occurrence(node: Proof):
     """(comp, idx) of the first copy of the main formula in the conclusion;
-    None for axioms, cuts and d, which have no main occurrence."""
+    None for axioms, cuts, d and d4, which have no main occurrence."""
     if node.main_formula is None or node.rule == "cut":
         return None
     return node.main_comp, first_index(node.sequentv, node.main_comp, node.main_formula)
@@ -873,7 +896,7 @@ def direct_ancestors(node: Proof, ci: int, occ):
     component with the main and auxiliary positions skipped.  Raises
     ProofError when the premise does not match the conclusion."""
     child = node.children[ci].sequentv
-    if node.rule in ("k", "d", "4"):
+    if node.rule in MODAL_JUMPS:
         if child != expected_premises(node)[0]:
             raise ProofError(f"premise mismatch under rule {node.rule}")
         return _modal_ancestors(node, child, occ)
@@ -899,10 +922,10 @@ def direct_ancestors(node: Proof, ci: int, occ):
 
 
 def _modal_ancestors(node: Proof, child: Sequent, occ):
-    """k, d and 4: the k-th copy of a boxed antecedent formula comes from
-    the k-th copy of its body (and, for 4, from the next unused copy of
-    itself, after those that are bodies); the boxed succedent from its
-    body."""
+    """k, d, 4 and d4: the k-th copy of a boxed antecedent formula comes
+    from the k-th copy of its body (and, for 4 and d4, from the next unused
+    copy of itself, after those that are bodies); the boxed succedent from
+    its body."""
     comp, idx = occ
     if comp in ("d1", "d2"):
         return [occ]
@@ -910,37 +933,56 @@ def _modal_ancestors(node: Proof, child: Sequent, occ):
     f = fs[idx]
     k = fs[:idx].count(f)
     out = [(comp, _first_indices(child.comp(comp), f.body, k + 1)[k])]
-    if node.rule == "4":
+    if node.rule in ("4", "d4"):
         k += fs.count(Box(f))
         out.append((comp, _first_indices(child.comp(comp), f, k + 1)[k]))
     return out
 
 
 def _cone(p: Proof, occ):
-    """The ancestor tree of occ as (occurrence, its node, index of its
-    descendant) triples, each listed after its descendant.  For membership
-    only: _summaries gives weakness and weight without a cone."""
+    """The ancestor tree of occ as ((ci, comp, idx), its node, index of its
+    descendant) triples, each listed after its descendant: the occurrence
+    (comp, idx) of node, whose descendant's node has node as premise ci
+    (None for occ itself).  Each triple links to its descendant instead of
+    holding its path, so the cone's memory grows with its size, not with
+    its size times its depth; _cone_occurrence gives a triple's occurrence.
+    For membership only: _summaries gives weakness and weight without a
+    cone."""
     path, comp, idx = occ
     node = subproof_at(p, path)
-    cone = [(occ, node, None)]
-    stack = [(path, node, {(comp, idx): 0})]
+    cone = [((None, comp, idx), node, None)]
+    stack = [(node, {(comp, idx): 0})]
     while stack:
-        path, node, here = stack.pop()
+        node, here = stack.pop()
         for ci, child in enumerate(node.children):
-            cpath = path + (ci,)
             there = {}
             for dst, d in here.items():
                 for src in direct_ancestors(node, ci, dst):
                     there[src] = len(cone)
-                    cone.append(((cpath,) + src, child, d))
+                    cone.append(((ci,) + src, child, d))
             if there:
-                stack.append((cpath, child, there))
+                stack.append((child, there))
     return cone
+
+
+def _cone_occurrence(cone, i, path):
+    """The occurrence (path, comp, idx) of triple i of a cone whose first
+    triple sits at path."""
+    (ci, comp, idx), _, d = cone[i]
+    steps = []
+    while d is not None:
+        steps.append(ci)
+        (ci, _, _), _, d = cone[d]
+    return path + tuple(reversed(steps)), comp, idx
 
 
 def ancestors(p: Proof, occ) -> set:
     """Reflexive-transitive closure of the direct-ancestor relation."""
-    return {o for o, _, _ in _cone(p, occ)}
+    cone = _cone(p, occ)
+    paths = [occ[0]]
+    for (ci, _, _), _, d in cone[1:]:
+        paths.append(paths[d] + (ci,))
+    return {(path, comp, idx) for path, ((_, comp, idx), _, _) in zip(paths, cone)}
 
 
 def _summaries(roots):
@@ -1054,13 +1096,19 @@ def axiom_kind(s: Sequent) -> str:
 
 def _cut_ancestry(p: Proof):
     """(path, the cones of its two cut occurrences) for every cut in
-    preorder, and the set of all cut-formula ancestors."""
-    cuts = [
-        (path, [_cone(p, (path + (ci,),) + occ) for ci, occ in enumerate(cut_occurrences(node))])
-        for path, node in iter_nodes(p)
-        if node.rule == "cut"
-    ]
-    return cuts, {o for _, cones in cuts for cone in cones for o, _, _ in cone}
+    preorder, and the set of the cut-formula ancestors that sit in axioms,
+    the only ones that _is_omega asks about."""
+    cuts, cut_anc = [], set()
+    for path, node in iter_nodes(p):
+        if node.rule == "cut":
+            cones = []
+            for ci, occ in enumerate(cut_occurrences(node)):
+                cone = _cone(p, (path + (ci,),) + occ)
+                cut_anc.update(_cone_occurrence(cone, i, path + (ci,))
+                               for i, (_, n, _) in enumerate(cone) if n.rule == "ax")
+                cones.append(cone)
+            cuts.append((path, cones))
+    return cuts, cut_anc
 
 
 def _is_omega(path, node: Proof, cut_anc) -> bool:
@@ -1314,7 +1362,7 @@ def _rebuild_node(rule, seq, main_tok, children):
         if len(extra) != 1:
             raise ProofError("cut premise must add exactly one succedent formula")
         return Proof("cut", seq, children, comp, extra[0])
-    if rule in ("ax", "bot", "d"):
+    if rule in ("ax", "bot", "d", "d4"):
         return Proof(rule, seq, children)
     if rule in ("k", "4"):
         _need(seq.d1 or seq.d2, f"rule {rule} needs a succedent formula")

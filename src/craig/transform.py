@@ -86,7 +86,10 @@ _DELETABLE = _LOGICAL | {"lw", "rw", "lc", "rc"}
 
 def neg_invert(p: Proof, comp: str, idx: int) -> Proof:
     """Move an end-sequent occurrence of ~A to A in the dual component,
-    preserving the interpolant as an AST and at most doubling the length."""
+    preserving the interpolant as an AST and at most doubling the length.
+    A subproof that the occurrence's ancestors reach through several
+    parents is inverted once, and its inversion is shared (a memo for the
+    call)."""
     f = p.sequentv.comp(comp)[idx]
     if not isinstance(f, Neg):
         raise TargetNotNegation(f"occurrence at {comp}:{idx} is {f!r}")
@@ -108,7 +111,43 @@ def _axiom_inversion(node: Proof, comp: str) -> Proof:
     return lneg(premise, nf, ant) if comp == suc else rneg(premise, nf, suc)
 
 
-def _invert(node: Proof, occ) -> Proof:
+def _invert(p: Proof, occ, memo=None) -> Proof:
+    """The inversion of the negation at occurrence occ of p's conclusion,
+    from an explicit stack of _inversion steps.  memo (a fresh one when
+    None) maps (id(node), occurrence) to the inversion for each one made,
+    and is read before a step starts, so a subproof reached through several
+    parents is inverted once per memo.  Its None entry lists the nodes
+    inverted, so that each id stays that node's."""
+    if memo is None:
+        memo = {}
+    inverted = memo.setdefault(None, [])
+    key = (id(p), occ)
+    if key in memo:
+        return memo[key]
+    stack = [(key, p, _inversion(p, occ))]
+    value = None
+    while stack:
+        key, node, steps = stack[-1]
+        try:
+            sub, sub_occ = steps.send(value)
+        except StopIteration as done:
+            stack.pop()
+            value = memo[key] = done.value
+            inverted.append(node)
+            continue
+        sub_key = (id(sub), sub_occ)
+        if sub_key in memo:
+            value = memo[sub_key]
+        else:
+            stack.append((sub_key, sub, _inversion(sub, sub_occ)))
+            value = None
+    return value
+
+
+def _inversion(node: Proof, occ):
+    """One inversion step, as a generator: it yields each (proof,
+    occurrence) whose inversion it needs, is sent that inversion, and
+    returns the inversion of node at occ."""
     comp, idx = occ
     nf = node.sequentv.comp(comp)[idx]
     a = nf.body
@@ -127,17 +166,15 @@ def _invert(node: Proof, occ) -> Proof:
             return weaken(node.children[0], a, dual)
         if rule in ("lc", "rc"):
             child = node.children[0]
-            i1 = first_index(child.sequentv, comp, nf)
-            step1 = _invert(child, (comp, i1))
-            i2 = first_index(step1.sequentv, comp, nf)
-            step2 = _invert(step1, (comp, i2))
+            step1 = yield child, (comp, first_index(child.sequentv, comp, nf))
+            step2 = yield step1, (comp, first_index(step1.sequentv, comp, nf))
             return contract(step2, a, dual)
         raise TransformError(f"rule {rule} cannot introduce the negation {nf!r}")
     # context occurrence: invert the corresponding ancestors and rebuild
-    return rebuild(node, [
-        _invert(child, direct_ancestors(node, ci, occ)[0])
-        for ci, child in enumerate(node.children)
-    ])
+    kids = []
+    for ci, child in enumerate(node.children):
+        kids.append((yield child, direct_ancestors(node, ci, occ)[0]))
+    return rebuild(node, kids)
 
 
 # ---------------------------------------------------------------------------
@@ -154,12 +191,15 @@ def literal_cuts_to_atomic(p: Proof) -> Proof:
     """Replace every cut on a negated atom or box by a cut on its body,
     keeping the clause-set form of the interpolant.  One bottom-up pass: a
     subproof shared by several parents is rewritten once, and one with
-    nothing to rewrite is kept as it is."""
+    nothing to rewrite is kept as it is.  The inversions share one memo for
+    the call, so a (subproof, occurrence) that several cuts or parents
+    reach is inverted once, and the parents share its inversion."""
+    memo = {}
 
     def step(node, kids):
         if node.rule == "cut" and _is_negative_literal_cut(node.main_formula):
             left_occ, right_occ = cut_occurrences(node)
-            return cut(_invert(kids[1], right_occ), _invert(kids[0], left_occ),
+            return cut(_invert(kids[1], right_occ, memo), _invert(kids[0], left_occ, memo),
                        node.main_formula.body, int(node.main_comp[1]))
         if all(map(operator.is_, kids, node.children)):
             return node
@@ -209,7 +249,7 @@ def _push_weakening(w: Proof) -> Proof:
     child = w.children[0]
     if child.rule in ("lw", "rw", "ax", "bot"):
         return _marked(w)
-    if child.rule in ("k", "d", "4", "t"):
+    if child.rule in ("k", "d", "4", "d4", "t"):
         raise TransformError("weakening normalization is propositional only")
     f, comp = w.main_formula, w.main_comp
     hoisted = []
@@ -511,12 +551,14 @@ def eliminate_cuts(p: Proof) -> CutEliminationResult:
     (w_reduce) and its occurrence summaries (classify_cut).  So a step
     walks only the nodes that the previous one built, the new path from
     the root to the replacement and the replacement's own nodes, and reads
-    the facts of the subproofs it kept."""
+    the facts of the subproofs it kept.  The clause sets of the root
+    interpolants share one formula_cnf memo for the call, so a step
+    computes those only of the subformulas that it built."""
     bad = check_proof(p, LK)
     if bad is not None:
         raise TransformError(f"input does not check: {bad.reason}")
     for path, node in iter_nodes(p):
-        if node.rule in ("k", "d", "t", "4"):
+        if node.rule in ("k", "d", "d4", "t", "4"):
             raise TransformError("cut elimination is propositional only")
         if node.rule == "cut":
             info = classify_cut(p, path)
@@ -531,7 +573,8 @@ def eliminate_cuts(p: Proof) -> CutEliminationResult:
     end = p.sequentv
     p = w_reduce(p)
     trace = []
-    current_cnf = formula_cnf(maehara(p, LK).interpolant)
+    memo = {}, {}
+    current_cnf = formula_cnf(maehara(p, LK).interpolant, memo)
     while True:
         path = _uppermost_cut(p)
         if path is None:
@@ -556,7 +599,7 @@ def eliminate_cuts(p: Proof) -> CutEliminationResult:
                     f"{kind} reduction did not decrease the measure: "
                     f"{dw} vs {(old_info.degree, old_info.weight)}"
                 )
-        next_cnf = formula_cnf(maehara(p, LK).interpolant)
+        next_cnf = formula_cnf(maehara(p, LK).interpolant, memo)
         if not subsumes(current_cnf, next_cnf):
             raise TransformError(f"{kind} reduction broke the subsumption chain")
         trace.append(

@@ -184,6 +184,24 @@ class TestProveCutfree:
         assert try_prove_cutfree(four_axiom, KD4) is not None
         assert try_prove_cutfree(d_axiom, K4) is None
 
+    @pytest.mark.parametrize("text", ["[](~p & []p) ; => ;", "[]~[]p ; => ; ~p | ~[]p"])
+    def test_kd4_needs_the_d4_jump(self, text):
+        """Both sequents are KD4-valid: seriality and transitivity give a
+        world that must satisfy p and ~p.  The d jump drops the boxes from
+        its premise, so only d4, which keeps them, proves them."""
+        from craig.sequent import KD, KD4, format_proof, parse_proof, parse_sequent
+
+        seq = parse_sequent(text)
+        proof = prove_cutfree(seq, KD4)
+        assert proof.sequentv == seq
+        assert check_proof(proof, KD4) is None
+        assert "d4" in {node.rule for _, node in iter_nodes(proof)}
+        assert parse_proof(format_proof(proof)) == proof
+        assert check_proof(proof, KD).reason == "rule d4 not available in kd"
+        a, b = seq.g1[0], seq.d2[0] if seq.d2 else BOTTOM
+        assert verify_interpolant(a, b, maehara(proof, KD4).interpolant, KD4)
+        assert try_prove_cutfree(seq, KD) is None
+
     @pytest.mark.parametrize("system", [K4, S4], ids=["k4", "s4"])
     def test_4_step_over_a_box_and_its_box(self, system):
         """In the 4 step's premise []p is both the body of [][]p and a box

@@ -38,6 +38,7 @@ from craig.formulas import (
     eval_formula,
     format_clause_set,
     format_formula,
+    formula_cnf,
     is_pruned_clause_set,
     is_pruned_interpolant,
     literal_key,
@@ -294,6 +295,91 @@ class TestCnf:
             assert cnf(Or(lit, lit)) == cnf(lit)
             assert cnf(And(a, TOP)) == cnf(a)
             assert cnf(Or(a, BOTTOM)) == cnf(a)
+
+    def test_same_results_as_the_recursive_reference(self):
+        rng = random.Random(14)
+        for _ in range(500):
+            f = random_formula(rng, depth=6, modal=rng.random() < 0.3)
+            assert nnf(f) is reference_nnf(f)
+            assert formula_cnf(f) == reference_cnf(reference_nnf(f))
+        with pytest.raises(FormulaError):
+            cnf(And(p, Neg(And(p, q))))  # not an NNF
+
+    def test_a_shared_memo_gives_the_same_clause_sets(self):
+        rng = random.Random(15)
+        fs = [random_formula(rng, depth=5) for _ in range(200)]
+        memo = {}, {}
+        for f in fs:
+            assert formula_cnf(f, memo) == formula_cnf(f)
+        sizes = tuple(map(len, memo))
+        assert sizes[0] > 200 and sizes[1] > 200
+        for f in fs:
+            assert formula_cnf(f, memo) == formula_cnf(f)
+        assert tuple(map(len, memo)) == sizes  # nothing computed again
+
+    def test_each_distinct_subformula_once(self):
+        """f_{k+1} = ~(f_k & f_k) is a tree of 2^60 nodes over 121 distinct
+        formulas, and so is its NNF: a walk of the tree would not end."""
+        f = p
+        for _ in range(60):
+            f = Neg(And(f, f))
+        assert nnf(f).depth == 60
+        assert formula_cnf(f) == frozenset([clause("p")])
+        assert formula_cnf(Neg(f)) == frozenset([clause("~p")])
+
+    def test_deep_chains_are_iterative(self, shallow_stack):
+        """A 5,000-deep chain alternating | and & over three atoms, with its
+        clause sets and those of its negation built alongside, step by
+        step."""
+        atoms = [Atom(f"x{i}") for i in range(3)]
+        f = atoms[0]
+        want, want_neg = frozenset([clause("x0")]), frozenset([clause("~x0")])
+        for i in range(5_000):
+            atom = atoms[i % 3]
+            unit, neg_unit = frozenset([frozenset([atom])]), frozenset([frozenset([Neg(atom)])])
+            if i % 2:
+                f = And(f, atom)
+                want, want_neg = want | unit, cross(want_neg, neg_unit)
+            else:
+                f = Or(f, atom)
+                want, want_neg = cross(want, unit), want_neg | neg_unit
+        with pytest.raises(RecursionError):
+            reference_nnf(Neg(f))
+        g = nnf(Neg(f))
+        assert g.depth == f.depth + 1 and isinstance(g, Or)
+        assert formula_cnf(f) == want
+        assert formula_cnf(Neg(f)) == want_neg
+
+
+def reference_nnf(f):
+    """nnf as it was before it became a memoized explicit-stack pass."""
+    if isinstance(f, (Atom, type(BOTTOM), Box)):
+        return f
+    if isinstance(f, And):
+        return And(reference_nnf(f.left), reference_nnf(f.right))
+    if isinstance(f, Or):
+        return Or(reference_nnf(f.left), reference_nnf(f.right))
+    body = f.body
+    if isinstance(body, (Atom, type(BOTTOM), Box)):
+        return f
+    if isinstance(body, Neg):
+        return reference_nnf(body.body)
+    if isinstance(body, And):
+        return Or(reference_nnf(Neg(body.left)), reference_nnf(Neg(body.right)))
+    return And(reference_nnf(Neg(body.left)), reference_nnf(Neg(body.right)))
+
+
+def reference_cnf(f):
+    """cnf as it was before it became a memoized explicit-stack pass."""
+    if f == TOP:
+        return frozenset()
+    if f is BOTTOM:
+        return frozenset([frozenset()])
+    if isinstance(f, And):
+        return reference_cnf(f.left) | reference_cnf(f.right)
+    if isinstance(f, Or):
+        return cross(reference_cnf(f.left), reference_cnf(f.right))
+    return frozenset([frozenset([f])])
 
 
 class TestClauseSetFormula:

@@ -7,6 +7,7 @@ import pickle
 import random
 import sys
 import threading
+from collections import Counter
 from functools import lru_cache
 
 import pytest
@@ -1383,6 +1384,23 @@ class TestDeepProofs:
         fresh = cut(rw(again, p, "d1"), proof.children[1], p, 2)
         assert classify_cut(fresh, ()) == classify_cut(proof, ())
 
+    def test_cut_ancestry_memory_grows_with_the_depth(self):
+        """is_tame on a cut whose left occurrence runs down a 3,000-deep
+        chain: the cones link each entry to its descendant, and only the
+        axiom entries get paths (the full paths took 36 MB here)."""
+        import tracemalloc
+
+        chain = deep_weakening_proof(3_000, leaf=ax(p, "g1", "d2"))
+        proof = cut(rw(chain, p, "d1"), lw(ax(p, "g1", "d1"), p, "g2"), p, 2)
+        tracemalloc.start()
+        try:
+            assert is_tame(proof) == (True, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
+        assert len(ancestors(proof, ((0,), "d2", 0))) == 3_002
+
     def test_replace_at_is_iterative(self, shallow_stack):
         proof = deep_weakening_proof()
         leaf = ax(p, "g1", "d1")
@@ -1507,3 +1525,155 @@ class TestNoReferenceCycles:
         # cut formula's cone is flipped
         proof = cut(rw(ax(p, "g1", "d1"), p, "d2"), lw(ax(p, "g1", "d1"), p, "g2"), p, 2)
         assert cyclic_garbage(lambda: monochromatize(proof, LKAT)) == 0
+
+
+# ---------------------------------------------------------------------------
+# The order and modality of sequents, checked at the root only
+# ---------------------------------------------------------------------------
+
+def frozen_check_proof(p, system):
+    """check_proof as it was before the canonical order and the modality of
+    each sequent were checked at the root only: every distinct node walked
+    checks its own sequent (d4, which came later, counts as a modal rule).
+    It stores its verdicts in _frozen_passed, so it never reads
+    check_proof's."""
+    walked = {}
+    stack = [(p, None)]
+    while stack:
+        node, link = stack.pop()
+        if id(node) in walked or system in getattr(node, "_frozen_passed", ()):
+            continue
+        bad = frozen_violation(node, system)
+        if bad is not None:
+            below, reason = bad
+            path = []
+            while link is not None:
+                i, link = link
+                path.append(i)
+            return Violation(tuple(reversed(path)) + below, reason)
+        walked[id(node)] = node
+        kids = node.children
+        for i in range(len(kids) - 1, -1, -1):
+            stack.append((kids[i], (i, link)))
+    nodes = walked.values()
+    if all(map(sequent_module._frozen, nodes)):
+        for node in nodes:
+            facts = node.__dict__
+            facts["_frozen_passed"] = facts.get("_frozen_passed", ()) + (system,)
+    return None
+
+
+def frozen_violation(node, system):
+    s = node.sequentv
+    for c, fs in zip(COMPONENTS, s):
+        if not sequent_module._in_order(fs):
+            return (), f"component {c} is not canonically sorted"
+    if not system.modal:
+        if any(sequent_module.is_modal(f) for fs in s for f in fs):
+            return (), "boxed formula in a non-modal system"
+    if node.rule == "ax":
+        ants, sucs = s.antecedent(), s.succedent()
+        if len(ants) != 1 or len(sucs) != 1 or ants[0] != sucs[0]:
+            return (), "axiom must be exactly f => f"
+        if node.children:
+            return (), "axiom has no premises"
+        return None
+    if node.rule == "bot":
+        if s.antecedent() != (BOTTOM,) or s.succedent() or node.children:
+            return (), "false-axiom must be exactly false =>"
+        return None
+    if node.rule in ("k", "d", "d4", "t", "4") and node.rule not in system.modal_rules:
+        return (), f"rule {node.rule} not available in {system.name}"
+    try:
+        expected = expected_premises(node)
+    except ProofError as e:
+        return (), str(e)
+    if node.rule == "cut" and not sequent_module.cut_allowed(node.main_formula, system, s):
+        return (), f"cut on {format_formula(node.main_formula)} violates the {system.name} policy"
+    if len(expected) != len(node.children):
+        return (), f"rule {node.rule} expects {len(expected)} premises"
+    for i, (want, child) in enumerate(zip(expected, node.children)):
+        if child.sequentv != want:
+            return (i,), f"premise is {format_sequent(child.sequentv)} but {node.rule} needs {format_sequent(want)}"
+    return None
+
+
+def mutated_sequent(rng, s):
+    """s with one component reversed, shrunk by a formula, swapped with its
+    partition sibling, or boxed formula by formula; None when the chosen
+    change leaves s as it is."""
+    parts = list(s)
+    i = rng.randrange(4)
+    kind = rng.choice(("reversed", "shrunk", "swapped", "boxed"))
+    if kind == "reversed":
+        parts[i] = parts[i][::-1]
+    elif kind == "shrunk" and parts[i]:
+        k = rng.randrange(len(parts[i]))
+        parts[i] = parts[i][:k] + parts[i][k + 1:]
+    elif kind == "swapped":
+        j = i ^ 1  # g1 and g2, or d1 and d2
+        parts[i], parts[j] = parts[j], parts[i]
+    elif kind == "boxed":
+        parts[i] = tuple(map(Box, parts[i]))
+    mutated = Sequent(*parts)
+    return None if mutated == s else mutated
+
+
+def boxed_cut_below(node, side):
+    """node again under a cut on a boxed atom that both premises weaken in."""
+    f = Box(Atom("zz"))
+    return cut(weaken_to(node, node.sequentv.insert(f"d{side}", f)),
+               weaken_to(node, node.sequentv.insert(f"g{side}", f)), f, side)
+
+
+class TestRootOnlyOrderCheck:
+    """check_proof checks the order and modality of the root sequent and of
+    the cut formulas only, and gives the Violation that the checker which
+    checked every sequent gives."""
+
+    SYSTEMS = (LKAT, LKMINUS, LK, K)
+
+    def test_same_violations_as_the_frozen_checker_on_mutated_proofs(self):
+        rng = random.Random(14)
+        compared = Counter()
+        for proof in differential_proofs():
+            nodes = [node for _, node in iter_nodes(proof)]
+            for _ in range(8):
+                target = rng.choice(nodes)
+                if rng.random() < 0.2:
+                    bad = boxed_cut_below(target, rng.choice((1, 2)))
+                else:
+                    s = mutated_sequent(rng, target.sequentv)
+                    if s is None:
+                        continue
+                    bad = dataclasses.replace(target, sequentv=s)
+                # a quarter of the time the mutated node is the root, the
+                # only node whose own sequent can be out of order or boxed
+                broken = bad if rng.random() < 0.25 else replace_node(proof, target, bad)
+                for system in self.SYSTEMS:
+                    want = frozen_check_proof(broken, system)
+                    assert check_proof(broken, system) == want
+                    compared[want.reason.split(" ")[0] if want else None] += 1
+        # every kind of verdict, boxed cut formulas and mismatched premises
+        # among them, is compared many times
+        assert sum(compared.values()) > 2_500
+        assert compared[None] > 200 and compared["boxed"] > 300
+        assert compared["premise"] > 1_000 and compared["component"] > 50
+
+    def test_a_boxed_cut_formula_is_reported_at_the_left_premise(self):
+        proof = lc(boxed_cut_below(lw(ax(p, "g1", "d1"), p, "g1"), 2), p, "g1")
+        assert check_proof(proof, K) is None
+        want = Violation((0, 0), "boxed formula in a non-modal system")
+        assert frozen_check_proof(proof, LK) == want
+        assert check_proof(proof, LK) == want
+        assert "violates the lk-at policy" in check_proof(proof, LKAT).reason
+
+    def test_the_root_checks_are_skipped_once_the_root_has_passed(self, monkeypatch):
+        proof = copy.deepcopy(example_sigma())
+        assert check_proof(proof, LK) is None
+        calls = []
+        monkeypatch.setattr(sequent_module, "_in_order", lambda fs: calls.append(fs) or True)
+        assert check_proof(proof, LK) is None
+        assert calls == []
+        assert check_proof(proof, LKMINUS) is not None
+        assert len(calls) == 4  # the root's components, and no other node's

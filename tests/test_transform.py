@@ -17,6 +17,7 @@ from craig.formulas import (
 )
 from craig.maehara import UnsupportedRule, maehara
 from craig.sequent import (
+    ACROSS,
     KD4,
     LK,
     LKAT,
@@ -30,8 +31,10 @@ from craig.sequent import (
     ax,
     check_proof,
     classify_cut,
+    contract,
     cut,
     cut_occurrences,
+    direct_ancestors,
     first_index,
     format_proof,
     is_tame,
@@ -41,6 +44,7 @@ from craig.sequent import (
     lor,
     lw,
     lneg,
+    main_occurrence,
     proof_length,
     rand,
     rc,
@@ -51,6 +55,7 @@ from craig.sequent import (
     sequent,
     subproof_at,
     wax,
+    weaken,
     weaken_to,
     weight,
 )
@@ -509,6 +514,89 @@ class TestReferenceConversion:
         assert len(replacements) > 30
 
 
+def reference_invert(node, occ, made):
+    """_invert as it was before the memo: recursive, and made again for
+    each parent that reaches a subproof; made lists each (node, occ)."""
+    made.append((node, occ))
+    comp, idx = occ
+    nf = node.sequentv.comp(comp)[idx]
+    a = nf.body
+    dual = ACROSS[comp]
+    rule = node.rule
+    if rule == "ax":
+        return transform_module._axiom_inversion(node, comp)
+    if rule == "bot":
+        raise transform_module.TransformError("a negation cannot occur in a false-axiom")
+    if main_occurrence(node) == occ:
+        if rule == "rneg" and comp in ("d1", "d2"):
+            return node.children[0]
+        if rule == "lneg" and comp in ("g1", "g2"):
+            return node.children[0]
+        if rule in ("lw", "rw"):
+            return weaken(node.children[0], a, dual)
+        if rule in ("lc", "rc"):
+            child = node.children[0]
+            step1 = reference_invert(child, (comp, first_index(child.sequentv, comp, nf)), made)
+            step2 = reference_invert(step1, (comp, first_index(step1.sequentv, comp, nf)), made)
+            return contract(step2, a, dual)
+        raise transform_module.TransformError(f"rule {rule} cannot introduce the negation {nf!r}")
+    return rebuild(node, [
+        reference_invert(child, direct_ancestors(node, ci, occ)[0], made)
+        for ci, child in enumerate(node.children)
+    ])
+
+
+def unshared_conversion(p, made):
+    """literal_cuts_to_atomic over reference_invert: one bottom-up pass
+    whose inversions share nothing."""
+
+    def step(node, kids):
+        if node.rule == "cut" and transform_module._is_negative_literal_cut(node.main_formula):
+            left_occ, right_occ = cut_occurrences(node)
+            return cut(reference_invert(kids[1], right_occ, made), reference_invert(kids[0], left_occ, made),
+                       node.main_formula.body, int(node.main_comp[1]))
+        if all(map(operator.is_, kids, node.children)):
+            return node
+        return Proof(node.rule, node.sequentv, tuple(kids), node.main_comp, node.main_formula)
+
+    return _fold(p, step)
+
+
+class TestSharedInversions:
+    """literal_cuts_to_atomic inverts each (subproof, occurrence) once per
+    call, and writes the .prf text that the unshared inversions wrote."""
+
+    def test_each_inversion_is_made_once_per_call(self, monkeypatch):
+        inputs = conversion_inputs(monkeypatch)
+        made = []
+        real = transform_module._inversion
+        monkeypatch.setattr(transform_module, "_inversion", lambda node, occ: made.append((node, occ)) or real(node, occ))
+        shared = unshared = 0
+        for psi in inputs:
+            made.clear()
+            out = literal_cuts_to_atomic(psi)
+            # made holds every node it names, so no two of them share an id
+            keys = [(id(node), occ) for node, occ in made]
+            assert len(keys) == len(set(keys))
+            shared += len(keys)
+            again = []
+            assert format_proof(out) == format_proof(unshared_conversion(psi, again))
+            unshared += len(again)
+        assert unshared > shared > 1_000
+
+    def test_a_subproof_under_two_parents_is_inverted_once(self):
+        inner = lw(lneg(ax(q, "g2", "d2"), Neg(q), "g2"), r, "g2")  # ; q, r, ~q => ;
+        both = rand(rw(inner, p, "d2"), rw(inner, q, "d2"), And(p, q), "d2")
+        assert both.sequentv == sequent([], [q, r, Neg(q)], [], [And(p, q)])
+        out = neg_invert(both, "g2", 2)
+        left, right = out.children
+        assert left.children[0] is right.children[0]
+        assert left.children[0].sequentv == sequent([], [q, r], [], [q])
+        unshared = reference_invert(both, ("g2", 2), [])
+        assert unshared.children[0].children[0] is not unshared.children[1].children[0]
+        assert format_proof(out) == format_proof(unshared)
+
+
 class TestWReduceIdentity:
     def test_reduced_proof_is_kept(self):
         sigma = w_reduce(example_sigma())
@@ -558,6 +646,33 @@ class TestDeepProofs:
         cuts = [node.main_formula for _, node in iter_nodes(out) if node.rule == "cut"]
         assert cuts == [q] * levels
         assert check_proof(out, LKAT) is None
+
+    def test_neg_invert_through_a_deep_chain(self, shallow_stack):
+        """~p is a context occurrence of each of 5,000 alternating lw/lc
+        steps on p, over an rneg that introduces it."""
+        leaf = lw(rneg(ax(p, "g1", "d1"), Neg(p), "d1"), p, "g1")  # p ; => p, ~p ;
+        proof = deep_weakening_proof(5_000, leaf=leaf)
+        assert proof.sequentv == sequent([p], [], [p, Neg(p)], [])
+        with pytest.raises(RecursionError):
+            reference_invert(proof, ("d1", 1), [])
+        out = neg_invert(proof, "d1", 1)
+        assert out.sequentv == sequent([p, p], [], [p], [])
+        assert check_proof(out, LKMINUS) is None
+        assert sum(1 for _ in iter_nodes(out)) == 5_002
+
+    def test_a_negative_literal_cut_over_a_deep_chain(self, shallow_stack):
+        """The right premise carries the cut's ~p down 20,000 lw/lc steps,
+        so the conversion inverts the whole chain."""
+        chain = lneg(rw(ax(p, "g2", "d2"), p, "d2"), Neg(p), "g2")  # ; p, ~p => ; p
+        for i in range(20_000):
+            chain = lw(chain, p, "g2") if i % 2 == 0 else lc(chain, p, "g2")
+        left = rneg(lw(ax(p, "g2", "d2"), p, "g2"), Neg(p), "d2")  # ; p => ; p, ~p
+        proof = cut(left, chain, Neg(p), 2)
+        assert check_proof(proof, LKLIT) is None
+        out = literal_cuts_to_atomic(proof)
+        assert out.sequentv == proof.sequentv and out.main_formula == p
+        assert check_proof(out, LKAT) is None
+        assert sum(1 for _ in iter_nodes(out)) == 20_000 + 5
 
 
 # ---------------------------------------------------------------------------
