@@ -26,7 +26,6 @@ from .sequent import (
     ProofError,
     Sequent,
     System,
-    _frozen,
     axiom_kind,
     format_sequent,
     iter_nodes,
@@ -98,13 +97,12 @@ def maehara(p: Proof, system: System) -> AnnotatedProof:
 
     One bottom-up pass on an explicit stack, once per distinct node, that
     checks each node in preorder before its premises, so the first failure
-    in preorder is the one raised.  Like the check_proof verdict, a node's
-    interpolant is stored on it when it is _frozen and its premises store
-    theirs, and a later call stops there.  Only the d and d4 rules are
-    checked against the system, so such a node and the nodes below it store
-    nothing and are checked on every call; every other check holds under any
-    system once passed.  Within cut elimination each call thus walks only
-    the nodes that the last step built."""
+    in preorder is the one raised.  Like the check_proof verdict, each node
+    walked stores its interpolant, and a later call stops there.  Only the
+    d and d4 rules are checked against the system, so such a node and the
+    nodes below it store none and are checked on every call; every other
+    check holds under any system once passed.  Within cut elimination each
+    call thus walks only the nodes that the last step built."""
     serial = bool({"k", "4"} & system.modal_rules)
     notes = {}
     stack = [p]
@@ -129,7 +127,7 @@ def maehara(p: Proof, system: System) -> AnnotatedProof:
             else:
                 c = None  # a leaf that no rule allows; check_proof rejects it
             notes[id(node)] = c
-            if keep and _frozen(node):
+            if keep:
                 node.__dict__["_interpolant"] = c
             continue
         if id(node) in notes or getattr(node, "_interpolant", None) is not None:

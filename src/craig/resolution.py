@@ -59,6 +59,8 @@ class Input:
     def __post_init__(self):
         if self.side not in ("A", "B"):
             raise ResolutionError(f"bad input side {self.side!r}")
+        if type(self.clause) is not frozenset:
+            object.__setattr__(self, "clause", frozenset(self.clause))
 
 
 @dataclass(frozen=True)
@@ -77,11 +79,21 @@ class Weaken:
     premise: int
     added: frozenset
 
+    def __post_init__(self):
+        if type(self.added) is not frozenset:
+            object.__setattr__(self, "added", frozenset(self.added))
+
 
 @dataclass(frozen=True)
 class ResolutionProof:
     nodes: tuple
     root: int
+
+    def __post_init__(self):
+        # with the clauses of Input and Weaken frozensets, the parts are
+        # immutable, so a stored verdict stays true
+        if type(self.nodes) is not tuple:
+            object.__setattr__(self, "nodes", tuple(self.nodes))
 
     def __len__(self):
         return len(self.nodes)
@@ -146,28 +158,16 @@ def node_clauses(rp: ResolutionProof):
 def check_refutation(rp: ResolutionProof):
     """None when every node matches its rule shape and the root is empty.
 
-    A refutation that passes stores that fact outside its fields, when its
-    node list is a tuple and its clauses are frozensets, so that nothing can
-    change it; checking it again costs nothing.  Copies, and refutations
-    built from its nodes, do not carry the fact."""
+    A refutation that passes stores that fact outside its fields; its
+    constructor made its node list a tuple and its clauses frozensets, so
+    nothing can change it, and checking it again costs nothing.  Copies,
+    and refutations built from its nodes, do not carry the fact."""
     if rp.__dict__.get("_checked"):
         return None
     bad = _violation(rp)
-    if bad is None and _frozen(rp):
+    if bad is None:
         rp.__dict__["_checked"] = True
     return bad
-
-
-def _frozen(rp: ResolutionProof) -> bool:
-    """rp's node list is a tuple and its clauses are frozensets."""
-    if type(rp.nodes) is not tuple:
-        return False
-    for node in rp.nodes:
-        if isinstance(node, Input) and type(node.clause) is not frozenset:
-            return False
-        if isinstance(node, Weaken) and type(node.added) is not frozenset:
-            return False
-    return True
 
 
 def _violation(rp: ResolutionProof):

@@ -154,12 +154,13 @@ class Sequent(tuple):
     a tuple of formulas in the canonical order, so that building, comparing
     and hashing a sequent are tuple's.  The names in COMPONENTS address the
     components at the edges: the rule constructors' comp=, main_comp, .prf
-    text and format_sequent."""
+    text and format_sequent.  The constructor makes each component a tuple;
+    insert, remove_one and sequent() build from tuples directly."""
 
     __slots__ = ()
 
     def __new__(cls, g1=(), g2=(), d1=(), d2=()):
-        return _new(cls, (g1, g2, d1, d2))
+        return _new(cls, (tuple(g1), tuple(g2), tuple(d1), tuple(d2)))
 
     def __reduce__(self):
         # copies and pickles rebuild the sequent from its four components
@@ -313,6 +314,14 @@ class Proof:
     main_comp: str = None
     main_formula: Formula = None
 
+    def __post_init__(self):
+        # the parts are immutable, so whatever is stored on the node stays
+        # true
+        if type(self.children) is not tuple:
+            object.__setattr__(self, "children", tuple(self.children))
+        if type(self.sequentv) is not Sequent:
+            object.__setattr__(self, "sequentv", Sequent(*self.sequentv))
+
     def __repr__(self):
         return f"<proof {self.rule} {format_sequent(self.sequentv)}>"
 
@@ -348,14 +357,8 @@ class Proof:
 # Facts that depend only on a node are stored in its __dict__, outside its
 # fields, so they take no part in equality, hashing or repr, and
 # dataclasses.replace, the constructors and the parsers build nodes without
-# them.  A fact is stored only when every node it reads is _frozen, since
-# only then can nothing change it.
-
-def _frozen(node: Proof) -> bool:
-    """node's premises and the components of its sequent are tuples."""
-    g1, g2, d1, d2 = node.sequentv
-    return type(node.children) is type(g1) is type(g2) is type(d1) is type(d2) is tuple
-
+# them.  A node and its parts are immutable once built, so a fact stored on
+# it stays true.
 
 def _fold(p: Proof, combine, stored=None):
     """combine(node, the values of its premises), computed bottom-up on an
@@ -377,6 +380,40 @@ def _fold(p: Proof, combine, stored=None):
             stack.append((node,))  # popped again after its premises
             stack += node.children
     return done[id(p)]
+
+
+def _drive(step, node: Proof, arg, memo=None):
+    """The value of step(node, arg), a generator that yields each (proof,
+    argument) whose value it needs, is sent that value and returns its own,
+    computed on an explicit stack of such steps.  memo (a fresh one when
+    None) maps (id(proof), argument) to the value of each step run and is
+    read before a step starts, so a pair reached through several parents is
+    computed once per memo.  Its None entry lists the proofs of those
+    steps, so that each id stays that proof's."""
+    if memo is None:
+        memo = {}
+    walked = memo.setdefault(None, [])
+    key = (id(node), arg)
+    if key in memo:
+        return memo[key]
+    stack = [(key, node, step(node, arg))]
+    value = None
+    while stack:
+        key, node, steps = stack[-1]
+        try:
+            sub, sub_arg = steps.send(value)
+        except StopIteration as done:
+            stack.pop()
+            value = memo[key] = done.value
+            walked.append(node)
+            continue
+        sub_key = (id(sub), sub_arg)
+        if sub_key in memo:
+            value = memo[sub_key]
+        else:
+            stack.append((sub_key, sub, step(sub, sub_arg)))
+            value = None
+    return value
 
 
 def proof_size(p: Proof) -> int:
@@ -755,11 +792,11 @@ def check_proof(p: Proof, system: System):
     boxes, and reports a boxed one at its left premise, the first node in
     preorder whose sequent holds it.
 
-    Each distinct node is checked once per call.  When the proof passes and
-    every node walked is _frozen, each of them stores the system, and a
-    later call under an equal system skips it with the subproof above it,
-    which passed too (its nodes were walked, or skipped for the same
-    reason), and skips the root checks when it is the root."""
+    Each distinct node is checked once per call.  When the proof passes,
+    each node walked stores the system, and a later call under an equal
+    system skips it with the subproof above it, which passed too (its nodes
+    were walked, or skipped for the same reason), and skips the root checks
+    when it is the root."""
     if system not in getattr(p, "_passed", ()):
         s = p.sequentv
         for c, fs in zip(COMPONENTS, s):
@@ -785,11 +822,9 @@ def check_proof(p: Proof, system: System):
         kids = node.children
         for i in range(len(kids) - 1, -1, -1):
             stack.append((kids[i], (i, link)))
-    nodes = walked.values()
-    if all(map(_frozen, nodes)):
-        for node in nodes:
-            facts = node.__dict__
-            facts["_passed"] = facts.get("_passed", ()) + (system,)
+    for node in walked.values():
+        facts = node.__dict__
+        facts["_passed"] = facts.get("_passed", ()) + (system,)
     return None
 
 
@@ -986,29 +1021,25 @@ def ancestors(p: Proof, occ) -> set:
 
 
 def _summaries(roots):
-    """(strong, weight, kept) of each (node, occ) in roots, occ = (comp,
-    idx) an occurrence of node's conclusion: whether an ancestor of it sits
-    in an axiom, how many of its strong ancestors sit outside the
-    conclusions of weakenings, and whether node keeps the two.  One summary
-    per (node, occurrence), from those of its direct ancestors, bottom-up on
-    an explicit stack.  Like _passed, a summary is kept in the node's
-    _summaries when every node it read is _frozen, so a later call on a
-    proof that shares the node walks no further; a premise that does not
-    match its conclusion raises before anything is kept."""
+    """(strong, weight) of each (node, occ) in roots, occ = (comp, idx) an
+    occurrence of node's conclusion: whether an ancestor of it sits in an
+    axiom, and how many of its strong ancestors sit outside the conclusions
+    of weakenings.  One summary per (node, occurrence), from those of its
+    direct ancestors, bottom-up on an explicit stack.  Like _passed, each
+    summary computed is stored in its node's _summaries, so a later call on
+    a proof that shares the node walks no further; a premise that does not
+    match its conclusion raises before anything is stored."""
     roots = list(roots)
     done = {}  # (id(node), occurrence): its summary
-    kept = []
+    walked = []
     stack = [(node, occ, None) for node, occ in reversed(roots)]
     while stack:
         n, o, links = stack.pop()
         if links is not None:  # the direct ancestors are done
             parts = [done[id(c), src] for c, src in links]
-            strong = n.rule in ("ax", "bot") or any(s for s, _, _ in parts)
-            w = (strong and n.rule not in ("lw", "rw")) + sum(pw for _, pw, _ in parts)
-            keep = all(k for _, _, k in parts) and _frozen(n) and all(map(_frozen, n.children))
-            done[id(n), o] = strong, w, keep
-            if keep:
-                kept.append((n, o))
+            strong = n.rule in ("ax", "bot") or any(s for s, _ in parts)
+            done[id(n), o] = strong, (strong and n.rule not in ("lw", "rw")) + sum(w for _, w in parts)
+            walked.append((n, o))
         elif (id(n), o) not in done:
             stored = getattr(n, "_summaries", ())
             if o in stored:
@@ -1018,7 +1049,7 @@ def _summaries(roots):
                          for src in direct_ancestors(n, ci, o)]
                 stack.append((n, o, links))
                 stack += [(c, src, None) for c, src in links]
-    for n, o in kept:
+    for n, o in walked:
         n.__dict__.setdefault("_summaries", {})[o] = done[id(n), o]
     return [done[id(node), occ] for node, occ in roots]
 
@@ -1063,8 +1094,7 @@ def propositional_degree(f: Formula) -> int:
 
 def classify_cut(p: Proof, path) -> CutInfo:
     """The CutInfo of the cut at path.  It reads only the cut node and the
-    summaries of its cut occurrences, so when the node is _frozen and its
-    premises store those summaries, the cut node stores it."""
+    summaries of its cut occurrences, so the cut node stores it."""
     node = subproof_at(p, path)
     info = getattr(node, "_cut_info", None)
     if info is not None:
@@ -1074,7 +1104,7 @@ def classify_cut(p: Proof, path) -> CutInfo:
     f = node.main_formula
     s = node.sequentv
     v = vars_of(f)
-    (_, wl, kl), (_, wr, kr) = _summaries(zip(node.children, cut_occurrences(node)))
+    (_, wl), (_, wr) = _summaries(zip(node.children, cut_occurrences(node)))
     info = CutInfo(
         type_r=node.main_comp == "d2",
         atomic=is_atomic_cut_formula(f),
@@ -1084,8 +1114,7 @@ def classify_cut(p: Proof, path) -> CutInfo:
         degree=propositional_degree(f),
         weight=wl + wr,
     )
-    if kl and kr and _frozen(node):
-        node.__dict__["_cut_info"] = info
+    node.__dict__["_cut_info"] = info
     return info
 
 
@@ -1161,49 +1190,40 @@ def _substitute_atom(f: Formula, old: str, new: Formula) -> Formula:
 
 def _substitute_proof(p: Proof, old: str, new: Formula) -> Proof:
     sub = lambda f: _substitute_atom(f, old, new)
-    s = p.sequentv
-    return Proof(
-        p.rule,
-        sequent(*(map(sub, fs) for fs in s)),
-        tuple(_substitute_proof(c, old, new) for c in p.children),
-        p.main_comp,
-        sub(p.main_formula) if p.main_formula is not None else None,
-    )
+    return _fold(p, lambda node, kids: Proof(
+        node.rule,
+        sequent(*(map(sub, fs) for fs in node.sequentv)),
+        tuple(kids),
+        node.main_comp,
+        sub(node.main_formula) if node.main_formula is not None else None,
+    ))
+
+
+_FLIP = {"g1": "g2", "g2": "g1", "d1": "d2", "d2": "d1"}
 
 
 def _flip_cone(p: Proof, occ):
     """Move an end-sequent occurrence and its whole ancestor cone to the
     sibling partition component."""
-    flip = {"g1": "g2", "g2": "g1", "d1": "d2", "d2": "d1"}
-    cone = ancestors(p, ((),) + occ)
-    by_path = {}
-    for (path, c, i) in cone:
-        by_path.setdefault(path, []).append((c, i))
+    return _drive(_flipping, p, frozenset([occ]))
 
-    def rebuild(node, path):
-        kids = tuple(rebuild(ch, path + (j,)) for j, ch in enumerate(node.children))
-        moves = by_path.get(path, [])
-        s = node.sequentv
-        parts = {c: list(s.comp(c)) for c in COMPONENTS}
-        main_comp = node.main_comp
-        for c, i in sorted(moves, key=lambda m: -m[1]):
-            g = parts[c][i]
-            del parts[c][i]
-            parts[flip[c]].append(g)
-            if node.main_comp == c and node.main_formula == g:
-                main_comp = flip[c]
-        return Proof(
-            node.rule,
-            sequent(parts["g1"], parts["g2"], parts["d1"], parts["d2"]),
-            kids,
-            main_comp,
-            node.main_formula,
-        )
 
-    try:
-        return rebuild(p, ())
-    finally:
-        del rebuild  # it refers to itself: a cycle per call
+def _flipping(node: Proof, moves):
+    """One _flip_cone step, as a generator for _drive: node with the
+    occurrences in moves, a frozenset of (comp, idx), and their ancestors
+    moved.  A premise with no ancestor of them is kept as it is."""
+    kids = []
+    for ci, child in enumerate(node.children):
+        up = frozenset(src for occ in moves for src in direct_ancestors(node, ci, occ))
+        kids.append((yield child, up) if up else child)
+    parts = [list(fs) for fs in node.sequentv]
+    main_comp = node.main_comp
+    for c, i in sorted(moves, key=lambda m: -m[1]):
+        g = parts[_INDEX[c]].pop(i)
+        parts[_INDEX[_FLIP[c]]].append(g)
+        if node.main_comp == c and node.main_formula == g:
+            main_comp = _FLIP[c]
+    return Proof(node.rule, sequent(*parts), tuple(kids), main_comp, node.main_formula)
 
 
 def _placement_consistent(node: Proof) -> bool:

@@ -28,8 +28,8 @@ from .sequent import (
     Proof,
     ProofCheckFailed,
     ProofError,
+    _drive,
     _fold,
-    _frozen,
     aux_occurrences,
     ax,
     bot_axiom,
@@ -93,7 +93,7 @@ def neg_invert(p: Proof, comp: str, idx: int) -> Proof:
     f = p.sequentv.comp(comp)[idx]
     if not isinstance(f, Neg):
         raise TargetNotNegation(f"occurrence at {comp}:{idx} is {f!r}")
-    return _invert(p, (comp, idx))
+    return _drive(_inversion, p, (comp, idx))
 
 
 def _axiom_inversion(node: Proof, comp: str) -> Proof:
@@ -111,43 +111,10 @@ def _axiom_inversion(node: Proof, comp: str) -> Proof:
     return lneg(premise, nf, ant) if comp == suc else rneg(premise, nf, suc)
 
 
-def _invert(p: Proof, occ, memo=None) -> Proof:
-    """The inversion of the negation at occurrence occ of p's conclusion,
-    from an explicit stack of _inversion steps.  memo (a fresh one when
-    None) maps (id(node), occurrence) to the inversion for each one made,
-    and is read before a step starts, so a subproof reached through several
-    parents is inverted once per memo.  Its None entry lists the nodes
-    inverted, so that each id stays that node's."""
-    if memo is None:
-        memo = {}
-    inverted = memo.setdefault(None, [])
-    key = (id(p), occ)
-    if key in memo:
-        return memo[key]
-    stack = [(key, p, _inversion(p, occ))]
-    value = None
-    while stack:
-        key, node, steps = stack[-1]
-        try:
-            sub, sub_occ = steps.send(value)
-        except StopIteration as done:
-            stack.pop()
-            value = memo[key] = done.value
-            inverted.append(node)
-            continue
-        sub_key = (id(sub), sub_occ)
-        if sub_key in memo:
-            value = memo[sub_key]
-        else:
-            stack.append((sub_key, sub, _inversion(sub, sub_occ)))
-            value = None
-    return value
-
-
 def _inversion(node: Proof, occ):
-    """One inversion step, as a generator: it yields each (proof,
-    occurrence) whose inversion it needs, is sent that inversion, and
-    returns the inversion of node at occ."""
+    """One inversion step, as a generator for _drive: it yields each
+    (proof, occurrence) whose inversion it needs, is sent that inversion,
+    and returns the inversion of node at occ."""
     comp, idx = occ
     nf = node.sequentv.comp(comp)[idx]
     a = nf.body
@@ -199,7 +166,8 @@ def literal_cuts_to_atomic(p: Proof) -> Proof:
     def step(node, kids):
         if node.rule == "cut" and _is_negative_literal_cut(node.main_formula):
             left_occ, right_occ = cut_occurrences(node)
-            return cut(_invert(kids[1], right_occ, memo), _invert(kids[0], left_occ, memo),
+            return cut(_drive(_inversion, kids[1], right_occ, memo),
+                       _drive(_inversion, kids[0], left_occ, memo),
                        node.main_formula.body, int(node.main_comp[1]))
         if all(map(operator.is_, kids, node.children)):
             return node
@@ -224,8 +192,8 @@ def w_reduce(p: Proof) -> Proof:
     """Shift weakenings up until each sits just below an axiom or weakening.
     One bottom-up pass: a shared subproof is reduced once, and one with
     nothing to shift is kept as it is.  Every node it returns is marked
-    w-reduced when it is _frozen and its premises are marked, and a later
-    call keeps a marked subproof without walking it."""
+    w-reduced, and a later call keeps a marked subproof without walking
+    it."""
 
     def step(node, kids):
         if not all(map(operator.is_, kids, node.children)):
@@ -236,11 +204,8 @@ def w_reduce(p: Proof) -> Proof:
 
 
 def _marked(node: Proof) -> Proof:
-    """node, marked w-reduced when it may be; its premises are w-reduced."""
-    for c in node.children:
-        if not getattr(c, "_w_reduced", False):
-            return node
-    if _frozen(node):
+    """node, marked w-reduced when its premises are marked."""
+    if all(getattr(c, "_w_reduced", False) for c in node.children):
         node.__dict__["_w_reduced"] = True
     return node
 
@@ -267,20 +232,19 @@ def delete_occurrence(p: Proof, occ) -> Proof:
     introduce them.  Binary rules met by the cone collapse to their left
     branch; this keeps the interpolant's clause set when the cone stays on
     partition side 2 (conjunctive combinations), which type-R cuts ensure."""
-    return _delete(p, [occ])
+    return _drive(_deletion, p, frozenset([occ]))
 
 
-def _delete(node: Proof, kill) -> Proof:
-    """kill: (comp, idx) occurrences of node's conclusion.  A killed main
-    occurrence takes its auxiliary occurrences with it."""
-    kill = set(kill)
-    if not kill:
-        return node
+def _deletion(node: Proof, kill):
+    """One deletion step, as a generator for _drive: node without kill, a
+    frozenset of (comp, idx) occurrences of its conclusion.  A killed main
+    occurrence takes its auxiliary occurrences with it, and a premise with
+    nothing to kill is kept as it is."""
     rule = node.rule
     if rule in ("ax", "bot"):
         raise TransformError("cannot delete an axiom-active occurrence")
     child_kills = [
-        [src for occ in kill for src in direct_ancestors(node, ci, occ)]
+        frozenset(src for occ in kill for src in direct_ancestors(node, ci, occ))
         for ci in range(len(node.children))
     ]
     if main_occurrence(node) in kill:
@@ -290,11 +254,12 @@ def _delete(node: Proof, kill) -> Proof:
             )
         if rule not in _DELETABLE:
             raise TransformError(f"cannot delete through rule {rule}")
-        return _delete(node.children[0], child_kills[0])
-    new_children = [
-        _delete(c, ck) if ck else c for c, ck in zip(node.children, child_kills)
-    ]
-    return rebuild(node, new_children)
+        kid = node.children[0]
+        return (yield kid, child_kills[0]) if child_kills[0] else kid
+    kids = []
+    for c, ck in zip(node.children, child_kills):
+        kids.append((yield c, ck) if ck else c)
+    return rebuild(node, kids)
 
 
 # ---------------------------------------------------------------------------
@@ -317,58 +282,46 @@ class CutEliminationResult:
     trace: tuple
 
 
-def _cut_heights(p: Proof) -> dict:
-    """id(node): (height, first) for each node of p walked, where height is
-    the length of the longest path from the node to a cut above it or at
-    it, -1 when its subproof is cut-free, and first is the premise that
-    starts the leftmost such path, None when the node is that cut.  Like
-    the interpolant, the pair is stored on a _frozen node whose premises
-    store theirs, and the walk stops at stored nodes."""
-    walked = {}
+def _cut_heights(p: Proof):
+    """Store (height, first) as _cut_height on each node of p that has
+    none, where height is the length of the longest path from the node to
+    a cut above it or at it, -1 when its subproof is cut-free, and first is
+    the premise that starts the leftmost such path, None when the node is
+    that cut.  Like the interpolant, the walk stops at stored nodes."""
 
     def step(node, parts):
         height, first = (0 if node.rule == "cut" else -1), None
-        keep = True
-        for i, c in enumerate(node.children):
-            h = parts[i][0]
+        for i, (h, _) in enumerate(parts):
             if h >= 0 and h >= height:
                 height, first = h + 1, i
-            keep = keep and hasattr(c, "_cut_height")
-        walked[id(node)] = out = height, first
-        if keep and _frozen(node):
-            node.__dict__["_cut_height"] = out
+        node.__dict__["_cut_height"] = out = height, first
         return out
 
     _fold(p, step, lambda node: getattr(node, "_cut_height", None))
-    return walked
-
-
-def _cut_height(node: Proof, walked) -> tuple:
-    return getattr(node, "_cut_height", None) or walked[id(node)]
 
 
 def _uppermost_cut(p: Proof):
     """The path of the deepest cut, the leftmost of the deepest ones: a
     descent from the root along the stored heights."""
-    walked = _cut_heights(p)
-    height, first = _cut_height(p, walked)
+    _cut_heights(p)
+    height, first = p._cut_height
     if height < 0:
         return None
     path = []
     while first is not None:
         path.append(first)
         p = p.children[first]
-        first = _cut_height(p, walked)[1]
+        first = p._cut_height[1]
     return tuple(path)
 
 
 def _cuts(p: Proof):
     """The cut nodes of p in preorder, skipping its cut-free subproofs."""
-    walked = _cut_heights(p)
+    _cut_heights(p)
     stack = [p]
     while stack:
         node = stack.pop()
-        if _cut_height(node, walked)[0] >= 0:
+        if node._cut_height[0] >= 0:
             if node.rule == "cut":
                 yield node
             stack.extend(reversed(node.children))

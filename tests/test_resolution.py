@@ -142,12 +142,24 @@ class TestCheckRefutation:
                       parse_refutation(format_refutation(rp))):
             assert other == rp and set(vars(other)) == {"nodes", "root"}
 
-    def test_a_refutation_with_list_parts_stores_nothing(self):
-        nodes = [Input(clause("p"), "A"), Input(clause("~p"), "B"), Resolve(0, 1, p)]
+    def test_a_refutation_built_from_lists_is_immutable(self):
+        """The constructors make the node list a tuple and the clauses
+        frozensets, so a caller's lists, changed later, change neither the
+        refutation nor its stored verdict."""
+        literals = [p]
+        nodes = [Input(literals, "A"), Input(clause("~p"), "B"), Resolve(0, 1, p)]
         rp = ResolutionProof(nodes, 2)
-        assert check_refutation(rp) is None
+        assert type(rp.nodes) is tuple and type(rp.nodes[0].clause) is frozenset
+        assert check_refutation(rp) is None and rp._checked
         nodes[2] = Input(clause("q"), "A")
-        assert check_refutation(rp) == Violation(2, "root clause is not empty")
+        literals.append(Neg(p))
+        assert rp.nodes[2] == Resolve(0, 1, p) and rp.nodes[0].clause == clause("p")
+        assert check_refutation(rp) is None
+        assert check_refutation(ResolutionProof(nodes, 2)) == Violation(2, "root clause is not empty")
+        assert type(Weaken(0, [q]).added) is frozenset
+        # a tuple and frozensets are kept as they are
+        c, t = clause("p"), tuple(nodes)
+        assert Input(c, "A").clause is c and Weaken(0, c).added is c and ResolutionProof(t, 2).nodes is t
 
 
 def clause_set_unsat(cs):

@@ -1047,13 +1047,26 @@ class TestStoredFacts:
         assert all(v == want[i, name] for (_, i, name), v in got.items())
         assert any(v is None for v in want.values()) and any(want.values())
 
-    def test_a_proof_with_list_parts_stores_nothing(self):
+    def test_a_proof_built_from_lists_is_immutable(self):
+        """The constructors make the parts tuples, so a caller's lists,
+        changed later, change neither the node nor its stored verdict."""
         leaf = ax(p, "g1", "d1")
-        node = Proof("lw", sequent([p, q], [], [p]), [leaf], "g1", q)
+        kids, ants = [leaf], [p, q]
+        node = Proof("lw", Sequent(ants, [], [p], []), kids, "g1", q)
+        assert type(node.children) is tuple and type(node.sequentv) is Sequent
+        assert all(type(fs) is tuple for fs in node.sequentv)
         assert check_proof(node, LKMINUS) is None
-        assert only_fields(node) and only_fields(leaf)
-        node.children.append(leaf)
-        assert check_proof(node, LKMINUS) == Violation((), "rule lw expects 1 premises")
+        assert LKMINUS in node._passed and LKMINUS in leaf._passed
+        kids.append(leaf)
+        ants.append(r)
+        assert node.children == (leaf,) and node.sequentv == sequent([p, q], [], [p])
+        assert check_proof(node, LKMINUS) is None
+        rebuilt = Proof("lw", Sequent(ants, [], [p], []), kids, "g1", q)
+        assert check_proof(rebuilt, LKMINUS) == Violation((), "rule lw expects 1 premises")
+        # a plain tuple becomes a Sequent; tuple parts are kept as they are
+        assert type(Proof("ax", ((p,), (), (p,), ())).sequentv) is Sequent
+        s, pair = sequent([p], [], [p]), (leaf, leaf)
+        assert Proof("ax", s).sequentv is s and Proof("cut", s, pair, "d1", p).children is pair
 
 
 class TestTupleSequent:
@@ -1146,24 +1159,27 @@ class TestOccurrenceSummary:
                         cuts += 1
         assert occurrences > 20_000 and cuts > 200
 
-    def test_summaries_are_stored_on_frozen_nodes_only(self):
+    def test_summaries_are_stored_on_every_node_walked(self):
         sigma = copy.deepcopy(example_sigma())
         occ = ((), "g1", 0)
         assert reference_weakness_and_weight(sigma, occ) == (False, 7)
         assert (is_weak(sigma, occ), weight(sigma, occ)) == (False, 7)
-        assert sigma.__dict__["_summaries"][("g1", 0)] == (True, 7, True)
+        assert sigma.__dict__["_summaries"][("g1", 0)] == (True, 7)
+        # every ancestor of occ holds its own (strong, weight)
+        cone = sequent_module._cone(sigma, occ)
+        for i, (_, node, _) in enumerate(cone):
+            ancestor = sequent_module._cone_occurrence(cone, i, ())
+            weak, w = reference_weakness_and_weight(sigma, ancestor)
+            assert node.__dict__["_summaries"][ancestor[1:]] == (not weak, w)
+        assert len(cone) > 7
+        # a proof built from lists stores them as one built from tuples
         leaf = ax(p, "g1", "d1")
-        listed_premises = Proof("lw", sequent([p, q], [], [p]), [leaf], "g1", q)
-        listed_parts = Proof("lw", Sequent([p, q], [], [p], []),
-                             (Proof("ax", Sequent([p], [], [p], [])),), "g1", q)
-        for proof in (listed_premises, listed_parts):
-            for c, i, _ in proof.sequentv.occurrences():
-                occ = ((), c, i)
-                assert (is_weak(proof, occ), weight(proof, occ)) == reference_weakness_and_weight(proof, occ)
-            assert "_summaries" not in proof.__dict__
-        assert "_summaries" not in listed_parts.children[0].__dict__
-        # the axiom under the list of premises is a tuple node of its own
-        assert leaf.__dict__["_summaries"] == {("g1", 0): (True, 1, True), ("d1", 0): (True, 1, True)}
+        listed = Proof("lw", Sequent([p, q], [], [p], []), [leaf], "g1", q)
+        for c, i, _ in listed.sequentv.occurrences():
+            occ = ((), c, i)
+            assert (is_weak(listed, occ), weight(listed, occ)) == reference_weakness_and_weight(listed, occ)
+        assert listed._summaries == {("g1", 0): (True, 1), ("g1", 1): (False, 0), ("d1", 0): (True, 1)}
+        assert leaf._summaries == {("g1", 0): (True, 1), ("d1", 0): (True, 1)}
 
     def test_a_context_mismatch_raises_and_stores_nothing(self):
         alien = Atom("zz")
@@ -1418,6 +1434,27 @@ class TestDeepProofs:
         assert len(ann.interpolants) == 3_001
         assert {c for _, c in ann.interpolants} == {BOTTOM}
 
+    def test_monochromatize_is_iterative(self, shallow_stack):
+        """Cuts on p or q placed on side 2 over a 3,000-deep alternating
+        lw/lc chain on p, where p occurs on side 1 only: a flip whose cone
+        is the cut's own premises, a flip whose cone runs down the chain,
+        and a flip with q replaced by p throughout the chain."""
+        chain = deep_weakening_proof(3_000)  # p ; => p ;
+        chain2 = deep_weakening_proof(3_000, leaf=ax(p, "g1", "d2"))  # p ; => ; p
+        right = lw(ax(p, "g1", "d1"), p, "g2")
+        cases = [
+            cut(rw(chain, p, "d2"), right, p, 2),
+            cut(rw(chain2, p, "d1"), right, p, 2),
+            cut(rw(chain, q, "d2"), lw(ax(p, "g1", "d1"), q, "g2"), q, 2),
+        ]
+        want = cut(rw(chain, p, "d1"), lw(ax(p, "g1", "d1"), p, "g1"), p, 1)
+        for proof in cases:
+            assert check_proof(proof, LKAT) is None
+            fixed = monochromatize(proof, LKAT)
+            assert fixed == want and check_proof(fixed, LKAT) is None
+        # a premise with nothing to move is kept as it is
+        assert monochromatize(cases[0], LKAT).children[0].children[0] is chain
+
     def test_equality_and_hash_are_iterative(self, shallow_stack):
         proof, other = deep_weakening_proof(), deep_weakening_proof()
         # the two differ only in the rule of their deepest node
@@ -1555,11 +1592,9 @@ def frozen_check_proof(p, system):
         kids = node.children
         for i in range(len(kids) - 1, -1, -1):
             stack.append((kids[i], (i, link)))
-    nodes = walked.values()
-    if all(map(sequent_module._frozen, nodes)):
-        for node in nodes:
-            facts = node.__dict__
-            facts["_frozen_passed"] = facts.get("_frozen_passed", ()) + (system,)
+    for node in walked.values():
+        facts = node.__dict__
+        facts["_frozen_passed"] = facts.get("_frozen_passed", ()) + (system,)
     return None
 
 

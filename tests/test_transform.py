@@ -432,8 +432,8 @@ def reference_literal_cuts_to_atomic(p):
             return p
         path, node = max(targets, key=lambda pn: len(pn[0]))
         left_occ, right_occ = cut_occurrences(node)
-        left_inv = transform_module._invert(node.children[0], left_occ)
-        right_inv = transform_module._invert(node.children[1], right_occ)
+        left_inv = neg_invert(node.children[0], *left_occ)
+        right_inv = neg_invert(node.children[1], *right_occ)
         replacement = cut(right_inv, left_inv, node.main_formula.body, int(node.main_comp[1]))
         p = replace_at(p, path, replacement)
 
@@ -515,7 +515,7 @@ class TestReferenceConversion:
 
 
 def reference_invert(node, occ, made):
-    """_invert as it was before the memo: recursive, and made again for
+    """neg_invert as it was before the memo: recursive, and made again for
     each parent that reaches a subproof; made lists each (node, occ)."""
     made.append((node, occ))
     comp, idx = occ
@@ -659,6 +659,16 @@ class TestDeepProofs:
         assert out.sequentv == sequent([p, p], [], [p], [])
         assert check_proof(out, LKMINUS) is None
         assert sum(1 for _ in iter_nodes(out)) == 5_002
+
+    def test_delete_occurrence_down_a_deep_chain(self, shallow_stack):
+        """The weak q of rw(ax(p), q) is a context occurrence of each of
+        3,000 alternating lw/lc steps on p; deleting it rebuilds the chain
+        over ax(p)."""
+        proof = deep_weakening_proof(3_000, leaf=rw(ax(p, "g1", "d1"), q, "d1"))
+        occ = ("d1", first_index(proof.sequentv, "d1", q))
+        out = delete_occurrence(proof, occ)
+        assert out == deep_weakening_proof(3_000)
+        assert check_proof(out, LKMINUS) is None
 
     def test_a_negative_literal_cut_over_a_deep_chain(self, shallow_stack):
         """The right premise carries the cut's ~p down 20,000 lw/lc steps,
@@ -804,9 +814,8 @@ class TestStoredStepFacts:
             assert got == scanned_uppermost_cut(p)
             want = scanned_heights(p)
             for path, node in iter_nodes(p):
-                if "_cut_height" in node.__dict__:
-                    assert node.__dict__["_cut_height"] == want[path]
-                    checked.append(path)
+                assert node.__dict__["_cut_height"] == want[path]
+                checked.append(path)
             return got
 
         monkeypatch.setattr(transform_module, "_uppermost_cut", spy)
@@ -831,6 +840,8 @@ class TestStoredStepFacts:
                     assert is_w_reduced(node)
                     marked += 1
         assert marked > 10_000
+        # w_reduce marks every node it returns
+        assert all(node._w_reduced for proof in spliced for _, node in iter_nodes(proof))
 
     def test_w_reduce_stops_at_marked_subproofs(self, monkeypatch):
         reduced = w_reduce(example_sigma())
@@ -847,14 +858,16 @@ class TestStoredStepFacts:
         assert walked == [pair]  # the premises are marked, so only the new root is walked
         assert pair.__dict__["_w_reduced"]
 
-    def test_unfrozen_nodes_store_nothing(self):
+    def test_a_proof_built_from_lists_stores_its_step_facts(self):
         proof = example_sigma()
         listed = Proof(proof.rule, proof.sequentv, list(proof.children),
                        proof.main_comp, proof.main_formula)
         result = eliminate_cuts(listed)
         assert result == eliminate_cuts(example_sigma())
-        for fact in ("_interpolant", "_cut_height", "_w_reduced"):
-            assert fact not in listed.__dict__
+        assert LK in listed._passed
+        # the last step's walks reach every node of the result
+        for _, node in iter_nodes(result.proof):
+            assert {"_interpolant", "_cut_height", "_passed"} <= set(vars(node))
 
     def test_invalid_result_is_an_internal_error(self, monkeypatch):
         def fake(proof, system):
