@@ -26,11 +26,11 @@ from .sequent import (
     ProofError,
     check_proof,
     classify_cut,
+    first_node,
     format_proof,
     format_proof_text,
     format_sequent,
     is_tame,
-    iter_nodes,
     parse_proof,
     parse_sequent,
     sequent,
@@ -353,12 +353,9 @@ def repro_thm72(args):
         got = maehara(proof, K).interpolant
         fwd = try_prove_cutfree(sequent([got], [], [], [target]), K) is not None
         bwd = try_prove_cutfree(sequent([target], [], [], [got]), K) is not None
-        policy = all(
-            not n.rule == "cut"
-            or isinstance(n.main_formula, (F.Atom, F.Box))
-            or n.main_formula in (F.BOTTOM, F.TOP)
-            for _, n in iter_nodes(proof)
-        )
+        policy = first_node(proof, lambda n: n.rule == "cut" and not (
+            isinstance(n.main_formula, (F.Atom, F.Box)) or n.main_formula in (F.BOTTOM, F.TOP)
+        )) is None
         print(
             f"  target {F.format_formula(target)}: proof "
             f"{'checks' if ok else 'BROKEN'}, equivalence "
@@ -375,11 +372,7 @@ def repro_thm54(args):
     cs = frozenset([F.clause("p"), F.clause("q")])
     realized = realize_pruned(a, b, cs)
     tame, witness = is_tame(realized)
-    cuts_r = all(
-        classify_cut(realized, path).type_r
-        for path, n in iter_nodes(realized)
-        if n.rule == "cut"
-    )
+    cuts_r = first_node(realized, lambda n: n.rule == "cut" and not classify_cut(n, ()).type_r) is None
     exact = F.formula_cnf(maehara(realized, LKAT).interpolant) == cs
     proof, trace = pruned_subsumption_pipeline(a, b, cs)
     out = F.formula_cnf(maehara(proof, LKMINUS).interpolant)

@@ -26,6 +26,7 @@ from .sequent import (
     ProofError,
     Sequent,
     System,
+    _drive,
     axiom_kind,
     format_sequent,
     iter_nodes,
@@ -47,7 +48,7 @@ class UnsupportedRule(InterpolationError):
 @dataclass(frozen=True)
 class AnnotatedProof:
     proof: Proof
-    # id(node): interpolant, for the nodes that maehara walked
+    # id(node): interpolant, for the nodes walked that store none
     notes: dict = field(repr=False, compare=False)
 
     @property
@@ -95,64 +96,55 @@ def maehara(p: Proof, system: System) -> AnnotatedProof:
     """Annotate every node with its interpolant; the root one interpolates
     the end-sequent's partition.
 
-    One bottom-up pass on an explicit stack, once per distinct node, that
-    checks each node in preorder before its premises, so the first failure
-    in preorder is the one raised.  Like the check_proof verdict, each node
-    walked stores its interpolant, and a later call stops there.  Only the
-    d and d4 rules are checked against the system, so such a node and the
-    nodes below it store none and are checked on every call; every other
-    check holds under any system once passed.  Within cut elimination each
-    call thus walks only the nodes that the last step built."""
-    serial = bool({"k", "4"} & system.modal_rules)
-    notes = {}
-    stack = [p]
-    while stack:
-        node = stack.pop()
-        if type(node) is tuple:  # a node whose premises are done
-            node = node[0]
-            rule = node.rule
-            keep = rule not in ("d", "d4")
-            parts = []
-            for k in node.children:
-                c = getattr(k, "_interpolant", None)
-                if c is None:
-                    c, keep = notes[id(k)], False
-                parts.append(c)
-            if parts:
-                c = combine(rule, node.main_comp, parts)
-            elif rule == "ax":
-                c = axiom_interpolant(node.sequentv)
-            elif rule == "bot":
-                c = BOTTOM if node.sequentv.g1 else TOP
-            else:
-                c = None  # a leaf that no rule allows; check_proof rejects it
-            notes[id(node)] = c
-            if keep:
-                node.__dict__["_interpolant"] = c
-            continue
-        if id(node) in notes or getattr(node, "_interpolant", None) is not None:
-            continue
-        rule = node.rule
-        if rule == "cut":
-            v = vars_of(node.main_formula)
-            if not (
-                v <= node.sequentv.side_vars(1) or v <= node.sequentv.side_vars(2)
-            ):
-                raise NonMonochromaticCut(
-                    f"cut on {node.main_formula!r} in "
-                    f"{format_sequent(node.sequentv)}"
-                )
-        elif rule in ("d", "d4"):
-            if not serial:
-                raise UnsupportedRule(
-                    "interpolating the seriality rule needs a box-introducing rule"
-                )
-        elif rule not in RULE_SCHEMA and rule not in ("ax", "bot", "k", "4"):
-            raise UnsupportedRule(f"no interpolation case for rule {rule!r}")
-        notes[id(node)] = None  # walked; its interpolant follows its premises'
-        stack.append((node,))
-        stack.extend(reversed(node.children))
+    One pass of _drive steps, once per distinct node, that checks each node
+    before its premises, so the first failure in preorder is the one
+    raised.  Like the check_proof verdict, each node walked stores its
+    interpolant, and a later call stops there.  Only the d and d4 rules are
+    checked against the system, so such a node and the nodes below it
+    store none and are checked on every call; every other check holds
+    under any system once passed.  Within cut elimination each call thus
+    walks only the nodes that the last step built."""
+    memo = {}
+    _drive(_annotating, p, bool({"k", "4"} & system.modal_rules), memo)
+    notes = {id(node): c for node, c in memo.values() if getattr(node, "_interpolant", None) is None}
     return AnnotatedProof(p, notes)
+
+
+def _annotating(node: Proof, serial: bool):
+    """One maehara step: the interpolant of node, where serial tells
+    whether the system has a rule that introduces a boxed succedent."""
+    c = getattr(node, "_interpolant", None)
+    if c is not None:
+        return c
+    rule = node.rule
+    if rule == "cut":
+        v = vars_of(node.main_formula)
+        if not (v <= node.sequentv.side_vars(1) or v <= node.sequentv.side_vars(2)):
+            raise NonMonochromaticCut(f"cut on {node.main_formula!r} in {format_sequent(node.sequentv)}")
+    elif rule in ("d", "d4"):
+        if not serial:
+            raise UnsupportedRule("interpolating the seriality rule needs a box-introducing rule")
+    elif rule not in RULE_SCHEMA and rule not in ("ax", "bot", "k", "4"):
+        raise UnsupportedRule(f"no interpolation case for rule {rule!r}")
+    keep = rule not in ("d", "d4")
+    parts = []
+    for child in node.children:
+        c = getattr(child, "_interpolant", None)
+        if c is None:
+            c = yield child, serial
+            keep = keep and getattr(child, "_interpolant", None) is not None
+        parts.append(c)
+    if parts:
+        c = combine(rule, node.main_comp, parts)
+    elif rule == "ax":
+        c = axiom_interpolant(node.sequentv)
+    elif rule == "bot":
+        c = BOTTOM if node.sequentv.g1 else TOP
+    else:
+        c = None  # a leaf that no rule allows; check_proof rejects it
+    if keep:
+        node.__dict__["_interpolant"] = c
+    return c
 
 
 def is_nnf_interpolant(f: Formula) -> bool:

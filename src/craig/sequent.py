@@ -359,75 +359,113 @@ class Proof:
 # dataclasses.replace, the constructors and the parsers build nodes without
 # them.  A node and its parts are immutable once built, so a fact stored on
 # it stays true.
-
-def _fold(p: Proof, combine, stored=None):
-    """combine(node, the values of its premises), computed bottom-up on an
-    explicit stack once per distinct node; the value at p.  A node for
-    which stored(node) is not None takes that value, and the walk does not
-    go above it."""
-    done = {}
-    stack = [p]
-    while stack:
-        node = stack.pop()
-        if type(node) is tuple:  # a node whose premises are done
-            node = node[0]
-            done[id(node)] = combine(node, [done[id(c)] for c in node.children])
-        elif id(node) not in done:
-            value = None if stored is None else stored(node)
-            if value is not None:
-                done[id(node)] = value
-                continue
-            stack.append((node,))  # popped again after its premises
-            stack += node.children
-    return done[id(p)]
-
+#
+# Every walk over a proof is _drive running steps.  A step checks its node
+# before it yields a premise, so a walk meets the nodes, and raises the
+# first failure, in preorder.  A step that finds its node's stored fact
+# returns it without yielding, and one may read a premise's stored fact
+# instead of yielding the premise.
 
 def _drive(step, node: Proof, arg, memo=None):
     """The value of step(node, arg), a generator that yields each (proof,
     argument) whose value it needs, is sent that value and returns its own,
     computed on an explicit stack of such steps.  memo (a fresh one when
-    None) maps (id(proof), argument) to the value of each step run and is
-    read before a step starts, so a pair reached through several parents is
-    computed once per memo.  Its None entry lists the proofs of those
-    steps, so that each id stays that proof's."""
+    None) maps (id(proof), argument) to (proof, value) for each step run,
+    the proof kept so that its id stays its own, and is read before a step
+    starts, so a pair reached through several parents is computed once per
+    memo."""
     if memo is None:
         memo = {}
-    walked = memo.setdefault(None, [])
     key = (id(node), arg)
     if key in memo:
-        return memo[key]
-    stack = [(key, node, step(node, arg))]
-    value = None
-    while stack:
-        key, node, steps = stack[-1]
+        return memo[key][1]
+    stack, steps, value = [], step(node, arg), None
+    while True:
         try:
             sub, sub_arg = steps.send(value)
         except StopIteration as done:
-            stack.pop()
-            value = memo[key] = done.value
-            walked.append(node)
+            value = done.value
+            memo[key] = node, value
+            if not stack:
+                return value
+            key, node, steps = stack.pop()
             continue
         sub_key = (id(sub), sub_arg)
         if sub_key in memo:
-            value = memo[sub_key]
+            value = memo[sub_key][1]
         else:
-            stack.append((sub_key, sub, step(sub, sub_arg)))
-            value = None
-    return value
+            stack.append((key, node, steps))
+            key, node, steps, value = sub_key, sub, step(sub, sub_arg), None
+
+
+def _folding(node: Proof, combine):
+    """A _drive step: combine(node, the values of its premises)."""
+    values = []
+    for child in node.children:
+        values.append((yield child, combine))
+    return combine(node, values)
+
+
+def first_node(p: Proof, test):
+    """The path of the first node in preorder that passes test, or None;
+    each distinct node is tested once."""
+    found = _drive(_finding, p, test)
+    return None if found is None else tuple(reversed(found))
+
+
+def _finding(node: Proof, test):
+    """One first_node step: the path from node to the first node at or
+    above it that passes test, reversed, or None."""
+    if test(node):
+        return []
+    for i, child in enumerate(node.children):
+        found = yield child, test
+        if found is not None:
+            found.append(i)
+            return found
+    return None
+
+
+def _heights(node: Proof, fact):
+    """A _drive step for fact = (name, test): (height, first), the length of
+    the longest path from node to a node at or above it that passes test
+    (-1 when none does), and the premise that starts the leftmost one (None
+    when node is its end).  It is stored on node under name, so test must
+    read only the node, and the walk stops at premises that store theirs."""
+    name, test = fact
+    height, first = (0 if test(node) else -1), None
+    for i, child in enumerate(node.children):
+        h, _ = getattr(child, name, None) or (yield child, fact)
+        if h >= 0 and h >= height:
+            height, first = h + 1, i
+    node.__dict__[name] = height, first
+    return height, first
+
+
+def _deepest(p: Proof, fact):
+    """The path of the deepest node that passes fact's test, the leftmost
+    of the deepest ones, or None: a descent along the stored heights."""
+    height, first = _drive(_heights, p, fact)
+    path = []
+    while first is not None:
+        path.append(first)
+        p = p.children[first]
+        first = getattr(p, fact[0])[1]
+    return None if height < 0 else tuple(path)
 
 
 def proof_size(p: Proof) -> int:
     """Node count of the tree, a shared subproof counted at each use."""
-    return _fold(p, lambda node, sizes: 1 + sum(sizes))
+    return _drive(_folding, p, lambda node, sizes: 1 + sum(sizes))
 
 
 def proof_depth(p: Proof) -> int:
-    return _fold(p, lambda node, depths: 1 + max(depths) if depths else 0)
+    return _drive(_folding, p, lambda node, depths: 1 + max(depths) if depths else 0)
 
 
 def proof_length(p: Proof) -> int:
     """Symbol count summed over every sequent in the tree."""
-    return _fold(p, lambda node, lengths: node.sequentv.length() + sum(lengths))
+    return _drive(_folding, p, lambda node, lengths: node.sequentv.length() + sum(lengths))
 
 
 def subproof_at(p: Proof, path) -> Proof:
@@ -804,27 +842,30 @@ def check_proof(p: Proof, system: System):
                 return Violation((), f"component {c} is not canonically sorted")
         if not system.modal and any(is_modal(f) for fs in s for f in fs):
             return Violation((), _BOXED)
-    walked = {}
-    stack = [(p, None)]  # (node, its path as a linked (index, parent link))
-    while stack:
-        node, link = stack.pop()
-        if id(node) in walked or system in getattr(node, "_passed", ()):
-            continue
-        bad = _violation(node, system)
+    memo = {}
+    bad = _drive(_checking, p, system, memo)
+    if bad is not None:
+        below, reason = bad
+        return Violation(tuple(reversed(below)), reason)
+    for node, _ in memo.values():
+        if system not in getattr(node, "_passed", ()):
+            node.__dict__["_passed"] = getattr(node, "_passed", ()) + (system,)
+    return None
+
+
+def _checking(node: Proof, system: System):
+    """One check_proof step: None when the subproof at node passes, else
+    (the path to the first offending node in preorder, reversed, reason)."""
+    if system in getattr(node, "_passed", ()):
+        return None
+    bad = _violation(node, system)
+    if bad is not None:
+        return list(bad[0]), bad[1]  # () or one premise
+    for i, child in enumerate(node.children):
+        bad = yield child, system
         if bad is not None:
-            below, reason = bad
-            path = []
-            while link is not None:
-                i, link = link
-                path.append(i)
-            return Violation(tuple(reversed(path)) + below, reason)
-        walked[id(node)] = node
-        kids = node.children
-        for i in range(len(kids) - 1, -1, -1):
-            stack.append((kids[i], (i, link)))
-    for node in walked.values():
-        facts = node.__dict__
-        facts["_passed"] = facts.get("_passed", ()) + (system,)
+            bad[0].append(i)
+            return bad
     return None
 
 
@@ -873,11 +914,7 @@ def respects_subformula_property(p: Proof) -> bool:
         closure |= {g for g, _ in signed_subformulas(f, positive=False)}
     for f in p.sequentv.succedent():
         closure |= {g for g, _ in signed_subformulas(f, positive=True)}
-    for _, node in iter_nodes(p):
-        for _, _, f in node.sequentv.occurrences():
-            if f not in closure:
-                return False
-    return True
+    return first_node(p, lambda node: any(f not in closure for fs in node.sequentv for f in fs)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -974,84 +1011,34 @@ def _modal_ancestors(node: Proof, child: Sequent, occ):
     return out
 
 
-def _cone(p: Proof, occ):
-    """The ancestor tree of occ as ((ci, comp, idx), its node, index of its
-    descendant) triples, each listed after its descendant: the occurrence
-    (comp, idx) of node, whose descendant's node has node as premise ci
-    (None for occ itself).  Each triple links to its descendant instead of
-    holding its path, so the cone's memory grows with its size, not with
-    its size times its depth; _cone_occurrence gives a triple's occurrence.
-    For membership only: _summaries gives weakness and weight without a
-    cone."""
-    path, comp, idx = occ
-    node = subproof_at(p, path)
-    cone = [((None, comp, idx), node, None)]
-    stack = [(node, {(comp, idx): 0})]
-    while stack:
-        node, here = stack.pop()
-        for ci, child in enumerate(node.children):
-            there = {}
-            for dst, d in here.items():
-                for src in direct_ancestors(node, ci, dst):
-                    there[src] = len(cone)
-                    cone.append(((ci,) + src, child, d))
-            if there:
-                stack.append((child, there))
-    return cone
-
-
-def _cone_occurrence(cone, i, path):
-    """The occurrence (path, comp, idx) of triple i of a cone whose first
-    triple sits at path."""
-    (ci, comp, idx), _, d = cone[i]
-    steps = []
-    while d is not None:
-        steps.append(ci)
-        (ci, _, _), _, d = cone[d]
-    return path + tuple(reversed(steps)), comp, idx
-
-
-def ancestors(p: Proof, occ) -> set:
-    """Reflexive-transitive closure of the direct-ancestor relation."""
-    cone = _cone(p, occ)
-    paths = [occ[0]]
-    for (ci, _, _), _, d in cone[1:]:
-        paths.append(paths[d] + (ci,))
-    return {(path, comp, idx) for path, ((_, comp, idx), _, _) in zip(paths, cone)}
-
-
 def _summaries(roots):
-    """(strong, weight) of each (node, occ) in roots, occ = (comp, idx) an
-    occurrence of node's conclusion: whether an ancestor of it sits in an
-    axiom, and how many of its strong ancestors sit outside the conclusions
-    of weakenings.  One summary per (node, occurrence), from those of its
-    direct ancestors, bottom-up on an explicit stack.  Like _passed, each
-    summary computed is stored in its node's _summaries, so a later call on
-    a proof that shares the node walks no further; a premise that does not
-    match its conclusion raises before anything is stored."""
-    roots = list(roots)
-    done = {}  # (id(node), occurrence): its summary
-    walked = []
-    stack = [(node, occ, None) for node, occ in reversed(roots)]
-    while stack:
-        n, o, links = stack.pop()
-        if links is not None:  # the direct ancestors are done
-            parts = [done[id(c), src] for c, src in links]
-            strong = n.rule in ("ax", "bot") or any(s for s, _ in parts)
-            done[id(n), o] = strong, (strong and n.rule not in ("lw", "rw")) + sum(w for _, w in parts)
-            walked.append((n, o))
-        elif (id(n), o) not in done:
-            stored = getattr(n, "_summaries", ())
-            if o in stored:
-                done[id(n), o] = stored[o]
-            else:
-                links = [(c, src) for ci, c in enumerate(n.children)
-                         for src in direct_ancestors(n, ci, o)]
-                stack.append((n, o, links))
-                stack += [(c, src, None) for c, src in links]
-    for n, o in walked:
-        n.__dict__.setdefault("_summaries", {})[o] = done[id(n), o]
-    return [done[id(node), occ] for node, occ in roots]
+    """(strong, weight, rr) of each (node, occ) in roots, occ = (comp, idx)
+    an occurrence of node's conclusion: whether an ancestor of it sits in
+    an axiom, how many of its strong ancestors sit outside the conclusions
+    of weakenings, and whether all of its ancestors in axioms sit in R/R
+    ones.  Like _passed, the summaries of a call are stored in their nodes'
+    _summaries when it returns, so a later call stops at them; a premise
+    that does not match its conclusion raises before anything is stored."""
+    memo = {}
+    out = [_drive(_summarizing, node, occ, memo) for node, occ in roots]
+    for (_, occ), (node, summary) in memo.items():
+        node.__dict__.setdefault("_summaries", {})[occ] = summary
+    return out
+
+
+def _summarizing(node: Proof, occ):
+    """One _summaries step: the summary of occ at node."""
+    stored = getattr(node, "_summaries", ())
+    if occ in stored:
+        return stored[occ]
+    links = [(child, src) for ci, child in enumerate(node.children)
+             for src in direct_ancestors(node, ci, occ)]
+    strong, weight, rr = node.rule in ("ax", "bot"), 0, node.rule != "ax" or axiom_kind(node.sequentv) == "R/R"
+    for child, src in links:
+        stored = getattr(child, "_summaries", ())
+        s, w, r = stored[src] if src in stored else (yield child, src)
+        strong, weight, rr = strong or s, weight + w, rr and r
+    return strong, (strong and node.rule not in ("lw", "rw")) + weight, rr
 
 
 def is_weak(p: Proof, occ) -> bool:
@@ -1104,7 +1091,7 @@ def classify_cut(p: Proof, path) -> CutInfo:
     f = node.main_formula
     s = node.sequentv
     v = vars_of(f)
-    (_, wl), (_, wr) = _summaries(zip(node.children, cut_occurrences(node)))
+    (_, wl, _), (_, wr, _) = _summaries(zip(node.children, cut_occurrences(node)))
     info = CutInfo(
         type_r=node.main_comp == "d2",
         atomic=is_atomic_cut_formula(f),
@@ -1123,53 +1110,54 @@ def axiom_kind(s: Sequent) -> str:
     return ("L" if s.g1 else "R") + "/" + ("L" if s.d1 else "R")
 
 
-def _cut_ancestry(p: Proof):
-    """(path, the cones of its two cut occurrences) for every cut in
-    preorder, and the set of the cut-formula ancestors that sit in axioms,
-    the only ones that _is_omega asks about."""
-    cuts, cut_anc = [], set()
-    for path, node in iter_nodes(p):
-        if node.rule == "cut":
-            cones = []
-            for ci, occ in enumerate(cut_occurrences(node)):
-                cone = _cone(p, (path + (ci,),) + occ)
-                cut_anc.update(_cone_occurrence(cone, i, path + (ci,))
-                               for i, (_, n, _) in enumerate(cone) if n.rule == "ax")
-                cones.append(cone)
-            cuts.append((path, cones))
-    return cuts, cut_anc
-
-
-def _is_omega(path, node: Proof, cut_anc) -> bool:
-    """Every occurrence of the axiom at path is an ancestor of a cut formula."""
-    occs = [(path, c, i) for c, i, _ in node.sequentv.occurrences()]
-    return bool(occs) and all(o in cut_anc for o in occs)
+def _cut_ancestors_in(node: Proof, ci: int, down) -> frozenset:
+    """The occurrences of premise ci that are ancestors of a cut formula,
+    given down, the occurrences of node's conclusion that are."""
+    up = {src for occ in down for src in direct_ancestors(node, ci, occ)}
+    if node.rule == "cut":
+        up.add(aux_occurrences(node, ci)[0])
+    return frozenset(up)
 
 
 def axiom_type(p: Proof, path) -> AxiomInfo:
+    """The kind of the axiom at path, and whether it has type omega: its
+    occurrences, carried down the path, all end in cut formulas."""
     node = subproof_at(p, path)
     if node.rule != "ax":
         raise ProofError("axiom_type needs an ax node")
-    _, cut_anc = _cut_ancestry(p)
-    return AxiomInfo(axiom_kind(node.sequentv), _is_omega(path, node, cut_anc))
+    node, down = p, frozenset()
+    for ci in path:
+        node, down = node.children[ci], _cut_ancestors_in(node, ci, down)
+    return AxiomInfo(axiom_kind(node.sequentv), _drive(_omega_axiom, node, down) is not None)
 
 
 def is_tame(p: Proof):
-    """(ok, witness): no omega axioms, and every cut has an all-R/R flank.
-
-    The witness names the offending axiom or cut path when not tame.
-    """
-    cuts, cut_anc = _cut_ancestry(p)
-    for path, node in iter_nodes(p):
-        if node.rule == "ax" and _is_omega(path, node, cut_anc):
-            return False, ("omega-axiom", path)
-    for path, cones in cuts:
-        if not any(
-            all(axiom_kind(node.sequentv) == "R/R" for _, node, _ in cone if node.rule == "ax")
-            for cone in cones
-        ):
-            return False, ("cut-without-rr-flank", path)
+    """(ok, witness): no omega axioms, and every cut has an all-R/R flank,
+    a cut occurrence whose ancestors in axioms all sit in R/R ones.  The
+    witness names the first omega axiom in preorder, else the first cut
+    without such a flank, and its path.  Each distinct node is walked once
+    per set of its occurrences that descend to cut formulas."""
+    found = _drive(_omega_axiom, p, frozenset())
+    if found is not None:
+        return False, ("omega-axiom", tuple(reversed(found)))
+    path = first_node(p, lambda node: node.rule == "cut" and not any(
+        rr for _, _, rr in _summaries(zip(node.children, cut_occurrences(node)))))
+    if path is not None:
+        return False, ("cut-without-rr-flank", path)
     return True, None
+
+
+def _omega_axiom(node: Proof, down):
+    """One is_tame step: the path to the first omega axiom at or above node
+    in preorder, reversed, or None; down as for _cut_ancestors_in."""
+    if node.rule == "ax":
+        return [] if 0 < len(down) == sum(map(len, node.sequentv)) else None
+    for ci, child in enumerate(node.children):
+        found = yield child, _cut_ancestors_in(node, ci, down)
+        if found is not None:
+            found.append(ci)
+            return found
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -1190,7 +1178,7 @@ def _substitute_atom(f: Formula, old: str, new: Formula) -> Formula:
 
 def _substitute_proof(p: Proof, old: str, new: Formula) -> Proof:
     sub = lambda f: _substitute_atom(f, old, new)
-    return _fold(p, lambda node, kids: Proof(
+    return _drive(_folding, p, lambda node, kids: Proof(
         node.rule,
         sequent(*(map(sub, fs) for fs in node.sequentv)),
         tuple(kids),
@@ -1202,16 +1190,10 @@ def _substitute_proof(p: Proof, old: str, new: Formula) -> Proof:
 _FLIP = {"g1": "g2", "g2": "g1", "d1": "d2", "d2": "d1"}
 
 
-def _flip_cone(p: Proof, occ):
-    """Move an end-sequent occurrence and its whole ancestor cone to the
-    sibling partition component."""
-    return _drive(_flipping, p, frozenset([occ]))
-
-
 def _flipping(node: Proof, moves):
-    """One _flip_cone step, as a generator for _drive: node with the
-    occurrences in moves, a frozenset of (comp, idx), and their ancestors
-    moved.  A premise with no ancestor of them is kept as it is."""
+    """A _drive step: node with the occurrences in moves, a frozenset of
+    (comp, idx), and their ancestors moved to the sibling partition
+    component.  A premise with no ancestor of them is kept as it is."""
     kids = []
     for ci, child in enumerate(node.children):
         up = frozenset(src for occ in moves for src in direct_ancestors(node, ci, occ))
@@ -1231,18 +1213,20 @@ def _placement_consistent(node: Proof) -> bool:
     return vars_of(node.main_formula) <= node.sequentv.side_vars(side)
 
 
+# the heights of cuts whose placement side does not cover their variables
+_MISPLACED_HEIGHT = ("_misplaced_height",
+                     lambda node: node.rule == "cut" and not _placement_consistent(node))
+
+
 def monochromatize(p: Proof, system: System) -> Proof:
     """Make every cut's placement side cover its variables, rewriting
-    topmost offenders by atom replacement and side flips."""
+    topmost offenders, the leftmost of the deepest first, by atom
+    replacement and side flips."""
     while True:
-        offenders = [
-            (path, node)
-            for path, node in iter_nodes(p)
-            if node.rule == "cut" and not _placement_consistent(node)
-        ]
-        if not offenders:
+        path = _deepest(p, _MISPLACED_HEIGHT)
+        if path is None:
             return p
-        path, node = max(offenders, key=lambda pn: len(pn[0]))
+        node = subproof_at(p, path)
         f = node.main_formula
         atom_names = sorted(vars_of(f))
         if not atom_names:
@@ -1270,13 +1254,8 @@ def monochromatize(p: Proof, system: System) -> Proof:
 
 
 def _flip_sides_of_cut(node: Proof) -> Proof:
-    side = node.main_comp[1]
-    left, right = node.children
-    left_occ, right_occ = cut_occurrences(node)
-    new_left = _flip_cone(left, left_occ)
-    new_right = _flip_cone(right, right_occ)
-    new_side = 2 if side == "1" else 1
-    return cut(new_left, new_right, node.main_formula, new_side)
+    left, right = (_drive(_flipping, c, frozenset([occ])) for c, occ in zip(node.children, cut_occurrences(node)))
+    return cut(left, right, node.main_formula, 2 if node.main_comp == "d1" else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -1284,15 +1263,12 @@ def _flip_sides_of_cut(node: Proof) -> Proof:
 # ---------------------------------------------------------------------------
 
 def format_proof(p: Proof) -> str:
-    """(rule "sequent" main child ...), written in preorder from an
-    explicit stack on which None stands for a closing parenthesis."""
+    """(rule "sequent" main child ...) for every node in preorder.  The text
+    of a subproof met again is copied from where it was written."""
     out = []
-    stack = [p]
-    while stack:
-        node = stack.pop()
-        if node is None:
-            out.append(")")
-            continue
+
+    def writing(node, _):
+        start = len(out)
         occ = main_occurrence(node)
         if occ is not None:
             main = str(node.sequentv.flat_index(*occ))
@@ -1301,20 +1277,22 @@ def format_proof(p: Proof) -> str:
         else:
             main = "-"
         out.append(f'{" (" if out else "("}{node.rule} "{format_sequent(node.sequentv)}" {main}')
-        stack.append(None)
-        stack.extend(reversed(node.children))
+        for child in node.children:
+            here = len(out)
+            first, end = yield child, None
+            if first != here:
+                out.extend(out[first:end])
+        out.append(")")
+        return start, len(out)
+
+    _drive(writing, p, None)
     return "".join(out)
 
 
 def format_proof_text(p: Proof, indent=0) -> str:
     """One line per node in preorder, indented two spaces per level."""
-    lines = []
-    stack = [(p, indent)]
-    while stack:
-        node, level = stack.pop()
-        lines.append(("  " * level) + f"{node.rule}: {format_sequent(node.sequentv)}")
-        stack.extend((c, level + 1) for c in reversed(node.children))
-    return "\n".join(lines)
+    return "\n".join("  " * (indent + len(path)) + f"{node.rule}: {format_sequent(node.sequentv)}"
+                     for path, node in iter_nodes(p))
 
 
 # a parenthesis, a quoted sequent (its closing quote may be missing), or a

@@ -28,8 +28,10 @@ from .sequent import (
     Proof,
     ProofCheckFailed,
     ProofError,
+    _deepest,
     _drive,
-    _fold,
+    _folding,
+    _heights,
     aux_occurrences,
     ax,
     bot_axiom,
@@ -40,9 +42,9 @@ from .sequent import (
     cut_occurrences,
     direct_ancestors,
     first_index,
+    first_node,
     is_tame,
     is_weak,
-    iter_nodes,
     lc,
     lneg,
     main_occurrence,
@@ -173,7 +175,7 @@ def literal_cuts_to_atomic(p: Proof) -> Proof:
             return node
         return Proof(node.rule, node.sequentv, tuple(kids), node.main_comp, node.main_formula)
 
-    return _fold(p, step)
+    return _drive(_folding, p, step)
 
 
 # ---------------------------------------------------------------------------
@@ -181,26 +183,40 @@ def literal_cuts_to_atomic(p: Proof) -> Proof:
 # ---------------------------------------------------------------------------
 
 def is_w_reduced(p: Proof) -> bool:
-    for _, node in iter_nodes(p):
-        if node.rule in ("lw", "rw"):
-            if node.children[0].rule not in ("lw", "rw", "ax", "bot"):
-                return False
-    return True
+    return first_node(p, lambda node: node.rule in ("lw", "rw") and
+                      node.children[0].rule not in ("lw", "rw", "ax", "bot")) is None
 
 
 def w_reduce(p: Proof) -> Proof:
     """Shift weakenings up until each sits just below an axiom or weakening.
-    One bottom-up pass: a shared subproof is reduced once, and one with
-    nothing to shift is kept as it is.  Every node it returns is marked
-    w-reduced, and a later call keeps a marked subproof without walking
-    it."""
+    One pass of _reducing steps: a shared subproof is reduced once, and one
+    with nothing to shift is kept as it is.  Every node it returns is
+    marked w-reduced, and a later call keeps a marked subproof without
+    walking it."""
+    return _drive(_reducing, p, None)
 
-    def step(node, kids):
-        if not all(map(operator.is_, kids, node.children)):
-            node = rebuild(node, kids)
-        return _push_weakening(node) if node.rule in ("lw", "rw") else _marked(node)
 
-    return _fold(p, step, lambda node: node if getattr(node, "_w_reduced", False) else None)
+def _reducing(node: Proof, _):
+    """One w_reduce step: node over its reduced premises.  A weakening
+    over a rule other than an axiom or weakening is lifted above that rule,
+    and the weakening of each of the rule's premises is a step of its own,
+    so lifting a weakening over any number of rules needs no recursion."""
+    if getattr(node, "_w_reduced", False):
+        return node
+    kids = []
+    for child in node.children:
+        kids.append(child if getattr(child, "_w_reduced", False) else (yield child, None))
+    if not all(map(operator.is_, kids, node.children)):
+        node = rebuild(node, kids)
+    if node.rule in ("lw", "rw") and kids[0].rule not in ("lw", "rw", "ax", "bot"):
+        child = kids[0]
+        if child.rule in ("k", "d", "4", "d4", "t"):
+            raise TransformError("weakening normalization is propositional only")
+        hoisted = []
+        for gk in child.children:
+            hoisted.append((yield weaken(gk, node.main_formula, node.main_comp), None))
+        node = rebuild(child, hoisted)
+    return _marked(node)
 
 
 def _marked(node: Proof) -> Proof:
@@ -208,19 +224,6 @@ def _marked(node: Proof) -> Proof:
     if all(getattr(c, "_w_reduced", False) for c in node.children):
         node.__dict__["_w_reduced"] = True
     return node
-
-
-def _push_weakening(w: Proof) -> Proof:
-    child = w.children[0]
-    if child.rule in ("lw", "rw", "ax", "bot"):
-        return _marked(w)
-    if child.rule in ("k", "d", "4", "d4", "t"):
-        raise TransformError("weakening normalization is propositional only")
-    f, comp = w.main_formula, w.main_comp
-    hoisted = []
-    for gk in child.children:
-        hoisted.append(_push_weakening(weaken(gk, f, comp)))
-    return _marked(rebuild(child, hoisted))
 
 
 # ---------------------------------------------------------------------------
@@ -282,49 +285,25 @@ class CutEliminationResult:
     trace: tuple
 
 
-def _cut_heights(p: Proof):
-    """Store (height, first) as _cut_height on each node of p that has
-    none, where height is the length of the longest path from the node to
-    a cut above it or at it, -1 when its subproof is cut-free, and first is
-    the premise that starts the leftmost such path, None when the node is
-    that cut.  Like the interpolant, the walk stops at stored nodes."""
-
-    def step(node, parts):
-        height, first = (0 if node.rule == "cut" else -1), None
-        for i, (h, _) in enumerate(parts):
-            if h >= 0 and h >= height:
-                height, first = h + 1, i
-        node.__dict__["_cut_height"] = out = height, first
-        return out
-
-    _fold(p, step, lambda node: getattr(node, "_cut_height", None))
+# the heights of cuts, stored on each node walked as _cut_height
+_CUT_HEIGHT = ("_cut_height", lambda node: node.rule == "cut")
 
 
 def _uppermost_cut(p: Proof):
-    """The path of the deepest cut, the leftmost of the deepest ones: a
-    descent from the root along the stored heights."""
-    _cut_heights(p)
-    height, first = p._cut_height
-    if height < 0:
-        return None
-    path = []
-    while first is not None:
-        path.append(first)
-        p = p.children[first]
-        first = p._cut_height[1]
-    return tuple(path)
+    """The path of the deepest cut, the leftmost of the deepest ones."""
+    return _deepest(p, _CUT_HEIGHT)
 
 
-def _cuts(p: Proof):
-    """The cut nodes of p in preorder, skipping its cut-free subproofs."""
-    _cut_heights(p)
-    stack = [p]
-    while stack:
-        node = stack.pop()
-        if node._cut_height[0] >= 0:
-            if node.rule == "cut":
-                yield node
-            stack.extend(reversed(node.children))
+def _cut_measures(node: Proof, _):
+    """A _drive step: the (degree, weight) of each cut at or above node in
+    preorder, skipping the cut-free subproofs by their stored heights."""
+    if node._cut_height[0] < 0:
+        return ()
+    info = classify_cut(node, ()) if node.rule == "cut" else None
+    out = ((info.degree, info.weight),) if info else ()
+    for child in node.children:
+        out += yield child, None
+    return out
 
 
 def _is_introducing(premise: Proof, occ):
@@ -491,6 +470,14 @@ def _degree_reduce(chi: Proof):
     raise TransformError(f"cannot reduce degree of cut on {f!r}")
 
 
+def _unfit(node: Proof) -> bool:
+    """A modal rule, or a cut not of type R or not monochromatic."""
+    if node.rule == "cut":
+        info = classify_cut(node, ())
+        return not (info.type_r and info.monochromatic)
+    return node.rule in ("k", "d", "d4", "t", "4")
+
+
 def eliminate_cuts(p: Proof) -> CutEliminationResult:
     """Stepwise removal of all cuts from a tame proof whose cuts all sit on
     the right of the partition; the clause-set interpolant of each reduct
@@ -500,7 +487,7 @@ def eliminate_cuts(p: Proof) -> CutEliminationResult:
     Each step reduces the deepest cut, the leftmost of the deepest ones,
     and splices the w-reduced replacement in.  The facts that the steps
     read are stored on the nodes: each node's interpolant (maehara), the
-    height of its deepest cut (_cut_heights), its w-reduced mark
+    height of its deepest cut (_cut_height), its w-reduced mark
     (w_reduce) and its occurrence summaries (classify_cut).  So a step
     walks only the nodes that the previous one built, the new path from
     the root to the replacement and the replacement's own nodes, and reads
@@ -510,15 +497,14 @@ def eliminate_cuts(p: Proof) -> CutEliminationResult:
     bad = check_proof(p, LK)
     if bad is not None:
         raise TransformError(f"input does not check: {bad.reason}")
-    for path, node in iter_nodes(p):
-        if node.rule in ("k", "d", "d4", "t", "4"):
+    path = first_node(p, _unfit)
+    if path is not None:
+        node = subproof_at(p, path)
+        if node.rule != "cut":
             raise TransformError("cut elimination is propositional only")
-        if node.rule == "cut":
-            info = classify_cut(p, path)
-            if not info.type_r:
-                raise NotTypeR(f"cut at {path} is not of type R")
-            if not info.monochromatic:
-                raise TransformError(f"cut at {path} is not monochromatic")
+        if not classify_cut(node, ()).type_r:
+            raise NotTypeR(f"cut at {path} is not of type R")
+        raise TransformError(f"cut at {path} is not monochromatic")
     ok, witness = is_tame(p)
     if not ok:
         raise NotTame(f"input proof is not tame: {witness}")
@@ -542,10 +528,8 @@ def eliminate_cuts(p: Proof) -> CutEliminationResult:
         # p is w-reduced, so no weakening sits below the cut at path and
         # reducing the replacement reduces the whole proof
         p = replace_at(p, path, w_reduce(replacement))
-        new_cuts = []
-        for node in _cuts(replacement):
-            info = classify_cut(node, ())
-            new_cuts.append((info.degree, info.weight))
+        _drive(_heights, replacement, _CUT_HEIGHT)
+        new_cuts = _drive(_cut_measures, replacement, None)
         for dw in new_cuts:
             if dw >= (old_info.degree, old_info.weight):
                 raise TransformError(
@@ -561,7 +545,7 @@ def eliminate_cuts(p: Proof) -> CutEliminationResult:
                 path,
                 old_info.degree,
                 old_info.weight,
-                tuple(new_cuts),
+                new_cuts,
                 next_cnf,
             )
         )

@@ -31,9 +31,10 @@ from craig.sequent import (
     SYSTEMS,
     ProofError,
     Sequent,
+    AxiomInfo,
     Violation,
-    ancestors,
     ax,
+    axiom_kind,
     axiom_type,
     bot_axiom,
     check_proof,
@@ -334,7 +335,7 @@ class TestAncestryExample:
     def test_root_negation_has_eight_ancestors(self):
         proof = self.build()
         idx = proof.sequentv.d1.index(Neg(And(Neg(p), Neg(q))))
-        assert len(ancestors(proof, ((), "d1", idx))) == 8
+        assert len(reference_ancestors(proof, ((), "d1", idx))) == 8
 
     def test_descendant_paths_are_unique(self):
         # every non-root occurrence feeds exactly one conclusion occurrence
@@ -1089,16 +1090,109 @@ class TestTupleSequent:
         assert (s.count("g1", p), s.count("d1", p), s.count("g2", p), s.count("g1", r)) == (2, 1, 0, 0)
 
 
-def reference_weakness_and_weight(p, occ):
-    """(is_weak, weight) read off the whole ancestor cone of occ, as they
-    were before the stored summaries."""
-    cone = sequent_module._cone(p, occ)
+def reference_cone(p, occ):
+    """The ancestor tree of occ as ((ci, comp, idx), its node, index of its
+    descendant) triples, each listed after its descendant: the occurrence
+    (comp, idx) of node, whose descendant's node has node as premise ci
+    (None for occ itself).  Each triple links to its descendant instead of
+    holding its path; reference_cone_occurrence gives a triple's
+    occurrence."""
+    path, comp, idx = occ
+    node = subproof_at(p, path)
+    cone = [((None, comp, idx), node, None)]
+    stack = [(node, {(comp, idx): 0})]
+    while stack:
+        node, here = stack.pop()
+        for ci, child in enumerate(node.children):
+            there = {}
+            for dst, d in here.items():
+                for src in direct_ancestors(node, ci, dst):
+                    there[src] = len(cone)
+                    cone.append(((ci,) + src, child, d))
+            if there:
+                stack.append((child, there))
+    return cone
+
+
+def reference_cone_occurrence(cone, i, path):
+    """The occurrence (path, comp, idx) of triple i of a cone whose first
+    triple sits at path."""
+    (ci, comp, idx), _, d = cone[i]
+    steps = []
+    while d is not None:
+        steps.append(ci)
+        (ci, _, _), _, d = cone[d]
+    return path + tuple(reversed(steps)), comp, idx
+
+
+def reference_ancestors(p, occ):
+    """Reflexive-transitive closure of the direct-ancestor relation."""
+    cone = reference_cone(p, occ)
+    return {reference_cone_occurrence(cone, i, occ[0]) for i in range(len(cone))}
+
+
+def reference_summary(p, occ):
+    """(strong, weight, rr) of occ read off its whole ancestor cone."""
+    cone = reference_cone(p, occ)
     strong = [node.rule in ("ax", "bot") for _, node, _ in cone]
     for i in range(len(cone) - 1, 0, -1):
         if strong[i]:
             strong[cone[i][2]] = True
     total = sum(1 for s, (_, node, _) in zip(strong, cone) if s and node.rule not in ("lw", "rw"))
-    return not strong[0], total
+    rr = all(axiom_kind(node.sequentv) == "R/R" for _, node, _ in cone if node.rule == "ax")
+    return strong[0], total, rr
+
+
+def reference_weakness_and_weight(p, occ):
+    """(is_weak, weight) read off the whole ancestor cone of occ, as they
+    were before the stored summaries."""
+    strong, total, _ = reference_summary(p, occ)
+    return not strong, total
+
+
+def reference_cut_ancestry(p):
+    """(path, the cones of its two cut occurrences) for every cut in
+    preorder, and the set of the cut-formula ancestors that sit in axioms."""
+    cuts, cut_anc = [], set()
+    for path, node in iter_nodes(p):
+        if node.rule == "cut":
+            cones = []
+            for ci, occ in enumerate(cut_occurrences(node)):
+                cone = reference_cone(p, (path + (ci,),) + occ)
+                cut_anc.update(reference_cone_occurrence(cone, i, path + (ci,))
+                               for i, (_, n, _) in enumerate(cone) if n.rule == "ax")
+                cones.append(cone)
+            cuts.append((path, cones))
+    return cuts, cut_anc
+
+
+def reference_is_omega(path, node, cut_anc):
+    occs = [(path, c, i) for c, i, _ in node.sequentv.occurrences()]
+    return bool(occs) and all(o in cut_anc for o in occs)
+
+
+def reference_axiom_type(p, path, cut_anc=None):
+    """axiom_type from the cones of every cut (cut_anc, when given, is
+    reference_cut_ancestry(p)'s)."""
+    node = subproof_at(p, path)
+    if cut_anc is None:
+        _, cut_anc = reference_cut_ancestry(p)
+    return AxiomInfo(axiom_kind(node.sequentv), reference_is_omega(path, node, cut_anc))
+
+
+def reference_is_tame(p):
+    """is_tame from the cones of every cut, walking the whole tree."""
+    cuts, cut_anc = reference_cut_ancestry(p)
+    for path, node in iter_nodes(p):
+        if node.rule == "ax" and reference_is_omega(path, node, cut_anc):
+            return False, ("omega-axiom", path)
+    for path, cones in cuts:
+        if not any(
+            all(axiom_kind(node.sequentv) == "R/R" for _, node, _ in cone if node.rule == "ax")
+            for cone in cones
+        ):
+            return False, ("cut-without-rr-flank", path)
+    return True, None
 
 
 def outcome(call, *args):
@@ -1164,13 +1258,11 @@ class TestOccurrenceSummary:
         occ = ((), "g1", 0)
         assert reference_weakness_and_weight(sigma, occ) == (False, 7)
         assert (is_weak(sigma, occ), weight(sigma, occ)) == (False, 7)
-        assert sigma.__dict__["_summaries"][("g1", 0)] == (True, 7)
-        # every ancestor of occ holds its own (strong, weight)
-        cone = sequent_module._cone(sigma, occ)
+        # every ancestor of occ holds its own (strong, weight, rr)
+        cone = reference_cone(sigma, occ)
         for i, (_, node, _) in enumerate(cone):
-            ancestor = sequent_module._cone_occurrence(cone, i, ())
-            weak, w = reference_weakness_and_weight(sigma, ancestor)
-            assert node.__dict__["_summaries"][ancestor[1:]] == (not weak, w)
+            ancestor = reference_cone_occurrence(cone, i, ())
+            assert node.__dict__["_summaries"][ancestor[1:]] == reference_summary(sigma, ancestor)
         assert len(cone) > 7
         # a proof built from lists stores them as one built from tuples
         leaf = ax(p, "g1", "d1")
@@ -1178,8 +1270,9 @@ class TestOccurrenceSummary:
         for c, i, _ in listed.sequentv.occurrences():
             occ = ((), c, i)
             assert (is_weak(listed, occ), weight(listed, occ)) == reference_weakness_and_weight(listed, occ)
-        assert listed._summaries == {("g1", 0): (True, 1), ("g1", 1): (False, 0), ("d1", 0): (True, 1)}
-        assert leaf._summaries == {("g1", 0): (True, 1), ("d1", 0): (True, 1)}
+        for node, path in ((listed, ()), (leaf, (0,))):
+            assert node._summaries == {(c, i): reference_summary(listed, (path, c, i))
+                                       for c, i, _ in node.sequentv.occurrences()}
 
     def test_a_context_mismatch_raises_and_stores_nothing(self):
         alien = Atom("zz")
@@ -1215,6 +1308,59 @@ class TestOccurrenceSummary:
                         assert "_cut_info" not in broken.__dict__
                         raised += 1
         assert raised > 100 and compared > raised
+
+
+def realized_product(k):
+    """(p0 | p1) & ... & (p{2k-2} | p{2k-1}) realized against itself with
+    its own pruned clause set."""
+    from craig.construct import realize_pruned
+    from craig.formulas import formula_cnf, prune
+
+    a = None
+    for i in range(k):
+        c = Or(Atom(f"p{2 * i}"), Atom(f"p{2 * i + 1}"))
+        a = c if a is None else And(a, c)
+    return realize_pruned(a, a, prune(formula_cnf(a)))
+
+
+class TestTameness:
+    """is_tame and axiom_type read the stored summaries and one top-down
+    pass, and give what the cones of every cut give."""
+
+    def proofs(self):
+        return summary_proofs() + (omega_proof(), example_sigma()) + modal_proofs()
+
+    def test_witnesses_and_axiom_types_equal_the_cones(self):
+        verdicts, axioms = Counter(), 0
+        for proof in self.proofs():
+            fresh = copy.deepcopy(proof)
+            want = reference_is_tame(fresh)
+            assert is_tame(fresh) == want == is_tame(fresh)
+            verdicts[want[1] and want[1][0]] += 1
+            _, cut_anc = reference_cut_ancestry(fresh)
+            for path, node in iter_nodes(fresh):
+                if node.rule == "ax":
+                    assert axiom_type(fresh, path) == reference_axiom_type(fresh, path, cut_anc)
+                    axioms += 1
+        assert verdicts[None] > 50 and verdicts["omega-axiom"] > 50
+        assert verdicts["cut-without-rr-flank"] >= 5
+        assert axioms > 2_000
+
+    def test_is_tame_calls_direct_ancestors_under_twice_per_occurrence(self, monkeypatch):
+        """On the realized 7-clause product (14,307 distinct nodes, 112,359
+        in the tree) the walks stay within 1.8 direct_ancestors calls per
+        distinct (node, occurrence) pair; walking the cones of every cut
+        made 2.21."""
+        proof = realized_product(7)
+        nodes = {id(node): node for _, node in iter_nodes(proof)}.values()
+        pairs = sum(sum(map(len, node.sequentv)) for node in nodes)
+        calls = []
+        real = sequent_module.direct_ancestors
+        monkeypatch.setattr(sequent_module, "direct_ancestors",
+                            lambda *args: calls.append(None) or real(*args))
+        assert is_tame(proof) == (True, None)
+        assert len(nodes) == 14_307
+        assert 0 < len(calls) <= 1.8 * pairs
 
 
 def schema_corruptions(node):
@@ -1415,7 +1561,7 @@ class TestDeepProofs:
         finally:
             tracemalloc.stop()
         assert peak < 4_000_000
-        assert len(ancestors(proof, ((0,), "d2", 0))) == 3_002
+        assert len(reference_ancestors(proof, ((0,), "d2", 0))) == 3_002
 
     def test_replace_at_is_iterative(self, shallow_stack):
         proof = deep_weakening_proof()

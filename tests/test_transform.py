@@ -27,7 +27,8 @@ from craig.sequent import (
     Proof,
     ProofCheckFailed,
     Violation,
-    _fold,
+    _drive,
+    _folding,
     ax,
     check_proof,
     classify_cut,
@@ -559,7 +560,7 @@ def unshared_conversion(p, made):
             return node
         return Proof(node.rule, node.sequentv, tuple(kids), node.main_comp, node.main_formula)
 
-    return _fold(p, step)
+    return _drive(_folding, p, step)
 
 
 class TestSharedInversions:
@@ -631,6 +632,24 @@ class TestDeepProofs:
             proof = lw(proof, p, "g1")
         assert w_reduce(proof) is proof
         assert literal_cuts_to_atomic(proof) is proof
+
+    def test_w_reduce_lifts_a_weakening_through_a_deep_contraction_chain(self, shallow_stack):
+        """lw(q) over 3,000 lc(p) over 3,000 lw(p) over ax(p): the weakening
+        is lifted through every contraction, one step each."""
+        proof = ax(p, "g1", "d1")
+        for _ in range(3_000):
+            proof = lw(proof, p, "g1")
+        weakenings = proof
+        for _ in range(3_000):
+            proof = lc(proof, p, "g1")
+        proof = lw(proof, q, "g1")
+        with pytest.raises(RecursionError):
+            reference_push_weakening(proof)
+        out = w_reduce(proof)
+        assert out.sequentv == proof.sequentv and is_w_reduced(out)
+        assert check_proof(out, LKMINUS) is None
+        assert subproof_at(out, (0,) * 3_000) == lw(weakenings, q, "g1")
+        assert [subproof_at(out, (0,) * i).rule for i in (0, 2_999, 3_000, 3_001)] == ["lc", "lc", "lw", "lw"]
 
     def test_deep_cut_chain(self, shallow_stack):
         levels = 2_500  # a cut and a weakening per level: 5,000 deep
@@ -719,6 +738,15 @@ def scanned_heights(p):
     }
 
 
+def reference_push_weakening(w):
+    """The recursive shift of one weakening that w_reduce's steps replaced."""
+    child = w.children[0]
+    if child.rule in ("lw", "rw", "ax", "bot"):
+        return w
+    return rebuild(child, [reference_push_weakening(weaken(gk, w.main_formula, w.main_comp))
+                           for gk in child.children])
+
+
 def reference_eliminate_cuts(p):
     """The step loop before the stored facts, on a proof that passed the
     input checks: every step annotates the whole proof afresh, finds the
@@ -729,9 +757,9 @@ def reference_eliminate_cuts(p):
         def step(node, kids):
             if not all(map(operator.is_, kids, node.children)):
                 node = rebuild(node, kids)
-            return transform_module._push_weakening(node) if node.rule in ("lw", "rw") else node
+            return reference_push_weakening(node) if node.rule in ("lw", "rw") else node
 
-        return _fold(proof, step)
+        return _drive(_folding, proof, step)
 
     p = reduce_all(p)
     trace = []
