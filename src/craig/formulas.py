@@ -12,6 +12,8 @@ import re
 import threading
 import weakref
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 
 class FormulaError(ValueError):
@@ -67,13 +69,9 @@ ATOM_NAME = re.compile(r"(?!(?:true|false)\Z)[a-z][a-zA-Z0-9_]*\Z")
 
 # The deepest nesting the parser accepts, as depth of the built tree: atoms
 # and false are 0 deep and each connective adds one, so a flat chain of &,
-# | or -> operands counts as nesting too.  The formula walkers recurse up to
-# three times per level and the parser four times per parenthesis, well
-# inside the recursion limit craig.sequent sets; that limit does not guard
-# the C stack, though, which Python 3.10 spends on every frame.  There,
-# with an 8 MB stack, printing and evaluation of one formula crash
-# between 6000 and 7000 levels, so this bound leaves a sixfold margin for
-# the walkers that run over formulas inside proofs.
+# | or -> operands counts as nesting too.  The parser recurses four times
+# per parenthesis and eval_formula once per level; the other walkers fold
+# without recursion (below) and take formulas of any depth.
 MAX_DEPTH = 1000
 
 _INTERN = weakref.WeakValueDictionary()
@@ -186,23 +184,84 @@ def impl(a, b):
     return Or(Neg(a), b)
 
 
+# ---------------------------------------------------------------------------
+# The fold
+# ---------------------------------------------------------------------------
+#
+# Every walk over a formula is one fold: a bottom-up pass on an explicit
+# stack that computes the value of each distinct formula it reaches once,
+# from the values of its parts.  So a walk takes time linear in the distinct
+# subformulas, however much a formula shares, and no recursion at any depth.
+
+def parts(g) -> tuple:
+    """The immediate subformulas of g, the left one first."""
+    cls = type(g)
+    if cls is And or cls is Or:
+        return g.left, g.right
+    if cls is Neg or cls is Box:
+        return (g.body,)
+    return ()
+
+
+def parts_outside_boxes(g) -> tuple:
+    """parts, with boxed formulas opaque."""
+    return () if type(g) is Box else parts(g)
+
+
+_MISSING = object()
+
+
+def fold(f: Formula, combine, memo, parts=parts, slot=None):
+    """The value of f, where combine(g, the values of parts(g) in a list) is
+    the value of g, computed once for each distinct formula g that f reaches
+    through parts.  memo, a dict keyed by formula, gains every value
+    computed; a formula it holds is not walked, so a caller may seed it or
+    pass the same dict to a later call.  slot names the Formula attribute,
+    if any, that stores the value on the node: every value computed is
+    stored there, and a formula below f that has one is not walked (the
+    callers read f's own before they fold)."""
+    if not isinstance(f, Formula):
+        raise _not_a_formula(f)
+    stack = [f]
+    value_of = memo.__getitem__
+    while stack:
+        g = stack.pop()
+        if type(g) is tuple:  # a formula whose parts are done
+            g, below = g
+        elif g in memo:
+            continue
+        else:
+            below = parts(g)
+            waiting = False  # whether g is back on the stack, under its parts
+            for h in reversed(below):  # the left part first
+                if h in memo:
+                    continue
+                if slot is not None:
+                    value = getattr(h, slot, _MISSING)
+                    if value is not _MISSING:
+                        memo[h] = value
+                        continue
+                if not waiting:
+                    stack.append((g, below))
+                    waiting = True
+                stack.append(h)
+            if waiting:
+                continue
+        value = memo[g] = combine(g, list(map(value_of, below)))
+        if slot is not None:
+            _store(g, slot, value)
+    return memo[f]
+
+
+def _variables(g, values):
+    return frozenset((g.name,)) if type(g) is Atom else frozenset().union(*values)
+
+
 def vars_of(f: Formula) -> frozenset:
     try:
         return f._vars
     except AttributeError:
-        pass
-    if isinstance(f, Atom):
-        v = frozenset([f.name])
-    elif isinstance(f, (Neg, Box)):
-        v = vars_of(f.body)
-    elif isinstance(f, (And, Or)):
-        v = vars_of(f.left) | vars_of(f.right)
-    elif isinstance(f, Bottom):
-        v = frozenset()
-    else:
-        raise _not_a_formula(f)
-    _store(f, "_vars", v)
-    return v
+        return fold(f, _variables, {}, slot="_vars")
 
 
 def formula_length(f: Formula) -> int:
@@ -210,49 +269,35 @@ def formula_length(f: Formula) -> int:
     try:
         return f._length
     except AttributeError:
-        pass
-    if isinstance(f, (Atom, Bottom)):
-        n = 1
-    elif isinstance(f, (Neg, Box)):
-        n = 1 + formula_length(f.body)
-    elif isinstance(f, (And, Or)):
-        n = 1 + formula_length(f.left) + formula_length(f.right)
-    else:
-        raise _not_a_formula(f)
-    _store(f, "_length", n)
-    return n
+        return fold(f, lambda g, values: 1 + sum(values), {}, slot="_length")
 
 
 def is_modal(f: Formula) -> bool:
     try:
         return f._modal
     except AttributeError:
-        pass
-    if isinstance(f, Box):
-        m = True
-    elif isinstance(f, Neg):
-        m = is_modal(f.body)
-    elif isinstance(f, (And, Or)):
-        m = is_modal(f.left) or is_modal(f.right)
-    elif isinstance(f, (Atom, Bottom)):
-        m = False
-    else:
-        raise _not_a_formula(f)
-    _store(f, "_modal", m)
-    return m
+        return fold(f, lambda g, values: type(g) is Box or any(values), {}, parts_outside_boxes, "_modal")
 
 
-def signed_subformulas(f: Formula, positive=True):
-    """All (subformula, polarity) pairs occurring in f, f itself positive."""
-    out = {(f, positive)}
-    if isinstance(f, (And, Or)):
-        out |= signed_subformulas(f.left, positive)
-        out |= signed_subformulas(f.right, positive)
-    elif isinstance(f, Neg):
-        out |= signed_subformulas(f.body, not positive)
-    elif isinstance(f, Box):
-        out |= signed_subformulas(f.body, positive)
-    return out
+def subformulas(f: Formula):
+    """The distinct subformulas of f, f and the bodies of boxes among them,
+    as the keys of a dict, each after its parts."""
+    memo = {}
+    fold(f, lambda g, values: None, memo)
+    return memo.keys()
+
+
+def _rebuilt(g, values):
+    """g over the given parts."""
+    return type(g)(*values) if values else g
+
+
+def substitute(f: Formula, mapping) -> Formula:
+    """f with each subformula that mapping, a dict from formula to formula,
+    holds replaced by its image, all at once; an image is not walked.  The
+    dict is the fold's memo and gains the result for every subformula
+    walked, so a later call given it reuses them."""
+    return fold(f, _rebuilt, mapping)
 
 
 # ---------------------------------------------------------------------------
@@ -265,30 +310,25 @@ _PREC_OR, _PREC_AND, _PREC_UNARY = 1, 2, 3
 _PREC = {Or: _PREC_OR, And: _PREC_AND}
 
 
-def _wrap(g, prec):
-    """format_formula(g), parenthesized when g binds looser than prec."""
-    t = format_formula(g)
-    return "(" + t + ")" if _PREC.get(type(g), _PREC_UNARY) < prec else t
+def _wrap(g, text, prec):
+    """text, g's, parenthesized when g binds looser than prec."""
+    return "(" + text + ")" if _PREC.get(type(g), _PREC_UNARY) < prec else text
 
 
-def _text(f):
-    """f printed, its children through format_formula."""
-    if f is TOP:
-        return "true"
-    cls = type(f)
+def _printed(g, texts):
+    """g printed, given the texts of its parts."""
+    cls = type(g)
     if cls is Atom:
-        return f.name
+        return g.name
     if cls is Bottom:
         return "false"
-    if cls is Neg:
-        return "~" + _wrap(f.body, _PREC_UNARY)
-    if cls is Box:
-        return "[]" + _wrap(f.body, _PREC_UNARY)
-    if cls is And:
-        return _wrap(f.left, _PREC_AND) + " & " + _wrap(f.right, _PREC_AND + 1)
-    if cls is Or:
-        return _wrap(f.left, _PREC_OR) + " | " + _wrap(f.right, _PREC_OR + 1)
-    raise _not_a_formula(f)
+    if g is TOP:
+        return "true"
+    if cls is Neg or cls is Box:
+        return ("~" if cls is Neg else "[]") + _wrap(g.body, texts[0], _PREC_UNARY)
+    prec = _PREC[cls]
+    op = " & " if cls is And else " | "
+    return _wrap(g.left, texts[0], prec) + op + _wrap(g.right, texts[1], prec + 1)
 
 
 def format_formula(f: Formula) -> str:
@@ -296,10 +336,7 @@ def format_formula(f: Formula) -> str:
     try:
         return f._key
     except AttributeError:
-        pass
-    key = _text(f)
-    _store(f, "_key", key)
-    return key
+        return fold(f, _printed, {}, slot="_key")
 
 
 def format_formula_compact(f: Formula) -> str:
@@ -509,22 +546,50 @@ def assignments_over(names):
         yield dict(zip(names, bits))
 
 
+def _table(g, values):
+    cls = type(g)
+    if cls is Neg:
+        return ~values[0]
+    if cls is And:
+        return values[0] & values[1]
+    if cls is Or:
+        return values[0] | values[1]
+    if cls is Bottom:
+        return 0
+    if cls is Atom:
+        raise IncompleteAssignment(f"no value for atom {g.name}")
+    raise ModalNotSupported("a truth table needs a propositional formula")
+
+
+def truth_table(f: Formula, names) -> int:
+    """The truth table of f over the atom names in the given order, as an
+    int whose bit i is the value of f on row i of
+    itertools.product([False, True], repeat=len(names)): names[0] varies
+    slowest, and each connective is one operation on whole columns."""
+    rows = 1 << len(names)
+    memo = {}
+    for j, name in enumerate(names):
+        run = rows >> (j + 1)  # rows in a run of one value of names[j]
+        column, width = ((1 << run) - 1) << run, 2 * run
+        while width < rows:  # doubled, not divided: division is quadratic
+            column |= column << width
+            width *= 2
+        memo[Atom(name)] = column
+    return fold(f, _table, memo, parts_outside_boxes) & ((1 << rows) - 1)
+
+
 def entails(a: Formula, b: Formula) -> bool:
     if is_modal(a) or is_modal(b):
         raise ModalNotSupported("use the modal prover for modal entailment")
-    names = vars_of(a) | vars_of(b)
-    return all(
-        _eval_classical(b, v) for v in assignments_over(names) if _eval_classical(a, v)
-    )
+    names = sorted(vars_of(a) | vars_of(b))
+    return truth_table(a, names) & ~truth_table(b, names) == 0
 
 
 def equiv(f: Formula, g: Formula) -> bool:
     if is_modal(f) or is_modal(g):
         raise ModalNotSupported("use the modal prover for modal equivalence")
-    names = vars_of(f) | vars_of(g)
-    return all(
-        _eval_classical(f, v) == _eval_classical(g, v) for v in assignments_over(names)
-    )
+    names = sorted(vars_of(f) | vars_of(g))
+    return truth_table(f, names) == truth_table(g, names)
 
 
 def sel(c: Formula, x: Formula, y: Formula) -> Formula:
@@ -577,12 +642,7 @@ def literal_key(lit: Formula):
 
 
 def clause(*lits) -> frozenset:
-    out = []
-    for l in lits:
-        if isinstance(l, str):
-            l = parse_literal(l)
-        out.append(l)
-    return frozenset(out)
+    return frozenset(parse_literal(l) if isinstance(l, str) else l for l in lits)
 
 
 def sorted_literals(c) -> list:
@@ -663,15 +723,10 @@ def _split_clause_line(line):
 
 
 def parse_clause_set(text: str) -> frozenset:
-    if text == "":
-        return frozenset()
     lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines = lines[:-1]
-    out = []
-    for line in lines:
-        out.append(frozenset(parse_literal(tok) for tok in _split_clause_line(line)))
-    return frozenset(out)
+    if lines[-1] == "":
+        lines.pop()
+    return frozenset(frozenset(parse_literal(tok) for tok in _split_clause_line(line)) for line in lines)
 
 
 def format_clause(c) -> str:
@@ -686,72 +741,47 @@ def format_clause_set(cs) -> str:
 # NNF and CNF
 # ---------------------------------------------------------------------------
 
-_OPAQUE = (Atom, Bottom, Box)
+def _nnf_parts(g) -> tuple:
+    """The formulas whose NNFs make up the NNF of g, boxes opaque: under a
+    negation, the parts of its body, negated unless the body is one."""
+    if type(g) is not Neg:
+        return parts_outside_boxes(g)
+    below = parts_outside_boxes(g.body)
+    return below if type(g.body) is Neg else tuple(map(Neg, below))
+
+
+def _nnf_of(g, values):
+    if type(g) is Neg and values:
+        body = type(g.body)
+        return values[0] if body is Neg else (Or if body is And else And)(*values)
+    return _rebuilt(g, values)
 
 
 def nnf(f: Formula, done=None) -> Formula:
-    """Push negations to atoms; boxed subformulas are kept opaque.  One
-    bottom-up pass on an explicit stack over the distinct formulas whose
-    NNFs make up f's: interned formulas are equal only when identical, so
-    done, a dict keyed by formula (a fresh one when None), holds each one's
-    NNF once, and a later call given the same dict reuses them.  A formula
-    that is its own NNF (an atom, false, a box or the negation of one)
-    stays out of the dict."""
-    if done is None:
-        done = {}
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if type(g) is tuple:  # a formula whose parts are done
-            g, build, parts = g
-            parts = [done.get(h, h) for h in parts]
-            done[g] = build(*parts) if build else parts[0]
-            continue
-        if g in done or isinstance(g, _OPAQUE):
-            continue
-        if isinstance(g, (And, Or)):
-            parts, build = (g.left, g.right), type(g)
-        else:
-            body = g.body
-            if isinstance(body, _OPAQUE):
-                continue
-            if isinstance(body, Neg):
-                parts, build = (body.body,), None
-            elif isinstance(body, (And, Or)):
-                parts = Neg(body.left), Neg(body.right)
-                build = Or if isinstance(body, And) else And
-            else:
-                raise FormulaError(f"cannot normalize {g!r}")
-        stack.append((g, build, parts))
-        stack += reversed(parts)  # the left part first
-    return done.get(f, f)
+    """Push negations to atoms; boxed subformulas are kept opaque.  A fold
+    with done, a dict keyed by formula (a fresh one when None), as its memo,
+    so a later call given the same dict reuses the NNFs in it."""
+    return fold(f, _nnf_of, {} if done is None else done, _nnf_parts)
+
+
+def _clauses(g, values):
+    cls = type(g)
+    if cls is And:
+        return values[0] | values[1]
+    if cls is Or:
+        return cross(*values)
+    if g is TOP:
+        return frozenset()
+    if cls is Bottom:
+        return frozenset([frozenset()])
+    split_literal(g)  # raises unless g is a literal
+    return frozenset([frozenset([g])])
 
 
 def cnf(f: Formula, done=None) -> frozenset:
-    """Distributive clause-set normal form of an NNF formula.  One
-    bottom-up pass on an explicit stack over the distinct subformulas,
-    with done as in nnf."""
-    if done is None:
-        done = {}
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if type(g) is tuple:  # a conjunction or disjunction whose parts are done
-            (g,) = g
-            left, right = done[g.left], done[g.right]
-            done[g] = left | right if isinstance(g, And) else cross(left, right)
-        elif g in done:
-            continue
-        elif isinstance(g, (And, Or)):
-            stack += ((g,), g.right, g.left)  # the left part first
-        elif g is TOP:
-            done[g] = frozenset()
-        elif isinstance(g, Bottom):
-            done[g] = frozenset([frozenset()])
-        else:
-            split_literal(g)  # raises unless g is a literal
-            done[g] = frozenset([frozenset([g])])
-    return done[f]
+    """Distributive clause-set normal form of an NNF formula: a fold, with
+    done as in nnf."""
+    return fold(f, _clauses, {} if done is None else done, parts_outside_boxes)
 
 
 def formula_cnf(f: Formula, memo=None) -> frozenset:
@@ -770,18 +800,16 @@ def subsumes(a, b) -> bool:
     return all(any(c <= d for c in a) for d in b)
 
 
+def _mixed(cs) -> set:
+    """The literal bodies that occur in cs in both polarities."""
+    lits = set().union(*cs)
+    for lit in lits:
+        split_literal(lit)  # raises unless lit is a literal
+    return {lit.body for lit in lits if type(lit) is Neg and lit.body in lits}
+
+
 def is_pruned_clause_set(cs) -> bool:
-    polarity = {}
-    for c in cs:
-        for lit in c:
-            if lit is TOP:
-                return False
-            negated, body = split_literal(lit)
-            seen = polarity.setdefault(body, set())
-            seen.add(negated)
-            if len(seen) == 2:
-                return False
-    return True
+    return not any(TOP in c for c in cs) and not _mixed(cs)
 
 
 # The most resolvents prune builds for one atom.  Each elimination can
@@ -799,18 +827,7 @@ def prune(cs) -> frozenset:
     an elimination that would build more than MAX_PRUNE_RESOLVENTS.
     """
     cs = frozenset(c for c in cs if TOP not in c)
-    mixed = set()
-    polarity = {}
-    for c in cs:
-        for lit in c:
-            negated, body = split_literal(lit)
-            if body is BOTTOM:
-                continue
-            seen = polarity.setdefault(body, set())
-            seen.add(negated)
-            if len(seen) == 2:
-                mixed.add(body)
-    for plus in sorted(mixed, key=format_formula_compact):
+    for plus in sorted(_mixed(cs), key=format_formula_compact):
         minus = Neg(plus)
         cs = frozenset(c for c in cs if not (plus in c and minus in c))
         keep = [c for c in cs if plus not in c and minus not in c]
@@ -829,11 +846,7 @@ def prune(cs) -> frozenset:
 
 
 def clause_set_vars(cs) -> frozenset:
-    out = set()
-    for c in cs:
-        for lit in c:
-            out |= vars_of(lit)
-    return frozenset(out)
+    return frozenset().union(*(vars_of(lit) for c in cs for lit in c))
 
 
 def is_clause_set_interpolant(cs, a: Formula, b: Formula) -> bool:
@@ -851,11 +864,15 @@ def is_pruned_interpolant(cs, a: Formula, b: Formula) -> bool:
         return False
     if not is_clause_set_interpolant(cs, a, b):
         return False
+    # an interpolant's atoms are all a's, and a clause holds where one of
+    # its literals does
+    names = sorted(vars_of(a))
+    table = truth_table(a, names)
     for c in cs:
-        lits = list(c)
+        lits = [truth_table(lit, names) for lit in c]
         for r in range(len(lits)):
             for sub in itertools.combinations(lits, r):
-                if entails(a, clause_formula(frozenset(sub))):
+                if table & ~reduce(or_, sub, 0) == 0:
                     return False
     return True
 
@@ -864,34 +881,20 @@ def is_pruned_interpolant(cs, a: Formula, b: Formula) -> bool:
 # Semantic interpolant oracle
 # ---------------------------------------------------------------------------
 
-def _projected_rows(f, shared):
-    """Truth-table rows over the shared atoms reachable by some model of f."""
-    rows = set()
+def _shared_rows(f, shared, every):
+    """The rows over shared, a sorted list of atoms, as tuples of truth
+    values, under which f holds for some extension to its other atoms, or
+    for every extension when every.  In f's truth table over shared and
+    then its other atoms, each row is one block of consecutive bits."""
     extra = sorted(vars_of(f) - set(shared))
-    for row in assignments_over(shared):
-        for ext in assignments_over(extra):
-            v = dict(row)
-            v.update(ext)
-            if _eval_classical(f, v):
-                rows.add(tuple(row[x] for x in shared))
-                break
-    return rows
-
-
-def _forcing_rows(b, shared):
-    """Rows over the shared atoms under which b holds for every extension."""
+    table = truth_table(f, shared + extra)
+    width = 1 << len(extra)
+    block = (1 << width) - 1
     rows = set()
-    extra = sorted(vars_of(b) - set(shared))
-    for row in assignments_over(shared):
-        ok = True
-        for ext in assignments_over(extra):
-            v = dict(row)
-            v.update(ext)
-            if not _eval_classical(b, v):
-                ok = False
-                break
-        if ok:
-            rows.add(tuple(row[x] for x in shared))
+    for i, row in enumerate(itertools.product([False, True], repeat=len(shared))):
+        bits = table >> (i * width) & block
+        if bits == block if every else bits:
+            rows.add(row)
     return rows
 
 
@@ -919,8 +922,8 @@ def enumerate_interpolants(a: Formula, b: Formula, max_shared=4):
     shared = sorted(vars_of(a) & vars_of(b))
     if len(shared) > max_shared:
         raise TooManySharedVars(f"{len(shared)} shared atoms exceeds cap {max_shared}")
-    lower = _projected_rows(a, shared)
-    upper = _forcing_rows(b, shared)
+    lower = _shared_rows(a, shared, every=False)
+    upper = _shared_rows(b, shared, every=True)
     if not lower <= upper:
         raise NotValidImplication("the implication is not valid")
     free = sorted(upper - lower)
@@ -937,58 +940,14 @@ def enumerate_interpolants(a: Formula, b: Formula, max_shared=4):
 # Modal CNF
 # ---------------------------------------------------------------------------
 
-def outer_boxes(f: Formula):
-    """Boxed subformulas not nested inside another box, in first-seen order."""
-    out = []
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, Box):
-            if g not in out:
-                out.append(g)
-        elif isinstance(g, Neg):
-            stack.append(g.body)
-        elif isinstance(g, (And, Or)):
-            stack += (g.right, g.left)
-    return out
-
-
 def mcnf(f: Formula) -> frozenset:
-    """Clause set of modal literals: abstract outer boxes, take CNF, substitute back."""
-    boxes = outer_boxes(f)
+    """Clause set of modal literals: abstract the outer boxes, those inside
+    no other box, to fresh atoms, take the CNF, and substitute back."""
+    outer = {}
+    fold(f, lambda g, values: None, outer, parts_outside_boxes)
     taken = vars_of(f)
-    names = {}
-    i = 0
-    for box in boxes:
-        while f"b{i}" in taken:
-            i += 1
-        names[box] = f"b{i}"
-        i += 1
-
-    def abstract(g):
-        if isinstance(g, Box):
-            return Atom(names[g])
-        if isinstance(g, Neg):
-            return Neg(abstract(g.body))
-        if isinstance(g, And):
-            return And(abstract(g.left), abstract(g.right))
-        if isinstance(g, Or):
-            return Or(abstract(g.left), abstract(g.right))
-        return g
-
-    back = {name: box for box, name in names.items()}
-    try:
-        cs = formula_cnf(abstract(f))
-    finally:
-        del abstract  # it refers to itself: a cycle per call
-    result = []
-    for c in cs:
-        lits = []
-        for lit in c:
-            negated, body = split_literal(lit)
-            if isinstance(body, Atom) and body.name in back:
-                lits.append(Literal(negated, back[body.name]))
-            else:
-                lits.append(lit)
-        result.append(frozenset(lits))
-    return frozenset(result)
+    fresh = (Atom(name) for name in map("b{}".format, itertools.count()) if name not in taken)
+    abstract = dict(zip((g for g in outer if type(g) is Box), fresh))
+    back = {atom: box for box, atom in abstract.items()}
+    cs = formula_cnf(substitute(f, abstract))
+    return frozenset(frozenset(substitute(lit, back) for lit in c) for c in cs)

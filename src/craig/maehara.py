@@ -8,9 +8,7 @@ from functools import cached_property
 
 from .formulas import (
     And,
-    Atom,
     BOTTOM,
-    Bottom,
     Box,
     Formula,
     Neg,
@@ -18,6 +16,7 @@ from .formulas import (
     TOP,
     entails,
     is_modal,
+    nnf,
     vars_of,
 )
 from .sequent import (
@@ -148,14 +147,9 @@ def _annotating(node: Proof, serial: bool):
 
 
 def is_nnf_interpolant(f: Formula) -> bool:
-    """Negation only on atoms, false, or boxed subformulas (box bodies are opaque)."""
-    if isinstance(f, (Atom, Bottom, Box)):
-        return True
-    if isinstance(f, Neg):
-        return isinstance(f.body, (Atom, Bottom, Box))
-    if isinstance(f, (And, Or)):
-        return is_nnf_interpolant(f.left) and is_nnf_interpolant(f.right)
-    return False
+    """Negation only on atoms, false, or boxed subformulas (box bodies are
+    opaque): f is its own NNF."""
+    return nnf(f) is f
 
 
 def verify_interpolant(a: Formula, b: Formula, c: Formula, system: System) -> bool:

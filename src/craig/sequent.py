@@ -20,10 +20,12 @@ from .formulas import (
     Or,
     TOP,
     format_formula,
+    fold,
     formula_length,
     is_modal,
     parse_formula,
-    signed_subformulas,
+    subformulas,
+    substitute,
     vars_of,
 )
 
@@ -267,7 +269,8 @@ def _parse_sequent(text: str, memo) -> Sequent:
             if f is None:
                 # the piece as written, so that a ParseError keeps its column
                 f = parse_formula(piece)
-                memo.update((format_formula(g), g) for g, _ in signed_subformulas(f))
+                format_formula(f)  # stores the text of every subformula
+                memo.update((format_formula(g), g) for g in subformulas(f))
                 memo[key] = f
             out.append(f)
         return tuple(out)
@@ -908,12 +911,11 @@ def _violation(node: Proof, system: System):
 
 
 def respects_subformula_property(p: Proof) -> bool:
-    """Every formula anywhere is a (signed) subformula of the end-sequent."""
+    """Every formula anywhere is a subformula of the end-sequent."""
     closure = set()
-    for f in p.sequentv.antecedent():
-        closure |= {g for g, _ in signed_subformulas(f, positive=False)}
-    for f in p.sequentv.succedent():
-        closure |= {g for g, _ in signed_subformulas(f, positive=True)}
+    for fs in p.sequentv:
+        for f in fs:
+            closure.update(subformulas(f))
     return first_node(p, lambda node: any(f not in closure for fs in node.sequentv for f in fs)) is None
 
 
@@ -1069,14 +1071,16 @@ class AxiomInfo:
     omega: bool
 
 
+def _degree(g, values):
+    if type(g) is Box:
+        return values[0]
+    return 1 + sum(values) if values else 0
+
+
 def propositional_degree(f: Formula) -> int:
-    if isinstance(f, (Atom, Bottom)):
-        return 0
-    if isinstance(f, Box):
-        return propositional_degree(f.body)
-    if isinstance(f, Neg):
-        return 1 + propositional_degree(f.body)
-    return 1 + propositional_degree(f.left) + propositional_degree(f.right)
+    """The connectives of f outside boxes, counted in f's tree; a box adds
+    none."""
+    return fold(f, _degree, {})
 
 
 def classify_cut(p: Proof, path) -> CutInfo:
@@ -1097,7 +1101,7 @@ def classify_cut(p: Proof, path) -> CutInfo:
         atomic=is_atomic_cut_formula(f),
         literal=is_literal_cut_formula(f),
         monochromatic=v <= s.side_vars(1) or v <= s.side_vars(2),
-        analytic=any(f == h for _, _, g in s.occurrences() for h, _ in signed_subformulas(g)),
+        analytic=any(f in subformulas(g) for _, _, g in s.occurrences()),
         degree=propositional_degree(f),
         weight=wl + wr,
     )
@@ -1164,20 +1168,9 @@ def _omega_axiom(node: Proof, down):
 # Monochromatization
 # ---------------------------------------------------------------------------
 
-def _substitute_atom(f: Formula, old: str, new: Formula) -> Formula:
-    if isinstance(f, Atom):
-        return new if f.name == old else f
-    if isinstance(f, Bottom):
-        return f
-    if isinstance(f, Neg):
-        return Neg(_substitute_atom(f.body, old, new))
-    if isinstance(f, Box):
-        return Box(_substitute_atom(f.body, old, new))
-    return type(f)(_substitute_atom(f.left, old, new), _substitute_atom(f.right, old, new))
-
-
 def _substitute_proof(p: Proof, old: str, new: Formula) -> Proof:
-    sub = lambda f: _substitute_atom(f, old, new)
+    mapping = {Atom(old): new}  # one memo for every formula of p
+    sub = lambda f: substitute(f, mapping)
     return _drive(_folding, p, lambda node, kids: Proof(
         node.rule,
         sequent(*(map(sub, fs) for fs in node.sequentv)),

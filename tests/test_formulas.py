@@ -1,5 +1,8 @@
+import itertools
 import random
 import re
+import signal
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +42,8 @@ from craig.formulas import (
     format_clause_set,
     format_formula,
     formula_cnf,
+    formula_length,
+    is_modal,
     is_pruned_clause_set,
     is_pruned_interpolant,
     literal_key,
@@ -51,9 +56,14 @@ from craig.formulas import (
     sel,
     sorted_literals,
     split_literal,
+    subformulas,
+    substitute,
     subsumes,
+    truth_table,
     vars_of,
 )
+from craig.maehara import is_nnf_interpolant
+from craig.sequent import propositional_degree
 from conftest import random_3cnf, random_clause_set, random_formula, random_nnf
 
 p, q, r, s = Atom("p"), Atom("q"), Atom("r"), Atom("s")
@@ -639,3 +649,312 @@ class TestLiterals:
         # right-associated disjunction in canonical literal order
         c = clause("~q", "p", "r")
         assert clause_formula(c) == Or(p, Or(r, Neg(q)))
+
+
+# ---------------------------------------------------------------------------
+# Truth tables as bit-vectors, against the per-row evaluation they replaced
+# ---------------------------------------------------------------------------
+
+def reference_entails(a, b):
+    """entails as it was before truth tables became bit-vectors: one
+    evaluation per row."""
+    names = vars_of(a) | vars_of(b)
+    return all(eval_formula(b, v) for v in assignments_over(names) if eval_formula(a, v))
+
+
+def reference_equiv(f, g):
+    names = vars_of(f) | vars_of(g)
+    return all(eval_formula(f, v) == eval_formula(g, v) for v in assignments_over(names))
+
+
+def reference_projected_rows(f, shared):
+    """Truth-table rows over the shared atoms reachable by some model of f."""
+    rows = set()
+    extra = sorted(vars_of(f) - set(shared))
+    for row in assignments_over(shared):
+        for ext in assignments_over(extra):
+            if eval_formula(f, {**row, **ext}):
+                rows.add(tuple(row[x] for x in shared))
+                break
+    return rows
+
+
+def reference_forcing_rows(b, shared):
+    """Rows over the shared atoms under which b holds for every extension."""
+    rows = set()
+    extra = sorted(vars_of(b) - set(shared))
+    for row in assignments_over(shared):
+        if all(eval_formula(b, {**row, **ext}) for ext in assignments_over(extra)):
+            rows.add(tuple(row[x] for x in shared))
+    return rows
+
+
+def reference_enumerate_interpolants(a, b, max_shared=4):
+    """enumerate_interpolants over the per-row references."""
+    shared = sorted(vars_of(a) & vars_of(b))
+    if len(shared) > max_shared:
+        raise TooManySharedVars(f"{len(shared)} shared atoms exceeds cap {max_shared}")
+    lower = reference_projected_rows(a, shared)
+    upper = reference_forcing_rows(b, shared)
+    if not lower <= upper:
+        raise NotValidImplication("the implication is not valid")
+    free = sorted(upper - lower)
+    out = []
+    for picks in itertools.product([False, True], repeat=len(free)):
+        rows = set(lower) | {r for r, take in zip(free, picks) if take}
+        out.append((rows, clause_set_formula(formulas._prime_implicate_cnf(rows, shared))))
+    order = list(itertools.product([False, True], repeat=len(shared)))
+    out.sort(key=lambda rf: tuple(r in rf[0] for r in order))
+    return [f for _, f in out]
+
+
+def reference_is_pruned_interpolant(cs, a, b):
+    """is_pruned_interpolant with one reference entailment per proper
+    subclause."""
+    if not is_pruned_clause_set(cs):
+        return False
+    f = clause_set_formula(cs)
+    shared = vars_of(a) & vars_of(b)
+    if not (vars_of(f) <= shared and reference_entails(a, f) and reference_entails(f, b)):
+        return False
+    return not any(
+        reference_entails(a, clause_formula(frozenset(sub)))
+        for c in cs for r in range(len(c)) for sub in itertools.combinations(c, r)
+    )
+
+
+def random_implication(rng):
+    return (random_formula(rng, atoms=("p", "q", "r", "u"), depth=3),
+            random_formula(rng, atoms=("p", "q", "r", "v"), depth=3))
+
+
+class TestTruthTables:
+    def test_bit_i_is_eval_formula_on_row_i(self):
+        rng = random.Random(41)
+        fs = [random_formula(rng, depth=5) for _ in range(300)]
+        for f in fs + [TOP, BOTTOM, Neg(TOP), And(p, Neg(p)), Or(p, Neg(p))]:
+            names = sorted(vars_of(f) | set(rng.sample(["p", "q", "r", "s", "t"], 2)))
+            rng.shuffle(names)  # any order of the names
+            table = truth_table(f, names)
+            rows = list(itertools.product([False, True], repeat=len(names)))
+            assert 0 <= table < 1 << len(rows)
+            for i, row in enumerate(rows):
+                assert (table >> i & 1 == 1) == eval_formula(f, dict(zip(names, row)))
+
+    def test_zero_atoms_make_one_row(self):
+        assert truth_table(TOP, []) == 1
+        assert truth_table(BOTTOM, []) == 0
+        assert truth_table(Or(BOTTOM, Neg(And(TOP, BOTTOM))), []) == 1
+        assert truth_table(p, ["p"]) == 0b10
+        assert truth_table(p, ["p", "q"]) == 0b1100
+        assert truth_table(q, ["p", "q"]) == 0b1010
+
+    def test_atoms_outside_the_names_and_boxes_are_refused(self):
+        with pytest.raises(IncompleteAssignment):
+            truth_table(And(p, q), ["p"])
+        with pytest.raises(ModalNotSupported):
+            truth_table(Or(p, Box(q)), ["p", "q"])
+
+    def test_entails_and_equiv_equal_the_row_by_row_reference(self):
+        rng = random.Random(43)
+        for _ in range(400):
+            f = random_formula(rng, depth=4)
+            g = random_formula(rng, depth=4) if rng.random() < 0.7 else nnf(f)
+            assert entails(f, g) == reference_entails(f, g)
+            assert entails(g, f) == reference_entails(g, f)
+            assert equiv(f, g) == reference_equiv(f, g)
+
+    def test_shared_rows_equal_the_references(self):
+        rng = random.Random(47)
+        for _ in range(200):
+            f = random_formula(rng, depth=4)
+            shared = sorted(rng.sample(["p", "q", "r", "s"], rng.randint(0, 4)))
+            assert formulas._shared_rows(f, shared, every=False) == reference_projected_rows(f, shared)
+            assert formulas._shared_rows(f, shared, every=True) == reference_forcing_rows(f, shared)
+
+    def test_enumerate_interpolants_equals_the_reference(self):
+        rng = random.Random(53)
+        valid = 0
+        for _ in range(150):
+            a, b = random_implication(rng)
+            try:
+                want = reference_enumerate_interpolants(a, b)
+            except (NotValidImplication, TooManySharedVars) as e:
+                with pytest.raises(type(e)):
+                    enumerate_interpolants(a, b)
+                continue
+            valid += 1
+            assert enumerate_interpolants(a, b) == want
+        assert valid > 20
+
+    def test_is_pruned_interpolant_equals_the_reference(self):
+        """Every class of each valid draw, pruned, and random clause sets
+        over the shared atoms."""
+        rng = random.Random(59)
+        verdicts = set()
+        for _ in range(80):
+            a, b = random_implication(rng)
+            try:
+                targets = enumerate_interpolants(a, b)
+            except FormulaError:
+                continue
+            shared = sorted(vars_of(a) & vars_of(b)) or ["p"]
+            candidates = [prune(formula_cnf(t)) for t in targets]
+            candidates += [random_clause_set(rng, atoms=shared) for _ in range(5)]
+            for cs in candidates:
+                got = is_pruned_interpolant(cs, a, b)
+                assert got == reference_is_pruned_interpolant(cs, a, b)
+                verdicts.add(got)
+        assert verdicts == {False, True}
+
+
+# ---------------------------------------------------------------------------
+# The fold on shared and on deep formulas
+# ---------------------------------------------------------------------------
+
+@contextmanager
+def deadline(seconds):
+    """Raises TimeoutError inside the block once seconds have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"not done within {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def quick(fn, *args):
+    """fn(*args), which must return within a second."""
+    with deadline(1.0):
+        return fn(*args)
+
+
+def or_tower(base, levels=60):
+    """f' = f | f from base: a tree of 2^levels copies of base over
+    levels + 1 distinct formulas."""
+    for _ in range(levels):
+        base = Or(base, base)
+    return base
+
+
+def neg_tower(base, levels=60):
+    """f' = ~(f & f) from base: equivalent to base at an even level."""
+    for _ in range(levels):
+        base = Neg(And(base, base))
+    return base
+
+
+class TestSharedFormulas:
+    """Each walker takes each distinct subformula once.  A failing assert
+    compares plain values only: printing a tower takes tree-sized text."""
+
+    def test_or_tower(self):
+        f = or_tower(p)
+        got = (
+            quick(vars_of, f),
+            quick(formula_length, f),
+            quick(is_modal, f),
+            quick(propositional_degree, f),
+            len(quick(subformulas, f)),
+            quick(substitute, f, {p: q}) is or_tower(q),
+            quick(nnf, f) is f,
+            quick(is_nnf_interpolant, f),
+            quick(formula_cnf, f),
+            quick(truth_table, f, ["p"]),
+            quick(entails, f, p) and quick(entails, p, f),
+            quick(equiv, f, p),
+        )
+        want = (frozenset({"p"}), 2 ** 61 - 1, False, 2 ** 60 - 1, 61, True, True, True,
+                frozenset([clause("p")]), 0b10, True, True)
+        assert got == want
+
+    def test_neg_tower(self):
+        f = neg_tower(p)
+        got = (
+            quick(vars_of, f),
+            quick(formula_length, f),
+            quick(is_modal, f),
+            quick(propositional_degree, f),
+            len(quick(subformulas, f)),
+            quick(substitute, f, {p: q}) is neg_tower(q),
+            quick(nnf, f).depth,
+            quick(is_nnf_interpolant, f),
+            quick(formula_cnf, f),
+            quick(truth_table, f, ["p"]),
+            quick(entails, f, p) and quick(entails, p, f),
+            quick(equiv, f, Neg(neg_tower(p, 59))),
+        )
+        want = (frozenset({"p"}), 3 * 2 ** 60 - 2, False, 2 ** 61 - 2, 121, True, 60, False,
+                frozenset([clause("p")]), 0b10, True, True)
+        assert got == want
+
+    def test_towers_over_a_box(self):
+        boxed = Box(p)
+        got = [
+            (quick(is_modal, f), quick(propositional_degree, f), len(quick(subformulas, f)),
+             quick(mcnf, f), quick(mcnf, Neg(f)))
+            for f in (or_tower(boxed), neg_tower(boxed))
+        ]
+        unit, neg_unit = frozenset([frozenset([boxed])]), frozenset([frozenset([Neg(boxed)])])
+        assert got == [(True, 2 ** 60 - 1, 62, unit, neg_unit), (True, 2 ** 61 - 2, 122, unit, neg_unit)]
+
+
+class TestDeepFormulas:
+    """5,000-deep chains built with the constructors, beyond the recursion
+    limit under shallow_stack."""
+
+    def test_fold_walkers_on_an_and_or_chain(self, shallow_stack):
+        atoms = [Atom(f"x{i}") for i in range(3)]
+        renamed = {atoms[0]: atoms[1]}
+        rows = list(itertools.product([False, True], repeat=3))
+        f, g = atoms[0], atoms[1]
+        values = [row[0] for row in rows]  # the chain's value on each row
+        for i in range(5_000):
+            atom = atoms[i % 3]
+            op = And if i % 2 else Or
+            f, g = op(f, atom), op(g, renamed.get(atom, atom))
+            values = [(v and row[i % 3]) if i % 2 else (v or row[i % 3]) for v, row in zip(values, rows)]
+        got = (
+            vars_of(f),
+            formula_length(f),
+            is_modal(f),
+            propositional_degree(f),
+            len(subformulas(f)),
+            substitute(f, dict(renamed)) is g,
+            nnf(f) is f,
+            nnf(Neg(f)).depth,
+            is_nnf_interpolant(f),
+            is_nnf_interpolant(Neg(f)),
+            truth_table(f, ["x0", "x1", "x2"]) == sum(v << i for i, v in enumerate(values)),
+            entails(f, Or(f, atoms[1])),
+            equiv(f, And(f, f)),
+        )
+        want = (frozenset({"x0", "x1", "x2"}), 10_001, False, 5_000, 5_003, True, True, 5_001,
+                True, False, True, True, True)
+        assert got == want
+
+    def test_printing_a_prefix_chain(self, shallow_stack):
+        f = p
+        for i in range(5_000):
+            f = Neg(f) if i % 2 else Box(f)
+        text = format_formula(f)
+        assert text == "~[]" * 2_500 + "p"
+        assert (formula_length(f), is_modal(f), propositional_degree(f)) == (5_001, True, 2_500)
+
+    def test_mcnf_of_a_chain_over_boxes(self, shallow_stack):
+        atoms = [Atom(f"x{i}") for i in range(3)]
+        f = Box(atoms[0])
+        want = frozenset([frozenset([f])])
+        for i in range(5_000):
+            if i % 2:
+                lit = Box(atoms[i % 3])
+                f, want = And(f, lit), want | frozenset([frozenset([lit])])
+            else:
+                lit = atoms[i % 3]
+                f, want = Or(f, lit), cross(want, frozenset([frozenset([lit])]))
+        assert (is_modal(f), len(subformulas(f))) == (True, 5_006)
+        assert mcnf(f) == want
