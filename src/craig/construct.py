@@ -35,6 +35,7 @@ from .sequent import (
     ProofError,
     Sequent,
     System,
+    _drive,
     ax,
     bot_axiom,
     check_proof,
@@ -149,8 +150,9 @@ def _fail_tree_to_model(tree: _FailNode):
     return make_model(worlds, succ, val)
 
 
-def _search(s: Sequent, system: System, unfolded, blocked):
-    """Returns (proof, None) or (None, fail-tree)."""
+def _searching(s: Sequent, arg):
+    """A _drive step: (proof, None) or (None, fail-tree) for s under arg = (system, unfolded, blocked)."""
+    system, unfolded, blocked = arg
     closed = _closure_proof(s)
     if closed is not None:
         return closed, None
@@ -170,7 +172,7 @@ def _search(s: Sequent, system: System, unfolded, blocked):
             rule = lambda sub, f, comp: contract(outer(inner(sub, f, comp), f, comp), f, comp)
         subs = []
         for premise in premises:
-            sub, fail = _search(premise, system, unfolded, blocked)
+            sub, fail = yield premise, arg
             if sub is None:
                 return None, fail
             subs.append(sub)
@@ -180,8 +182,7 @@ def _search(s: Sequent, system: System, unfolded, blocked):
         for comp in ("g1", "g2"):
             for f in s.comp(comp):
                 if isinstance(f, Box) and (comp, f) not in unfolded:
-                    sub, fail = _search(
-                        s.insert(comp, f.body), system, unfolded | {(comp, f)}, blocked)
+                    sub, fail = yield s.insert(comp, f.body), (system, unfolded | {(comp, f)}, blocked)
                     if sub is None:
                         return None, fail
                     return lc(rule_t(sub, f, comp), f, comp), None
@@ -201,7 +202,7 @@ def _search(s: Sequent, system: System, unfolded, blocked):
             key = (premise, rule)
             if key in blocked:
                 continue
-            sub, fail = _search(premise, system, frozenset(), blocked | {key})
+            sub, fail = yield premise, (system, frozenset(), blocked | {key})
             if sub is not None:
                 return weaken_to(MODAL_JUMPS[rule](sub), s), None
             if fail is not None:
@@ -217,7 +218,7 @@ def prove_cutfree(s: Sequent, system: System) -> Proof:
         raise ConstructError(
             f"boxed formula in a non-modal system {system.name}: {format_sequent(s)}"
         )
-    proof, fail = _search(s, system, frozenset(), frozenset())
+    proof, fail = _drive(_searching, s, (system, frozenset(), frozenset()))
     if proof is not None:
         return _checked(proof, system)
     countermodel = None

@@ -69,9 +69,9 @@ ATOM_NAME = re.compile(r"(?!(?:true|false)\Z)[a-z][a-zA-Z0-9_]*\Z")
 
 # The deepest nesting the parser accepts, as depth of the built tree: atoms
 # and false are 0 deep and each connective adds one, so a flat chain of &,
-# | or -> operands counts as nesting too.  The parser recurses four times
-# per parenthesis and eval_formula once per level; the other walkers fold
-# without recursion (below) and take formulas of any depth.
+# | or -> operands counts as nesting too.  No walker recurses, so the bound
+# is not for the stack: it bounds the printed texts that the nodes store,
+# which grow with the square of the depth.
 MAX_DEPTH = 1000
 
 _INTERN = weakref.WeakValueDictionary()
@@ -123,9 +123,15 @@ class Formula:
         return f"<{format_formula(self)}>"
 
     def __reduce__(self):
-        # copy and pickle rebuild through the constructor, which returns
-        # the interned node
+        # pickle rebuilds through the constructor, which returns the
+        # interned node
         return type(self), tuple(getattr(self, name) for name in type(self).__slots__)
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
 
 
 class Bottom(Formula):
@@ -366,27 +372,11 @@ class _Tokens:
             else:
                 raise self.error(f"unexpected token {tok!r}", m.start())
         self.items.append(("eof", "", len(text)))
-        self.idx = 0
-        self.parens = 0  # parentheses open at the current token
 
     def error(self, message, offset) -> ParseError:
         """A ParseError at the 1-based line and column of offset."""
         line_start = self.text.rfind("\n", 0, offset) + 1
         return ParseError(message, self.text.count("\n", 0, offset) + 1, offset - line_start + 1)
-
-    def peek(self):
-        return self.items[self.idx]
-
-    def next(self):
-        item = self.items[self.idx]
-        self.idx += 1
-        return item
-
-    def expect(self, kind):
-        item = self.next()
-        if item[0] != kind:
-            raise self.error(f"expected {kind!r}, found {item[1]!r}", item[2])
-        return item
 
 
 def _too_deep(toks, token):
@@ -400,68 +390,69 @@ def _bounded(toks, f, token):
     return f
 
 
-def _parse_impl(toks):
-    # right-associative, folded without recursion
-    operands = [_parse_or(toks)]
-    arrows = []
-    while toks.peek()[0] == "->":
-        arrows.append(toks.next())
-        operands.append(_parse_or(toks))
-    f = operands.pop()
-    while operands:
-        f = _bounded(toks, impl(operands.pop(), f), arrows.pop())
-    return f
-
-
-def _parse_or(toks):
-    f = _parse_and(toks)
-    while toks.peek()[0] == "|":
-        op = toks.next()
-        f = _bounded(toks, Or(f, _parse_and(toks)), op)
-    return f
-
-
-def _parse_and(toks):
-    f = _parse_unary(toks)
-    while toks.peek()[0] == "&":
-        op = toks.next()
-        f = _bounded(toks, And(f, _parse_unary(toks)), op)
-    return f
-
-
-def _parse_unary(toks):
-    prefixes = []  # applied innermost first, without recursion
-    while toks.peek()[0] in ("~", "[]"):
-        prefixes.append(toks.next())
-    token = toks.next()
-    kind, value, offset = token
-    if kind == "atom":
-        f = Atom(value)
-    elif kind == "false":
-        f = BOTTOM
-    elif kind == "true":
-        f = TOP
-    elif kind == "(":
-        toks.parens += 1
-        if toks.parens > MAX_DEPTH:
-            raise _too_deep(toks, token)
-        f = _parse_impl(toks)
-        toks.expect(")")
-        toks.parens -= 1
-    else:
-        raise toks.error(f"unexpected token {value!r}", offset)
-    for op in reversed(prefixes):
-        f = _bounded(toks, Neg(f) if op[0] == "~" else Box(f), op)
-    return f
-
-
 def parse_formula(text: str) -> Formula:
+    """One left-to-right pass on explicit stacks, one frame per open
+    parenthesis.  ~ and [] bind tightest, then &, then | (both grouped to
+    the left), then -> (grouped to the right)."""
     toks = _Tokens(text)
-    f = _parse_impl(toks)
-    kind, value, offset = toks.peek()
-    if kind != "eof":
-        raise toks.error(f"trailing input {value!r}", offset)
-    return f
+    items, i = toks.items, 0
+    # the levels open inside the innermost parenthesis: the prefixes of the
+    # operand being read, the & and | chains so far, each with the token
+    # that extends it, and the -> operands so far, each with its arrow
+    prefixes, conj, disj, arrows = [], None, None, []
+    frames = []  # the levels open inside each enclosing parenthesis
+    while True:
+        token = items[i]
+        i += 1
+        kind, value, offset = token
+        if kind == "~" or kind == "[]":
+            prefixes.append(token)
+            continue
+        if kind == "(":
+            if len(frames) == MAX_DEPTH:
+                raise _too_deep(toks, token)
+            frames.append((prefixes, conj, disj, arrows))
+            prefixes, conj, disj, arrows = [], None, None, []
+            continue
+        if kind == "atom":
+            f = Atom(value)
+        elif kind == "false":
+            f = BOTTOM
+        elif kind == "true":
+            f = TOP
+        else:
+            raise toks.error(f"unexpected token {value!r}", offset)
+        while True:  # f is an operand: close each level that ends with it
+            for op in reversed(prefixes):
+                f = _bounded(toks, Neg(f) if op[0] == "~" else Box(f), op)
+            prefixes = []
+            if conj is not None:
+                f = _bounded(toks, And(conj[0], f), conj[1])
+            kind, value, offset = token = items[i]
+            i += 1
+            if kind == "&":
+                conj = f, token
+                break
+            conj = None
+            if disj is not None:
+                f = _bounded(toks, Or(disj[0], f), disj[1])
+            if kind == "|":
+                disj = f, token
+                break
+            disj = None
+            if kind == "->":
+                arrows.append((f, token))
+                break
+            while arrows:
+                left, arrow = arrows.pop()
+                f = _bounded(toks, impl(left, f), arrow)
+            if not frames:
+                if kind != "eof":
+                    raise toks.error(f"trailing input {value!r}", offset)
+                return f
+            if kind != ")":
+                raise toks.error(f"expected ')', found {value!r}", offset)
+            prefixes, conj, disj, arrows = frames.pop()
 
 
 # ---------------------------------------------------------------------------
@@ -485,10 +476,7 @@ class KripkeModel:
     def value(self, w, name):
         for world, pairs in self.valuation:
             if world == w:
-                for atom, b in pairs:
-                    if atom == name:
-                        return b
-                return False
+                return dict(pairs).get(name, False)
         return False
 
 
@@ -501,49 +489,52 @@ def make_model(worlds, successors, valuation) -> KripkeModel:
 
 
 def eval_formula(f: Formula, assignment=None, model: KripkeModel = None, world=None) -> bool:
+    """f's truth value under assignment, a dict from atom name to truth
+    value, or at world in model: a fold over the distinct subformulas.  An
+    unassigned atom is unknown, ~, & and | follow Kleene's three-valued
+    rules, and IncompleteAssignment is raised only when f is unknown."""
     if model is not None:
-        return _eval_kripke(f, model, world)
+        # the worlds f's value at world depends on: the model's, their
+        # successors, and world itself
+        worlds = frozenset(model.worlds).union([world], *(out for _, out in model.successors))
+        return world in fold(f, lambda g, values: _holds(g, values, model, worlds), {})
     if is_modal(f):
         raise ModalNotSupported("modal formula needs a Kripke model")
-    return _eval_classical(f, assignment or {})
+    assignment = assignment or {}
+    memo = {}
+    if fold(f, lambda g, values: _kleene(g, values, assignment), memo) is not None:
+        return memo[f]
+    # name the leftmost missing atom reached through undecided parts only
+    while type(f) is not Atom:
+        f = next(g for g in parts(f) if memo[g] is None)
+    raise IncompleteAssignment(f"no value for atom {f.name}")
 
 
-def _eval_classical(f, a):
-    if isinstance(f, Bottom):
-        return False
-    if isinstance(f, Atom):
-        if f.name not in a:
-            raise IncompleteAssignment(f"no value for atom {f.name}")
-        return a[f.name]
-    if isinstance(f, Neg):
-        return not _eval_classical(f.body, a)
-    if isinstance(f, And):
-        return _eval_classical(f.left, a) and _eval_classical(f.right, a)
-    if isinstance(f, Or):
-        return _eval_classical(f.left, a) or _eval_classical(f.right, a)
-    raise FormulaError(f"cannot evaluate {f!r}")
+def _kleene(g, values, assignment):
+    """g's truth value, None when an unassigned atom leaves it unknown."""
+    cls = type(g)
+    if cls is Atom:
+        return bool(assignment[g.name]) if g.name in assignment else None
+    if cls is Neg:
+        return None if values[0] is None else not values[0]
+    if cls is And or cls is Or:
+        decides = cls is Or  # the value of a part that decides g alone
+        return decides if decides in values else None if None in values else not decides
+    return False
 
 
-def _eval_kripke(f, model, w):
-    if isinstance(f, Bottom):
-        return False
-    if isinstance(f, Atom):
-        return model.value(w, f.name)
-    if isinstance(f, Neg):
-        return not _eval_kripke(f.body, model, w)
-    if isinstance(f, And):
-        return _eval_kripke(f.left, model, w) and _eval_kripke(f.right, model, w)
-    if isinstance(f, Or):
-        return _eval_kripke(f.left, model, w) or _eval_kripke(f.right, model, w)
-    if isinstance(f, Box):
-        return all(_eval_kripke(f.body, model, v) for v in model.succ(w))
-    raise FormulaError(f"cannot evaluate {f!r}")
-
-
-def assignments_over(names):
-    names = sorted(names)
-    for bits in itertools.product([False, True], repeat=len(names)):
-        yield dict(zip(names, bits))
+def _holds(g, values, model, worlds):
+    """The worlds where g holds."""
+    cls = type(g)
+    if cls is Atom:
+        return frozenset(w for w in worlds if model.value(w, g.name))
+    if cls is Neg:
+        return worlds - values[0]
+    if cls is And or cls is Or:
+        return (frozenset.intersection if cls is And else frozenset.union)(*values)
+    if cls is Box:
+        return frozenset(w for w in worlds if model.succ(w) <= values[0])
+    return frozenset()
 
 
 def _table(g, values):

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import operator
 import re
-import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -28,8 +27,6 @@ from .formulas import (
     substitute,
     vars_of,
 )
-
-sys.setrecursionlimit(max(sys.getrecursionlimit(), 100000))
 
 
 class ProofError(ValueError):
@@ -356,6 +353,10 @@ class Proof:
         # the node
         return type(self), (self.rule, self.sequentv, self.children, self.main_comp, self.main_formula)
 
+    def __deepcopy__(self, memo):
+        # one rebuild, each distinct node once, so the copy shares as self does
+        return _drive(_folding, self, relink)
+
 
 # Facts that depend only on a node are stored in its __dict__, outside its
 # fields, so they take no part in equality, hashing or repr, and
@@ -363,18 +364,18 @@ class Proof:
 # them.  A node and its parts are immutable once built, so a fact stored on
 # it stays true.
 #
-# Every walk over a proof is _drive running steps.  A step checks its node
-# before it yields a premise, so a walk meets the nodes, and raises the
-# first failure, in preorder.  A step that finds its node's stored fact
-# returns it without yielding, and one may read a premise's stored fact
-# instead of yielding the premise.
+# Every walk over a proof, and the backward proof search over sequents, is
+# _drive running steps.  A step checks its node before it yields a premise,
+# so a walk meets the nodes, and raises the first failure, in preorder.  A
+# step that finds its node's stored fact returns it without yielding, and
+# one may read a premise's stored fact instead of yielding the premise.
 
-def _drive(step, node: Proof, arg, memo=None):
-    """The value of step(node, arg), a generator that yields each (proof,
+def _drive(step, node, arg, memo=None):
+    """The value of step(node, arg), a generator that yields each (node,
     argument) whose value it needs, is sent that value and returns its own,
     computed on an explicit stack of such steps.  memo (a fresh one when
-    None) maps (id(proof), argument) to (proof, value) for each step run,
-    the proof kept so that its id stays its own, and is read before a step
+    None) maps (id(node), argument) to (node, value) for each step run,
+    the node kept so that its id stays its own, and is read before a step
     starts, so a pair reached through several parents is computed once per
     memo."""
     if memo is None:
@@ -407,6 +408,11 @@ def _folding(node: Proof, combine):
     for child in node.children:
         values.append((yield child, combine))
     return combine(node, values)
+
+
+def relink(node: Proof, children) -> Proof:
+    """A node with node's fields over the given premise proofs."""
+    return Proof(node.rule, node.sequentv, tuple(children), node.main_comp, node.main_formula)
 
 
 def first_node(p: Proof, test):
@@ -487,7 +493,7 @@ def replace_at(p: Proof, path, new: Proof) -> Proof:
     for node, i in reversed(spine):
         kids = list(node.children)
         kids[i] = new
-        new = Proof(node.rule, node.sequentv, tuple(kids), node.main_comp, node.main_formula)
+        new = relink(node, kids)
     return new
 
 

@@ -51,6 +51,7 @@ from .sequent import (
     premise_aux,
     rc,
     rebuild,
+    relink,
     replace_at,
     rneg,
     subproof_at,
@@ -173,7 +174,7 @@ def literal_cuts_to_atomic(p: Proof) -> Proof:
                        node.main_formula.body, int(node.main_comp[1]))
         if all(map(operator.is_, kids, node.children)):
             return node
-        return Proof(node.rule, node.sequentv, tuple(kids), node.main_comp, node.main_formula)
+        return relink(node, kids)
 
     return _drive(_folding, p, step)
 

@@ -1,9 +1,10 @@
+import itertools
 import random
 import sys
 
 import pytest
 
-from craig.formulas import And, Atom, BOTTOM, Box, Neg, Or
+from craig.formulas import And, Atom, BOTTOM, Bottom, Box, FormulaError, IncompleteAssignment, Neg, Or
 
 
 def random_formula(rng, atoms=("p", "q", "r", "s"), depth=4, modal=False):
@@ -60,6 +61,36 @@ def random_3cnf(rng, variables=20, clauses=90):
         frozenset(Literal(rng.random() < 0.5, atoms[v]) for v in rng.sample(range(variables), 3))
         for _ in range(clauses)
     ]
+
+
+def assignments_over(names):
+    """Every assignment to the names, as a dict, in the rows' order of
+    itertools.product([False, True], ...) over the sorted names."""
+    names = sorted(names)
+    for bits in itertools.product([False, True], repeat=len(names)):
+        yield dict(zip(names, bits))
+
+
+def reference_eval(f, assignment=None, model=None, world=None):
+    """eval_formula as it was before it became a fold: one recursive,
+    short-circuit evaluation per assignment or world, left part first."""
+    if isinstance(f, Bottom):
+        return False
+    if isinstance(f, Atom):
+        if model is not None:
+            return model.value(world, f.name)
+        if f.name not in assignment:
+            raise IncompleteAssignment(f"no value for atom {f.name}")
+        return assignment[f.name]
+    if isinstance(f, Neg):
+        return not reference_eval(f.body, assignment, model, world)
+    if isinstance(f, And):
+        return reference_eval(f.left, assignment, model, world) and reference_eval(f.right, assignment, model, world)
+    if isinstance(f, Or):
+        return reference_eval(f.left, assignment, model, world) or reference_eval(f.right, assignment, model, world)
+    if isinstance(f, Box) and model is not None:
+        return all(reference_eval(f.body, assignment, model, v) for v in model.succ(world))
+    raise FormulaError(f"cannot evaluate {f!r}")
 
 
 @pytest.fixture

@@ -17,7 +17,6 @@ from craig.formulas import (
     Neg,
     Or,
     TOP,
-    assignments_over,
     clause,
     clause_set_formula,
     cnf,
@@ -85,7 +84,7 @@ from craig.construct import (
     realize_pruned,
     try_prove_cutfree,
 )
-from conftest import random_clause_set, random_formula, random_nnf
+from conftest import assignments_over, random_clause_set, random_formula, random_nnf
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 

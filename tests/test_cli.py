@@ -308,13 +308,13 @@ class TestRepros:
         assert first == second
 
 
-def run_module(*argv):
-    """craig.cli in a child process that imports the same craig, installed
-    or not."""
+def run_python(*argv):
+    """python in a child process that imports the same craig, installed or
+    not."""
     source_root = str(Path(craig.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "craig.cli", *argv],
+        [sys.executable, *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
@@ -322,7 +322,17 @@ def run_module(*argv):
     )
 
 
+def run_module(*argv):
+    return run_python("-m", "craig.cli", *argv)
+
+
 class TestConsoleEntry:
+    def test_import_leaves_the_recursion_limit_alone(self):
+        out = run_python("-c", "import sys; before = sys.getrecursionlimit(); "
+                               "import craig, craig.cli; print(before, sys.getrecursionlimit())")
+        before, after = out.stdout.split()
+        assert out.returncode == 0 and before == after
+
     def test_module_invocation(self):
         out = run_module("parse", "true")
         assert out.returncode == 0

@@ -10,7 +10,6 @@ from craig.formulas import (
     Neg,
     Or,
     TOP,
-    assignments_over,
     clause,
     equiv,
     eval_formula,
@@ -49,6 +48,7 @@ from craig.construct import (
     realize_pruned,
     try_prove_cutfree,
 )
+from conftest import assignments_over
 
 p, q, r, s = Atom("p"), Atom("q"), Atom("r"), Atom("s")
 
@@ -212,6 +212,21 @@ class TestProveCutfree:
             proof = prove_cutfree(seq, system)
             assert check_proof(proof, system) is None
             assert "4" in {node.rule for _, node in iter_nodes(proof)}
+
+    def test_a_1_200_link_chain(self, shallow_stack):
+        """c0 & ... & c1199 ; => ; c0 | ... | c1199, eight times the
+        benchmark's longest chain: the search applies a rule per link, and
+        none of them takes a frame of the interpreter's stack."""
+        atoms = [Atom(f"c{i:04d}") for i in range(1_200)]
+        conj = disj = atoms[0]
+        for x in atoms[1:]:
+            conj, disj = And(conj, x), Or(disj, x)
+        proof = prove_cutfree(sequent([conj], [], [], [disj]), LKMINUS)
+        assert check_proof(proof, LKMINUS) is None
+        assert proof.sequentv == sequent([conj], [], [], [disj])
+        with pytest.raises(NotProvable) as info:
+            prove_cutfree(sequent([conj], [], [], [Atom("d")]), LKMINUS)
+        assert info.value.countermodel == {**{x.name: True for x in atoms}, "d": False}
 
 
 class TestRealizeClause:

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 import re
@@ -28,7 +29,6 @@ from craig.formulas import (
     PruneTooLarge,
     TOP,
     TooManySharedVars,
-    assignments_over,
     clause,
     clause_formula,
     clause_key,
@@ -64,7 +64,7 @@ from craig.formulas import (
 )
 from craig.maehara import is_nnf_interpolant
 from craig.sequent import propositional_degree
-from conftest import random_3cnf, random_clause_set, random_formula, random_nnf
+from conftest import assignments_over, random_3cnf, random_clause_set, random_formula, random_nnf, reference_eval
 
 p, q, r, s = Atom("p"), Atom("q"), Atom("r"), Atom("s")
 
@@ -958,3 +958,102 @@ class TestDeepFormulas:
                 f, want = Or(f, lit), cross(want, frozenset([frozenset([lit])]))
         assert (is_modal(f), len(subformulas(f))) == (True, 5_006)
         assert mcnf(f) == want
+
+
+def answer(function, *args, **kwargs):
+    """function's value, or its exception's name and message: a failure
+    report would print the deep formulas in the arguments, and their text
+    takes memory quadratic in the depth."""
+    try:
+        return function(*args, **kwargs)
+    except Exception as e:
+        return f"{type(e).__name__}: {e}"
+
+
+class TestEvalFormula:
+    """eval_formula is a fold: Kleene's three values classically, a set of
+    worlds in a model.  reference_eval is the recursive short-circuit
+    evaluation it replaced."""
+
+    def test_equals_the_reference_wherever_the_reference_answers(self):
+        rng = random.Random(61)
+        answered = raised = 0
+        for _ in range(600):
+            f = random_formula(rng, depth=5)
+            for a in assignments_over(vars_of(f)):
+                partial = {name: v for name, v in a.items() if rng.random() < 0.6}
+                for where in (a, partial):
+                    want, got = answer(reference_eval, f, where), answer(eval_formula, f, where)
+                    if type(want) is bool:
+                        assert got == want
+                        continue
+                    assert want.startswith("IncompleteAssignment: ")
+                    if type(got) is str:
+                        missing = got.removeprefix("IncompleteAssignment: no value for atom ")
+                        assert missing in vars_of(f) - where.keys()
+                        raised += 1
+                    else:
+                        # the atoms that are assigned decide f alone
+                        assert all(eval_formula(f, {**full, **where}) == got
+                                   for full in assignments_over(vars_of(f) - where.keys()))
+                        answered += 1
+        assert answered > 100 and raised > 100
+
+    def test_equals_the_reference_in_small_kripke_models(self):
+        rng = random.Random(67)
+        for _ in range(400):
+            f = random_formula(rng, depth=5, modal=True)
+            worlds = list(range(rng.randint(1, 3)))
+            succ = {w: [v for v in worlds if rng.random() < 0.5] for w in worlds}
+            val = {w: {name: rng.random() < 0.5 for name in "pqrs"} for w in worlds}
+            model = make_model(worlds, succ, val)
+            for w in worlds + [len(worlds)]:  # a world outside the model too
+                assert eval_formula(f, model=model, world=w) == reference_eval(f, model=model, world=w)
+
+    def test_a_60_000_deep_chain(self, shallow_stack):
+        """A chain alternating | and & over three atoms and their boxes,
+        with its value under one assignment and at each world of a
+        two-world model computed alongside, step by step."""
+        atoms = [Atom(f"x{i}") for i in range(3)]
+        assignment = {"x0": True, "x1": False, "x2": True}
+        model = make_model([0, 1], {0: [1]}, {0: {"x0": True, "x2": True}, 1: {"x1": True}})
+
+        def holds(g, w):
+            if type(g) is Box:
+                return all(holds(g.body, v) for v in model.succ(w))
+            return model.value(w, g.name)
+
+        f = boxed = atoms[0]
+        value, at = True, [True, False]
+        for i in range(60_000):
+            atom = atoms[i % 3]
+            part = Box(atom) if i % 4 == 1 else atom
+            if i % 2:
+                f, boxed = And(f, atom), And(boxed, part)
+                value = value and assignment[atom.name]
+                at = [at[w] and holds(part, w) for w in (0, 1)]
+            else:
+                f, boxed = Or(f, atom), Or(boxed, part)
+                value = value or assignment[atom.name]
+                at = [at[w] or holds(part, w) for w in (0, 1)]
+        got = (
+            answer(eval_formula, f, assignment),
+            [answer(eval_formula, boxed, model=model, world=w) for w in (0, 1)],
+            answer(eval_formula, f, {"x0": True, "x1": True}),
+            # the last link is & x2, so x2 false decides the chain alone
+            answer(eval_formula, f, {"x0": True, "x2": False}),
+        )
+        assert got == (value, at, "IncompleteAssignment: no value for atom x2", False)
+
+    def test_parsing_at_the_bound(self, shallow_stack):
+        texts = ("(" * MAX_DEPTH + "p" + ")" * MAX_DEPTH, "[](" * MAX_DEPTH + "p" + ")" * MAX_DEPTH,
+                 "(" * (MAX_DEPTH + 1) + "p" + ")" * (MAX_DEPTH + 1))
+        got = [answer(lambda text: parse_formula(text).depth, text) for text in texts]
+        assert got == [0, MAX_DEPTH, f"ParseError: 1:{MAX_DEPTH + 1}: formula nested deeper than {MAX_DEPTH}"]
+
+    def test_copies_of_a_20_000_deep_formula_are_the_node(self, shallow_stack):
+        f = p
+        for i in range(20_000):
+            f = And(f, q) if i % 2 else Neg(f)
+        copies = [answer(copy.copy, f), answer(copy.deepcopy, f), answer(copy.deepcopy, [f, (f, Neg(f))])]
+        assert [copies[0] is f, copies[1] is f, copies[2][1][0] is f] == [True, True, True]

@@ -14,7 +14,6 @@ from craig.formulas import (
     Neg,
     Or,
     TOP,
-    assignments_over,
     clause,
     clause_set_formula,
     clause_set_vars,
@@ -49,6 +48,7 @@ from craig.resolution import (
     refute,
     refute_partitioned,
 )
+from conftest import assignments_over
 
 p, q = Atom("p"), Atom("q")
 

@@ -13,7 +13,7 @@ from functools import lru_cache
 import pytest
 
 from craig.formulas import (
-    And, Atom, BOTTOM, Box, Formula, Neg, Or, ParseError, TOP, assignments_over, eval_formula,
+    And, Atom, BOTTOM, Box, Formula, Neg, Or, ParseError, TOP, eval_formula,
     format_formula, vars_of,
 )
 from craig.sequent import (
@@ -80,6 +80,7 @@ from craig.sequent import (
     weaken_to,
     weight,
 )
+from conftest import assignments_over
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 # the module itself: the package exports a function of the same name
@@ -1612,6 +1613,26 @@ class TestDeepProofs:
             # the deep proofs they hold
             got = "RecursionError"
         assert got == (True, True, True, True)
+
+    def test_deepcopy_is_iterative(self, shallow_stack):
+        """The 20,000 lw/lc pairs of the CI floor job, checked so that
+        every node stores a verdict, under a node that holds the chain
+        twice."""
+        chain = ax(p, "g1", "d1")
+        for _ in range(20_000):
+            chain = lc(lw(chain, p, "g1"), p, "g1")
+        assert check_proof(chain, LKMINUS) is None
+        proof = Proof("twice", chain.sequentv, (chain, chain))
+        try:
+            fresh = copy.deepcopy(proof)
+        except RecursionError:
+            fresh = None  # caught here, as in the test above
+        assert fresh is not None and fresh == proof
+        assert fresh.children[0] is fresh.children[1] is not chain
+        nodes = [fresh.children[0]]
+        while nodes[-1].children:
+            nodes.append(nodes[-1].children[0])
+        assert len(nodes) == 40_001 and all(map(only_fields, nodes))
 
     def test_equality_compares_each_pair_of_nodes_once(self, monkeypatch):
         """Each node holds its premise twice, so the tree doubles per level;
