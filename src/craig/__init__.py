@@ -1,83 +1,1 @@
 """Interpolation algorithms for resolution and sequent calculi."""
-
-from .formulas import (
-    And,
-    Atom,
-    BOTTOM,
-    Bottom,
-    Box,
-    Formula,
-    KripkeModel,
-    Literal,
-    Neg,
-    Or,
-    TOP,
-    clause,
-    clause_set_formula,
-    cnf,
-    enumerate_interpolants,
-    equiv,
-    format_clause_set,
-    format_formula,
-    is_pruned_interpolant,
-    mcnf,
-    nnf,
-    parse_clause_set,
-    parse_formula,
-    prune,
-    sel,
-    subsumes,
-    vars_of,
-)
-from .resolution import (
-    Partition,
-    ResolutionProof,
-    Satisfiable,
-    check_refutation,
-    interpolant_from_refutation,
-    refute,
-    refute_partitioned,
-)
-from .sequent import (
-    K,
-    K4,
-    KD,
-    KD4,
-    KT,
-    LK,
-    LKAT,
-    LKLIT,
-    LKMINUS,
-    LKMONO,
-    Proof,
-    S4,
-    Sequent,
-    System,
-    check_proof,
-    classify_cut,
-    format_proof,
-    format_sequent,
-    is_tame,
-    monochromatize,
-    parse_proof,
-    parse_sequent,
-    sequent,
-    system_by_name,
-)
-from .maehara import AnnotatedProof, maehara, verify_interpolant
-from .transform import (
-    eliminate_cuts,
-    literal_cuts_to_atomic,
-    neg_invert,
-    w_reduce,
-)
-from .construct import (
-    NotProvable,
-    conjoin,
-    prove_cutfree,
-    pruned_subsumption_pipeline,
-    realize_clause,
-    realize_interpolant,
-    realize_pruned,
-    try_prove_cutfree,
-)

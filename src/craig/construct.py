@@ -13,18 +13,19 @@ from .formulas import (
     Formula,
     Neg,
     Or,
-    TOP,
+    clause_set_formula,
+    entails,
     format_formula,
     formula_cnf,
-    is_clause_set_interpolant,
     is_modal,
     is_pruned_interpolant,
     make_model,
     mcnf,
     sorted_clauses,
     sorted_literals,
+    vars_of,
 )
-from .maehara import axiom_interpolant, combine, verify_interpolant
+from .maehara import axiom_interpolant, combine
 from .sequent import (
     ACROSS,
     COMPONENTS,
@@ -58,6 +59,7 @@ from .sequent import (
     wax,
     weaken_to,
 )
+from .transform import eliminate_cuts, literal_cuts_to_atomic
 
 
 class ConstructError(ProofError):
@@ -236,6 +238,20 @@ def try_prove_cutfree(s: Sequent, system: System):
         return None
 
 
+def verify_interpolant(a: Formula, b: Formula, c: Formula, system: System) -> bool:
+    """Variable condition plus both implications, by truth table or by the
+    cut-free modal prover."""
+    if not vars_of(c) <= (vars_of(a) & vars_of(b)):
+        return False
+    if not system.modal:
+        if is_modal(a) or is_modal(b) or is_modal(c):
+            return False
+        return entails(a, c) and entails(c, b)
+    first = try_prove_cutfree(sequent([a], [], [], [c]), system)
+    second = try_prove_cutfree(sequent([c], [], [], [b]), system)
+    return first is not None and second is not None
+
+
 # ---------------------------------------------------------------------------
 # Realizing clauses (literal shifting)
 # ---------------------------------------------------------------------------
@@ -276,8 +292,6 @@ def conjoin(
     ; l1, ..., ln => ; b  are closed by cut-free search.  Negative-literal
     cuts are converted to cuts on their bodies afterwards.
     """
-    from .transform import literal_cuts_to_atomic
-
     clauses = sorted_clauses(cs)
     if len(pis) != len(clauses):
         raise SubproofMismatch("one subproof per clause is required")
@@ -287,14 +301,8 @@ def conjoin(
             raise SubproofMismatch(
                 f"subproof proves {pi.sequentv!r} instead of {want!r}"
             )
-    if not system.modal:
-        if not is_clause_set_interpolant(cs, a, b):
-            raise NotAnInterpolant("the clause set does not interpolate a -> b")
-    else:
-        from .formulas import clause_set_formula
-
-        if not verify_interpolant(a, b, clause_set_formula(cs), system):
-            raise NotAnInterpolant("the clause set does not interpolate a -> b")
+    if not verify_interpolant(a, b, clause_set_formula(cs), system):
+        raise NotAnInterpolant("the clause set does not interpolate a -> b")
     product = 1
     for clause_ in clauses:
         product *= max(1, len(clause_))
@@ -382,8 +390,6 @@ def realize_pruned(a: Formula, b: Formula, cs) -> Proof:
 def pruned_subsumption_pipeline(a: Formula, b: Formula, cs):
     """Cut-free realization up to subsumption: realize the pruned
     interpolant, then eliminate cuts.  Returns (proof, trace)."""
-    from .transform import eliminate_cuts
-
     realized = realize_pruned(a, b, cs)
     result = eliminate_cuts(realized)
     return result.proof, result.trace
@@ -397,20 +403,14 @@ def enumerate_cutfree_interpolants(s: Sequent, system: System, max_depth: int):
     """All interpolant ASTs of cut-free proofs of s up to the given depth."""
     memo = {}
 
-    def leaf_interpolants(seq: Sequent):
-        out = set()
-        ants, sucs = seq.antecedent(), seq.succedent()
-        if len(ants) == 1 and len(sucs) == 1 and ants[0] == sucs[0]:
-            out.add(axiom_interpolant(seq))
-        if not sucs and ants == (BOTTOM,):
-            out.add(BOTTOM if seq.g1 else TOP)
-        return out
-
     def mset(seq: Sequent, depth: int):
         key = (seq, depth)
         if key in memo:
             return memo[key]
-        out = set(leaf_interpolants(seq))
+        ants, sucs = seq.antecedent(), seq.succedent()
+        # an axiom f => f or false =>
+        axiom = len(ants) == 1 and (sucs == ants or not sucs and ants[0] == BOTTOM)
+        out = {axiom_interpolant(seq)} if axiom else set()
         if depth > 0:
             for comp in COMPONENTS:
                 ant = comp in ("g1", "g2")

@@ -14,10 +14,8 @@ from .formulas import (
     Neg,
     Or,
     TOP,
-    entails,
-    is_modal,
+    format_formula,
     nnf,
-    vars_of,
 )
 from .sequent import (
     RULE_SCHEMA,
@@ -27,7 +25,9 @@ from .sequent import (
     System,
     _drive,
     axiom_kind,
+    format_proof_text,
     format_sequent,
+    is_monochromatic,
     iter_nodes,
 )
 
@@ -66,6 +66,10 @@ def _note(node: Proof, notes) -> Formula:
 
 
 def axiom_interpolant(s: Sequent) -> Formula:
+    """The interpolant of an axiom leaf: for false =>, false on side 1 and
+    true on side 2; for f => f, by the sides of its two occurrences."""
+    if not s.succedent():
+        return BOTTOM if s.g1 else TOP
     f = s.antecedent()[0]
     kind = axiom_kind(s)
     if kind == "L/L":
@@ -117,8 +121,7 @@ def _annotating(node: Proof, serial: bool):
         return c
     rule = node.rule
     if rule == "cut":
-        v = vars_of(node.main_formula)
-        if not (v <= node.sequentv.side_vars(1) or v <= node.sequentv.side_vars(2)):
+        if not is_monochromatic(node.main_formula, node.sequentv):
             raise NonMonochromaticCut(f"cut on {node.main_formula!r} in {format_sequent(node.sequentv)}")
     elif rule in ("d", "d4"):
         if not serial:
@@ -135,10 +138,8 @@ def _annotating(node: Proof, serial: bool):
         parts.append(c)
     if parts:
         c = combine(rule, node.main_comp, parts)
-    elif rule == "ax":
+    elif rule in ("ax", "bot"):
         c = axiom_interpolant(node.sequentv)
-    elif rule == "bot":
-        c = BOTTOM if node.sequentv.g1 else TOP
     else:
         c = None  # a leaf that no rule allows; check_proof rejects it
     if keep:
@@ -152,33 +153,10 @@ def is_nnf_interpolant(f: Formula) -> bool:
     return nnf(f) is f
 
 
-def verify_interpolant(a: Formula, b: Formula, c: Formula, system: System) -> bool:
-    """Variable condition plus both implications, by truth table or by the
-    cut-free modal prover."""
-    if not vars_of(c) <= (vars_of(a) & vars_of(b)):
-        return False
-    if not system.modal:
-        if is_modal(a) or is_modal(b) or is_modal(c):
-            return False
-        return entails(a, c) and entails(c, b)
-    from .construct import try_prove_cutfree
-    from .sequent import sequent
-
-    first = try_prove_cutfree(sequent([a], [], [], [c]), system)
-    second = try_prove_cutfree(sequent([c], [], [], [b]), system)
-    return first is not None and second is not None
-
-
 def format_annotated(ann: AnnotatedProof) -> str:
-    """One line per node: its sequent suffixed with the node interpolant."""
-    from .formulas import format_formula
-
-    lines = []
-    for (path, node), (_, c) in zip(iter_nodes(ann.proof), ann.interpolants):
-        indent = "  " * len(path)
-        lines.append(
-            f"{indent}{node.rule}: {format_sequent(node.sequentv)} @ "
-            f"{format_formula(c)}"
-        )
+    """format_proof_text's lines, each suffixed with its node's interpolant,
+    then the root's interpolant."""
+    lines = [f"{line} @ {format_formula(c)}"
+             for line, (_, c) in zip(format_proof_text(ann.proof).split("\n"), ann.interpolants)]
     lines.append(format_formula(ann.interpolant))
     return "\n".join(lines) + "\n"

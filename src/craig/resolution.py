@@ -140,21 +140,6 @@ class Partition:
         raise PartitionMismatch(f"atom {name} is in no partition class")
 
 
-def node_clauses(rp: ResolutionProof):
-    """Conclusion clause of every node, in index order."""
-    out = []
-    for i, node in enumerate(rp.nodes):
-        if isinstance(node, Input):
-            out.append(node.clause)
-        elif isinstance(node, Resolve):
-            out.append((out[node.left] - {node.pivot}) | (out[node.right] - {Neg(node.pivot)}))
-        elif isinstance(node, Weaken):
-            out.append(out[node.premise] | node.added)
-        else:
-            raise ResolutionError(f"bad node {node!r} at {i}")
-    return out
-
-
 def check_refutation(rp: ResolutionProof):
     """None when every node matches its rule shape and the root is empty.
 

@@ -61,11 +61,6 @@ class System:
     def modal(self):
         return bool(self.modal_rules)
 
-    def with_literal_cuts(self) -> "System":
-        """Internal variant admitting cuts on negated atoms/boxes mid-pipeline."""
-        policy = "modal-literal" if self.modal else "literal"
-        return System(self.name + "+lit", self.modal_rules, policy)
-
 
 LKMINUS = System("lk-minus", frozenset(), "none")
 LKAT = System("lk-at", frozenset(), "atomic")
@@ -103,6 +98,12 @@ def is_literal_cut_formula(f: Formula) -> bool:
     return isinstance(f, Neg) and isinstance(f.body, (Atom, Bottom))
 
 
+def is_monochromatic(f: Formula, s: "Sequent") -> bool:
+    """Every atom of f is on one side of s's partition."""
+    v = vars_of(f)
+    return v <= s.side_vars(1) or v <= s.side_vars(2)
+
+
 def cut_allowed(f: Formula, system: System, conclusion: "Sequent") -> bool:
     policy = system.cut_policy
     if policy == "none":
@@ -114,14 +115,9 @@ def cut_allowed(f: Formula, system: System, conclusion: "Sequent") -> bool:
     if policy == "literal":
         return is_literal_cut_formula(f)
     if policy == "mono":
-        v = vars_of(f)
-        return v <= conclusion.side_vars(1) or v <= conclusion.side_vars(2)
+        return is_monochromatic(f, conclusion)
     if policy == "modal-atomic":
         return is_atomic_cut_formula(f) or isinstance(f, Box)
-    if policy == "modal-literal":
-        if is_atomic_cut_formula(f) or isinstance(f, Box):
-            return True
-        return isinstance(f, Neg) and isinstance(f.body, (Atom, Bottom, Box))
     raise ProofError(f"unknown cut policy {policy!r}")
 
 
@@ -764,27 +760,9 @@ def weaken_to(p: Proof, target: Sequent) -> Proof:
     return p
 
 
-def contract_to(p: Proof, target: Sequent) -> Proof:
-    """Contract duplicates until the end-sequent matches target (a sub-multiset)."""
-    for comp in COMPONENTS:
-        want = list(target.comp(comp))
-        for f in set(p.sequentv.comp(comp)):
-            extra = p.sequentv.count(comp, f) - want.count(f)
-            _need(extra >= 0, "contract_to target must shrink the end-sequent")
-            for _ in range(extra):
-                p = contract(p, f, comp)
-    _need(p.sequentv == target, "contract_to mismatch")
-    return p
-
-
 def wax(f: Formula, target: Sequent, ant="g1", suc="d1") -> Proof:
     """Axiom f => f weakened up to the target sequent."""
     return weaken_to(ax(f, ant, suc), target)
-
-
-def top_right(comp="d1") -> Proof:
-    """Derivation of the top literal on the right: false-axiom plus rneg."""
-    return rneg(bot_axiom(ACROSS[comp]), TOP, comp)
 
 
 # ---------------------------------------------------------------------------
@@ -1100,13 +1078,12 @@ def classify_cut(p: Proof, path) -> CutInfo:
         raise ProofError("classify_cut needs a cut node")
     f = node.main_formula
     s = node.sequentv
-    v = vars_of(f)
     (_, wl, _), (_, wr, _) = _summaries(zip(node.children, cut_occurrences(node)))
     info = CutInfo(
         type_r=node.main_comp == "d2",
         atomic=is_atomic_cut_formula(f),
         literal=is_literal_cut_formula(f),
-        monochromatic=v <= s.side_vars(1) or v <= s.side_vars(2),
+        monochromatic=is_monochromatic(f, s),
         analytic=any(f in subformulas(g) for _, _, g in s.occurrences()),
         degree=propositional_degree(f),
         weight=wl + wr,
@@ -1288,9 +1265,9 @@ def format_proof(p: Proof) -> str:
     return "".join(out)
 
 
-def format_proof_text(p: Proof, indent=0) -> str:
+def format_proof_text(p: Proof) -> str:
     """One line per node in preorder, indented two spaces per level."""
-    return "\n".join("  " * (indent + len(path)) + f"{node.rule}: {format_sequent(node.sequentv)}"
+    return "\n".join("  " * len(path) + f"{node.rule}: {format_sequent(node.sequentv)}"
                      for path, node in iter_nodes(p))
 
 

@@ -11,22 +11,26 @@ from craig.formulas import (
     Or,
     TOP,
     clause,
+    clause_set_formula,
     equiv,
     eval_formula,
     formula_cnf,
     impl,
+    is_clause_set_interpolant,
     sorted_clauses,
     vars_of,
 )
-from craig.maehara import maehara, verify_interpolant
+from craig.maehara import maehara
 from craig.sequent import (
     K,
     K4,
     KD,
     KT,
     LKAT,
+    LKLIT,
     LKMINUS,
     S4,
+    ax,
     check_proof,
     classify_cut,
     is_tame,
@@ -47,8 +51,9 @@ from craig.construct import (
     realize_interpolant,
     realize_pruned,
     try_prove_cutfree,
+    verify_interpolant,
 )
-from conftest import assignments_over
+from conftest import assignments_over, random_clause_set, random_formula
 
 p, q, r, s = Atom("p"), Atom("q"), Atom("r"), Atom("s")
 
@@ -232,23 +237,23 @@ class TestProveCutfree:
 class TestRealizeClause:
     def test_paper_pieces(self):
         proof = realize_clause(And(p, q), clause("p"))
-        assert equiv(maehara(proof, LKAT.with_literal_cuts()).interpolant, p)
+        assert equiv(maehara(proof, LKLIT).interpolant, p)
         proof2 = realize_clause(And(p, q), clause("q"))
-        assert equiv(maehara(proof2, LKAT.with_literal_cuts()).interpolant, q)
+        assert equiv(maehara(proof2, LKLIT).interpolant, q)
 
     def test_interpolant_shape(self):
         proof = realize_clause(p, clause("p", "r"))
-        m = maehara(proof, LKAT.with_literal_cuts()).interpolant
+        m = maehara(proof, LKLIT).interpolant
         # false disjoined with the clause literals, in canonical order
         assert m == Or(Or(BOTTOM, p), r)
 
     def test_checks_with_literal_cuts(self):
         proof = realize_clause(Or(And(p, q), And(p, r)), clause("p"))
-        assert check_proof(proof, LKAT.with_literal_cuts()) is None
+        assert check_proof(proof, LKLIT) is None
 
     def test_negative_literal(self):
         proof = realize_clause(Neg(p), clause("~p"))
-        assert equiv(maehara(proof, LKAT.with_literal_cuts()).interpolant, Neg(p))
+        assert equiv(maehara(proof, LKLIT).interpolant, Neg(p))
 
     def test_not_entailed(self):
         with pytest.raises(ConstructError):
@@ -292,6 +297,20 @@ class TestConjoin:
         cs = frozenset([clause("p")])
         with pytest.raises(NotAnInterpolant):
             conjoin(And(p, q), q, cs, [realize_clause(And(p, q), clause("p"))])
+        # a boxed literal is no interpolant in a propositional system
+        with pytest.raises(NotAnInterpolant):
+            conjoin(Box(p), Box(p), frozenset([clause(Box(p))]), [ax(Box(p), "g1", "d2")], LKAT)
+
+    def test_gate_agrees_with_the_clause_set_check(self, rng):
+        verdicts = set()
+        for i in range(300):
+            a = random_formula(rng, depth=3)
+            b = Or(a, random_formula(rng, depth=2)) if i % 2 else random_formula(rng, depth=3)
+            cs = formula_cnf(a) if i % 4 == 1 else random_clause_set(rng)
+            got = verify_interpolant(a, b, clause_set_formula(cs), LKAT)
+            assert got == is_clause_set_interpolant(cs, a, b)
+            verdicts.add(got)
+        assert verdicts == {True, False}
 
     def test_cap(self):
         a = And(And(p, q), And(r, s))

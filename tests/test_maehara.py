@@ -23,8 +23,8 @@ from craig.maehara import (
     format_annotated,
     is_nnf_interpolant,
     maehara,
-    verify_interpolant,
 )
+from craig.construct import verify_interpolant
 from craig.sequent import (
     K,
     KD4,

@@ -5,7 +5,7 @@ Maehara interpolants of those proofs are interpolants."""
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from craig.construct import NotProvable, prove_cutfree
+from craig.construct import NotProvable, prove_cutfree, verify_interpolant
 from craig.formulas import (
     And,
     Atom,
@@ -17,7 +17,7 @@ from craig.formulas import (
     format_clause_set,
     parse_clause_set,
 )
-from craig.maehara import maehara, verify_interpolant
+from craig.maehara import maehara
 from craig.resolution import Satisfiable, format_refutation, parse_refutation, refute_partitioned
 from craig.sequent import K, KD4, KT, LKMINUS, S4, check_proof, format_proof, parse_proof, sequent
 

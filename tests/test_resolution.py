@@ -43,7 +43,6 @@ from craig.resolution import (
     falsified_clause,
     format_refutation,
     interpolant_from_refutation,
-    node_clauses,
     parse_refutation,
     refute,
     refute_partitioned,
@@ -89,7 +88,6 @@ class TestCheckRefutation:
             5,
         )
         assert check_refutation(rp) is None
-        assert node_clauses(rp)[3] == clause("q")
 
     def test_nonempty_root(self):
         rp = ResolutionProof((Input(clause("p"), "A"),), 0)

@@ -39,7 +39,6 @@ from craig.sequent import (
     bot_axiom,
     check_proof,
     classify_cut,
-    contract_to,
     cut,
     cut_occurrences,
     direct_ancestors,
@@ -75,7 +74,6 @@ from craig.sequent import (
     sequent,
     subproof_at,
     system_by_name,
-    top_right,
     wax,
     weaken_to,
     weight,
@@ -172,19 +170,12 @@ class TestConstructionAndChecking:
         v = check_proof(ax(Box(p), "g1", "d2"), LKAT)
         assert v is not None
 
-    def test_top_right_macro(self):
-        proof = top_right("d2")
-        assert proof.sequentv == sequent([], [], [], [TOP])
-        assert check_proof(proof, LKMINUS) is None
-
     def test_weaken_and_contract(self):
         base = ax(p, "g1", "d2")
         target = sequent([p, q], [r], [BOTTOM], [p, p])
         expanded = weaken_to(base, target)
         assert expanded.sequentv == target
         assert check_proof(expanded, LKMINUS) is None
-        back = contract_to(expanded, sequent([p, q], [r], [BOTTOM], [p]))
-        assert check_proof(back, LKMINUS) is None
 
     def test_wax(self):
         proof = wax(q, sequent([p, q], [], [q, r], []), "g1", "d1")
@@ -486,7 +477,7 @@ class TestSerialization:
         for proof in (
             example_sigma(),
             omega_proof(),
-            top_right("d2"),
+            rneg(bot_axiom("g2"), TOP, "d2"),
             rule_k(ax(p, "g1", "d2")),
             rule_4(lw(ax(p, "g1", "d2"), Box(p), "g1")),
             rule_d(lneg(ax(p, "g1", "d1"), Neg(p), "g1")),

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import craig.construct as construct_module
 import craig.transform as transform_module
 from craig.formulas import (
     And,
@@ -207,7 +208,7 @@ class TestLiteralCutsToAtomic:
         out = literal_cuts_to_atomic(proof)
         assert check_proof(out, LKAT) is None
         assert formula_cnf(interp(out)) == formula_cnf(
-            interp(proof, LKAT.with_literal_cuts())
+            interp(proof, LKLIT)
         )
 
 
@@ -449,7 +450,7 @@ def conversion_inputs(monkeypatch):
         seen.append(psi)
         return convert(psi)
 
-    monkeypatch.setattr(transform_module, "literal_cuts_to_atomic", spy)
+    monkeypatch.setattr(construct_module, "literal_cuts_to_atomic", spy)
     classes, pipelines = criterion_draws()
     for a, b, t in classes:
         realize_interpolant(a, b, t, LKAT, cminus_cap=10**6)
