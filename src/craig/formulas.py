@@ -74,6 +74,9 @@ ATOM_NAME = re.compile(r"(?!(?:true|false)\Z)[a-z][a-zA-Z0-9_]*\Z")
 # which grow with the square of the depth.
 MAX_DEPTH = 1000
 
+# The longest formula, in symbols, whose repr is its text
+REPR_LENGTH = 200
+
 _INTERN = weakref.WeakValueDictionary()
 _INTERN_LOCK = threading.Lock()
 _store = object.__setattr__
@@ -120,6 +123,9 @@ class Formula:
         raise AttributeError("formulas are immutable")
 
     def __repr__(self):
+        length = formula_length(self)  # a long text is not printed, so not stored
+        if length > REPR_LENGTH:
+            return f"<{type(self).__name__} depth={self.depth} length={length}>"
         return f"<{format_formula(self)}>"
 
     def __reduce__(self):

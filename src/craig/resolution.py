@@ -216,9 +216,11 @@ def refute(cs):
     """Resolution refutation of an unsatisfiable set of clauses over atoms, or
     a satisfying assignment.
 
-    DPLL with unit propagation and no clause learning.  Atoms are decided in
-    sorted order, True first, and a clause with no true literal and one free
-    one assigns that literal and becomes its reason.  The refutation is
+    DPLL with unit propagation and no clause learning.  Branching is
+    two-sided Jeroslow-Wang, ties by name, True first: each clause not yet
+    satisfied, with k literals not yet false, adds 2 ** -k to the score of
+    the atom of each of those k.  A clause with no true literal and one
+    free one assigns that literal and becomes its reason.  The refutation is
     read off the trail and stays tree-like: a falsified clause is resolved
     with the reason of each propagated literal it contains, newest first,
     and at a decision the clauses the two branches return are resolved on
@@ -270,6 +272,8 @@ def _refute_with_sides(clauses, sides):
         if not any(l ^ 1 in row for l in row):
             inputs.append(c)
             codes.append(row)
+    rows = [[l >> 1 for l in row] for row in codes]  # the atoms of each clause
+    width = max(map(len, rows), default=0)
     occurs = [[] for _ in range(2 * len(atoms))]
     for i, row in enumerate(codes):
         for l in row:
@@ -278,7 +282,7 @@ def _refute_with_sides(clauses, sides):
     value, reason = [2] * len(atoms), [None] * len(atoms)
     pivots = [Atom(name) for name in atoms]
     trail = []  # the assigned atoms, oldest first
-    # one [trail position, atom, the True branch's (node id, clause)] per
+    # one [trail position, the True branch's (node id, clause)] per
     # decision on the current branch
     levels = []
     units = [i for i, row in enumerate(codes) if len(row) == 1]
@@ -300,10 +304,15 @@ def _refute_with_sides(clauses, sides):
                     raise AssignmentCheckFailed(
                         f"search found an assignment that falsifies {{{format_clause(bad)}}}")
                 return model
-            a = levels[-1][1] + 1 if levels else 0
-            while value[a] != 2:
-                a += 1
-            levels.append([len(trail), a, None])
+            score = [0] * len(atoms)  # scaled by 2 ** width, so exact
+            for t, k, row in zip(ntrue, nopen, rows):
+                if not t:
+                    add = 1 << width - k
+                    for b in row:
+                        if value[b] == 2:
+                            score[b] += add
+            a = max(range(len(atoms)), key=score.__getitem__)
+            levels.append([len(trail), None])
             v, why = 1, None
         value[a], reason[a] = v, why
         trail.append(a)
@@ -351,10 +360,10 @@ def _refute_with_sides(clauses, sides):
             # b is the decision, and f the literal it makes false
             if f in clause:
                 if w:  # search the False branch
-                    levels[-1][2] = nid, clause
+                    levels[-1][1] = nid, clause
                     a, v, why = b, 0, None
                     break
-                tid, tclause = levels[-1][2]
+                tid, tclause = levels[-1][1]
                 clause.remove(f)
                 tclause.remove(f ^ 1)
                 clause |= tclause

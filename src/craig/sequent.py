@@ -224,15 +224,15 @@ class Sequent(tuple):
         return sum(formula_length(f) for fs in self for f in fs)
 
     def __repr__(self):
-        return f"<seq {format_sequent(self)}>"
+        return f"<seq {format_sequent(self, repr)}>"
 
 
 def sequent(g1=(), g2=(), d1=(), d2=()) -> Sequent:
     return _new(Sequent, (_sorted(g1), _sorted(g2), _sorted(d1), _sorted(d2)))
 
 
-def format_sequent(s: Sequent) -> str:
-    g1, g2, d1, d2 = (", ".join(map(format_formula, fs)) for fs in s)
+def format_sequent(s: Sequent, show=format_formula) -> str:
+    g1, g2, d1, d2 = (", ".join(map(show, fs)) for fs in s)
     return f"{g1} ; {g2} => {d1} ; {d2}"
 
 
@@ -319,7 +319,7 @@ class Proof:
             object.__setattr__(self, "sequentv", Sequent(*self.sequentv))
 
     def __repr__(self):
-        return f"<proof {self.rule} {format_sequent(self.sequentv)}>"
+        return f"<proof {self.rule} {format_sequent(self.sequentv, repr)}>"
 
     def __eq__(self, other):
         """Field by field on an explicit stack, each pair of nodes once."""

@@ -3,6 +3,7 @@ import itertools
 import random
 import re
 import signal
+import tracemalloc
 from contextlib import contextmanager
 
 import pytest
@@ -27,6 +28,7 @@ from craig.formulas import (
     Or,
     ParseError,
     PruneTooLarge,
+    REPR_LENGTH,
     TOP,
     TooManySharedVars,
     clause,
@@ -945,6 +947,29 @@ class TestDeepFormulas:
         assert text == "~[]" * 2_500 + "p"
         assert (formula_length(f), is_modal(f), propositional_degree(f)) == (5_001, True, 2_500)
 
+    def test_repr_of_a_60_000_deep_chain(self, shallow_stack):
+        """A repr prints the text of a formula of at most REPR_LENGTH
+        symbols, and else its class, depth and length, storing no text on
+        the nodes: the text stored on each node of a chain takes memory
+        quadratic in its depth."""
+        atoms = [Atom(f"x{i}") for i in range(3)]
+        f = atoms[0]
+        for i in range(60_000):
+            f = (And if i % 2 else Or)(f, atoms[i % 3])
+            if i == 98:
+                short = Neg(f)  # 200 symbols
+        tracemalloc.start()
+        try:
+            text = repr(f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert text == "<And depth=60000 length=120001>" and peak < 20_000_000
+        assert not hasattr(f, "_key")
+        assert formula_length(short) == REPR_LENGTH
+        assert repr(short) == f"<{format_formula(short)}>"
+        assert repr(Or(short, p)) == f"<Or depth=101 length={REPR_LENGTH + 2}>"
+
     def test_mcnf_of_a_chain_over_boxes(self, shallow_stack):
         atoms = [Atom(f"x{i}") for i in range(3)]
         f = Box(atoms[0])
@@ -961,9 +986,8 @@ class TestDeepFormulas:
 
 
 def answer(function, *args, **kwargs):
-    """function's value, or its exception's name and message: a failure
-    report would print the deep formulas in the arguments, and their text
-    takes memory quadratic in the depth."""
+    """function's value, or its exception's name and message, so that a
+    test compares a failure like a value."""
     try:
         return function(*args, **kwargs)
     except Exception as e:

@@ -93,7 +93,7 @@ class TestRefutationText:
         self.check(
             refute(cs),
             Partition.from_vars(clause_set_vars(cs), ()),
-            76, "14134472b84a92b84d26f03a66077a33fa729bddb2724a7b484771b473f3877d",
+            64, "cb2c59385dc9d6f2db29c020ad51caa295da6cdf72d99718de22ebc64c34f342",
             85, "26ea1327fa908038a46c0fc6fa0e7a0d05fdb4a3d32e396b816d19ca15242ee6",
         )
 
@@ -102,8 +102,8 @@ class TestRefutationText:
         self.check(
             refute_partitioned(pigeons, holes),
             Partition.from_vars(clause_set_vars(pigeons), clause_set_vars(holes)),
-            76, "8ec863dc3edd2cfe042ddf494f98c8229e83dce784e163ffc930df51c3de28b3",
-            322, "4fc651ee3d480cea1d044acc7902bc1f3abbabe4db1057782f5a664385fa8222",
+            64, "996d289e8b89fd86748a8736f1d36b6957df0998e8b77f43dbff933483f72a0f",
+            322, "c9b2530328a44a66f33dbbc14ae8e6ca2d3c5ccea88e78564b3d9277615546e4",
         )
 
     def test_small_split(self):

@@ -473,6 +473,17 @@ class TestSerialization:
         s = sequent([], [], [], [p])
         assert parse_sequent(format_sequent(s)) == s
 
+    def test_reprs_show_each_formula_by_its_repr(self):
+        """A sequent's and a proof's reprs show each formula by its repr,
+        which for more than REPR_LENGTH symbols is its class, depth and
+        length."""
+        long = p
+        for _ in range(100):
+            long = And(long, q)  # 201 symbols
+        brief = "<And depth=100 length=201>"
+        assert repr(sequent([pq], [], [], [long])) == f"<seq <p & q> ;  =>  ; {brief}>"
+        assert repr(lw(ax(p, "g1", "d1"), long, "g2")) == f"<proof lw <p> ; {brief} => <p> ; >"
+
     def test_proof_round_trip(self):
         for proof in (
             example_sigma(),
