@@ -35,6 +35,7 @@ from .sequent import (
     is_tame,
     parse_proof,
     parse_sequent,
+    proof_size,
     sequent,
     system_by_name,
 )
@@ -64,6 +65,23 @@ def _read(path):
             return handle.read()
     except (OSError, UnicodeDecodeError) as e:
         raise UnreadableInput(f"cannot read {path}: {e}") from e
+
+
+# A .prf names a subproof met again with @n, so a short text can describe
+# a tree exponentially larger than itself, while the text printers and
+# interpolate walk the whole tree.  An unshared text spends at least 6 bytes
+# on each node and the realized k = 8 product's text has 1.8 tree nodes per
+# byte, so a proof with more tree nodes than this per byte is refused.
+MAX_TREE_NODES_PER_BYTE = 100
+
+
+def _read_proof(path):
+    text = _read(path)
+    proof = parse_proof(text)
+    if proof_size(proof) > MAX_TREE_NODES_PER_BYTE * len(text):
+        raise ProofError(f"{path}: the proof's tree has over {MAX_TREE_NODES_PER_BYTE} "
+                         "nodes per byte of its text")
+    return proof
 
 
 def _formula_arg(text):
@@ -109,7 +127,7 @@ def cmd_prove(args):
 
 def cmd_check_proof(args):
     system = system_by_name(args.system)
-    proof = parse_proof(_read(args.proof))
+    proof = _read_proof(args.proof)
     violation = check_proof(proof, system)
     if violation is None:
         print("ok")
@@ -120,7 +138,7 @@ def cmd_check_proof(args):
 
 def cmd_interpolate(args):
     system = system_by_name(args.system)
-    proof = parse_proof(_read(args.proof))
+    proof = _read_proof(args.proof)
     violation = check_proof(proof, system)
     if violation is not None:
         print(f"violation at {list(violation.path)}: {violation.reason}")
@@ -196,7 +214,7 @@ def cmd_realize(args):
 
 
 def cmd_cut_eliminate(args):
-    proof = parse_proof(_read(args.proof))
+    proof = _read_proof(args.proof)
     result = T.eliminate_cuts(proof)
     if args.trace:
         for step in result.trace:

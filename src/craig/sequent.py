@@ -253,22 +253,23 @@ def _parse_sequent(text: str, memo) -> Sequent:
 
     def formulas(chunk):
         chunk = chunk.strip()
-        if not chunk:
-            return ()
-        out = []
-        for piece in chunk.split(","):
-            key = piece.strip()
-            f = memo.get(key)
-            if f is None:
-                # the piece as written, so that a ParseError keeps its column
-                f = parse_formula(piece)
-                format_formula(f)  # stores the text of every subformula
-                memo.update((format_formula(g), g) for g in subformulas(f))
-                memo[key] = f
-            out.append(f)
-        return tuple(out)
+        return tuple(_memo_formula(piece, memo) for piece in chunk.split(",")) if chunk else ()
 
     return sequent(*map(formulas, left.split(";") + right.split(";")))
+
+
+def _memo_formula(piece: str, memo) -> Formula:
+    """The formula of piece from memo, or parsed and entered into it with
+    the canonical texts of its subformulas."""
+    key = piece.strip()
+    f = memo.get(key)
+    if f is None:
+        # the piece as written, so that a ParseError keeps its column
+        f = parse_formula(piece)
+        format_formula(f)  # stores the text of every subformula
+        memo.update((format_formula(g), g) for g in subformulas(f))
+        memo[key] = f
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -345,9 +346,13 @@ class Proof:
         return hash((self.rule, self.sequentv, len(self.children), self.main_comp, self.main_formula))
 
     def __reduce__(self):
-        # copies and pickles carry the fields, never the facts stored on
-        # the node
-        return type(self), (self.rule, self.sequentv, self.children, self.main_comp, self.main_formula)
+        # a pickle is the .prf text, which writes each distinct node once
+        # and is read back without recursion; it carries no stored fact
+        return parse_proof, (format_proof(self),)
+
+    def __copy__(self):
+        # one node with the same fields and premises and no stored fact
+        return relink(self, self.children)
 
     def __deepcopy__(self, memo):
         # one rebuild, each distinct node once, so the copy shares as self does
@@ -1239,27 +1244,43 @@ def _flip_sides_of_cut(node: Proof) -> Proof:
 # ---------------------------------------------------------------------------
 
 def format_proof(p: Proof) -> str:
-    """(rule "sequent" main child ...) for every node in preorder.  The text
-    of a subproof met again is copied from where it was written."""
+    """The .prf text of p: one (rule "sequent" main "cut formula" premise
+    ...) per distinct node, in preorder.  main is the flat index of the main
+    occurrence, a cut's placement, or - where there is none, and only a cut
+    writes the quoted formula.  A premise leaves out its sequent where it is
+    the one expected_premises derives from its parent.  A premise written
+    before, the same object met again, is @n, where n counts the nodes
+    written before its first write."""
     out = []
+    written = 0
+    omit = False  # whether the next node written leaves out its sequent
 
     def writing(node, _):
-        start = len(out)
+        nonlocal written, omit
+        position, written = written, written + 1
+        out.append(" (" if out else "(")
+        out.append(node.rule)
+        if not omit:
+            out.append(f' "{format_sequent(node.sequentv)}"')
         occ = main_occurrence(node)
         if occ is not None:
-            main = str(node.sequentv.flat_index(*occ))
+            out.append(f" {node.sequentv.flat_index(*occ)}")
         elif node.rule == "cut":
-            main = node.main_comp  # placement component; formula is derivable
+            out.append(f' {node.main_comp} "{format_formula(node.main_formula)}"')
         else:
-            main = "-"
-        out.append(f'{" (" if out else "("}{node.rule} "{format_sequent(node.sequentv)}" {main}')
-        for child in node.children:
+            out.append(" -")
+        try:
+            derived = expected_premises(node) if node.children else ()
+        except ProofError:
+            derived = ()
+        for i, child in enumerate(node.children):
+            omit = i < len(derived) and child.sequentv == derived[i]
             here = len(out)
-            first, end = yield child, None
-            if first != here:
-                out.extend(out[first:end])
+            first = yield child, None
+            if len(out) == here:
+                out.append(f" @{first}")
         out.append(")")
-        return start, len(out)
+        return position
 
     _drive(writing, p, None)
     return "".join(out)
@@ -1290,30 +1311,54 @@ def _tokenize_sexpr(text):
 
 
 def parse_proof(text: str) -> Proof:
-    """Each formula text in the file is parsed once, its subformulas' texts
-    included.  The nodes are read from an explicit stack that holds, per
-    '(' not yet closed, its rule, sequent, main token and children."""
+    """The proof of a .prf text, as format_proof writes it or with any of
+    its sequents written out, or each shared subproof copied where it is
+    used, as older files have them: a node without its sequent takes the
+    one its parent's rule demands, a cut without its formula takes the
+    formula its left premise adds, and @n is the node opened n-th, built
+    once.  Each formula text in the file is parsed once, its subformulas'
+    texts included.  The nodes are read from an explicit stack that holds,
+    per '(' not yet closed, a _Reading."""
     toks = _tokenize_sexpr(text)
     memo = {}
+    nodes = []  # by preorder position; None while the node is open
+    total = toks.count("(")
     open_nodes = []
     pos = 0
     while True:
         tok = _take(toks, pos)
         if tok == "(":
-            rule, seq_tok, main_tok = [_take(toks, i) for i in range(pos + 1, pos + 4)]
-            if rule not in RULES or not isinstance(seq_tok, tuple):
-                raise ProofError(f"expected a rule name and quoted sequent text after token {pos}")
-            open_nodes.append((rule, _parse_sequent(seq_tok[1], memo), main_tok, []))
-            pos += 4
+            rule = _take(toks, pos + 1)
+            if rule not in RULES:
+                raise ProofError(f"expected a rule name after token {pos}")
+            pos += 2
+            if isinstance(_take(toks, pos), tuple):
+                seq = _parse_sequent(toks[pos][1], memo)
+                pos += 1
+            elif open_nodes:
+                seq = open_nodes[-1].premise(len(nodes))
+            else:
+                raise ProofError("the root node needs its sequent")
+            main_tok = _take(toks, pos)
+            pos += 1
+            cut_formula = None
+            if rule == "cut" and isinstance(_take(toks, pos), tuple):
+                cut_formula = _memo_formula(toks[pos][1], memo)
+                pos += 1
+            open_nodes.append(_Reading(len(nodes), rule, seq, main_tok, cut_formula))
+            nodes.append(None)
         elif tok == ")" and open_nodes:
-            rule, seq, main_tok, children = open_nodes.pop()
-            node = _rebuild_node(rule, seq, main_tok, tuple(children))
+            reading = open_nodes.pop()
+            node = nodes[reading.position] = reading.node()
             pos += 1
             if not open_nodes:
                 if pos != len(toks):
                     raise ProofError("trailing tokens after proof")
                 return node
-            open_nodes[-1][3].append(node)
+            open_nodes[-1].children.append(node)
+        elif isinstance(tok, str) and tok.startswith("@") and open_nodes:
+            open_nodes[-1].children.append(_referenced(tok, nodes, total))
+            pos += 1
         else:
             raise ProofError(f"expected '(' at token {pos}")
 
@@ -1324,25 +1369,73 @@ def _take(toks, pos):
     return toks[pos]
 
 
-def _rebuild_node(rule, seq, main_tok, children):
+def _referenced(tok, nodes, total):
+    """The closed node that the back reference @n names."""
+    n = tok[1:]
+    if not n.isdecimal():
+        raise ProofError(f"bad back reference {tok!r}")
+    n = int(n)
+    if n >= total:
+        raise ProofError(f"back reference {tok} is out of range: the text has {total} nodes")
+    if n >= len(nodes):
+        raise ProofError(f"back reference {tok} points forward")
+    if nodes[n] is None:
+        raise ProofError(f"back reference {tok} points at a node that encloses it")
+    return nodes[n]
+
+
+class _Reading:
+    """A node of parse_proof whose ')' is still to come: its preorder
+    position, fields and the premises read so far."""
+
+    def __init__(self, position, rule, seq, main_tok, cut_formula):
+        self.position, self.rule, self.seq, self.children = position, rule, seq, []
+        self.comp, self.main = _read_main(rule, seq, main_tok, cut_formula)
+        self.derived = None
+
+    def premise(self, position):
+        """The sequent that this node's rule demands of its next premise,
+        the node at position, which leaves its sequent out."""
+        if self.rule == "cut" and self.main is None:
+            raise ProofError(f"node {position} leaves out its sequent, but its cut has no formula")
+        if self.derived is None:
+            self.derived = expected_premises(Proof(self.rule, self.seq, (), self.comp, self.main))
+        i = len(self.children)
+        if i >= len(self.derived):
+            raise ProofError(f"node {position} leaves out its sequent, but rule {self.rule} "
+                             f"demands {len(self.derived)} premises")
+        return self.derived[i]
+
+    def node(self) -> Proof:
+        main, children = self.main, tuple(self.children)
+        if self.rule == "cut" and main is None:
+            # an older file: the formula that the left premise adds
+            extra = list(children[0].sequentv.comp(self.comp)) if children else []
+            for f in self.seq.comp(self.comp):
+                _need(f in extra, "cut premise must extend the conclusion")
+                extra.remove(f)
+            if len(extra) != 1:
+                raise ProofError("cut premise must add exactly one succedent formula")
+            main = extra[0]
+        return Proof(self.rule, self.seq, children, self.comp, main)
+
+
+def _read_main(rule, seq, main_tok, cut_formula):
+    """(main_comp, main_formula) of a node read with main token main_tok;
+    a cut's formula stays None when its text is not written."""
+    if not isinstance(main_tok, str) or main_tok in ("(", ")"):
+        raise ProofError(f"rule {rule} needs a main token, not {main_tok!r}")
     if rule == "cut":
-        comp = main_tok
-        if comp not in ("d1", "d2"):
+        if main_tok not in ("d1", "d2"):
             raise ProofError(f"bad cut placement {main_tok!r}")
-        extra = list(children[0].sequentv.comp(comp)) if children else []
-        for f in seq.comp(comp):
-            _need(f in extra, "cut premise must extend the conclusion")
-            extra.remove(f)
-        if len(extra) != 1:
-            raise ProofError("cut premise must add exactly one succedent formula")
-        return Proof("cut", seq, children, comp, extra[0])
+        return main_tok, cut_formula
     if rule in ("ax", "bot", "d", "d4"):
-        return Proof(rule, seq, children)
+        return None, None
     if rule in ("k", "4"):
         _need(seq.d1 or seq.d2, f"rule {rule} needs a succedent formula")
         dcomp = "d1" if seq.d1 else "d2"
-        return Proof(rule, seq, children, dcomp, seq.comp(dcomp)[0])
-    if not (isinstance(main_tok, str) and main_tok.isdecimal()):
+        return dcomp, seq.comp(dcomp)[0]
+    if not main_tok.isdecimal():
         raise ProofError(f"rule {rule} needs a main occurrence index, not {main_tok!r}")
     comp, idx = seq.from_flat(int(main_tok))
-    return Proof(rule, seq, children, comp, seq.comp(comp)[idx])
+    return comp, seq.comp(comp)[idx]

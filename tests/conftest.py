@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from craig.formulas import And, Atom, BOTTOM, Bottom, Box, FormulaError, IncompleteAssignment, Neg, Or
+from craig.sequent import format_sequent, main_occurrence
 
 
 def random_formula(rng, atoms=("p", "q", "r", "s"), depth=4, modal=False):
@@ -91,6 +92,34 @@ def reference_eval(f, assignment=None, model=None, world=None):
     if isinstance(f, Box) and model is not None:
         return all(reference_eval(f.body, assignment, model, v) for v in model.succ(world))
     raise FormulaError(f"cannot evaluate {f!r}")
+
+
+def reference_format_proof(p):
+    """The verbose .prf text that format_proof wrote before it left out
+    derivable sequents: every node with its sequent, a cut without its
+    formula, and a shared subproof copied wherever it is used.  Recursive,
+    so only for proofs of modest depth."""
+    seq = format_sequent(p.sequentv)
+    occ = main_occurrence(p)
+    if occ is not None:
+        main = str(p.sequentv.flat_index(*occ))
+    elif p.rule == "cut":
+        main = p.main_comp
+    else:
+        main = "-"
+    inner = " ".join([p.rule, f'"{seq}"', main] + [reference_format_proof(c) for c in p.children])
+    return f"({inner})"
+
+
+def distinct_nodes(p):
+    """The number of distinct node objects in p."""
+    seen, stack = set(), [p]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node.children)
+    return len(seen)
 
 
 @pytest.fixture

@@ -8,8 +8,9 @@ import pytest
 
 import craig
 from craig.cli import main
-from craig.formulas import MAX_DEPTH, format_clause_set
-from test_sequent import UNSOUND_PROOFS
+from craig.formulas import MAX_DEPTH, Atom, Or, format_clause_set
+from craig.sequent import ax, format_proof, lor, lw
+from test_sequent import MALFORMED_COMPACT, UNSOUND_PROOFS
 
 
 def run(capsys, *argv):
@@ -144,8 +145,9 @@ class TestExitCodes:
             '(ax "p ; => ; p -)',
             "(ax p ; => ; p -)",
             "",
-        ],
-        ids=["truncated", "non-numeric-main", "unterminated-quote", "bare-sequent", "empty"],
+        ] + [param.values[0] for param in MALFORMED_COMPACT],
+        ids=["truncated", "non-numeric-main", "unterminated-quote", "bare-sequent", "empty"]
+        + [param.id for param in MALFORMED_COMPACT],
     )
     def test_malformed_proof_file_is_a_logical_failure(self, capsys, tmp_path, command, text):
         prf = tmp_path / "bad.prf"
@@ -153,6 +155,30 @@ class TestExitCodes:
         code, _, err = run(capsys, command, str(prf))
         assert code == 1
         assert "Traceback" not in err
+
+    @staticmethod
+    def doubling_proof(n):
+        """n lor steps over n copies of p | p, each naming its two equal
+        premises once: a text of O(n) bytes, a tree of over 2^n nodes."""
+        p = Atom("p")
+        node = ax(p)
+        for _ in range(n - 1):
+            node = lw(node, p)
+        for _ in range(n):
+            node = lor(node, node, Or(p, p))
+        return node
+
+    def test_a_text_far_smaller_than_its_tree_is_refused(self, capsys, tmp_path):
+        small, large = tmp_path / "small.prf", tmp_path / "large.prf"
+        small.write_text(format_proof(self.doubling_proof(8)))  # 2,303 nodes, 211 bytes
+        large.write_text(format_proof(self.doubling_proof(40)))  # 4.5e13 nodes, 1,072 bytes
+        code, out, _ = run(capsys, "interpolate", "--system", "lk-minus", str(small))
+        assert code == 0 and out.count("\n") == 2_304
+        for argv in (["check-proof", "--system", "lk-minus"], ["interpolate", "--system", "lk-minus"],
+                     ["cut-eliminate", "--format", "text"]):
+            code, out, err = run(capsys, *argv, str(large))
+            assert (code, out) == (1, "")
+            assert "nodes per byte of its text" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("text, system", UNSOUND_PROOFS)
     def test_unsound_rule_instance_is_a_logical_failure(self, capsys, tmp_path, text, system):

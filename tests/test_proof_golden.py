@@ -1,9 +1,11 @@
 """Golden proofs and traces of the realization and cut-elimination pipeline.
-For five fixed criterion-5 inputs the `.prf` text of the realized and of
-the cut-free proof, the subsumption trace and the atomic-cut realization of
-the same class are pinned by sha256, so a change to how sequents or
-occurrences are represented cannot change a proof, a step or its measure
-unnoticed."""
+For five fixed criterion-5 inputs the verbose `.prf` text (every sequent
+written, see conftest.reference_format_proof) of the realized and of the
+cut-free proof, the subsumption trace and the atomic-cut realization of the
+same class are pinned by sha256, so a change to how sequents or occurrences
+are represented cannot change a proof, a step or its measure unnoticed.
+The compact text that format_proof writes for the same three proofs is
+pinned too, and reads to the proof that the verbose text reads to."""
 
 import hashlib
 
@@ -11,8 +13,9 @@ import pytest
 
 from craig.construct import realize_interpolant, realize_pruned
 from craig.formulas import clause_set_formula, format_clause_set, parse_clause_set, parse_formula
-from craig.sequent import LKAT, format_proof
+from craig.sequent import LKAT, format_proof, parse_proof
 from craig.transform import eliminate_cuts
+from conftest import reference_format_proof
 
 # (a, b, pruned interpolant as .cls text): draws 8, 22, 28, 36 and 39 of
 # random.Random(105) in test_acceptance._pruned_instances, then the hashes
@@ -64,7 +67,49 @@ def test_pipeline_outputs(a, b, cls, realized, final, trace, atomic):
     a, b, cs = parse_formula(a), parse_formula(b), parse_clause_set(cls)
     proof = realize_pruned(a, b, cs)
     result = eliminate_cuts(proof)
-    assert sha256(format_proof(proof)) == realized
-    assert sha256(format_proof(result.proof)) == final
+    assert sha256(reference_format_proof(proof)) == realized
+    assert sha256(reference_format_proof(result.proof)) == final
     assert sha256(trace_text(result.trace)) == trace
-    assert sha256(format_proof(realize_interpolant(a, b, clause_set_formula(cs), LKAT))) == atomic
+    assert sha256(reference_format_proof(realize_interpolant(a, b, clause_set_formula(cs), LKAT))) == atomic
+
+
+# the sha256 of format_proof's text of the realized, the cut-free and the
+# atomic-cut proof, for each GOLDEN draw in turn
+COMPACT = [
+    ("fd98bff66e8423f3eb6c3ab144653069ba9023b07328dc5b59b7be5b6d413105",
+     "b47ecbba036af6bd969b810ad62f7ced21762268a8e20585581874398b9073c6",
+     "801b8848dd7ac6063870127d204ab8da235fad9fb2359b292aab8793a34949e9"),
+    ("9e3b6d349e0203198fe8a010b64d100f8d5f7b6e5face13fabee968ca24e6912",
+     "b85b7555607555c90d863bc1e71a3d60dcda7c2417dd6b6126642cd8b4c24a5a",
+     "a350247c5508dbaa06ecd2a3ffd8d6ff53d2176e75d80a5ef326379dd409560d"),
+    ("7cbd803cacde093c143d86566fb730efd7e38d47bede0d1fafa1def73096a19f",
+     "c9f13dfb0658ce589768a4b565501ba3b7052bcce423a1e7d0f7029723a9b3f6",
+     "cc222602de675c7a743b2b2807c183b7f27015990ba550ee92c5f48398988421"),
+    ("cdcd19e2b0041262c66513eaf74f9b6da8282e5f6b0ff7f3b6337f0052147bb3",
+     "6100ba9e8cfe6523652a999fc2957785d0505f0d8c5c0bb4c486c6f48eda30b3",
+     "9b0b0edc7e3810f0a8e1ab7fd0169f41f2229ac58af84679c8ba4d61bb48f01b"),
+    ("e00c941b071119626f5b117414ff9114f51b53482c2e7a8dd65a267af787d69b",
+     "73076ba7fb8131080a546f0ee8dcd04ffc74ef721712e068480de45f3be814f9",
+     "c785e084294b1cfdf7c8d50838d2fdcbaffa42bce58038a19d01eb9ce5654bbc"),
+]
+
+
+@pytest.mark.parametrize("golden, compact", zip(GOLDEN, COMPACT), ids=["draw8", "draw22", "draw28", "draw36", "draw39"])
+def test_compact_prf_text(golden, compact):
+    a, b, cs = parse_formula(golden[0]), parse_formula(golden[1]), parse_clause_set(golden[2])
+    realized = realize_pruned(a, b, cs)
+    proofs = (realized, eliminate_cuts(realized).proof, realize_interpolant(a, b, clause_set_formula(cs), LKAT))
+    for proof, pin in zip(proofs, compact):
+        text = format_proof(proof)
+        assert sha256(text) == pin
+        assert parse_proof(text) == parse_proof(reference_format_proof(proof))
+        assert format_proof(parse_proof(text)) == text
+
+
+def test_compact_prf_text_in_full():
+    a, b, cs = parse_formula(GOLDEN[1][0]), parse_formula(GOLDEN[1][1]), parse_clause_set(GOLDEN[1][2])
+    assert format_proof(realize_pruned(a, b, cs)) == (
+        '(cut "r & r ;  =>  ; (v | p) & (false | r) | ~p" d2 "r" (rw 1 (lc 0 (land1 0 (land2 1 (lw 0 (ax -))))))'
+        " (lw 0 (rc 1 (ror1 1 (ror2 2 (rand 1 (rc 1 (ror1 1 (ror2 2 (rneg 3 (rw 3 (lw 1 (ax -)))))))"
+        " (rc 1 (ror1 1 (ror2 2 (rw 3 (rw 1 (ax -))))))))))))"
+    )

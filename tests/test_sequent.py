@@ -78,7 +78,7 @@ from craig.sequent import (
     weaken_to,
     weight,
 )
-from conftest import assignments_over
+from conftest import assignments_over, distinct_nodes, random_formula, reference_format_proof
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 # the module itself: the package exports a function of the same name
@@ -464,6 +464,20 @@ class TestMonochromatize:
                 )
 
 
+# compact .prf texts that do not describe a proof, with the error each gives
+MALFORMED_COMPACT = [
+    pytest.param("(ax -)", "the root node needs its sequent", id="root-without-sequent"),
+    pytest.param('(lw "p, q ; => p ; " 0 (ax "p ; => p ; " -) (ax -))', "demands 1 premises",
+                 id="omitted-sequent-past-arity"),
+    pytest.param('(cut "p ; => p ; " d2 (rw 1 (ax -)) (lw 0 (ax -)))', "its cut has no formula",
+                 id="cut-without-formula-or-premise-sequent"),
+    pytest.param('(rand " ; => p & p ; " 0 @1 (ax "p ; => p ; " -))', "points forward", id="forward-reference"),
+    pytest.param('(lw "p, q ; => p ; " 0 @0)', "encloses it", id="reference-to-an-ancestor"),
+    pytest.param('(lw "p, q ; => p ; " 0 @7)', "out of range", id="reference-out-of-range"),
+    pytest.param('(lw "p, q ; => p ; " 0 @x)', "bad back reference", id="non-numeric-reference"),
+]
+
+
 class TestSerialization:
     def test_sequent_text_round_trip(self):
         s = sequent([pq, p], [q], [], [porq, BOTTOM])
@@ -526,15 +540,24 @@ class TestSerialization:
         with pytest.raises(ProofError):
             parse_proof(text)
 
+    @pytest.mark.parametrize("text, message", MALFORMED_COMPACT)
+    def test_compact_text_errors_say_what_is_wrong(self, text, message):
+        with pytest.raises(ProofError, match=message):
+            parse_proof(text)
+
     def test_irregular_whitespace_parses_to_the_same_proof(self):
         proof = example_sigma()
-        text = format_proof(proof)
-        messy = (
-            text.replace(", ", " ,\t").replace(" ; ", ";  ").replace(" => ", "=>\n ")
-            .replace(" & ", "&").replace(" | ", "  |")
-        )
-        assert messy.count("&") and messy.count("\t") and messy.count("\n")
-        assert parse_proof(messy) == proof
+
+        def mess(text):
+            return (
+                text.replace(", ", " ,\t").replace(" ; ", ";  ").replace(" => ", "=>\n ")
+                .replace(" & ", "&").replace(" | ", "  |").replace(" (", "\n(")
+            )
+
+        verbose, compact = mess(reference_format_proof(proof)), mess(format_proof(proof))
+        assert verbose.count("&") and verbose.count("\t") and verbose.count("\n")
+        assert compact.count("&") and compact.count("\n")
+        assert parse_proof(verbose) == proof and parse_proof(compact) == proof
 
     @pytest.mark.parametrize(
         "text, line, col, message",
@@ -578,20 +601,6 @@ def reference_iter_nodes(p, path=()):
     yield path, p
     for i, c in enumerate(p.children):
         yield from reference_iter_nodes(c, path + (i,))
-
-
-def reference_format_proof(p):
-    """The recursive serializer that format_proof replaced."""
-    seq = format_sequent(p.sequentv)
-    occ = sequent_module.main_occurrence(p)
-    if occ is not None:
-        main = str(p.sequentv.flat_index(*occ))
-    elif p.rule == "cut":
-        main = p.main_comp
-    else:
-        main = "-"
-    inner = " ".join([p.rule, f'"{seq}"', main] + [reference_format_proof(c) for c in p.children])
-    return f"({inner})"
 
 
 def reference_proof_size(p):
@@ -723,9 +732,10 @@ class TestReferenceWalks:
 
     def test_format_proof_text(self):
         for proof in differential_proofs():
+            assert parse_proof(reference_format_proof(proof)) == proof
             text = format_proof(proof)
-            assert text == reference_format_proof(proof)
             assert parse_proof(text) == proof
+            assert format_proof(parse_proof(text)) == text
             assert format_proof_text(proof) == reference_format_proof_text(proof)
 
     def test_metrics(self):
@@ -1020,6 +1030,8 @@ class TestStoredFacts:
             assert other == sigma
             assert only_fields(other)
         assert only_fields(copy.copy(sigma.children[0]))
+        # a shallow copy is one node over the same premises
+        assert copy.copy(sigma).children[0] is sigma.children[0]
 
     def test_threads_check_shared_nodes_at_once(self):
         """More threads than cores check the same unchecked proofs under
@@ -1498,10 +1510,15 @@ class TestDeepProofs:
         proof = deep_weakening_proof()
         with pytest.raises(RecursionError):
             reference_format_proof(proof)
+        verbose = reference_format_proof(deep_weakening_proof(300))
+        assert verbose.startswith('(lc "p ;  => p ; " 0 (lw "p, p ;  => p ; " 0 (lc ')
+        assert verbose.endswith('(ax "p ;  => p ; " -)' + ")" * 300)
+        assert verbose.count("(") == 301
+        # the root's sequent, then each premise's is the one its rule derives
         text = format_proof(proof)
-        assert text.startswith('(lc "p ;  => p ; " 0 (lw "p, p ;  => p ; " 0 (lc ')
-        assert text.endswith('(ax "p ;  => p ; " -)' + ")" * 10_000)
-        assert text.count("(") == 10_001
+        assert text.startswith('(lc "p ;  => p ; " 0 (lw 0 (lc 0 (lw 0 ')
+        assert text.endswith("(ax -)" + ")" * 10_000)
+        assert text.count("(") == 10_001 and text.count('"') == 2
 
     def test_metrics_are_iterative(self, shallow_stack):
         proof = deep_weakening_proof()
@@ -1516,6 +1533,11 @@ class TestDeepProofs:
     def test_parse_proof_is_iterative(self, shallow_stack):
         proof = deep_weakening_proof()
         assert parse_proof(format_proof(proof)) == proof
+        # the verbose text of older files, every sequent written
+        seqs = ["p ;  => p ; ", "p, p ;  => p ; "]
+        verbose = "".join(f'({"lc" if i % 2 else "lw"} "{seqs[(i + 1) % 2]}" 0 ' for i in reversed(range(10_000)))
+        verbose += '(ax "p ;  => p ; " -)' + ")" * 10_000
+        assert parse_proof(verbose) == proof
 
     def test_format_proof_text_is_iterative(self, shallow_stack):
         # the text is quadratic in the depth, so this chain is a short one
@@ -1666,6 +1688,96 @@ def cyclic_garbage(call):
         return gc.collect()
     finally:
         gc.enable()
+
+
+def width_two_product(k):
+    """(p0 | p1) & ... & (p2k-2 | p2k-1) realized against itself."""
+    from craig.construct import realize_pruned
+    from craig.formulas import formula_cnf, prune
+
+    a = Or(Atom("p0"), Atom("p1"))
+    for i in range(1, k):
+        a = And(a, Or(Atom(f"p{2 * i}"), Atom(f"p{2 * i + 1}")))
+    return realize_pruned(a, a, prune(formula_cnf(a)))
+
+
+def prove_draws(seed=22, draws=40):
+    """Cut-free proofs of seeded implications a => a | b, in lk-minus, k
+    and s4."""
+    from craig.construct import prove_cutfree
+    from craig.sequent import S4
+
+    rng = random.Random(seed)
+    out = []
+    for i in range(draws):
+        system = (LKMINUS, K, S4)[i % 3]
+        a, b = (random_formula(rng, depth=3, modal=system.modal) for _ in range(2))
+        out.append(prove_cutfree(sequent([a], [], [], [Or(a, b)]), system))
+    return out
+
+
+class TestCompactText:
+    """format_proof leaves out what parse_proof derives and writes each
+    distinct node once; parse_proof reads that text and the verbose text of
+    older files alike."""
+
+    def test_older_files_read_to_the_same_proof(self):
+        trees = shared = 0
+        for proof in differential_proofs() + tuple(prove_draws()):
+            old = parse_proof(reference_format_proof(proof))
+            assert old == proof
+            if distinct_nodes(proof) == proof_size(proof):
+                assert format_proof(old) == format_proof(proof)
+                trees += 1
+            else:
+                # the old text copies each shared subproof, so it reads to
+                # the unshared tree, whose text copies it too
+                assert distinct_nodes(old) == proof_size(proof)
+                assert parse_proof(format_proof(old)) == proof
+                shared += 1
+        assert trees > 100 and shared > 40
+
+    def test_the_text_reads_back_to_the_same_sharing(self):
+        for proof in differential_proofs() + tuple(prove_draws()):
+            text = format_proof(proof)
+            back = parse_proof(text)
+            assert back == proof and distinct_nodes(back) == distinct_nodes(proof)
+            assert format_proof(back) == text
+            assert len(text) <= len(reference_format_proof(proof))
+
+    @pytest.mark.parametrize("text, system", UNSOUND_PROOFS)
+    def test_a_premise_its_rule_does_not_derive_keeps_its_sequent(self, text, system):
+        proof = parse_proof(text)
+        compact = format_proof(proof)
+        assert compact.count('"') == 4
+        assert parse_proof(compact) == proof and format_proof(parse_proof(compact)) == compact
+
+    def test_shared_subproofs_are_referenced_and_parsed_once(self):
+        proof = width_two_product(6)
+        assert (proof_size(proof), distinct_nodes(proof)) == (27_456, 5_826)
+        text = format_proof(proof)
+        assert sequent_module._tokenize_sexpr(text).count("(") == 5_826 and "@" in text
+        back = parse_proof(text)
+        assert back == proof and distinct_nodes(back) == 5_826
+        assert distinct_nodes(parse_proof(reference_format_proof(proof))) == 27_456
+
+    def test_pickle_writes_the_text(self):
+        chain = ax(p, "g1", "d1")
+        for _ in range(20_000):
+            chain = lc(lw(chain, p, "g1"), p, "g1")
+        product = width_two_product(6)
+        for proof in (chain, product):
+            assert check_proof(proof, LKAT) is None
+            back = pickle.loads(pickle.dumps(proof))
+            assert back is not proof and back == proof
+            assert distinct_nodes(back) == distinct_nodes(proof)
+            assert only_fields(back) and only_fields(back.children[0])
+        assert distinct_nodes(chain) == 40_001
+
+    def test_pickle_shares_only_within_one_proof(self):
+        proof = example_sigma()
+        first, premise = pickle.loads(pickle.dumps([proof, proof.children[0]]))
+        assert premise == first.children[0] and premise is not first.children[0]
 
 
 class TestNoReferenceCycles:

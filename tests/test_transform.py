@@ -73,6 +73,7 @@ from craig.transform import (
     w_reduce,
 )
 from craig.construct import prove_cutfree, realize_clause, realize_interpolant, realize_pruned
+from conftest import reference_format_proof
 from test_maehara import reference_maehara
 from test_sequent import (
     criterion_draws,
@@ -566,7 +567,8 @@ def unshared_conversion(p, made):
 
 class TestSharedInversions:
     """literal_cuts_to_atomic inverts each (subproof, occurrence) once per
-    call, and writes the .prf text that the unshared inversions wrote."""
+    call, and gives the proof that the unshared inversions gave: the same
+    verbose .prf text, which copies each shared subproof."""
 
     def test_each_inversion_is_made_once_per_call(self, monkeypatch):
         inputs = conversion_inputs(monkeypatch)
@@ -582,7 +584,7 @@ class TestSharedInversions:
             assert len(keys) == len(set(keys))
             shared += len(keys)
             again = []
-            assert format_proof(out) == format_proof(unshared_conversion(psi, again))
+            assert reference_format_proof(out) == reference_format_proof(unshared_conversion(psi, again))
             unshared += len(again)
         assert unshared > shared > 1_000
 
@@ -596,7 +598,7 @@ class TestSharedInversions:
         assert left.children[0].sequentv == sequent([], [q, r], [], [q])
         unshared = reference_invert(both, ("g2", 2), [])
         assert unshared.children[0].children[0] is not unshared.children[1].children[0]
-        assert format_proof(out) == format_proof(unshared)
+        assert reference_format_proof(out) == reference_format_proof(unshared)
 
 
 class TestWReduceIdentity:
