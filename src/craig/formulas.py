@@ -129,9 +129,17 @@ class Formula:
         return f"<{format_formula(self)}>"
 
     def __reduce__(self):
-        # pickle rebuilds through the constructor, which returns the
-        # interned node
-        return type(self), tuple(getattr(self, name) for name in type(self).__slots__)
+        # each distinct subformula once, in fold order, as its class and its
+        # name or its parts' indices, rebuilt in one loop through the
+        # constructors: no recursion at any depth, and the interned node back
+        rows = []
+
+        def row(g, indices):
+            rows.append((type(g), g.name) if type(g) is Atom else (type(g), *indices))
+            return len(rows) - 1
+
+        fold(self, row, {})
+        return _unpickled, (tuple(rows),)
 
     def __copy__(self):
         return self
@@ -189,6 +197,14 @@ class Or(Formula):
 
 BOTTOM = Bottom()
 TOP = Neg(BOTTOM)
+
+
+def _unpickled(rows) -> Formula:
+    """The formula that Formula.__reduce__ wrote as rows."""
+    nodes = []
+    for cls, *args in rows:
+        nodes.append(cls(*args) if cls is Atom else cls(*map(nodes.__getitem__, args)))
+    return nodes[-1]
 
 
 def impl(a, b):

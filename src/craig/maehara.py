@@ -4,7 +4,6 @@ with atomic/literal/monochromatic cuts and the normal modal systems."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .formulas import (
     And,
@@ -28,7 +27,6 @@ from .sequent import (
     format_proof_text,
     format_sequent,
     is_monochromatic,
-    iter_nodes,
 )
 
 
@@ -53,11 +51,6 @@ class AnnotatedProof:
     @property
     def interpolant(self) -> Formula:
         return _note(self.proof, self.notes)
-
-    @cached_property
-    def interpolants(self) -> tuple:
-        """((path, formula), ...) for every node in preorder."""
-        return tuple((path, _note(node, self.notes)) for path, node in iter_nodes(self.proof))
 
 
 def _note(node: Proof, notes) -> Formula:
@@ -154,9 +147,7 @@ def is_nnf_interpolant(f: Formula) -> bool:
 
 
 def format_annotated(ann: AnnotatedProof) -> str:
-    """format_proof_text's lines, each suffixed with its node's interpolant,
+    """format_proof_text with each node's line suffixed by its interpolant,
     then the root's interpolant."""
-    lines = [f"{line} @ {format_formula(c)}"
-             for line, (_, c) in zip(format_proof_text(ann.proof).split("\n"), ann.interpolants)]
-    lines.append(format_formula(ann.interpolant))
-    return "\n".join(lines) + "\n"
+    text = format_proof_text(ann.proof, lambda node: f" @ {format_formula(_note(node, ann.notes))}")
+    return f"{text}\n{format_formula(ann.interpolant)}\n"

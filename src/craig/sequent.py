@@ -498,16 +498,6 @@ def replace_at(p: Proof, path, new: Proof) -> Proof:
     return new
 
 
-def iter_nodes(p: Proof, path=()):
-    """(path, node) for every node in preorder, on an explicit stack."""
-    stack = [(path, p)]
-    while stack:
-        path, node = stack.pop()
-        yield path, node
-        for i in range(len(node.children) - 1, -1, -1):
-            stack.append((path + (i,), node.children[i]))
-
-
 # ---------------------------------------------------------------------------
 # Rule constructors
 # ---------------------------------------------------------------------------
@@ -1286,10 +1276,25 @@ def format_proof(p: Proof) -> str:
     return "".join(out)
 
 
-def format_proof_text(p: Proof) -> str:
-    """One line per node in preorder, indented two spaces per level."""
-    return "\n".join("  " * len(path) + f"{node.rule}: {format_sequent(node.sequentv)}"
-                     for path, node in iter_nodes(p))
+def format_proof_text(p: Proof, note=None) -> str:
+    """One line rule: sequent per distinct node in preorder, indented two
+    spaces per level and followed by note(node) where note is given.  A
+    premise met again, the same object, is a line @n, as in format_proof."""
+    lines, written, pad = [], 0, ""
+
+    def printing(node, _):
+        nonlocal written, pad
+        position, written, mine = written, written + 1, pad
+        lines.append(f"{mine}{node.rule}: {format_sequent(node.sequentv)}{note(node) if note else ''}")
+        for child in node.children:
+            here, pad = len(lines), mine + "  "  # the premise's indentation
+            first = yield child, None
+            if len(lines) == here:
+                lines.append(f"{mine}  @{first}")
+        return position
+
+    _drive(printing, p, None)
+    return "\n".join(lines)
 
 
 # a parenthesis, a quoted sequent (its closing quote may be missing), or a

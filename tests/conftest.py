@@ -111,6 +111,35 @@ def reference_format_proof(p):
     return f"({inner})"
 
 
+def iter_nodes(p, path=()):
+    """(path, node) for every node of p's tree in preorder, on an explicit
+    stack, so a subproof met again is walked again."""
+    stack = [(path, p)]
+    while stack:
+        path, node = stack.pop()
+        yield path, node
+        for i in range(len(node.children) - 1, -1, -1):
+            stack.append((path + (i,), node.children[i]))
+
+
+def reference_iter_nodes(p, path=()):
+    """The recursive preorder walk that iter_nodes replaced."""
+    yield path, p
+    for i, c in enumerate(p.children):
+        yield from reference_iter_nodes(c, path + (i,))
+
+
+def interpolants(ann):
+    """((path, interpolant), ...) for every node of an annotated proof's
+    tree in preorder: the interpolant the node stores, or its entry in
+    ann.notes."""
+    out = []
+    for path, node in iter_nodes(ann.proof):
+        stored = getattr(node, "_interpolant", None)
+        out.append((path, ann.notes[id(node)] if stored is None else stored))
+    return tuple(out)
+
+
 def distinct_nodes(p):
     """The number of distinct node objects in p."""
     seen, stack = set(), [p]

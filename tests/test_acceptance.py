@@ -63,7 +63,6 @@ from craig.sequent import (
     first_index,
     format_proof,
     is_tame,
-    iter_nodes,
     parse_proof,
     proof_length,
     sequent,
@@ -84,7 +83,7 @@ from craig.construct import (
     realize_pruned,
     try_prove_cutfree,
 )
-from conftest import assignments_over, random_clause_set, random_formula, random_nnf
+from conftest import assignments_over, iter_nodes, random_clause_set, random_formula, random_nnf
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 

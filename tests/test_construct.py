@@ -34,7 +34,6 @@ from craig.sequent import (
     check_proof,
     classify_cut,
     is_tame,
-    iter_nodes,
     sequent,
 )
 from craig.construct import (
@@ -53,7 +52,7 @@ from craig.construct import (
     try_prove_cutfree,
     verify_interpolant,
 )
-from conftest import assignments_over, random_clause_set, random_formula
+from conftest import assignments_over, iter_nodes, random_clause_set, random_formula
 
 p, q, r, s = Atom("p"), Atom("q"), Atom("r"), Atom("s")
 

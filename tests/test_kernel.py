@@ -150,6 +150,24 @@ class TestInterning:
             assert all(a is b for a, b in zip(back.g1 + back.g2 + back.d1 + back.d2,
                                               s.g1 + s.g2 + s.d1 + s.d2))
 
+    def test_pickle_takes_any_depth_and_writes_each_subformula_once(self, shallow_stack):
+        chain = Atom("p")
+        for _ in range(60_000):
+            chain = Neg(chain)
+
+        def doubled(levels):
+            g = Atom("q")
+            for _ in range(levels):
+                g = Or(g, g)
+            return g
+
+        for f in (chain, doubled(40), Box(And(chain, doubled(3)))):
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                assert pickle.loads(pickle.dumps(f, protocol)) is f
+        # the 40-level DAG has 41 distinct subformulas and a tree of 2^41 - 1
+        sizes = [len(pickle.dumps(doubled(levels))) for levels in (10, 20, 40)]
+        assert sizes[2] - sizes[1] <= 2 * (sizes[1] - sizes[0]) and sizes[2] < 1_000
+
     def test_children_must_be_formulas(self):
         with pytest.raises(FormulaError, match="not a formula"):
             Neg("p")

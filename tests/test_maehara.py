@@ -34,8 +34,8 @@ from craig.sequent import (
     ax,
     bot_axiom,
     cut,
+    format_proof,
     format_sequent,
-    iter_nodes,
     land1,
     lw,
     parse_sequent,
@@ -44,7 +44,8 @@ from craig.sequent import (
     rw,
     sequent,
 )
-from test_sequent import differential_proofs, example_sigma
+from conftest import distinct_nodes, interpolants, iter_nodes
+from test_sequent import differential_proofs, example_sigma, modal_proofs, width_two_product
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 
@@ -194,13 +195,43 @@ class TestSoundnessSweep:
         wide = parse_sequent(" & ".join(names) + " ; => ; " + " | ".join(names))
         for proof, system in ((sigma, LKAT), (prove_cutfree(wide, LKMINUS), LKMINUS)):
             ann = maehara(proof, system)
-            notes = dict(ann.interpolants)
+            notes = dict(interpolants(ann))
             want = [
                 f"{'  ' * len(path)}{node.rule}: {format_sequent(node.sequentv)} @ "
                 f"{format_formula(notes[path])}"
                 for path, node in iter_nodes(proof)
             ]
             assert format_annotated(ann) == "\n".join(want + [format_formula(notes[()])]) + "\n"
+        # the k = 3 product shares subproofs, each printed once and then
+        # named @n; a d rule and the nodes below it store no interpolant,
+        # so theirs come from the notes
+        shared = width_two_product(3)
+        serial = modal_proofs()[1]  # rneg over d
+        assert [serial.rule, serial.children[0].rule] == ["rneg", "d"]
+        for proof, system in ((shared, LKAT), (serial, KD4)):
+            ann = maehara(proof, system)
+            text = format_annotated(ann)
+            assert text == reference_format_annotated(ann)
+            assert text.count("\n") == distinct_nodes(proof) + format_proof(proof).count("@") + 1
+        assert format_proof(shared).count("@") > 0
+        assert set(ann.notes) == {id(serial), id(serial.children[0])}
+
+
+def reference_format_annotated(ann):
+    """format_annotated from a walk of its own: each distinct node once in
+    preorder, with its interpolant, read from the node or from ann.notes,
+    and a node met again as @n, n its position in that order."""
+    lines, first, stack = [], {}, [(0, ann.proof)]
+    while stack:
+        depth, node = stack.pop()
+        if id(node) in first:
+            lines.append("  " * depth + f"@{first[id(node)]}")
+            continue
+        first[id(node)] = len(first)
+        c = getattr(node, "_interpolant", None) or ann.notes[id(node)]
+        lines.append(f"{'  ' * depth}{node.rule}: {format_sequent(node.sequentv)} @ {format_formula(c)}")
+        stack.extend((depth + 1, child) for child in reversed(node.children))
+    return "\n".join(lines + [format_formula(ann.interpolant)]) + "\n"
 
 
 def reference_maehara(p, system):
@@ -248,7 +279,7 @@ def reference_maehara(p, system):
 class TestReferenceAnnotation:
     def test_same_interpolant_at_every_node(self):
         for proof in differential_proofs():
-            assert maehara(proof, KD4).interpolants == reference_maehara(proof, KD4)
+            assert interpolants(maehara(proof, KD4)) == reference_maehara(proof, KD4)
 
     def test_same_first_failure(self):
         # two offending cuts: the one first in preorder is reported

@@ -48,7 +48,6 @@ from craig.sequent import (
     format_sequent,
     is_tame,
     is_weak,
-    iter_nodes,
     land1,
     land2,
     lc,
@@ -78,7 +77,15 @@ from craig.sequent import (
     weaken_to,
     weight,
 )
-from conftest import assignments_over, distinct_nodes, random_formula, reference_format_proof
+from conftest import (
+    assignments_over,
+    distinct_nodes,
+    interpolants,
+    iter_nodes,
+    random_formula,
+    reference_format_proof,
+    reference_iter_nodes,
+)
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 # the module itself: the package exports a function of the same name
@@ -596,13 +603,6 @@ class TestSerialization:
 # Differential tests against the earlier implementations
 # ---------------------------------------------------------------------------
 
-def reference_iter_nodes(p, path=()):
-    """The recursive preorder walk that iter_nodes replaced."""
-    yield path, p
-    for i, c in enumerate(p.children):
-        yield from reference_iter_nodes(c, path + (i,))
-
-
 def reference_proof_size(p):
     return 1 + sum(reference_proof_size(c) for c in p.children)
 
@@ -622,6 +622,34 @@ def reference_format_proof_text(p, indent=0):
     for c in p.children:
         lines.append(reference_format_proof_text(c, indent + 1))
     return "\n".join(lines)
+
+
+def prf_outline(text):
+    """(nesting depth, rule or @n) for each node and back reference that a
+    .prf text writes, in the order it writes them."""
+    out, depth = [], 0
+    toks = sequent_module._tokenize_sexpr(text)
+    for i, tok in enumerate(toks):
+        if tok == "(":
+            out.append((depth, toks[i + 1]))
+            depth += 1
+        elif tok == ")":
+            depth -= 1
+        elif isinstance(tok, str) and tok.startswith("@"):
+            out.append((depth, tok))
+    return out
+
+
+def distinct_preorder(p):
+    """Each distinct node of p once, in preorder of its first use."""
+    out, seen, stack = [], set(), [p]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            out.append(node)
+            stack.extend(reversed(node.children))
+    return out
 
 
 def reference_pair_contexts(child, concl, child_skip, concl_skip):
@@ -719,24 +747,28 @@ class TestReferenceWalks:
     """The explicit-stack walk and the positional pairing give exactly what
     the recursive walk and the hash-based pairing did."""
 
-    def test_iter_nodes_order(self):
-        for proof in differential_proofs():
-            got = list(iter_nodes(proof))
-            want = list(reference_iter_nodes(proof))
-            assert [path for path, _ in got] == [path for path, _ in want]
-            assert all(a is b for (_, a), (_, b) in zip(got, want))
-            sub = proof.children[-1] if proof.children else proof
-            assert [path for path, _ in iter_nodes(sub, (7,))] == [
-                path for path, _ in reference_iter_nodes(sub, (7,))
-            ]
-
     def test_format_proof_text(self):
+        trees = shared = 0
         for proof in differential_proofs():
             assert parse_proof(reference_format_proof(proof)) == proof
             text = format_proof(proof)
             assert parse_proof(text) == proof
             assert format_proof(parse_proof(text)) == text
-            assert format_proof_text(proof) == reference_format_proof_text(proof)
+            lines = format_proof_text(proof).split("\n")
+            if distinct_nodes(proof) == proof_size(proof):
+                assert "\n".join(lines) == reference_format_proof_text(proof)
+                trees += 1
+                continue
+            # a node's line where the .prf writes the node, and @n where it
+            # writes @n, at the same nesting depth; the nodes' sequents are
+            # those of the distinct nodes in preorder
+            outline = [((len(line) - len(line.lstrip(" "))) // 2, line.lstrip(" ").split(":")[0])
+                       for line in lines]
+            assert outline == prf_outline(text)
+            assert [line.split(": ", 1)[1] for line in lines if ": " in line] == [
+                format_sequent(node.sequentv) for node in distinct_preorder(proof)]
+            shared += 1
+        assert trees > 100 and shared > 40
 
     def test_metrics(self):
         for proof in differential_proofs():
@@ -1602,8 +1634,8 @@ class TestDeepProofs:
         from craig.maehara import maehara
 
         ann = maehara(deep_weakening_proof(3_000), LKMINUS)
-        assert len(ann.interpolants) == 3_001
-        assert {c for _, c in ann.interpolants} == {BOTTOM}
+        assert len(interpolants(ann)) == 3_001
+        assert {c for _, c in interpolants(ann)} == {BOTTOM}
 
     def test_monochromatize_is_iterative(self, shallow_stack):
         """Cuts on p or q placed on side 2 over a 3,000-deep alternating

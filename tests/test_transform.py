@@ -40,7 +40,6 @@ from craig.sequent import (
     first_index,
     format_proof,
     is_tame,
-    iter_nodes,
     land1,
     lc,
     lor,
@@ -73,7 +72,7 @@ from craig.transform import (
     w_reduce,
 )
 from craig.construct import prove_cutfree, realize_clause, realize_interpolant, realize_pruned
-from conftest import reference_format_proof
+from conftest import interpolants, iter_nodes, reference_format_proof, reference_iter_nodes
 from test_maehara import reference_maehara
 from test_sequent import (
     criterion_draws,
@@ -81,7 +80,6 @@ from test_sequent import (
     differential_proofs,
     example_sigma,
     omega_proof,
-    reference_iter_nodes,
 )
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
@@ -819,8 +817,8 @@ class TestStoredStepFacts:
         serial = 0
         for proof in differential_proofs():
             ann = maehara(proof, KD4)
-            fresh = maehara(pickle.loads(pickle.dumps(proof)), KD4).interpolants
-            assert ann.interpolants == fresh
+            fresh = interpolants(maehara(pickle.loads(pickle.dumps(proof)), KD4))
+            assert interpolants(ann) == fresh
             stored = 0
             for (path, node), (_, c) in zip(iter_nodes(proof), fresh):
                 if "_interpolant" in node.__dict__:
