@@ -3,6 +3,7 @@ plus the constructions that realize a target interpolant in a proof."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .formulas import (
@@ -31,6 +32,7 @@ from .sequent import (
     COMPONENTS,
     LKAT,
     MODAL_JUMPS,
+    RULE_SCHEMA,
     Proof,
     ProofCheckFailed,
     ProofError,
@@ -49,6 +51,7 @@ from .sequent import (
     lc,
     lneg,
     lor,
+    premise_aux,
     rand,
     ror1,
     ror2,
@@ -288,9 +291,9 @@ def conjoin(
     a ; => ; b  whose interpolant's clause set is the union of the pieces'.
 
     Every clause contributes cuts on its literals (right of the partition)
-    against recursively built transversal premises; the transversal leaves
-    ; l1, ..., ln => ; b  are closed by cut-free search.  Negative-literal
-    cuts are converted to cuts on their bodies afterwards.
+    against transversal premises, built from the last clause back; the
+    transversal leaves  ; l1, ..., ln => ; b  are closed by cut-free search.
+    Negative-literal cuts are converted to cuts on their bodies afterwards.
     """
     clauses = sorted_clauses(cs)
     if len(pis) != len(clauses):
@@ -318,39 +321,27 @@ def conjoin(
         # already proves a ; => ;  and the remaining clauses are redundant
         return _checked(weaken_to(pis[empty[0]], sequent([a], [], [], [b])), system)
 
-    leaves = {}
-
-    def leaf(selection) -> Proof:
-        if selection not in leaves:
-            leaves[selection] = prove_cutfree(sequent([], selection, [], [b]), system)
-        return leaves[selection]
-
-    memo = {}
-
-    def derive(i: int, selection) -> Proof:
-        """Proof of  a ; T => ; b  for the selected literals T."""
-        key = (i, selection)
-        if key in memo:
-            return memo[key]
-        if i == len(clauses):
-            out = weaken_to(leaf(selection), sequent([a], selection, [], [b]))
-        else:
-            lits = sorted_literals(clauses[i])
-            cur = weaken_to(pis[i], sequent([a], selection, [], lits + [b]))
-            for lf in lits:
-                prem = derive(i + 1, selection | {lf})
+    lits = [sorted_literals(clause_) for clause_ in clauses]
+    # levels[i]: the selections T of one literal from each clause before i
+    levels = [[frozenset()]]
+    for ls in lits:
+        levels.append(list(dict.fromkeys(selection | {lf} for selection in levels[-1] for lf in ls)))
+    # proofs of  a ; T => ; b  for the selections T of a level, from the
+    # last level back: the leaves by cut-free search, then at level i the
+    # subproof of clause i with each literal cut against the next level's
+    derived = {selection: weaken_to(prove_cutfree(sequent([], selection, [], [b]), system),
+                                    sequent([a], selection, [], [b]))
+               for selection in levels.pop()}
+    for pi, ls, selections in reversed(list(zip(pis, lits, levels))):
+        above, derived = derived, {}
+        for selection in selections:
+            cur = weaken_to(pi, sequent([a], selection, [], ls + [b]))
+            for lf in ls:
                 ctx = cur.sequentv.remove_one("d2", lf)
-                right = weaken_to(prem, ctx.insert("g2", lf))
+                right = weaken_to(above[selection | {lf}], ctx.insert("g2", lf))
                 cur = cut(cur, right, lf, 2)
-            out = cur
-        memo[key] = out
-        return out
-
-    try:
-        psi = derive(0, frozenset())
-    finally:
-        del derive  # it refers to itself: a cycle holding every memo entry
-    psi = weaken_to(psi, sequent([a], [], [], [b]))
+            derived[selection] = cur
+    psi = weaken_to(derived[frozenset()], sequent([a], [], [], [b]))
     return _checked(literal_cuts_to_atomic(psi), system)
 
 
@@ -400,64 +391,69 @@ def pruned_subsumption_pipeline(a: Formula, b: Formula, cs):
 # ---------------------------------------------------------------------------
 
 def enumerate_cutfree_interpolants(s: Sequent, system: System, max_depth: int):
-    """All interpolant ASTs of cut-free proofs of s up to the given depth."""
-    memo = {}
+    """All interpolant ASTs of cut-free proofs of s up to the given depth.
 
-    def mset(seq: Sequent, depth: int):
-        key = (seq, depth)
-        if key in memo:
-            return memo[key]
-        ants, sucs = seq.antecedent(), seq.succedent()
-        # an axiom f => f or false =>
-        axiom = len(ants) == 1 and (sucs == ants or not sucs and ants[0] == BOTTOM)
-        out = {axiom_interpolant(seq)} if axiom else set()
-        if depth > 0:
-            for comp in COMPONENTS:
-                ant = comp in ("g1", "g2")
-                for f in set(seq.comp(comp)):
-                    base = seq.remove_one(comp, f)
-                    out |= mset(base, depth - 1)  # weakening backward
-                    out |= mset(seq.insert(comp, f), depth - 1)  # contraction
-                    if ant and isinstance(f, And):
-                        out |= mset(base.insert(comp, f.left), depth - 1)
-                        out |= mset(base.insert(comp, f.right), depth - 1)
-                    elif ant and isinstance(f, Or):
-                        ls = mset(base.insert(comp, f.left), depth - 1)
-                        rs = mset(base.insert(comp, f.right), depth - 1)
-                        out |= {combine("lor", comp, (x, y)) for x in ls for y in rs}
-                    elif ant and isinstance(f, Neg):
-                        out |= mset(base.insert(ACROSS[comp], f.body), depth - 1)
-                    elif ant and isinstance(f, Box) and "t" in system.modal_rules:
-                        out |= mset(seq.insert(comp, f.body), depth - 1)
-                    elif not ant and isinstance(f, And):
-                        ls = mset(base.insert(comp, f.left), depth - 1)
-                        rs = mset(base.insert(comp, f.right), depth - 1)
-                        out |= {combine("rand", comp, (x, y)) for x in ls for y in rs}
-                    elif not ant and isinstance(f, Or):
-                        out |= mset(base.insert(comp, f.left), depth - 1)
-                        out |= mset(base.insert(comp, f.right), depth - 1)
-                    elif not ant and isinstance(f, Neg):
-                        out |= mset(base.insert(ACROSS[comp], f.body), depth - 1)
-            out |= _modal_backward(seq, system, depth, mset)
-        memo[key] = frozenset(out)
-        return memo[key]
-
-    try:
-        return mset(s, max_depth)
-    finally:
-        del mset  # it refers to itself: a cycle holding the whole memo
+    A sequent's set at a depth holds the axiom's interpolant if it is an
+    axiom and, above depth 0, combine's over the premises' sets a level
+    lower for each cut-free rule instance that concludes it.  The sequents
+    needed at each depth are collected from s down, the instances of each
+    distinct one built once, and the sets of each distinct (sequent, depth)
+    pair computed once, from depth 0 up.  An axiom has at most two formulas
+    and, read upward, only weakening drops one, so a sequent with more than
+    depth + 2 formulas has an empty set and is not collected."""
+    instances = {}
+    levels = [{s}]  # levels[i]: the sequents needed at depth max_depth - i
+    for depth in range(max_depth, 0, -1):
+        lower = set()
+        for seq in levels[-1]:
+            if seq not in instances:
+                instances[seq] = list(_cutfree_instances(seq, system))
+            for _, _, premises in instances[seq]:
+                lower.update(premise for premise in premises if sum(map(len, premise)) <= depth + 1)
+        levels.append(lower)
+    sets = {}  # the sets of one level that are not empty
+    for depth, seqs in enumerate(reversed(levels)):
+        below, sets = sets, {}
+        for seq in seqs:
+            ants, sucs = seq.antecedent(), seq.succedent()
+            # an axiom f => f or false =>
+            axiom = len(ants) == 1 and (sucs == ants or not sucs and ants[0] == BOTTOM)
+            out = {axiom_interpolant(seq)} if axiom else set()
+            for rule, comp, premises in instances[seq] if depth else ():
+                parts = [below.get(premise) for premise in premises]
+                if all(parts):
+                    out.update(combine(rule, comp, xs) for xs in itertools.product(*parts))
+            if out:
+                sets[seq] = out
+    return frozenset(sets.get(s, ()))
 
 
-def _modal_backward(seq: Sequent, system: System, depth: int, mset):
-    """The interpolants of the modal jumps that conclude seq."""
-    out = set()
+def _cutfree_instances(seq: Sequent, system: System):
+    """(rule, main component, premises) for each instance of a cut-free
+    rule of the system that concludes seq: the rules of RULE_SCHEMA but cut,
+    with premise_aux, and the modal jumps, with jump_premise.  t is taken
+    with a contraction below it, one step whose premise keeps the box beside
+    its body, so that the sets at each depth are those the incompleteness
+    repros (prop3.2, prop7.1) were written against."""
+    for comp, fs in zip(COMPONENTS, seq):
+        for f in dict.fromkeys(fs):
+            base = seq.remove_one(comp, f)
+            for rule, (side, connective, arity) in RULE_SCHEMA.items():
+                if (rule == "cut" or side != comp[0] or not isinstance(f, connective or Formula)
+                        or rule == "t" and rule not in system.modal_rules):
+                    continue
+                premises = []
+                for ci in range(arity):
+                    premise = seq if rule == "t" else base
+                    for c, g in premise_aux(rule, f, comp, ci):
+                        premise = premise.insert(c, g)
+                    premises.append(premise)
+                yield rule, comp, premises
     dcomp = "d1" if seq.d1 else "d2"
     for rule in MODAL_JUMPS:
-        if rule not in system.modal_rules:
-            continue
-        try:
-            premise = jump_premise(rule, seq)
-        except ProofError:
-            continue
-        out |= {combine(rule, dcomp, (x,)) for x in mset(premise, depth - 1)}
-    return out
+        if rule in system.modal_rules:
+            try:
+                premise = jump_premise(rule, seq)
+            except ProofError:
+                continue
+            yield rule, dcomp, (premise,)

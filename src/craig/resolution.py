@@ -458,51 +458,48 @@ def enumerate_refutations(cs, max_nodes, allow_weakening=False):
 
     Dead nodes cannot change the root interpolant, so only fully-used DAGs
     are produced.  Weakening nodes, when allowed, add one literal at a time.
+    The (nodes, clauses, unread) states, unread the nodes that no later
+    node reads, are walked depth first on an explicit stack of their
+    extensions, each state met before the ones it extends to.  A premise
+    precedes its node, so every node is used when the last one alone is
+    unread.
     """
     inputs = sorted(cs, key=clause_key)
     bodies = {split_literal(l)[1] for c in cs for l in c}
     atoms = sorted((b for b in bodies if isinstance(b, Atom)), key=format_formula)
+    stack = [iter([([], [], frozenset())])]
+    while stack:
+        state = next(stack[-1], None)
+        if state is None:
+            stack.pop()
+            continue
+        nodes, clauses, unread = state
+        if clauses and not clauses[-1] and len(unread) == 1:
+            yield ResolutionProof(tuple(nodes), len(nodes) - 1)
+        if len(nodes) < max_nodes:
+            stack.append(_extensions(state, inputs, atoms, allow_weakening))
 
-    def extend(nodes, clauses):
-        if len(nodes) <= max_nodes and clauses and not clauses[-1]:
-            used = set()
-            stack = [len(nodes) - 1]
-            while stack:
-                i = stack.pop()
-                if i in used:
-                    continue
-                used.add(i)
-                node = nodes[i]
-                if isinstance(node, Resolve):
-                    stack.extend([node.left, node.right])
-                elif isinstance(node, Weaken):
-                    stack.append(node.premise)
-            if len(used) == len(nodes):
-                yield ResolutionProof(tuple(nodes), len(nodes) - 1)
-        if len(nodes) >= max_nodes:
-            return
-        for c in inputs:
-            yield from extend(nodes + [Input(c, "A")], clauses + [c])
+
+def _extensions(state, inputs, atoms, allow_weakening):
+    """Each (nodes, clauses, unread) state one node longer than the given
+    one: an input, then a resolvent, then a weakening by one literal."""
+    nodes, clauses, unread = state
+    last = {len(nodes)}
+    for c in inputs:
+        yield nodes + [Input(c, "A")], clauses + [c], unread | last
+    for i in range(len(nodes)):
+        for j in range(len(nodes)):
+            for a in atoms:
+                if a in clauses[i] and Neg(a) in clauses[j]:
+                    merged = (clauses[i] - {a}) | (clauses[j] - {Neg(a)})
+                    yield nodes + [Resolve(i, j, a)], clauses + [merged], unread - {i, j} | last
+    if allow_weakening:
         for i in range(len(nodes)):
-            for j in range(len(nodes)):
-                for a in atoms:
-                    if a in clauses[i] and Neg(a) in clauses[j]:
-                        merged = (clauses[i] - {a}) | (clauses[j] - {Neg(a)})
-                        yield from extend(nodes + [Resolve(i, j, a)], clauses + [merged])
-        if allow_weakening:
-            for i in range(len(nodes)):
-                for a in atoms:
-                    for lit in (a, Neg(a)):
-                        if lit not in clauses[i]:
-                            yield from extend(
-                                nodes + [Weaken(i, frozenset([lit]))],
-                                clauses + [clauses[i] | {lit}],
-                            )
-
-    try:
-        yield from extend([], [])
-    finally:
-        del extend  # it refers to itself: a cycle per call
+            for a in atoms:
+                for lit in (a, Neg(a)):
+                    if lit not in clauses[i]:
+                        weakened = clauses[i] | {lit}
+                        yield nodes + [Weaken(i, frozenset([lit]))], clauses + [weakened], unread - {i} | last
 
 
 # ---------------------------------------------------------------------------

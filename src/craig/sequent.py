@@ -704,6 +704,8 @@ def _jump(rule, child: Proof, boxes) -> Proof:
 
 
 MODAL_JUMPS = {"k": rule_k, "d": rule_d, "4": rule_4, "d4": rule_d4}
+# the rules a System's modal_rules may name: the jumps and t
+MODAL_RULES = frozenset({*MODAL_JUMPS, "t"})
 
 
 def jump_premise(rule, s: Sequent) -> Sequent:
@@ -871,7 +873,7 @@ def _violation(node: Proof, system: System):
         if s.antecedent() != (BOTTOM,) or s.succedent() or node.children:
             return (), "false-axiom must be exactly false =>"
         return None
-    if node.rule in ("k", "d", "d4", "t", "4") and node.rule not in system.modal_rules:
+    if node.rule in MODAL_RULES and node.rule not in system.modal_rules:
         return (), f"rule {node.rule} not available in {system.name}"
     try:
         expected = expected_premises(node)

@@ -25,6 +25,7 @@ from .sequent import (
     ACROSS,
     LK,
     LKMINUS,
+    MODAL_RULES,
     Proof,
     ProofCheckFailed,
     ProofError,
@@ -211,7 +212,7 @@ def _reducing(node: Proof, _):
         node = rebuild(node, kids)
     if node.rule in ("lw", "rw") and kids[0].rule not in ("lw", "rw", "ax", "bot"):
         child = kids[0]
-        if child.rule in ("k", "d", "4", "d4", "t"):
+        if child.rule in MODAL_RULES:
             raise TransformError("weakening normalization is propositional only")
         hoisted = []
         for gk in child.children:
@@ -476,7 +477,7 @@ def _unfit(node: Proof) -> bool:
     if node.rule == "cut":
         info = classify_cut(node, ())
         return not (info.type_r and info.monochromatic)
-    return node.rule in ("k", "d", "d4", "t", "4")
+    return node.rule in MODAL_RULES
 
 
 def eliminate_cuts(p: Proof) -> CutEliminationResult:

@@ -4,8 +4,23 @@ import sys
 
 import pytest
 
-from craig.formulas import And, Atom, BOTTOM, Bottom, Box, FormulaError, IncompleteAssignment, Neg, Or
-from craig.sequent import format_sequent, main_occurrence
+from craig.formulas import (
+    And,
+    Atom,
+    BOTTOM,
+    Bottom,
+    Box,
+    FormulaError,
+    IncompleteAssignment,
+    Neg,
+    Or,
+    clause_key,
+    format_formula,
+    split_literal,
+)
+from craig.maehara import axiom_interpolant, combine
+from craig.resolution import Input, Resolve, ResolutionProof, Weaken
+from craig.sequent import ACROSS, COMPONENTS, MODAL_JUMPS, ProofError, format_sequent, jump_premise, main_occurrence
 
 
 def random_formula(rng, atoms=("p", "q", "r", "s"), depth=4, modal=False):
@@ -163,3 +178,118 @@ def shallow_stack():
     sys.setrecursionlimit(1000)
     yield
     sys.setrecursionlimit(old)
+
+
+def reference_enumerate_cutfree_interpolants(s, system, max_depth):
+    """enumerate_cutfree_interpolants as it was before it read the rule
+    table: a recursive enumerator with its own copy of the calculus, one
+    branch per connective and side, memoized by (sequent, depth)."""
+    memo = {}
+
+    def mset(seq, depth):
+        key = (seq, depth)
+        if key in memo:
+            return memo[key]
+        ants, sucs = seq.antecedent(), seq.succedent()
+        # an axiom f => f or false =>
+        axiom = len(ants) == 1 and (sucs == ants or not sucs and ants[0] == BOTTOM)
+        out = {axiom_interpolant(seq)} if axiom else set()
+        if depth > 0:
+            for comp in COMPONENTS:
+                ant = comp in ("g1", "g2")
+                for f in set(seq.comp(comp)):
+                    base = seq.remove_one(comp, f)
+                    out |= mset(base, depth - 1)  # weakening backward
+                    out |= mset(seq.insert(comp, f), depth - 1)  # contraction
+                    if ant and isinstance(f, And):
+                        out |= mset(base.insert(comp, f.left), depth - 1)
+                        out |= mset(base.insert(comp, f.right), depth - 1)
+                    elif ant and isinstance(f, Or):
+                        ls = mset(base.insert(comp, f.left), depth - 1)
+                        rs = mset(base.insert(comp, f.right), depth - 1)
+                        out |= {combine("lor", comp, (x, y)) for x in ls for y in rs}
+                    elif ant and isinstance(f, Neg):
+                        out |= mset(base.insert(ACROSS[comp], f.body), depth - 1)
+                    elif ant and isinstance(f, Box) and "t" in system.modal_rules:
+                        out |= mset(seq.insert(comp, f.body), depth - 1)
+                    elif not ant and isinstance(f, And):
+                        ls = mset(base.insert(comp, f.left), depth - 1)
+                        rs = mset(base.insert(comp, f.right), depth - 1)
+                        out |= {combine("rand", comp, (x, y)) for x in ls for y in rs}
+                    elif not ant and isinstance(f, Or):
+                        out |= mset(base.insert(comp, f.left), depth - 1)
+                        out |= mset(base.insert(comp, f.right), depth - 1)
+                    elif not ant and isinstance(f, Neg):
+                        out |= mset(base.insert(ACROSS[comp], f.body), depth - 1)
+            out |= _reference_modal_backward(seq, system, depth, mset)
+        memo[key] = frozenset(out)
+        return memo[key]
+
+    try:
+        return mset(s, max_depth)
+    finally:
+        del mset  # it refers to itself: a cycle holding the whole memo
+
+
+def _reference_modal_backward(seq, system, depth, mset):
+    """The interpolants of the modal jumps that conclude seq."""
+    out = set()
+    dcomp = "d1" if seq.d1 else "d2"
+    for rule in MODAL_JUMPS:
+        if rule not in system.modal_rules:
+            continue
+        try:
+            premise = jump_premise(rule, seq)
+        except ProofError:
+            continue
+        out |= {combine(rule, dcomp, (x,)) for x in mset(premise, depth - 1)}
+    return out
+
+
+def reference_enumerate_refutations(cs, max_nodes, allow_weakening=False):
+    """enumerate_refutations as it was before it ran on an explicit stack:
+    a recursive generator that extends the node list one node at a time."""
+    inputs = sorted(cs, key=clause_key)
+    bodies = {split_literal(l)[1] for c in cs for l in c}
+    atoms = sorted((b for b in bodies if isinstance(b, Atom)), key=format_formula)
+
+    def extend(nodes, clauses):
+        if len(nodes) <= max_nodes and clauses and not clauses[-1]:
+            used = set()
+            stack = [len(nodes) - 1]
+            while stack:
+                i = stack.pop()
+                if i in used:
+                    continue
+                used.add(i)
+                node = nodes[i]
+                if isinstance(node, Resolve):
+                    stack.extend([node.left, node.right])
+                elif isinstance(node, Weaken):
+                    stack.append(node.premise)
+            if len(used) == len(nodes):
+                yield ResolutionProof(tuple(nodes), len(nodes) - 1)
+        if len(nodes) >= max_nodes:
+            return
+        for c in inputs:
+            yield from extend(nodes + [Input(c, "A")], clauses + [c])
+        for i in range(len(nodes)):
+            for j in range(len(nodes)):
+                for a in atoms:
+                    if a in clauses[i] and Neg(a) in clauses[j]:
+                        merged = (clauses[i] - {a}) | (clauses[j] - {Neg(a)})
+                        yield from extend(nodes + [Resolve(i, j, a)], clauses + [merged])
+        if allow_weakening:
+            for i in range(len(nodes)):
+                for a in atoms:
+                    for lit in (a, Neg(a)):
+                        if lit not in clauses[i]:
+                            yield from extend(
+                                nodes + [Weaken(i, frozenset([lit]))],
+                                clauses + [clauses[i] | {lit}],
+                            )
+
+    try:
+        yield from extend([], [])
+    finally:
+        del extend  # it refers to itself: a cycle per call

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -30,9 +31,11 @@ from craig.sequent import (
     LKLIT,
     LKMINUS,
     S4,
+    SYSTEMS,
     ax,
     check_proof,
     classify_cut,
+    format_sequent,
     is_tame,
     sequent,
 )
@@ -52,7 +55,13 @@ from craig.construct import (
     try_prove_cutfree,
     verify_interpolant,
 )
-from conftest import assignments_over, iter_nodes, random_clause_set, random_formula
+from conftest import (
+    assignments_over,
+    iter_nodes,
+    random_clause_set,
+    random_formula,
+    reference_enumerate_cutfree_interpolants,
+)
 
 p, q, r, s = Atom("p"), Atom("q"), Atom("r"), Atom("s")
 
@@ -443,7 +452,38 @@ class TestPipeline:
         assert subsumes(cs, out)
 
 
+def enumeration_draw(system, count=4):
+    """Seeded sequents with proofs a few steps deep: from random x, y, z,
+    x & y ; => ; x | z  and  x & y ; y => x ;  and, in a modal system,
+    also  [](x & y) ; => ; x | z  and the two with every formula boxed."""
+    rng = random.Random(f"enumeration {system.name}")
+    out = []
+    for _ in range(count):
+        x, y, z = (random_formula(rng, ("p", "q", "r"), 1, system.modal) for _ in range(3))
+        a, b = And(x, y), Or(x, z)
+        out += [sequent([a], [], [], [b]), sequent([a], [y], [x], [])]
+        if system.modal:
+            out += [sequent([Box(a)], [], [], [b]), sequent([Box(a)], [], [], [Box(b)]),
+                    sequent([Box(a)], [Box(y)], [Box(x)], [])]
+    return out
+
+
 class TestEnumeration:
+    @pytest.mark.parametrize("system", SYSTEMS.values(), ids=SYSTEMS)
+    def test_equals_the_reference_enumerator(self, system):
+        for seq in enumeration_draw(system):
+            for depth in range(5):
+                assert enumerate_cutfree_interpolants(seq, system, depth) == \
+                    reference_enumerate_cutfree_interpolants(seq, system, depth), (format_sequent(seq), depth)
+
+    @pytest.mark.parametrize("seq, system", [
+        (sequent([And(p, q)], [], [], [Or(p, q)]), LKMINUS),
+        (sequent([Box(And(p, q))], [], [], [Box(Or(p, q))]), K),
+    ], ids=["prop3.2", "prop7.1"])
+    def test_equals_the_reference_on_the_repro_sequents(self, seq, system):
+        out = enumerate_cutfree_interpolants(seq, system, 6)
+        assert out and out == reference_enumerate_cutfree_interpolants(seq, system, 6)
+
     def test_cutfree_incompleteness(self):
         seq = sequent([And(p, q)], [], [], [Or(p, q)])
         out = enumerate_cutfree_interpolants(seq, LKMINUS, 6)

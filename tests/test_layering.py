@@ -1,6 +1,8 @@
 """The package's modules form one layer order: each imports only modules
 before it, and every import sits at module level, where the order can be
-read off the top of the file."""
+read off the top of the file.  No function defined inside another refers
+to its own name: such a function holds itself through its closure cell,
+a cycle that only the cyclic collector frees."""
 
 import ast
 from pathlib import Path
@@ -48,4 +50,17 @@ def test_each_module_imports_only_earlier_layers():
     found = {f"{name}.py:{line} imports {imported}"
              for name, tree in SOURCES.items() for line, imported in package_imports(tree)
              if ORDER.index(imported) >= ORDER.index(name)}
+    assert sorted(found) == []
+
+
+def test_no_nested_function_refers_to_itself():
+    found = set()
+    for name, tree in SOURCES.items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for inner in ast.walk(fn):
+                if inner is not fn and isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                        isinstance(node, ast.Name) and node.id == inner.name for node in ast.walk(inner)):
+                    found.add(f"{name}.py:{inner.lineno} {inner.name}")
     assert sorted(found) == []

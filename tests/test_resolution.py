@@ -48,7 +48,7 @@ from craig.resolution import (
     refute,
     refute_partitioned,
 )
-from conftest import assignments_over, random_3cnf
+from conftest import assignments_over, random_3cnf, reference_enumerate_refutations
 
 p, q = Atom("p"), Atom("q")
 
@@ -639,6 +639,15 @@ class TestInterpolant:
 
 
 class TestEnumerate:
+    @pytest.mark.parametrize("cs, max_nodes, allow_weakening", [
+        (frozenset([clause("p"), clause("q"), clause("~p"), clause("~q")]), 6, False),
+        (frozenset([clause("p", "q"), clause("~p"), clause("~q")]), 5, True),
+    ], ids=["prop3.3", "weakening"])
+    def test_yields_the_reference_sequence(self, cs, max_nodes, allow_weakening):
+        texts = [format_refutation(rp) for rp in enumerate_refutations(cs, max_nodes, allow_weakening)]
+        assert texts and texts == [format_refutation(rp) for rp in
+                                   reference_enumerate_refutations(cs, max_nodes, allow_weakening)]
+
     def test_incompleteness_witness(self):
         # all weakening-free refutations of {p}{q}{~p}{~q} up to 6 nodes
         cs = frozenset([clause("p"), clause("q"), clause("~p"), clause("~q")])

@@ -1812,9 +1812,21 @@ class TestCompactText:
         assert premise == first.children[0] and premise is not first.children[0]
 
 
+def raising(error, call, *args):
+    """call(*args), which must raise error; the error is dropped."""
+    try:
+        call(*args)
+    except error:
+        return
+    raise AssertionError(f"{call.__name__} did not raise {error.__name__}")
+
+
 class TestNoReferenceCycles:
-    """The recursive walks kept themselves alive through closure cells, so
-    every call left a cycle, with its results, for the collector."""
+    """No public operation leaves cyclic garbage: with the collector off,
+    each call, a failing one too, frees all it made by reference counts.
+    The recursive walks that kept themselves alive through closure cells
+    broke this once, each call leaving a cycle with its results for the
+    collector; tests/test_layering.py rejects that pattern in the source."""
 
     def test_format_proof(self):
         proof = example_sigma()
@@ -1869,6 +1881,62 @@ class TestNoReferenceCycles:
         from craig.formulas import mcnf
 
         assert cyclic_garbage(lambda: mcnf(Or(Box(p), And(Box(q), p)))) == 0
+
+    def test_eliminate_cuts(self):
+        from craig.transform import eliminate_cuts
+
+        proof = example_sigma()
+        assert cyclic_garbage(lambda: eliminate_cuts(proof)) == 0
+
+    def test_pruned_subsumption_pipeline(self):
+        from craig.construct import pruned_subsumption_pipeline
+        from craig.formulas import clause
+
+        cs = frozenset([clause("p"), clause("q")])
+        assert cyclic_garbage(lambda: pruned_subsumption_pipeline(pq, porq, cs)) == 0
+
+    def test_is_tame(self):
+        proofs = (example_sigma(), omega_proof())
+        assert cyclic_garbage(lambda: [is_tame(proof) for proof in proofs]) == 0
+
+    @pytest.mark.parametrize("system, s", [
+        (LKMINUS, sequent([p], [], [q])),
+        (K, sequent([Box(p)], [], [Box(q)])),
+        (KT, sequent([Box(p)], [], [q])),
+    ])
+    def test_prove_cutfree_not_provable(self, system, s):
+        from craig.construct import NotProvable, prove_cutfree
+
+        assert cyclic_garbage(lambda: raising(NotProvable, prove_cutfree, s, system)) == 0
+
+    def test_parse_proof_truncated(self):
+        text = format_proof(example_sigma())
+        assert cyclic_garbage(lambda: raising(ProofError, parse_proof, text[:len(text) // 2])) == 0
+
+    def test_check_proof(self):
+        proof = example_sigma()
+        assert cyclic_garbage(lambda: (check_proof(proof, LKAT), check_proof(proof, LKMINUS))) == 0
+
+    def test_refute_partitioned_and_interpolant_from_refutation(self):
+        from craig.formulas import clause
+        from craig.resolution import Partition, interpolant_from_refutation, refute_partitioned
+
+        a_clauses, b_clauses = [clause("p"), clause("q")], [clause("~p", "~q")]
+        part = Partition.from_vars({"p", "q"}, {"p", "q"})
+        rp = refute_partitioned(a_clauses, b_clauses)
+        assert cyclic_garbage(lambda: refute_partitioned(a_clauses, b_clauses)) == 0
+        assert cyclic_garbage(lambda: interpolant_from_refutation(rp, part)) == 0
+
+    def test_enumerate_interpolants(self):
+        from craig.formulas import enumerate_interpolants
+
+        assert cyclic_garbage(lambda: enumerate_interpolants(pq, porq)) == 0
+
+    def test_neg_invert(self):
+        from craig.transform import neg_invert
+
+        proof = rneg(ax(p, "g2", "d1"), Neg(p), "d2")
+        assert cyclic_garbage(lambda: neg_invert(proof, "d2", 0)) == 0
 
     def test_monochromatize(self):
         # a cut on p placed on side 2 while p occurs only on side 1: the
