@@ -4,6 +4,7 @@ refutation, realization, cut elimination, and the built-in check scenarios."""
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import traceback
 
@@ -416,7 +417,10 @@ def cmd_repro(args):
     return EXIT_OK if all(checks) else EXIT_LOGICAL
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process: argparse's parsers
+    refer to each other, so a dropped one is garbage for the cyclic collector."""
     parser = argparse.ArgumentParser(
         prog="craig",
         description="interpolation for resolution and sequent calculi",
@@ -425,44 +429,36 @@ def build_parser():
 
     sp = sub.add_parser("parse", help="parse a formula and print it canonically")
     sp.add_argument("formula")
-    sp.set_defaults(func=cmd_parse)
 
     sp = sub.add_parser("prove", help="cut-free proof search on a split sequent")
     sp.add_argument("--system", default="lk-minus")
     sp.add_argument("--format", choices=("sexpr", "text"), default="sexpr")
     sp.add_argument("sequent", help='e.g. "p & q ; => ; p | q"')
-    sp.set_defaults(func=cmd_prove)
 
     sp = sub.add_parser("check-proof", help="validate a proof file")
     sp.add_argument("--system", default="lk")
     sp.add_argument("proof", help=".prf file or - for stdin")
-    sp.set_defaults(func=cmd_check_proof)
 
     sp = sub.add_parser("interpolate", help="annotate a proof with interpolants")
     sp.add_argument("--system", default="lk-at")
     sp.add_argument("proof")
-    sp.set_defaults(func=cmd_interpolate)
 
     sp = sub.add_parser("refute", help="resolution refutation or a model")
     sp.add_argument("clauses", help=".cls file or inline (';' between clauses)")
-    sp.set_defaults(func=cmd_refute)
 
     sp = sub.add_parser("res-interpolate",
                         help="refute a partitioned clause set and interpolate")
     sp.add_argument("a")
     sp.add_argument("b")
     sp.add_argument("--refutation", help="reuse a stored .res refutation")
-    sp.set_defaults(func=cmd_res_interpolate)
 
     sp = sub.add_parser("enumerate", help="all interpolant classes of a -> b")
     sp.add_argument("a")
     sp.add_argument("b")
     sp.add_argument("--max-shared-vars", type=int, default=4)
-    sp.set_defaults(func=cmd_enumerate)
 
     sp = sub.add_parser("prune", help="prune a clause set")
     sp.add_argument("clauses")
-    sp.set_defaults(func=cmd_prune)
 
     sp = sub.add_parser("realize", help="build a proof realizing an interpolant")
     sp.add_argument("--system", default="lk-at")
@@ -471,13 +467,11 @@ def build_parser():
     sp.add_argument("--cminus-cap", type=int, default=4096)
     sp.add_argument("a")
     sp.add_argument("b")
-    sp.set_defaults(func=cmd_realize)
 
     sp = sub.add_parser("cut-eliminate", help="eliminate cuts from a tame proof")
     sp.add_argument("--trace", action="store_true")
     sp.add_argument("--format", choices=("sexpr", "text"), default="sexpr")
     sp.add_argument("proof")
-    sp.set_defaults(func=cmd_cut_eliminate)
 
     sp = sub.add_parser("pipeline",
                         help="realize a pruned interpolant and eliminate cuts")
@@ -485,11 +479,9 @@ def build_parser():
     sp.add_argument("a")
     sp.add_argument("b")
     sp.add_argument("clauses")
-    sp.set_defaults(func=cmd_pipeline)
 
     sp = sub.add_parser("repro", help="run a built-in check scenario")
     sp.add_argument("name", choices=sorted(REPROS))
-    sp.set_defaults(func=cmd_repro)
 
     return parser
 
@@ -501,7 +493,8 @@ def main(argv=None):
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        # the command's function cmd_<name>, looked up when it runs
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except F.ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -28,7 +28,6 @@ from .formulas import (
 )
 from .maehara import axiom_interpolant, combine
 from .sequent import (
-    ACROSS,
     COMPONENTS,
     LKAT,
     MODAL_JUMPS,
@@ -42,21 +41,11 @@ from .sequent import (
     ax,
     bot_axiom,
     check_proof,
-    contract,
     cut,
     format_sequent,
+    infer,
     jump_premise,
-    land1,
-    land2,
-    lc,
-    lneg,
-    lor,
-    premise_aux,
-    rand,
-    ror1,
-    ror2,
-    rneg,
-    rule_t,
+    premises_of,
     rw,
     sequent,
     wax,
@@ -108,12 +97,41 @@ def _closure_proof(s: Sequent):
     return None
 
 
-def _first_composite(s: Sequent):
+def _invertible(s: Sequent, system: System, unfolded):
+    """(comp, f) for the search's next invertible step on s: the first
+    composite formula, else under t the first boxed antecedent formula not
+    in unfolded, else None."""
     for comp, fs in zip(COMPONENTS, s):
         for f in fs:
             if isinstance(f, (And, Or, Neg)):
                 return comp, f
+    if "t" in system.modal_rules:
+        for comp in ("g1", "g2"):
+            for f in s.comp(comp):
+                if isinstance(f, Box) and (comp, f) not in unfolded:
+                    return comp, f
     return None
+
+
+# The search's step on a composite formula, by side and connective, and its
+# t step: rules of RULE_SCHEMA that share one main occurrence, each below
+# the next.  & on the left and | on the right take both parts into one
+# premise by both of their rules over a contraction.
+_CHAINS = {
+    ("g", Neg): ("lneg",), ("d", Neg): ("rneg",),
+    ("g", Or): ("lor",), ("d", And): ("rand",),
+    ("g", And): ("lc", "land1", "land2"), ("d", Or): ("rc", "ror1", "ror2"),
+    ("g", Box): ("lc", "t"),
+}
+
+
+def _chain_premises(chain, s: Sequent, f: Formula, comp):
+    """The premises of the topmost rule of chain, read upward from s, the
+    conclusion of its first rule, with main occurrence f at comp."""
+    premises = (s,)
+    for rule in chain:
+        premises = premises_of(rule, premises[0], f, comp)
+    return premises
 
 
 @dataclass
@@ -161,36 +179,22 @@ def _searching(s: Sequent, arg):
     closed = _closure_proof(s)
     if closed is not None:
         return closed, None
-    pick = _first_composite(s)
-    if pick is not None:
+    pick = _invertible(s, system, unfolded)
+    if pick is not None:  # the chain's premises searched, its rules applied over their proofs
         comp, f = pick
-        ant = comp in ("g1", "g2")
-        base = s.remove_one(comp, f)
-        if isinstance(f, Neg):
-            premises, rule = [base.insert(ACROSS[comp], f.body)], lneg if ant else rneg
-        elif isinstance(f, Or) == ant:  # lor and rand: one premise per part
-            premises = [base.insert(comp, f.left), base.insert(comp, f.right)]
-            rule = lor if ant else rand
-        else:  # both parts in one premise, then the two copies of f contracted
-            premises = [base.insert(comp, f.left).insert(comp, f.right)]
-            inner, outer = (land2, land1) if ant else (ror2, ror1)
-            rule = lambda sub, f, comp: contract(outer(inner(sub, f, comp), f, comp), f, comp)
+        chain = _CHAINS[comp[0], type(f)]
+        if chain[-1] == "t":  # a boxed formula is unfolded once between jumps
+            arg = system, unfolded | {(comp, f)}, blocked
         subs = []
-        for premise in premises:
+        for premise in _chain_premises(chain, s, f, comp):
             sub, fail = yield premise, arg
             if sub is None:
                 return None, fail
             subs.append(sub)
-        return rule(*subs, f, comp), None
+        for rule in reversed(chain):
+            subs = [infer(rule, subs, f, comp)]
+        return subs[0], None
     # literals and boxes only
-    if "t" in system.modal_rules:
-        for comp in ("g1", "g2"):
-            for f in s.comp(comp):
-                if isinstance(f, Box) and (comp, f) not in unfolded:
-                    sub, fail = yield s.insert(comp, f.body), (system, unfolded | {(comp, f)}, blocked)
-                    if sub is None:
-                        return None, fail
-                    return lc(rule_t(sub, f, comp), f, comp), None
     fails = []
     jump = "4" if "4" in system.modal_rules else ("k" if "k" in system.modal_rules else None)
     if jump is not None:
@@ -431,24 +435,17 @@ def enumerate_cutfree_interpolants(s: Sequent, system: System, max_depth: int):
 def _cutfree_instances(seq: Sequent, system: System):
     """(rule, main component, premises) for each instance of a cut-free
     rule of the system that concludes seq: the rules of RULE_SCHEMA but cut,
-    with premise_aux, and the modal jumps, with jump_premise.  t is taken
-    with a contraction below it, one step whose premise keeps the box beside
-    its body, so that the sets at each depth are those the incompleteness
-    repros (prop3.2, prop7.1) were written against."""
+    with premises_of, and the modal jumps, with jump_premise.  t is taken
+    with a contraction below it, the search's t step, whose premise keeps
+    the box beside its body, so that the sets at each depth are those the
+    incompleteness repros (prop3.2, prop7.1) were written against."""
     for comp, fs in zip(COMPONENTS, seq):
         for f in dict.fromkeys(fs):
-            base = seq.remove_one(comp, f)
-            for rule, (side, connective, arity) in RULE_SCHEMA.items():
+            for rule, (side, connective, _) in RULE_SCHEMA.items():
                 if (rule == "cut" or side != comp[0] or not isinstance(f, connective or Formula)
                         or rule == "t" and rule not in system.modal_rules):
                     continue
-                premises = []
-                for ci in range(arity):
-                    premise = seq if rule == "t" else base
-                    for c, g in premise_aux(rule, f, comp, ci):
-                        premise = premise.insert(c, g)
-                    premises.append(premise)
-                yield rule, comp, premises
+                yield rule, comp, _chain_premises(_CHAINS["g", Box] if rule == "t" else (rule,), seq, f, comp)
     dcomp = "d1" if seq.d1 else "d2"
     for rule in MODAL_JUMPS:
         if rule in system.modal_rules:

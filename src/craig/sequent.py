@@ -281,7 +281,7 @@ def _memo_formula(piece: str, memo) -> Formula:
 # antecedent component, d for a succedent one; a cut's main occurrence is
 # its placement), the connective of the main formula (None for any) and the
 # number of premises.  premise_aux gives each premise's auxiliary formulas;
-# infer, rebuild and expected_premises are derived from the two.
+# infer, rebuild and premises_of are derived from the two.
 RULE_SCHEMA = {
     "lw": ("g", None, 1),
     "rw": ("d", None, 1),
@@ -766,11 +766,10 @@ def wax(f: Formula, target: Sequent, ant="g1", suc="d1") -> Proof:
 # Expected premises
 # ---------------------------------------------------------------------------
 
-def expected_premises(p: Proof):
-    """The premise sequents this node's rule demands, () for the axioms.
-    Raises ProofError when the node does not fit its rule's schema."""
-    s, rule = p.sequentv, p.rule
-    m, comp = p.main_formula, p.main_comp
+def premises_of(rule, s: Sequent, m: Formula, comp):
+    """The premise sequents that the instance of rule with conclusion s and
+    main occurrence m at comp demands, () for the axioms.  Raises
+    ProofError when the instance does not fit its rule's schema."""
     if rule in ("ax", "bot"):
         return ()
     if rule in MODAL_JUMPS:
@@ -796,6 +795,11 @@ def expected_premises(p: Proof):
     return tuple(out)
 
 
+def expected_premises(p: Proof):
+    """The premise sequents this node's rule demands."""
+    return premises_of(p.rule, p.sequentv, p.main_formula, p.main_comp)
+
+
 # ---------------------------------------------------------------------------
 # Checking
 # ---------------------------------------------------------------------------
@@ -807,7 +811,7 @@ def check_proof(p: Proof, system: System):
     The canonical order of every component and, in a non-modal system, the
     absence of boxes are checked on the root sequent only, by induction:
     a premise passes only when it equals the sequent that its rule demands
-    of its checked conclusion, and expected_premises builds that sequent
+    of its checked conclusion, and premises_of builds that sequent
     with insert and remove_one, which keep the order, or with sequent(),
     which sorts.  Its formulas are the conclusion's, their subformulas, or
     a cut formula.  So a cut in a non-modal system checks its formula for
@@ -1240,9 +1244,11 @@ def format_proof(p: Proof) -> str:
     ...) per distinct node, in preorder.  main is the flat index of the main
     occurrence, a cut's placement, or - where there is none, and only a cut
     writes the quoted formula.  A premise leaves out its sequent where it is
-    the one expected_premises derives from its parent.  A premise written
-    before, the same object met again, is @n, where n counts the nodes
-    written before its first write."""
+    the one expected_premises derives from its parent, as every premise of
+    a node that stores a passed check_proof verdict is, so its premises are
+    not derived again.  A premise written before, the same object met
+    again, is @n, where n counts the nodes written before its first
+    write."""
     out = []
     written = 0
     omit = False  # whether the next node written leaves out its sequent
@@ -1261,12 +1267,13 @@ def format_proof(p: Proof) -> str:
             out.append(f' {node.main_comp} "{format_formula(node.main_formula)}"')
         else:
             out.append(" -")
+        checked = bool(getattr(node, "_passed", ()))
         try:
-            derived = expected_premises(node) if node.children else ()
+            derived = expected_premises(node) if node.children and not checked else ()
         except ProofError:
             derived = ()
         for i, child in enumerate(node.children):
-            omit = i < len(derived) and child.sequentv == derived[i]
+            omit = checked or i < len(derived) and child.sequentv == derived[i]
             here = len(out)
             first = yield child, None
             if len(out) == here:
@@ -1406,7 +1413,7 @@ class _Reading:
         if self.rule == "cut" and self.main is None:
             raise ProofError(f"node {position} leaves out its sequent, but its cut has no formula")
         if self.derived is None:
-            self.derived = expected_premises(Proof(self.rule, self.seq, (), self.comp, self.main))
+            self.derived = premises_of(self.rule, self.seq, self.main, self.comp)
         i = len(self.children)
         if i >= len(self.derived):
             raise ProofError(f"node {position} leaves out its sequent, but rule {self.rule} "

@@ -16,11 +16,34 @@ from craig.formulas import (
     Or,
     clause_key,
     format_formula,
+    is_modal,
     split_literal,
 )
 from craig.maehara import axiom_interpolant, combine
 from craig.resolution import Input, Resolve, ResolutionProof, Weaken
-from craig.sequent import ACROSS, COMPONENTS, MODAL_JUMPS, ProofError, format_sequent, jump_premise, main_occurrence
+from craig.sequent import (
+    ACROSS,
+    COMPONENTS,
+    MODAL_JUMPS,
+    ProofError,
+    _drive,
+    contract,
+    format_sequent,
+    jump_premise,
+    land1,
+    land2,
+    lc,
+    lneg,
+    lor,
+    main_occurrence,
+    rand,
+    rneg,
+    ror1,
+    ror2,
+    rule_t,
+    sequent,
+    weaken_to,
+)
 
 
 def random_formula(rng, atoms=("p", "q", "r", "s"), depth=4, modal=False):
@@ -244,6 +267,89 @@ def _reference_modal_backward(seq, system, depth, mset):
             continue
         out |= {combine(rule, dcomp, (x,)) for x in mset(premise, depth - 1)}
     return out
+
+
+def reference_prove_cutfree(s, system):
+    """prove_cutfree as it was before its search read the rule table: a
+    search step that builds the premises of ~, |, & and t by hand, with &
+    on the left and | on the right as both parts in one premise under both
+    of their rules and a contraction."""
+    from craig.construct import ConstructError, NotProvable, _checked, _fail_tree_to_model, _prop_countermodel
+
+    if not system.modal and any(is_modal(f) for f in s.antecedent() + s.succedent()):
+        raise ConstructError(
+            f"boxed formula in a non-modal system {system.name}: {format_sequent(s)}"
+        )
+    proof, fail = _drive(_reference_searching, s, (system, frozenset(), frozenset()))
+    if proof is not None:
+        return _checked(proof, system)
+    countermodel = None
+    if not system.modal:
+        countermodel = _prop_countermodel(fail.sequent)
+    elif system.modal_rules == frozenset({"k"}):
+        countermodel = _fail_tree_to_model(fail)
+    raise NotProvable(s, countermodel)
+
+
+def _reference_searching(s, arg):
+    """The search step of reference_prove_cutfree: (proof, None) or (None,
+    fail-tree) for s under arg = (system, unfolded, blocked)."""
+    from craig.construct import _closure_proof, _FailNode
+
+    system, unfolded, blocked = arg
+    closed = _closure_proof(s)
+    if closed is not None:
+        return closed, None
+    pick = next(((comp, f) for comp, fs in zip(COMPONENTS, s) for f in fs
+                 if isinstance(f, (And, Or, Neg))), None)
+    if pick is not None:
+        comp, f = pick
+        ant = comp in ("g1", "g2")
+        base = s.remove_one(comp, f)
+        if isinstance(f, Neg):
+            premises, rule = [base.insert(ACROSS[comp], f.body)], lneg if ant else rneg
+        elif isinstance(f, Or) == ant:  # lor and rand: one premise per part
+            premises = [base.insert(comp, f.left), base.insert(comp, f.right)]
+            rule = lor if ant else rand
+        else:  # both parts in one premise, then the two copies of f contracted
+            premises = [base.insert(comp, f.left).insert(comp, f.right)]
+            inner, outer = (land2, land1) if ant else (ror2, ror1)
+            rule = lambda sub, f, comp: contract(outer(inner(sub, f, comp), f, comp), f, comp)
+        subs = []
+        for premise in premises:
+            sub, fail = yield premise, arg
+            if sub is None:
+                return None, fail
+            subs.append(sub)
+        return rule(*subs, f, comp), None
+    # literals and boxes only
+    if "t" in system.modal_rules:
+        for comp in ("g1", "g2"):
+            for f in s.comp(comp):
+                if isinstance(f, Box) and (comp, f) not in unfolded:
+                    sub, fail = yield s.insert(comp, f.body), (system, unfolded | {(comp, f)}, blocked)
+                    if sub is None:
+                        return None, fail
+                    return lc(rule_t(sub, f, comp), f, comp), None
+    fails = []
+    jump = "4" if "4" in system.modal_rules else ("k" if "k" in system.modal_rules else None)
+    if jump is not None:
+        boxed = [{g for g in s.comp(c) if isinstance(g, Box)} for c in ("g1", "g2")]
+        goals = [(jump, sequent(*boxed, [f], []) if dcomp == "d1" else sequent(*boxed, [], [f]))
+                 for dcomp in ("d1", "d2") for f in s.comp(dcomp) if isinstance(f, Box)]
+        if "d" in system.modal_rules:
+            goals.append(("d4" if "d4" in system.modal_rules else "d", sequent(*boxed)))
+        for rule, goal in goals:
+            premise = jump_premise(rule, goal)
+            key = (premise, rule)
+            if key in blocked:
+                continue
+            sub, fail = yield premise, (system, frozenset(), blocked | {key})
+            if sub is not None:
+                return weaken_to(MODAL_JUMPS[rule](sub), s), None
+            if fail is not None:
+                fails.append(fail)
+    return None, _FailNode(s, fails)
 
 
 def reference_enumerate_refutations(cs, max_nodes, allow_weakening=False):

@@ -35,6 +35,7 @@ from craig.sequent import (
     ax,
     check_proof,
     classify_cut,
+    format_proof,
     format_sequent,
     is_tame,
     sequent,
@@ -61,6 +62,7 @@ from conftest import (
     random_clause_set,
     random_formula,
     reference_enumerate_cutfree_interpolants,
+    reference_prove_cutfree,
 )
 
 p, q, r, s = Atom("p"), Atom("q"), Atom("r"), Atom("s")
@@ -495,3 +497,46 @@ class TestEnumeration:
         seq = sequent([Box(And(p, q))], [], [], [Box(Or(p, q))])
         out = enumerate_cutfree_interpolants(seq, K, 6)
         assert any(m == Box(p) for m in out)
+
+
+def search_draw(system, count=25):
+    """Seeded sequents for the cut-free search, from random a, b of depth 3
+    (boxed subformulas in a modal system):  a ; => ; b  and  a ; => ; a | b,
+    & and | on both sides in  a & b ; => a ;  and  ; a | b => ; b & a,  and
+    in a modal system  [](a & b) ; => ; a,  which needs t, and
+    []a ; []b => [](a | b) ; ."""
+    rng = random.Random(f"search {system.name}")
+    out = []
+    for _ in range(count):
+        a, b = (random_formula(rng, ("p", "q", "r"), 3, system.modal) for _ in range(2))
+        out += [sequent([a], [], [], [b]), sequent([a], [], [], [Or(a, b)]),
+                sequent([And(a, b)], [], [a]), sequent([], [Or(a, b)], [], [And(b, a)])]
+        if system.modal:
+            out += [sequent([Box(And(a, b))], [], [], [a]), sequent([Box(a)], [Box(b)], [Box(Or(a, b))])]
+    return out
+
+
+def search_outcome(prove, seq, system):
+    """The .prf text of prove's proof of seq, or its exception's type,
+    message and countermodel."""
+    try:
+        return format_proof(prove(seq, system))
+    except ConstructError as e:
+        return type(e), str(e), getattr(e, "countermodel", None)
+
+
+class TestSearchDifferential:
+    @pytest.mark.parametrize("system", SYSTEMS.values(), ids=SYSTEMS)
+    def test_equals_the_hand_built_search(self, system):
+        outcomes = set()
+        for seq in search_draw(system):
+            got = search_outcome(prove_cutfree, seq, system)
+            assert got == search_outcome(reference_prove_cutfree, seq, system), format_sequent(seq)
+            outcomes.add(type(got))
+        assert outcomes == {str, tuple}  # proofs and failures both
+
+    @pytest.mark.parametrize("system", [KT, S4], ids=["kt", "s4"])
+    def test_the_draw_unfolds_t(self, system):
+        unfolded = [seq for seq in search_draw(system) if any(
+            node.rule == "t" for _, node in iter_nodes(try_prove_cutfree(seq, system) or ax(p)))]
+        assert len(unfolded) >= 10

@@ -5,6 +5,7 @@ import gc
 import importlib
 import pickle
 import random
+import re
 import sys
 import threading
 from collections import Counter
@@ -1748,6 +1749,21 @@ def prove_draws(seed=22, draws=40):
     return out
 
 
+def golden_proofs():
+    """The realized, cut-free and atomic-cut proofs of the golden draws."""
+    from craig.construct import realize_interpolant, realize_pruned
+    from craig.formulas import clause_set_formula, parse_clause_set, parse_formula
+    from craig.transform import eliminate_cuts
+    from test_proof_golden import GOLDEN
+
+    out = ()
+    for a, b, cls, *_ in GOLDEN:
+        a, b, cs = parse_formula(a), parse_formula(b), parse_clause_set(cls)
+        realized = realize_pruned(a, b, cs)
+        out += (realized, eliminate_cuts(realized).proof, realize_interpolant(a, b, clause_set_formula(cs), LKAT))
+    return out
+
+
 class TestCompactText:
     """format_proof leaves out what parse_proof derives and writes each
     distinct node once; parse_proof reads that text and the verbose text of
@@ -1792,6 +1808,37 @@ class TestCompactText:
         back = parse_proof(text)
         assert back == proof and distinct_nodes(back) == 5_826
         assert distinct_nodes(parse_proof(reference_format_proof(proof))) == 27_456
+
+    def test_a_checked_node_is_written_from_its_verdict(self, monkeypatch):
+        """A checked proof writes the text of its deep copy, which stores no
+        verdict, and derives no premise sequent to write it."""
+        proofs = golden_proofs() + differential_proofs() + tuple(prove_draws())
+        derived = []
+        real = sequent_module.premises_of
+        monkeypatch.setattr(sequent_module, "premises_of",
+                            lambda *instance: derived.append(instance) or real(*instance))
+        for proof in proofs:
+            assert check_proof(proof, passing_system(proof)) is None
+            fresh = copy.deepcopy(proof)
+            assert not any(hasattr(node, "_passed") for node in distinct_preorder(fresh))
+            derived.clear()
+            text = format_proof(proof)
+            assert derived == []
+            assert format_proof(fresh) == text
+            assert len(derived) == sum(1 for node in distinct_preorder(fresh) if node.children)
+
+    def test_the_reader_builds_one_proof_per_distinct_node(self, monkeypatch):
+        texts = [format_proof(proof) for proof in differential_proofs() + tuple(prove_draws())]
+        built = []
+        real = Proof.__post_init__
+        monkeypatch.setattr(Proof, "__post_init__", lambda node: built.append(node) or real(node))
+        omitted = 0
+        for text in texts:
+            built.clear()
+            back = parse_proof(text)
+            assert len(built) == distinct_nodes(back)
+            omitted += text.count("(") - len(re.findall(r'\([^ ()]+ "', text))
+        assert omitted > 10_000
 
     def test_pickle_writes_the_text(self):
         chain = ax(p, "g1", "d1")
@@ -1937,6 +1984,15 @@ class TestNoReferenceCycles:
 
         proof = rneg(ax(p, "g2", "d1"), Neg(p), "d2")
         assert cyclic_garbage(lambda: neg_invert(proof, "d2", 0)) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["repro", "prop3.2"], ["repro", "thm5.4"], ["parse", "p & q"], ["prove", "p & q ; => ; p | q"],
+    ], ids=" ".join)
+    def test_cli_main(self, argv, capsys):
+        from craig.cli import build_parser, main
+
+        build_parser()  # once per process, and kept
+        assert cyclic_garbage(lambda: main(argv)) == 0
 
     def test_monochromatize(self):
         # a cut on p placed on side 2 while p occurs only on side 1: the
