@@ -417,15 +417,28 @@ def cmd_repro(args):
     return EXIT_OK if all(checks) else EXIT_LOGICAL
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    """argparse's formatter, whose sections, which refer to it and to their
+    parents in cycles, drop their fields once formatted."""
+
+    class _Section(argparse.HelpFormatter._Section):
+        def format_help(self):
+            try:
+                return super().format_help()
+            finally:
+                vars(self).clear()
+
+
 @functools.cache
 def build_parser():
     """The command-line parser, built once per process: argparse's parsers
     refer to each other, so a dropped one is garbage for the cyclic collector."""
-    parser = argparse.ArgumentParser(
+    new_parser = functools.partial(argparse.ArgumentParser, formatter_class=_HelpFormatter)
+    parser = new_parser(
         prog="craig",
         description="interpolation for resolution and sequent calculi",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=new_parser)
 
     sp = sub.add_parser("parse", help="parse a formula and print it canonically")
     sp.add_argument("formula")
@@ -491,6 +504,8 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
+        # Python 3.10's parse_args keeps the error it exits on in a frame the error holds
+        traceback.clear_frames(e.__traceback__)
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
         # the command's function cmd_<name>, looked up when it runs

@@ -44,11 +44,12 @@ from .sequent import (
     cut,
     format_sequent,
     infer,
+    jump,
     jump_premise,
     premises_of,
-    rw,
     sequent,
     wax,
+    weaken,
     weaken_to,
 )
 from .transform import eliminate_cuts, literal_cuts_to_atomic
@@ -196,13 +197,13 @@ def _searching(s: Sequent, arg):
         return subs[0], None
     # literals and boxes only
     fails = []
-    jump = "4" if "4" in system.modal_rules else ("k" if "k" in system.modal_rules else None)
-    if jump is not None:
+    box_jump = "4" if "4" in system.modal_rules else ("k" if "k" in system.modal_rules else None)
+    if box_jump is not None:
         # each jump's conclusion: the distinct boxed antecedent formulas of s
         # over one boxed succedent formula of s, or over nothing for d (d4
         # under 4, whose premise keeps the boxes)
         boxed = [{g for g in s.comp(c) if isinstance(g, Box)} for c in ("g1", "g2")]
-        goals = [(jump, sequent(*boxed, [f], []) if dcomp == "d1" else sequent(*boxed, [], [f]))
+        goals = [(box_jump, sequent(*boxed, [f], []) if dcomp == "d1" else sequent(*boxed, [], [f]))
                  for dcomp in ("d1", "d2") for f in s.comp(dcomp) if isinstance(f, Box)]
         if "d" in system.modal_rules:
             goals.append(("d4" if "d4" in system.modal_rules else "d", sequent(*boxed)))
@@ -213,7 +214,7 @@ def _searching(s: Sequent, arg):
                 continue
             sub, fail = yield premise, (system, frozenset(), blocked | {key})
             if sub is not None:
-                return weaken_to(MODAL_JUMPS[rule](sub), s), None
+                return weaken_to(jump(rule, sub, goal), s), None
             if fail is not None:
                 fails.append(fail)
     return None, _FailNode(s, fails)
@@ -272,7 +273,7 @@ def realize_clause(a: Formula, clause_, system: System = LKAT) -> Proof:
     except NotProvable as e:
         raise NotEntailed(f"{format_formula(a)} does not entail the clause") from e
     for lf in fls:
-        left = rw(cur, lf, "d2")
+        left = weaken(cur, lf, "d2")
         ctx = left.sequentv.remove_one("d1", lf)
         right = wax(lf, ctx.insert("g1", lf), "g1", "d2")
         cur = cut(left, right, lf, 1)

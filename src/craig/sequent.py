@@ -148,7 +148,7 @@ class Sequent(tuple):
     """g1 ; g2 => d1 ; d2 as the positional 4-tuple of its components, each
     a tuple of formulas in the canonical order, so that building, comparing
     and hashing a sequent are tuple's.  The names in COMPONENTS address the
-    components at the edges: the rule constructors' comp=, main_comp, .prf
+    components at the edges: the builders' comp argument, main_comp, .prf
     text and format_sequent.  The constructor makes each component a tuple;
     insert, remove_one and sequent() build from tuples directly."""
 
@@ -361,7 +361,7 @@ class Proof:
 
 # Facts that depend only on a node are stored in its __dict__, outside its
 # fields, so they take no part in equality, hashing or repr, and
-# dataclasses.replace, the constructors and the parsers build nodes without
+# dataclasses.replace, the builders and the parsers build nodes without
 # them.  A node and its parts are immutable once built, so a fact stored on
 # it stays true.
 #
@@ -499,7 +499,7 @@ def replace_at(p: Proof, path, new: Proof) -> Proof:
 
 
 # ---------------------------------------------------------------------------
-# Rule constructors
+# Builders
 # ---------------------------------------------------------------------------
 
 def ax(f: Formula, ant="g1", suc="d1") -> Proof:
@@ -587,60 +587,8 @@ def infer(rule, premises, main: Formula, comp) -> Proof:
     return Proof(rule, context if rule == "cut" else context.insert(comp, main), premises, comp, main)
 
 
-def lw(child: Proof, f: Formula, comp="g1") -> Proof:
-    return infer("lw", (child,), f, comp)
-
-
-def rw(child: Proof, f: Formula, comp="d1") -> Proof:
-    return infer("rw", (child,), f, comp)
-
-
-def lc(child: Proof, f: Formula, comp="g1") -> Proof:
-    return infer("lc", (child,), f, comp)
-
-
-def rc(child: Proof, f: Formula, comp="d1") -> Proof:
-    return infer("rc", (child,), f, comp)
-
-
-def land1(child: Proof, main: Formula, comp="g1") -> Proof:
-    return infer("land1", (child,), main, comp)
-
-
-def land2(child: Proof, main: Formula, comp="g1") -> Proof:
-    return infer("land2", (child,), main, comp)
-
-
-def rand(left: Proof, right: Proof, main: Formula, comp="d1") -> Proof:
-    return infer("rand", (left, right), main, comp)
-
-
-def lor(left: Proof, right: Proof, main: Formula, comp="g1") -> Proof:
-    return infer("lor", (left, right), main, comp)
-
-
-def ror1(child: Proof, main: Formula, comp="d1") -> Proof:
-    return infer("ror1", (child,), main, comp)
-
-
-def ror2(child: Proof, main: Formula, comp="d1") -> Proof:
-    return infer("ror2", (child,), main, comp)
-
-
-def lneg(child: Proof, main: Formula, comp="g1") -> Proof:
-    return infer("lneg", (child,), main, comp)
-
-
-def rneg(child: Proof, main: Formula, comp="d1") -> Proof:
-    return infer("rneg", (child,), main, comp)
-
-
 def cut(left: Proof, right: Proof, f: Formula, side=2) -> Proof:
     return infer("cut", (left, right), f, f"d{side}")
-
-
-def rule_t(child: Proof, main: Formula, comp="g1") -> Proof:
-    return infer("t", (child,), main, comp)
 
 
 def weaken(child: Proof, f: Formula, comp) -> Proof:
@@ -653,57 +601,7 @@ def contract(child: Proof, f: Formula, comp) -> Proof:
     return infer("lc" if comp[0] == "g" else "rc", (child,), f, comp)
 
 
-def rule_k(child: Proof) -> Proof:
-    return _jump("k", child, lambda fs: [Box(f) for f in fs])
-
-
-def rule_d(child: Proof) -> Proof:
-    return _jump("d", child, lambda fs: [Box(f) for f in fs])
-
-
-def rule_4(child: Proof) -> Proof:
-    return _jump("4", child, _four_context)
-
-
-def rule_d4(child: Proof) -> Proof:
-    return _jump("d4", child, _four_context)
-
-
-def _four_context(fs):
-    """The boxed formulas whose bodies and themselves make up fs, when there
-    are any: a deepest formula of fs is the body of none, so it is one of
-    them, and so on for the rest less it and its body."""
-    rest = sorted(fs, key=lambda f: f.depth)
-    out = []
-    while rest and isinstance(rest[-1], Box) and rest[-1].body in rest[:-1]:
-        f = rest.pop()
-        rest.remove(f.body)
-        out.append(f)
-    return out
-
-
-def _jump(rule, child: Proof, boxes) -> Proof:
-    """The modal jump rule over child, with boxes(component) for each
-    antecedent component of the conclusion and, for k and 4, the box of the
-    premise's one succedent formula as main; the conclusion's jump_premise
-    must be the premise."""
-    s = child.sequentv
-    g1, g2 = boxes(s.g1), boxes(s.g2)
-    if rule in ("d", "d4"):
-        dcomp = main = None
-        conclusion = sequent(g1, g2)
-    else:
-        sucs = s.succedent()
-        if len(sucs) != 1:
-            raise ProofError(f"{rule} premise has exactly one succedent formula")
-        dcomp, main = "d1" if s.d1 else "d2", Box(sucs[0])
-        conclusion = sequent(g1, g2, [main] if s.d1 else [], [main] if s.d2 else [])
-    if jump_premise(rule, conclusion) != s:
-        raise ProofError(f"{rule} does not apply to {format_sequent(s)}")
-    return Proof(rule, conclusion, (child,), dcomp, main)
-
-
-MODAL_JUMPS = {"k": rule_k, "d": rule_d, "4": rule_4, "d4": rule_d4}
+MODAL_JUMPS = ("k", "d", "4", "d4")
 # the rules a System's modal_rules may name: the jumps and t
 MODAL_RULES = frozenset({*MODAL_JUMPS, "t"})
 
@@ -730,17 +628,32 @@ def jump_premise(rule, s: Sequent) -> Sequent:
     return sequent(*gs, *ds)
 
 
+def jump(rule, premise: Proof, conclusion: Sequent) -> Proof:
+    """The modal jump rule (k, d, 4 or d4) from premise, which must end in
+    the conclusion's jump_premise; k's and 4's main occurrence is the
+    conclusion's one succedent formula, and d and d4 have none."""
+    if jump_premise(rule, conclusion) != premise.sequentv:
+        raise ProofError(f"{rule} does not conclude {format_sequent(conclusion)} "
+                         f"from {format_sequent(premise.sequentv)}")
+    if rule in ("d", "d4"):
+        return Proof(rule, conclusion, (premise,))
+    dcomp = "d1" if conclusion.d1 else "d2"
+    return Proof(rule, conclusion, (premise,), dcomp, conclusion.comp(dcomp)[0])
+
+
 def first_index(s: Sequent, comp: str, f: Formula) -> int:
     return _first_indices(s.comp(comp), f, 1)[0]
 
 
 def rebuild(node: Proof, children) -> Proof:
-    """The same rule instance over new premise proofs (contexts may differ)."""
+    """The same rule instance over new premise proofs, whose contexts may
+    differ but for a modal jump: it keeps node's conclusion, and raises
+    ProofError over a premise other than that conclusion's jump_premise."""
     children = tuple(children)
     if node.rule in RULE_SCHEMA:
         return infer(node.rule, children, node.main_formula, node.main_comp)
     if node.rule in MODAL_JUMPS and len(children) == 1:
-        return MODAL_JUMPS[node.rule](children[0])
+        return jump(node.rule, children[0], node.sequentv)
     raise ProofError(f"cannot rebuild rule {node.rule!r} over {len(children)} premises")
 
 

@@ -44,17 +44,14 @@ from .sequent import (
     direct_ancestors,
     first_index,
     first_node,
+    infer,
     is_tame,
     is_weak,
-    lc,
-    lneg,
     main_occurrence,
     premise_aux,
-    rc,
     rebuild,
     relink,
     replace_at,
-    rneg,
     subproof_at,
     wax,
     weaken,
@@ -112,7 +109,7 @@ def _axiom_inversion(node: Proof, comp: str) -> Proof:
             "inverting an axiom placed right/left needs a non-normal interpolant"
         )
     premise = ax(nf.body, ACROSS[suc], ACROSS[ant])
-    return lneg(premise, nf, ant) if comp == suc else rneg(premise, nf, suc)
+    return infer("lneg", (premise,), nf, ant) if comp == suc else infer("rneg", (premise,), nf, suc)
 
 
 def _inversion(node: Proof, occ):
@@ -390,14 +387,14 @@ def _reduce_cut(chi: Proof):
             raise TransformError(
                 "axiom-against-rule cut crosses the partition; not supported"
             )
-        return lc(right, f, gcomp), "axiom-absorb"
+        return contract(right, f, gcomp), "axiom-absorb"
     if intro_r == "wax":
         t2 = _wax_axiom_comp(right, gcomp)
         if t2 != dcomp:
             raise TransformError(
                 "rule-against-axiom cut crosses the partition; not supported"
             )
-        return rc(left, f, dcomp), "axiom-absorb"
+        return contract(left, f, dcomp), "axiom-absorb"
 
     return _degree_reduce(chi), "degree"
 

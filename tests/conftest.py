@@ -29,18 +29,10 @@ from craig.sequent import (
     _drive,
     contract,
     format_sequent,
+    infer,
+    jump,
     jump_premise,
-    land1,
-    land2,
-    lc,
-    lneg,
-    lor,
     main_occurrence,
-    rand,
-    rneg,
-    ror1,
-    ror2,
-    rule_t,
     sequent,
     weaken_to,
 )
@@ -307,21 +299,22 @@ def _reference_searching(s, arg):
         ant = comp in ("g1", "g2")
         base = s.remove_one(comp, f)
         if isinstance(f, Neg):
-            premises, rule = [base.insert(ACROSS[comp], f.body)], lneg if ant else rneg
+            premises, rules = [base.insert(ACROSS[comp], f.body)], ["lneg" if ant else "rneg"]
         elif isinstance(f, Or) == ant:  # lor and rand: one premise per part
             premises = [base.insert(comp, f.left), base.insert(comp, f.right)]
-            rule = lor if ant else rand
+            rules = ["lor" if ant else "rand"]
         else:  # both parts in one premise, then the two copies of f contracted
             premises = [base.insert(comp, f.left).insert(comp, f.right)]
-            inner, outer = (land2, land1) if ant else (ror2, ror1)
-            rule = lambda sub, f, comp: contract(outer(inner(sub, f, comp), f, comp), f, comp)
+            rules = ["land2", "land1", "lc"] if ant else ["ror2", "ror1", "rc"]
         subs = []
         for premise in premises:
             sub, fail = yield premise, arg
             if sub is None:
                 return None, fail
             subs.append(sub)
-        return rule(*subs, f, comp), None
+        for rule in rules:
+            subs = [infer(rule, subs, f, comp)]
+        return subs[0], None
     # literals and boxes only
     if "t" in system.modal_rules:
         for comp in ("g1", "g2"):
@@ -330,12 +323,12 @@ def _reference_searching(s, arg):
                     sub, fail = yield s.insert(comp, f.body), (system, unfolded | {(comp, f)}, blocked)
                     if sub is None:
                         return None, fail
-                    return lc(rule_t(sub, f, comp), f, comp), None
+                    return contract(infer("t", (sub,), f, comp), f, comp), None
     fails = []
-    jump = "4" if "4" in system.modal_rules else ("k" if "k" in system.modal_rules else None)
-    if jump is not None:
+    box_jump = "4" if "4" in system.modal_rules else ("k" if "k" in system.modal_rules else None)
+    if box_jump is not None:
         boxed = [{g for g in s.comp(c) if isinstance(g, Box)} for c in ("g1", "g2")]
-        goals = [(jump, sequent(*boxed, [f], []) if dcomp == "d1" else sequent(*boxed, [], [f]))
+        goals = [(box_jump, sequent(*boxed, [f], []) if dcomp == "d1" else sequent(*boxed, [], [f]))
                  for dcomp in ("d1", "d2") for f in s.comp(dcomp) if isinstance(f, Box)]
         if "d" in system.modal_rules:
             goals.append(("d4" if "d4" in system.modal_rules else "d", sequent(*boxed)))
@@ -346,10 +339,36 @@ def _reference_searching(s, arg):
                 continue
             sub, fail = yield premise, (system, frozenset(), blocked | {key})
             if sub is not None:
-                return weaken_to(MODAL_JUMPS[rule](sub), s), None
+                return weaken_to(reference_jump(rule, sub), s), None
             if fail is not None:
                 fails.append(fail)
     return None, _FailNode(s, fails)
+
+
+def reference_jump(rule, child):
+    """The modal jump rule over child, its conclusion read forward from the
+    premise as sequent.py read it before jump took the conclusion: k and d
+    box each antecedent formula, 4 and d4 take the deepest-box split of
+    each antecedent component, and k and 4 box the one succedent formula."""
+    s = child.sequentv
+    boxes = _deepest_box_split if rule in ("4", "d4") else (lambda fs: [Box(f) for f in fs])
+    g1, g2 = boxes(s.g1), boxes(s.g2)
+    if rule in ("d", "d4"):
+        return jump(rule, child, sequent(g1, g2))
+    return jump(rule, child, sequent(g1, g2, *([Box(f) for f in fs] for fs in (s.d1, s.d2))))
+
+
+def _deepest_box_split(fs):
+    """The boxed formulas whose bodies and themselves make up fs, when there
+    are any: a deepest formula of fs is the body of none, so it is one of
+    them, and so on for the rest less it and its body."""
+    rest = sorted(fs, key=lambda f: f.depth)
+    out = []
+    while rest and isinstance(rest[-1], Box) and rest[-1].body in rest[:-1]:
+        f = rest.pop()
+        rest.remove(f.body)
+        out.append(f)
+    return out
 
 
 def reference_enumerate_refutations(cs, max_nodes, allow_weakening=False):

@@ -66,6 +66,7 @@ from craig.sequent import (
     parse_proof,
     proof_length,
     sequent,
+    weaken,
     weight,
 )
 from craig.transform import (
@@ -302,9 +303,7 @@ def test_criterion_6_lemma_suite():
         proof = try_prove_cutfree(sequent([a], [], [], [b]), LKMINUS)
         if proof is None:
             continue
-        from craig.sequent import rw as add_rw
-
-        noisy = add_rw(proof, Atom("u"), "d2")
+        noisy = weaken(proof, Atom("u"), "d2")
         out = w_reduce(noisy)
         assert is_w_reduced(out)
         assert out.sequentv == noisy.sequentv

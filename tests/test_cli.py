@@ -9,7 +9,7 @@ import pytest
 import craig
 from craig.cli import main
 from craig.formulas import MAX_DEPTH, Atom, Or, format_clause_set
-from craig.sequent import ax, format_proof, lor, lw
+from craig.sequent import ax, format_proof, infer, weaken
 from conftest import iter_nodes
 from test_sequent import MALFORMED_COMPACT, UNSOUND_PROOFS
 
@@ -164,9 +164,9 @@ class TestExitCodes:
         p = Atom("p")
         node = ax(p)
         for _ in range(n - 1):
-            node = lw(node, p)
+            node = weaken(node, p, "g1")
         for _ in range(n):
-            node = lor(node, node, Or(p, p))
+            node = infer("lor", (node, node), Or(p, p), "g1")
         return node
 
     def test_a_text_far_smaller_than_its_tree_is_refused(self, capsys, tmp_path):

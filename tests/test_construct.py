@@ -220,7 +220,8 @@ class TestProveCutfree:
     @pytest.mark.parametrize("system", [K4, S4], ids=["k4", "s4"])
     def test_4_step_over_a_box_and_its_box(self, system):
         """In the 4 step's premise []p is both the body of [][]p and a box
-        of the context, so rule_4 reads the context from the deepest box
+        of the context; the search builds the step from its conclusion,
+        and the reference search reads that conclusion from the deepest box
         down."""
         for side in ([Box(p)], [Box(q)]):
             seq = sequent(side + [Box(Box(p))], [], [Box(Box(Box(p)))], [])

@@ -64,3 +64,44 @@ def test_no_nested_function_refers_to_itself():
                         isinstance(node, ast.Name) and node.id == inner.name for node in ast.walk(inner)):
                     found.add(f"{name}.py:{inner.lineno} {inner.name}")
     assert sorted(found) == []
+
+
+def test_every_imported_name_is_used():
+    """A module reads each name that it imports: an import left behind by a
+    removed call is dead code."""
+    found = set()
+    for name, tree in SOURCES.items():
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                found.update(f"{name}.py:{node.lineno} {bound}" for bound in
+                             (alias.asname or alias.name.split(".")[0] for alias in node.names) if bound not in read)
+    assert sorted(found) == []
+
+
+def top_level_names(node) -> set:
+    """The names that a module-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, ast.AnnAssign):
+        return {node.target.id} if isinstance(node.target, ast.Name) else set()
+    targets = node.targets if isinstance(node, ast.Assign) else []
+    return {leaf.id for target in targets for leaf in ast.walk(target) if isinstance(leaf, ast.Name)}
+
+
+def test_every_private_module_level_name_is_referenced():
+    """Each private function, class or constant at module level is read
+    somewhere in the package outside its own definition: one that only
+    removed callers read is dead code."""
+    private, read = {}, set()
+    for name, tree in SOURCES.items():
+        for stmt in tree.body:
+            own = top_level_names(stmt)
+            private.update((n, f"{name}.py:{stmt.lineno} {n}") for n in own
+                           if n.startswith("_") and not n.endswith("__"))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in own:
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+    assert sorted(where for n, where in private.items() if n not in read) == []

@@ -36,13 +36,12 @@ from craig.sequent import (
     cut,
     format_proof,
     format_sequent,
-    land1,
-    lw,
+    infer,
+    jump,
     parse_sequent,
     proof_length,
-    rule_k,
-    rw,
     sequent,
+    weaken,
 )
 from conftest import distinct_nodes, interpolants, iter_nodes
 from test_sequent import differential_proofs, example_sigma, modal_proofs, width_two_product
@@ -95,22 +94,22 @@ class TestOneSidedPartitions:
 
 class TestCutCases:
     def test_type_r_cut_conjoins(self):
-        left = rw(ax(p, "g1", "d2"), p, "d2")
-        right = lw(ax(p, "g1", "d2"), p, "g2")
+        left = weaken(ax(p, "g1", "d2"), p, "d2")
+        right = weaken(ax(p, "g1", "d2"), p, "g2")
         proof = cut(left, right, p, 2)
         m = maehara(proof, LKAT)
         assert isinstance(m.interpolant, And)
 
     def test_type_l_cut_disjoins(self):
-        left = rw(ax(p, "g1", "d1"), p, "d1")
-        right = lw(ax(p, "g1", "d1"), p, "g1")
+        left = weaken(ax(p, "g1", "d1"), p, "d1")
+        right = weaken(ax(p, "g1", "d1"), p, "g1")
         proof = cut(left, right, p, 1)
         m = maehara(proof, LKAT)
         assert isinstance(m.interpolant, Or)
 
     def test_non_monochromatic_placement_rejected(self):
-        left = rw(ax(p, "g1", "d1"), q, "d2")
-        right = lw(ax(p, "g1", "d1"), q, "g2")
+        left = weaken(ax(p, "g1", "d1"), q, "d2")
+        right = weaken(ax(p, "g1", "d1"), q, "g2")
         proof = cut(left, right, q, 2)
         with pytest.raises(NonMonochromaticCut):
             maehara(proof, LK)
@@ -136,20 +135,26 @@ class TestClauseTargets:
             assert clause_ <= frozenset(lits)
 
 
+def k_over_land1(dcomp):
+    """[](p & q) => []p by k over land1, p and []p in component dcomp."""
+    premise = infer("land1", (ax(p, "g1", dcomp),), And(p, q), "g1")
+    return jump("k", premise, sequent([Box(And(p, q))]).insert(dcomp, Box(p)))
+
+
 class TestModalCases:
     def test_k_right_side(self):
-        proof = rule_k(land1(ax(p, "g1", "d2"), And(p, q), "g1"))
+        proof = k_over_land1("d2")
         ann = maehara(proof, K)
         assert ann.interpolant == Box(p)
         assert verify_interpolant(Box(And(p, q)), Box(p), ann.interpolant, K)
 
     def test_k_left_side(self):
-        proof = rule_k(land1(ax(p, "g1", "d1"), And(p, q), "g1"))
+        proof = k_over_land1("d1")
         ann = maehara(proof, K)
         assert ann.interpolant == Neg(Box(Neg(BOTTOM)))
 
     def test_nnf_shape(self):
-        proof = rule_k(land1(ax(p, "g1", "d2"), And(p, q), "g1"))
+        proof = k_over_land1("d2")
         assert is_nnf_interpolant(maehara(proof, K).interpolant)
 
 
@@ -283,8 +288,8 @@ class TestReferenceAnnotation:
 
     def test_same_first_failure(self):
         # two offending cuts: the one first in preorder is reported
-        bad = cut(rw(ax(p, "g1", "d1"), q, "d2"), lw(ax(p, "g1", "d1"), q, "g2"), q, 2)
-        worse = cut(rw(bad, r, "d2"), lw(bad, r, "g2"), r, 2)
+        bad = cut(weaken(ax(p, "g1", "d1"), q, "d2"), weaken(ax(p, "g1", "d1"), q, "g2"), q, 2)
+        worse = cut(weaken(bad, r, "d2"), weaken(bad, r, "g2"), r, 2)
         for proof in (bad, worse):
             with pytest.raises(NonMonochromaticCut) as got:
                 maehara(proof, LK)

@@ -21,12 +21,14 @@ from craig.sequent import (
     COMPONENTS,
     K,
     K4,
+    KD4,
     KT,
     LK,
     LKAT,
     LKLIT,
     LKMINUS,
     LKMONO,
+    MODAL_JUMPS,
     Proof,
     RULE_SCHEMA,
     SYSTEMS,
@@ -40,6 +42,7 @@ from craig.sequent import (
     bot_axiom,
     check_proof,
     classify_cut,
+    contract,
     cut,
     cut_occurrences,
     direct_ancestors,
@@ -47,14 +50,12 @@ from craig.sequent import (
     format_proof,
     format_proof_text,
     format_sequent,
+    infer,
     is_tame,
     is_weak,
-    land1,
-    land2,
-    lc,
-    lneg,
-    lor,
-    lw,
+    jump,
+    jump_premise,
+    main_occurrence,
     monochromatize,
     parse_proof,
     parse_sequent,
@@ -64,17 +65,11 @@ from craig.sequent import (
     rebuild,
     replace_at,
     respects_subformula_property,
-    rneg,
-    ror1,
-    rule_4,
-    rule_d,
-    rule_k,
-    rule_t,
-    rw,
     sequent,
     subproof_at,
     system_by_name,
     wax,
+    weaken,
     weaken_to,
     weight,
 )
@@ -97,23 +92,23 @@ porq = Or(p, q)
 
 def example_sigma():
     """Atomic-cut proof of p & q ; => ; p | q with interpolant q & (p & true)."""
-    pi1 = land1(ax(p, "g1", "d2"), pq, "g1")
-    pi2 = land2(ax(q, "g1", "d2"), pq, "g1")
-    leaf = ror1(lw(ax(p, "g2", "d2"), q, "g2"), porq, "d2")
+    pi1 = infer("land1", (ax(p, "g1", "d2"),), pq, "g1")
+    pi2 = infer("land2", (ax(q, "g1", "d2"),), pq, "g1")
+    leaf = infer("ror1", (weaken(ax(p, "g2", "d2"), q, "g2"),), porq, "d2")
     left_inner = weaken_to(pi1, sequent([pq], [q], [], [p, porq]))
     right_inner = weaken_to(leaf, sequent([pq], [p, q], [], [porq]))
     inner = cut(left_inner, right_inner, p, 2)
     left_outer = weaken_to(pi2, sequent([pq, pq], [], [], [q, porq]))
     right_outer = weaken_to(inner, sequent([pq, pq], [q], [], [porq]))
     outer = cut(left_outer, right_outer, q, 2)
-    return lc(outer, pq, "g1")
+    return contract(outer, pq, "g1")
 
 
 def omega_proof():
     """Monochromatic two-cut proof of ;p,q => ;q fed from both occurrences
     of one axiom ;p => ;p, so that axiom has type omega."""
     n = ax(p, "g2", "d2")
-    n2 = rneg(n, Neg(p), "d2")
+    n2 = infer("rneg", (n,), Neg(p), "d2")
     c1 = sequent([], [p, q], [], [p, q])
     l1 = weaken_to(n2, sequent([], [p, q], [], [p, q, Neg(p)]))
     r1 = weaken_to(ax(q, "g2", "d2"), sequent([], [p, q, Neg(p)], [], [p, q]))
@@ -135,8 +130,8 @@ class TestConstructionAndChecking:
         assert v is not None and "cut" in v.reason
 
     def test_composite_cut_rejected_in_lkat(self):
-        left = rw(ax(pq, "g1", "d2"), pq, "d2")
-        right = lw(ax(pq, "g2", "d2"), pq, "g1")
+        left = weaken(ax(pq, "g1", "d2"), pq, "d2")
+        right = weaken(ax(pq, "g2", "d2"), pq, "g1")
         proof = cut(left, right, pq, 2)
         assert check_proof(proof, LK) is None
         v = check_proof(proof, LKAT)
@@ -145,7 +140,7 @@ class TestConstructionAndChecking:
         assert check_proof(proof, LKMONO) is None
 
     def test_k_rule(self):
-        proof = rule_k(ax(p, "g1", "d2"))
+        proof = jump("k", ax(p, "g1", "d2"), sequent([Box(p)], [], [], [Box(p)]))
         assert proof.sequentv == sequent([Box(p)], [], [], [Box(p)])
         assert check_proof(proof, K) is None
         v = check_proof(proof, K4)
@@ -157,20 +152,19 @@ class TestConstructionAndChecking:
         assert v is not None and "boxed" in v.reason
 
     def test_rule_4(self):
-        child = lw(ax(p, "g1", "d2"), Box(p), "g1")
-        proof = rule_4(child)
-        assert proof.sequentv == sequent([Box(p)], [], [], [Box(p)])
+        child = weaken(ax(p, "g1", "d2"), Box(p), "g1")
+        proof = jump("4", child, sequent([Box(p)], [], [], [Box(p)]))
         assert check_proof(proof, K4) is None
 
     def test_rule_d(self):
-        child = lneg(ax(p, "g1", "d1"), Neg(p), "g1")
+        child = infer("lneg", (ax(p, "g1", "d1"),), Neg(p), "g1")
         assert child.sequentv == sequent([p, Neg(p)], [], [], [])
-        proof = rule_d(child)
+        proof = jump("d", child, sequent([Box(p), Box(Neg(p))]))
         assert check_proof(proof, system_by_name("kd")) is None
 
     def test_rule_t(self):
         child = ax(p, "g1", "d2")
-        proof = rule_t(child, Box(p), "g1")
+        proof = infer("t", (child,), Box(p), "g1")
         assert proof.sequentv == sequent([Box(p)], [], [], [p])
         assert check_proof(proof, system_by_name("kt")) is None
 
@@ -193,7 +187,6 @@ class TestConstructionAndChecking:
 class TestCanonicalOrder:
     @pytest.mark.parametrize("comp", COMPONENTS)
     def test_out_of_order_component_is_reported(self, comp):
-        weaken = lw if comp[0] == "g" else rw
         proof = weaken(weaken(ax(p, "g1", "d1"), r, comp), q, comp)
         s = proof.sequentv
         assert check_proof(proof, LKMINUS) is None
@@ -228,8 +221,8 @@ class TestCanonicalOrder:
 
 class TestSubformulaProperty:
     def test_cut_free_proofs_respect_it(self):
-        pi1 = land1(ax(p, "g1", "d2"), pq, "g1")
-        proof = ror1(pi1, porq, "d2")
+        pi1 = infer("land1", (ax(p, "g1", "d2"),), pq, "g1")
+        proof = infer("ror1", (pi1,), porq, "d2")
         assert respects_subformula_property(proof)
 
     def test_sigma_does_not_need_it(self):
@@ -239,7 +232,7 @@ class TestSubformulaProperty:
 
 class TestMetrics:
     def test_weak_occurrence(self):
-        proof = rw(ax(p, "g1", "d1"), q, "d1")
+        proof = weaken(ax(p, "g1", "d1"), q, "d1")
         occ = ((), "d1", proof.sequentv.d1.index(q))
         assert is_weak(proof, occ) and weight(proof, occ) == 0
 
@@ -249,9 +242,9 @@ class TestMetrics:
         assert weight(proof, ((), "g1", 0)) == 1
 
     def test_lor_main_weight(self):
-        left = rw(ax(p, "g1", "d1"), q, "d1")
-        right = rw(ax(q, "g1", "d1"), p, "d1")
-        proof = lor(left, right, porq, "g1")
+        left = weaken(ax(p, "g1", "d1"), q, "d1")
+        right = weaken(ax(q, "g1", "d1"), p, "d1")
+        proof = infer("lor", (left, right), porq, "g1")
         assert proof_size(proof) == 5
         assert weight(proof, ((), "g1", 0)) == 3
 
@@ -274,8 +267,8 @@ class TestCutAndAxiomClassification:
             assert info.weight >= 2
 
     def test_classify_negated_literal_cut(self):
-        left = rw(ax(p, "g1", "d2"), Neg(p), "d2")
-        right = lw(ax(p, "g1", "d2"), Neg(p), "g2")
+        left = weaken(ax(p, "g1", "d2"), Neg(p), "d2")
+        right = weaken(ax(p, "g1", "d2"), Neg(p), "g2")
         proof = cut(left, right, Neg(p), 2)
         info = classify_cut(proof, ())
         assert info.literal and not info.atomic
@@ -305,7 +298,7 @@ class TestCutAndAxiomClassification:
         assert ok, witness
 
     def test_cut_free_is_tame(self):
-        proof = land1(ax(p, "g1", "d2"), pq, "g1")
+        proof = infer("land1", (ax(p, "g1", "d2"),), pq, "g1")
         ok, _ = is_tame(proof)
         assert ok
 
@@ -315,13 +308,13 @@ class TestAncestryExample:
         # p | q => ~(~p & ~q), with every occurrence accounted for
         nanb = And(Neg(p), Neg(q))
         ax_p = ax(p, "g1", "d1")
-        ln_p = lneg(ax_p, Neg(p), "g1")
-        la1 = land1(ln_p, nanb, "g1")
+        ln_p = infer("lneg", (ax_p,), Neg(p), "g1")
+        la1 = infer("land1", (ln_p,), nanb, "g1")
         ax_q = ax(q, "g1", "d1")
-        ln_q = lneg(ax_q, Neg(q), "g1")
-        la2 = land2(ln_q, nanb, "g1")
-        disj = lor(la1, la2, Or(p, q), "g1")
-        return rneg(disj, Neg(nanb), "d1")
+        ln_q = infer("lneg", (ax_q,), Neg(q), "g1")
+        la2 = infer("land2", (ln_q,), nanb, "g1")
+        disj = infer("lor", (la1, la2), Or(p, q), "g1")
+        return infer("rneg", (disj,), Neg(nanb), "d1")
 
     def test_direct_ancestors_of_disjunction_main(self):
         proof = self.build()
@@ -378,6 +371,57 @@ def modal_proofs():
     return out
 
 
+def jump_nodes():
+    """Every modal jump node of modal_proofs() and of a kd4 proof that ends
+    in d4."""
+    from craig.construct import prove_cutfree
+
+    serial = prove_cutfree(sequent([Box(p), Box(Neg(p))]), KD4)
+    nodes = [node for proof in modal_proofs() + (serial,) for _, node in iter_nodes(proof)
+             if node.rule in MODAL_JUMPS]
+    assert {node.rule for node in nodes} == set(MODAL_JUMPS)
+    return nodes
+
+
+class TestJump:
+    """jump builds a modal jump from its premise and its conclusion, and
+    rebuild keeps a jump's conclusion."""
+
+    @pytest.mark.parametrize("rule, premise, conclusion", [
+        ("k", ax(q, "g1", "d2"), sequent([Box(p)], [], [], [Box(p)])),
+        ("4", ax(p, "g1", "d2"), sequent([Box(p)], [], [], [Box(p)])),
+        ("d", ax(p, "g1", "d1"), sequent([Box(p)])),
+        ("d4", infer("lneg", (ax(p, "g1", "d1"),), Neg(p), "g1"), sequent([Box(p), Box(Neg(p))])),
+    ], ids=["k", "4", "d", "d4"])
+    def test_a_premise_other_than_the_jump_premise_is_refused(self, rule, premise, conclusion):
+        jump_premise(rule, conclusion)  # the conclusion fits the rule
+        with pytest.raises(ProofError, match=f"^{rule} does not conclude"):
+            jump(rule, premise, conclusion)
+
+    def test_a_conclusion_that_fits_no_jump_is_refused(self):
+        with pytest.raises(ProofError, match="must be boxed"):
+            jump("k", ax(p, "g1", "d2"), sequent([p], [], [], [Box(p)]))
+
+    def test_main_occurrence(self):
+        for node in jump_nodes():
+            if node.rule in ("d", "d4"):
+                assert (node.main_comp, node.main_formula, main_occurrence(node)) == (None, None, None)
+            else:
+                (f,) = node.sequentv.succedent()
+                assert node.main_formula is f and node.sequentv.comp(node.main_comp) == (f,)
+
+    def test_jump_and_rebuild_give_back_every_node(self):
+        for node in jump_nodes():
+            assert jump(node.rule, node.children[0], node.sequentv) == node
+            assert rebuild(node, node.children) == node
+
+    def test_rebuild_over_another_premise_is_refused(self):
+        for node in jump_nodes():
+            other = weaken(node.children[0], q, "g2")
+            with pytest.raises(ProofError, match="does not conclude"):
+                rebuild(node, [other])
+
+
 class TestLocality:
     """A cut's classification and an occurrence's weakness and weight
     depend only on the subproof that holds it."""
@@ -423,8 +467,8 @@ class TestAnalyticCuts:
                 assert info.monochromatic
 
     def test_non_analytic_cut(self):
-        left = rw(ax(p, "g1", "d2"), Atom("z"), "d2")
-        right = lw(ax(p, "g1", "d2"), Atom("z"), "g2")
+        left = weaken(ax(p, "g1", "d2"), Atom("z"), "d2")
+        right = weaken(ax(p, "g1", "d2"), Atom("z"), "g2")
         proof = cut(left, right, Atom("z"), 2)
         info = classify_cut(proof, ())
         assert not info.analytic and not info.monochromatic
@@ -432,8 +476,8 @@ class TestAnalyticCuts:
 
 class TestMonochromatize:
     def spurious_cut(self, atom):
-        left = rw(ax(p, "g1", "d2"), atom, "d2")
-        right = lw(ax(p, "g1", "d2"), atom, "g2")
+        left = weaken(ax(p, "g1", "d2"), atom, "d2")
+        right = weaken(ax(p, "g1", "d2"), atom, "g2")
         return cut(left, right, atom, 2)
 
     def test_fresh_atom_removed(self):
@@ -458,8 +502,8 @@ class TestMonochromatize:
 
     def test_flip_for_wrong_side_placement(self):
         # valid cut on p placed on side 2, but p only occurs on side 1
-        left = rw(ax(p, "g1", "d1"), p, "d2")
-        right = lw(ax(p, "g1", "d1"), p, "g2")
+        left = weaken(ax(p, "g1", "d1"), p, "d2")
+        right = weaken(ax(p, "g1", "d1"), p, "g2")
         proof = cut(left, right, p, 2)
         assert proof.sequentv == sequent([p], [], [p], [])
         fixed = monochromatize(proof, LKAT)
@@ -504,16 +548,16 @@ class TestSerialization:
             long = And(long, q)  # 201 symbols
         brief = "<And depth=100 length=201>"
         assert repr(sequent([pq], [], [], [long])) == f"<seq <p & q> ;  =>  ; {brief}>"
-        assert repr(lw(ax(p, "g1", "d1"), long, "g2")) == f"<proof lw <p> ; {brief} => <p> ; >"
+        assert repr(weaken(ax(p, "g1", "d1"), long, "g2")) == f"<proof lw <p> ; {brief} => <p> ; >"
 
     def test_proof_round_trip(self):
         for proof in (
             example_sigma(),
             omega_proof(),
-            rneg(bot_axiom("g2"), TOP, "d2"),
-            rule_k(ax(p, "g1", "d2")),
-            rule_4(lw(ax(p, "g1", "d2"), Box(p), "g1")),
-            rule_d(lneg(ax(p, "g1", "d1"), Neg(p), "g1")),
+            infer("rneg", (bot_axiom("g2"),), TOP, "d2"),
+            jump("k", ax(p, "g1", "d2"), sequent([Box(p)], [], [], [Box(p)])),
+            jump("4", weaken(ax(p, "g1", "d2"), Box(p), "g1"), sequent([Box(p)], [], [], [Box(p)])),
+            jump("d", infer("lneg", (ax(p, "g1", "d1"),), Neg(p), "g1"), sequent([Box(p), Box(Neg(p))])),
             bot_axiom("g2"),
         ):
             assert parse_proof(format_proof(proof)) == proof
@@ -1525,7 +1569,7 @@ def deep_weakening_proof(levels=10_000, leaf=None):
     one rule per level."""
     proof = leaf or ax(p, "g1", "d1")
     for i in range(levels):
-        proof = lw(proof, p, "g1") if i % 2 == 0 else lc(proof, p, "g1")
+        proof = weaken(proof, p, "g1") if i % 2 == 0 else contract(proof, p, "g1")
     return proof
 
 
@@ -1593,15 +1637,15 @@ class TestDeepProofs:
         lw/lc chain over ax(p): its ancestors are the 10,000 lc and the
         10,000 lw conclusions, the rw above the chain and the axiom."""
         chain = deep_weakening_proof(20_000, leaf=ax(p, "g1", "d2"))
-        left = rw(chain, p, "d1")
-        proof = cut(left, lw(ax(p, "g1", "d1"), p, "g2"), p, 2)
+        left = weaken(chain, p, "d1")
+        proof = cut(left, weaken(ax(p, "g1", "d1"), p, "g2"), p, 2)
         assert check_proof(proof, LK) is None
         deep = ((0,), "d2", 0)
         assert not is_weak(proof, deep) and weight(proof, deep) == 10_001
         assert is_weak(proof, ((0,), "d1", 0)) and weight(proof, ((0,), "d1", 0)) == 0
         assert classify_cut(proof, ()).weight == 10_001 + 0
         again = deep_weakening_proof(20_000, leaf=ax(p, "g1", "d2"))
-        fresh = cut(rw(again, p, "d1"), proof.children[1], p, 2)
+        fresh = cut(weaken(again, p, "d1"), proof.children[1], p, 2)
         assert classify_cut(fresh, ()) == classify_cut(proof, ())
 
     def test_cut_ancestry_memory_grows_with_the_depth(self):
@@ -1611,7 +1655,7 @@ class TestDeepProofs:
         import tracemalloc
 
         chain = deep_weakening_proof(3_000, leaf=ax(p, "g1", "d2"))
-        proof = cut(rw(chain, p, "d1"), lw(ax(p, "g1", "d1"), p, "g2"), p, 2)
+        proof = cut(weaken(chain, p, "d1"), weaken(ax(p, "g1", "d1"), p, "g2"), p, 2)
         tracemalloc.start()
         try:
             assert is_tame(proof) == (True, None)
@@ -1645,13 +1689,13 @@ class TestDeepProofs:
         and a flip with q replaced by p throughout the chain."""
         chain = deep_weakening_proof(3_000)  # p ; => p ;
         chain2 = deep_weakening_proof(3_000, leaf=ax(p, "g1", "d2"))  # p ; => ; p
-        right = lw(ax(p, "g1", "d1"), p, "g2")
+        right = weaken(ax(p, "g1", "d1"), p, "g2")
         cases = [
-            cut(rw(chain, p, "d2"), right, p, 2),
-            cut(rw(chain2, p, "d1"), right, p, 2),
-            cut(rw(chain, q, "d2"), lw(ax(p, "g1", "d1"), q, "g2"), q, 2),
+            cut(weaken(chain, p, "d2"), right, p, 2),
+            cut(weaken(chain2, p, "d1"), right, p, 2),
+            cut(weaken(chain, q, "d2"), weaken(ax(p, "g1", "d1"), q, "g2"), q, 2),
         ]
-        want = cut(rw(chain, p, "d1"), lw(ax(p, "g1", "d1"), p, "g1"), p, 1)
+        want = cut(weaken(chain, p, "d1"), weaken(ax(p, "g1", "d1"), p, "g1"), p, 1)
         for proof in cases:
             assert check_proof(proof, LKAT) is None
             fixed = monochromatize(proof, LKAT)
@@ -1677,7 +1721,7 @@ class TestDeepProofs:
         twice."""
         chain = ax(p, "g1", "d1")
         for _ in range(20_000):
-            chain = lc(lw(chain, p, "g1"), p, "g1")
+            chain = contract(weaken(chain, p, "g1"), p, "g1")
         assert check_proof(chain, LKMINUS) is None
         proof = Proof("twice", chain.sequentv, (chain, chain))
         try:
@@ -1843,7 +1887,7 @@ class TestCompactText:
     def test_pickle_writes_the_text(self):
         chain = ax(p, "g1", "d1")
         for _ in range(20_000):
-            chain = lc(lw(chain, p, "g1"), p, "g1")
+            chain = contract(weaken(chain, p, "g1"), p, "g1")
         product = width_two_product(6)
         for proof in (chain, product):
             assert check_proof(proof, LKAT) is None
@@ -1982,11 +2026,12 @@ class TestNoReferenceCycles:
     def test_neg_invert(self):
         from craig.transform import neg_invert
 
-        proof = rneg(ax(p, "g2", "d1"), Neg(p), "d2")
+        proof = infer("rneg", (ax(p, "g2", "d1"),), Neg(p), "d2")
         assert cyclic_garbage(lambda: neg_invert(proof, "d2", 0)) == 0
 
     @pytest.mark.parametrize("argv", [
         ["repro", "prop3.2"], ["repro", "thm5.4"], ["parse", "p & q"], ["prove", "p & q ; => ; p | q"],
+        ["nonsense"], ["prove"], ["--help"],
     ], ids=" ".join)
     def test_cli_main(self, argv, capsys):
         from craig.cli import build_parser, main
@@ -1997,7 +2042,7 @@ class TestNoReferenceCycles:
     def test_monochromatize(self):
         # a cut on p placed on side 2 while p occurs only on side 1: the
         # cut formula's cone is flipped
-        proof = cut(rw(ax(p, "g1", "d1"), p, "d2"), lw(ax(p, "g1", "d1"), p, "g2"), p, 2)
+        proof = cut(weaken(ax(p, "g1", "d1"), p, "d2"), weaken(ax(p, "g1", "d1"), p, "g2"), p, 2)
         assert cyclic_garbage(lambda: monochromatize(proof, LKAT)) == 0
 
 
@@ -2133,7 +2178,7 @@ class TestRootOnlyOrderCheck:
         assert compared["premise"] > 1_000 and compared["component"] > 50
 
     def test_a_boxed_cut_formula_is_reported_at_the_left_premise(self):
-        proof = lc(boxed_cut_below(lw(ax(p, "g1", "d1"), p, "g1"), 2), p, "g1")
+        proof = contract(boxed_cut_below(weaken(ax(p, "g1", "d1"), p, "g1"), 2), p, "g1")
         assert check_proof(proof, K) is None
         want = Violation((0, 0), "boxed formula in a non-modal system")
         assert frozen_check_proof(proof, LK) == want

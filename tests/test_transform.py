@@ -39,20 +39,12 @@ from craig.sequent import (
     direct_ancestors,
     first_index,
     format_proof,
+    infer,
     is_tame,
-    land1,
-    lc,
-    lor,
-    lw,
-    lneg,
     main_occurrence,
     proof_length,
-    rand,
-    rc,
     rebuild,
-    rneg,
     replace_at,
-    rw,
     sequent,
     subproof_at,
     wax,
@@ -99,7 +91,7 @@ class TestNegInvert:
 
     def test_rneg_main_case(self):
         base = ax(p, "g2", "d2")
-        proof = rneg(base, Neg(p), "d2")  # ; p => ; p collapses to ; => ; p, ~p
+        proof = infer("rneg", (base,), Neg(p), "d2")  # ; p => ; p collapses to ; => ; p, ~p
         idx = first_index(proof.sequentv, "d2", Neg(p))
         out = neg_invert(proof, "d2", idx)
         assert out == base
@@ -108,7 +100,7 @@ class TestNegInvert:
         shared = [p, q, Neg(r)]
         left = weaken_to(ax(p, "g1", "d2"), sequent([p], [], [], shared))
         right = weaken_to(ax(q, "g1", "d2"), sequent([q], [], [], shared))
-        proof = lor(left, right, Or(p, q), "g1")
+        proof = infer("lor", (left, right), Or(p, q), "g1")
         before = interp(proof)
         idx = first_index(proof.sequentv, "d2", Neg(r))
         out = neg_invert(proof, "d2", idx)
@@ -131,8 +123,8 @@ class TestNegInvert:
             assert interp(out) == interp(proof)
 
     def test_contraction_target(self):
-        base = rw(ax(Neg(p), "g1", "d2"), Neg(p), "d2")
-        proof = rc(base, Neg(p), "d2")
+        base = weaken(ax(Neg(p), "g1", "d2"), Neg(p), "d2")
+        proof = contract(base, Neg(p), "d2")
         idx = first_index(proof.sequentv, "d2", Neg(p))
         out = neg_invert(proof, "d2", idx)
         assert out.sequentv == sequent([Neg(p)], [p], [], [])
@@ -193,7 +185,7 @@ class TestLiteralCutsToAtomic:
     def test_stacked_negative_cuts(self):
         inner = self.negated_cut_proof()  # p & q ; => ; p
         a = And(p, q)
-        left = rw(inner, Neg(p), "d2")
+        left = weaken(inner, Neg(p), "d2")
         right = prove_cutfree(sequent([a], [Neg(p)], [], [p]), LKMINUS)
         proof = cut(left, right, Neg(p), 2)
         before = formula_cnf(interp(proof))
@@ -213,8 +205,8 @@ class TestLiteralCutsToAtomic:
 
 class TestWReduce:
     def test_weakening_below_unary(self):
-        inner = lneg(ax(p, "g2", "d2"), Neg(p), "g2")
-        proof = rw(inner, q, "d2")
+        inner = infer("lneg", (ax(p, "g2", "d2"),), Neg(p), "g2")
+        proof = weaken(inner, q, "d2")
         assert not is_w_reduced(proof)
         out = w_reduce(proof)
         assert is_w_reduced(out)
@@ -222,15 +214,10 @@ class TestWReduce:
         assert interp(out) == interp(proof)
 
     def test_weakening_below_binary_duplicates(self):
-        left = ax(p, "g1", "d1")
-        right = ax(q, "g1", "d1")
-        both = rand(
-            weaken_to(left, sequent([p, q], [], [p], [])),
-            weaken_to(right, sequent([p, q], [], [q], [])),
-            And(p, q),
-            "d1",
-        )
-        proof = rw(both, r, "d1")
+        left = weaken_to(ax(p, "g1", "d1"), sequent([p, q], [], [p], []))
+        right = weaken_to(ax(q, "g1", "d1"), sequent([p, q], [], [q], []))
+        both = infer("rand", (left, right), And(p, q), "d1")
+        proof = weaken(both, r, "d1")
         out = w_reduce(proof)
         assert is_w_reduced(out)
         assert out.sequentv == proof.sequentv
@@ -239,7 +226,7 @@ class TestWReduce:
         assert weakenings >= 2
 
     def test_idempotent(self):
-        proof = rw(lneg(ax(p, "g2", "d2"), Neg(p), "g2"), q, "d2")
+        proof = weaken(infer("lneg", (ax(p, "g2", "d2"),), Neg(p), "g2"), q, "d2")
         out = w_reduce(proof)
         assert w_reduce(out) == out
 
@@ -249,8 +236,8 @@ class TestWReduce:
         assert w_reduce(proof) == proof
 
     def test_preserves_end_sequent_weights(self):
-        inner = lneg(ax(p, "g2", "d2"), Neg(p), "g2")
-        proof = rw(inner, q, "d2")
+        inner = infer("lneg", (ax(p, "g2", "d2"),), Neg(p), "g2")
+        proof = weaken(inner, q, "d2")
         out = w_reduce(proof)
         for comp, idx, f in proof.sequentv.occurrences():
             assert weight(proof, ((), comp, idx)) == weight(out, ((), comp, idx))
@@ -268,13 +255,13 @@ class TestWReduce:
 
 class TestDeleteOccurrence:
     def test_weak_cone_removed(self):
-        proof = rw(ax(p, "g1", "d1"), q, "d2")
+        proof = weaken(ax(p, "g1", "d1"), q, "d2")
         out = delete_occurrence(proof, ("d2", 0))
         assert out == ax(p, "g1", "d1")
 
     def test_weak_cone_through_contraction(self):
-        base = rw(rw(ax(p, "g1", "d1"), q, "d2"), q, "d2")
-        proof = rc(base, q, "d2")
+        base = weaken(weaken(ax(p, "g1", "d1"), q, "d2"), q, "d2")
+        proof = contract(base, q, "d2")
         out = delete_occurrence(proof, ("d2", first_index(proof.sequentv, "d2", q)))
         assert out == ax(p, "g1", "d1")
 
@@ -301,7 +288,7 @@ class TestEliminateCuts:
 
     def test_weak_cut_formula_deleted(self):
         # left cut occurrence introduced by weakening
-        left = rw(weaken_to(ax(p, "g1", "d2"), sequent([p, q], [], [], [p])), q, "d2")
+        left = weaken(weaken_to(ax(p, "g1", "d2"), sequent([p, q], [], [], [p])), q, "d2")
         right = prove_cutfree(sequent([p, q], [q], [], [p]), LKMINUS)
         proof = cut(left, right, q, 2)
         result = eliminate_cuts(proof)
@@ -319,8 +306,8 @@ class TestEliminateCuts:
             eliminate_cuts(omega_proof())
 
     def test_rejects_type_l(self):
-        left = rw(ax(p, "g1", "d1"), p, "d1")
-        right = lw(ax(p, "g1", "d1"), p, "g1")
+        left = weaken(ax(p, "g1", "d1"), p, "d1")
+        right = weaken(ax(p, "g1", "d1"), p, "g1")
         proof = cut(left, right, p, 1)
         with pytest.raises(NotTypeR):
             eliminate_cuts(proof)
@@ -331,9 +318,9 @@ class TestEliminateCuts:
         ctx = [c, Neg(q)]
         left_a = prove_cutfree(sequent([], ctx, [], [q]), LKMINUS)
         left_b = prove_cutfree(sequent([], ctx, [], [r]), LKMINUS)
-        left = rand(left_a, left_b, c, "d2")
+        left = infer("rand", (left_a, left_b), c, "d2")
         right_premise = prove_cutfree(sequent([], ctx + [q], [], []), LKMINUS)
-        right = land1(right_premise, c, "g2")
+        right = infer("land1", (right_premise,), c, "g2")
         proof = cut(left, right, c, 2)
         assert proof.sequentv == sequent([], ctx, [], [])
         assert check_proof(proof, LKMONO) is None
@@ -352,8 +339,8 @@ class TestEliminateCuts:
         target = sequent([], [And(p, q)], [], [Or(p, r)])
         left = prove_cutfree(target.insert("d2", p), LKMINUS)
         inner = prove_cutfree(sequent([], [p, p, p], [], [Or(p, r)]), LKMINUS)
-        stacked = land1(inner, And(p, q), "g2")
-        right = lc(stacked, p, "g2")
+        stacked = infer("land1", (inner,), And(p, q), "g2")
+        right = contract(stacked, p, "g2")
         proof = cut(left, right, p, 2)
         assert check_proof(proof, LKMONO) is None
         replacement = _contract_reduce(proof, on_left=False)
@@ -370,7 +357,7 @@ class TestEliminateCuts:
 
         target = sequent([], [And(p, q)], [], [Or(p, r)])
         inner = prove_cutfree(target.insert("d2", p).insert("d2", p), LKMINUS)
-        left = rc(inner, p, "d2")
+        left = contract(inner, p, "d2")
         right = prove_cutfree(target.insert("g2", p), LKMINUS)
         proof = cut(left, right, p, 2)
         assert check_proof(proof, LKMONO) is None
@@ -386,7 +373,7 @@ class TestEliminateCuts:
         target = sequent([], [c], [], [p])
         left = wax(c, target.insert("d2", c), "g2", "d2")
         inner = prove_cutfree(sequent([], [c, p], [], [p]), LKMINUS)
-        right = land1(inner, c, "g2")
+        right = infer("land1", (inner,), c, "g2")
         proof = cut(left, right, c, 2)
         assert proof.sequentv == target
         result = eliminate_cuts(proof)
@@ -473,8 +460,8 @@ class TestReferenceConversion:
             transform_module, "cut_occurrences", lambda node: calls.append(node) or occurrences(node)
         )
         inner = TestLiteralCutsToAtomic().negated_cut_proof()  # p & q ; => ; p
-        left = rw(inner, q, "d2")
-        right = lw(inner, q, "g2")
+        left = weaken(inner, q, "d2")
+        right = weaken(inner, q, "g2")
         proof = cut(left, right, q, 2)
         out = literal_cuts_to_atomic(proof)
         assert calls == [inner]  # the one negative-literal cut, rewritten once
@@ -501,7 +488,7 @@ class TestReferenceConversion:
             chi = subproof_at(p, path)
             comp = "g1" if chi.sequentv.g1 else "g2"
             f = chi.sequentv.comp(comp)[0]
-            noisy = lc(lw(chi, f, comp), f, comp)
+            noisy = contract(weaken(chi, f, comp), f, comp)
             assert w_reduce(noisy) != noisy
             assert splice(p, path, w_reduce(noisy)) == w_reduce(splice(p, path, noisy))
             return out
@@ -587,8 +574,8 @@ class TestSharedInversions:
         assert unshared > shared > 1_000
 
     def test_a_subproof_under_two_parents_is_inverted_once(self):
-        inner = lw(lneg(ax(q, "g2", "d2"), Neg(q), "g2"), r, "g2")  # ; q, r, ~q => ;
-        both = rand(rw(inner, p, "d2"), rw(inner, q, "d2"), And(p, q), "d2")
+        inner = weaken(infer("lneg", (ax(q, "g2", "d2"),), Neg(q), "g2"), r, "g2")  # ; q, r, ~q => ;
+        both = infer("rand", (weaken(inner, p, "d2"), weaken(inner, q, "d2")), And(p, q), "d2")
         assert both.sequentv == sequent([], [q, r, Neg(q)], [], [And(p, q)])
         out = neg_invert(both, "g2", 2)
         left, right = out.children
@@ -605,18 +592,18 @@ class TestWReduceIdentity:
         assert w_reduce(sigma) is sigma
 
     def test_only_changed_branches_are_rebuilt(self):
-        left = lw(ax(p, "g1", "d1"), q, "g1")  # p, q => p, already reduced
-        contracted = lc(lw(ax(q, "g1", "d1"), q, "g1"), q, "g1")
-        right = lw(contracted, p, "g1")  # p, q => q, weakening over lc
-        proof = rand(left, right, And(p, q), "d1")
+        left = weaken(ax(p, "g1", "d1"), q, "g1")  # p, q => p, already reduced
+        contracted = contract(weaken(ax(q, "g1", "d1"), q, "g1"), q, "g1")
+        right = weaken(contracted, p, "g1")  # p, q => q, weakening over lc
+        proof = infer("rand", (left, right), And(p, q), "d1")
         out = w_reduce(proof)
         assert is_w_reduced(out) and not is_w_reduced(proof)
         assert out.children[0] is left
         assert out.children[1] is not right
 
     def test_shared_subproof_is_reduced_once(self):
-        noisy = rw(lneg(ax(p, "g2", "d2"), Neg(p), "g2"), q, "d2")  # ; ~p => ; q
-        proof = rand(noisy, noisy, And(q, q), "d2")
+        noisy = weaken(infer("lneg", (ax(p, "g2", "d2"),), Neg(p), "g2"), q, "d2")  # ; ~p => ; q
+        proof = infer("rand", (noisy, noisy), And(q, q), "d2")
         out = w_reduce(proof)
         assert is_w_reduced(out) and out.sequentv == proof.sequentv
         assert out.children[0] is out.children[1]
@@ -630,34 +617,34 @@ class TestDeepProofs:
     def test_deep_weakening_chain_is_kept_by_w_reduce(self, shallow_stack):
         proof = ax(p, "g1", "d1")
         for _ in range(10_000):
-            proof = lw(proof, p, "g1")
+            proof = weaken(proof, p, "g1")
         assert w_reduce(proof) is proof
         assert literal_cuts_to_atomic(proof) is proof
 
     def test_w_reduce_lifts_a_weakening_through_a_deep_contraction_chain(self, shallow_stack):
-        """lw(q) over 3,000 lc(p) over 3,000 lw(p) over ax(p): the weakening
-        is lifted through every contraction, one step each."""
+        """An lw of q over 3,000 lc of p over 3,000 lw of p over ax(p): the
+        weakening is lifted through every contraction, one step each."""
         proof = ax(p, "g1", "d1")
         for _ in range(3_000):
-            proof = lw(proof, p, "g1")
+            proof = weaken(proof, p, "g1")
         weakenings = proof
         for _ in range(3_000):
-            proof = lc(proof, p, "g1")
-        proof = lw(proof, q, "g1")
+            proof = contract(proof, p, "g1")
+        proof = weaken(proof, q, "g1")
         with pytest.raises(RecursionError):
             reference_push_weakening(proof)
         out = w_reduce(proof)
         assert out.sequentv == proof.sequentv and is_w_reduced(out)
         assert check_proof(out, LKMINUS) is None
-        assert subproof_at(out, (0,) * 3_000) == lw(weakenings, q, "g1")
+        assert subproof_at(out, (0,) * 3_000) == weaken(weakenings, q, "g1")
         assert [subproof_at(out, (0,) * i).rule for i in (0, 2_999, 3_000, 3_001)] == ["lc", "lc", "lw", "lw"]
 
     def test_deep_cut_chain(self, shallow_stack):
         levels = 2_500  # a cut and a weakening per level: 5,000 deep
-        side = lw(ax(p, "g2", "d2"), Neg(q), "g2")  # ; p, ~q => ; p
+        side = weaken(ax(p, "g2", "d2"), Neg(q), "g2")  # ; p, ~q => ; p
         proof = ax(p, "g2", "d2")
         for _ in range(levels):
-            proof = cut(rw(proof, Neg(q), "d2"), side, Neg(q), 2)
+            proof = cut(weaken(proof, Neg(q), "d2"), side, Neg(q), 2)
         assert len(list(iter_nodes(proof))) == 4 * levels + 1
         with pytest.raises(RecursionError):
             reference_literal_cuts_to_atomic(proof)
@@ -670,7 +657,7 @@ class TestDeepProofs:
     def test_neg_invert_through_a_deep_chain(self, shallow_stack):
         """~p is a context occurrence of each of 5,000 alternating lw/lc
         steps on p, over an rneg that introduces it."""
-        leaf = lw(rneg(ax(p, "g1", "d1"), Neg(p), "d1"), p, "g1")  # p ; => p, ~p ;
+        leaf = weaken(infer("rneg", (ax(p, "g1", "d1"),), Neg(p), "d1"), p, "g1")  # p ; => p, ~p ;
         proof = deep_weakening_proof(5_000, leaf=leaf)
         assert proof.sequentv == sequent([p], [], [p, Neg(p)], [])
         with pytest.raises(RecursionError):
@@ -681,10 +668,10 @@ class TestDeepProofs:
         assert sum(1 for _ in iter_nodes(out)) == 5_002
 
     def test_delete_occurrence_down_a_deep_chain(self, shallow_stack):
-        """The weak q of rw(ax(p), q) is a context occurrence of each of
-        3,000 alternating lw/lc steps on p; deleting it rebuilds the chain
-        over ax(p)."""
-        proof = deep_weakening_proof(3_000, leaf=rw(ax(p, "g1", "d1"), q, "d1"))
+        """The weak q of an rw of q over ax(p) is a context occurrence of
+        each of 3,000 alternating lw/lc steps on p; deleting it rebuilds the
+        chain over ax(p)."""
+        proof = deep_weakening_proof(3_000, leaf=weaken(ax(p, "g1", "d1"), q, "d1"))
         occ = ("d1", first_index(proof.sequentv, "d1", q))
         out = delete_occurrence(proof, occ)
         assert out == deep_weakening_proof(3_000)
@@ -693,10 +680,10 @@ class TestDeepProofs:
     def test_a_negative_literal_cut_over_a_deep_chain(self, shallow_stack):
         """The right premise carries the cut's ~p down 20,000 lw/lc steps,
         so the conversion inverts the whole chain."""
-        chain = lneg(rw(ax(p, "g2", "d2"), p, "d2"), Neg(p), "g2")  # ; p, ~p => ; p
+        chain = infer("lneg", (weaken(ax(p, "g2", "d2"), p, "d2"),), Neg(p), "g2")  # ; p, ~p => ; p
         for i in range(20_000):
-            chain = lw(chain, p, "g2") if i % 2 == 0 else lc(chain, p, "g2")
-        left = rneg(lw(ax(p, "g2", "d2"), p, "g2"), Neg(p), "d2")  # ; p => ; p, ~p
+            chain = weaken(chain, p, "g2") if i % 2 == 0 else contract(chain, p, "g2")
+        left = infer("rneg", (weaken(ax(p, "g2", "d2"), p, "g2"),), Neg(p), "d2")  # ; p => ; p, ~p
         proof = cut(left, chain, Neg(p), 2)
         assert check_proof(proof, LKLIT) is None
         out = literal_cuts_to_atomic(proof)
@@ -877,7 +864,7 @@ class TestStoredStepFacts:
         assert all(node.__dict__.get("_w_reduced") for _, node in iter_nodes(reduced))
         left = w_reduce(prove_cutfree(sequent([And(p, q)], [], [p], []), LKMINUS))
         right = w_reduce(prove_cutfree(sequent([And(p, q)], [], [q], []), LKMINUS))
-        pair = rand(left, right, And(p, q), "d1")
+        pair = infer("rand", (left, right), And(p, q), "d1")
         walked = []
         mark = transform_module._marked
         monkeypatch.setattr(transform_module, "_marked", lambda node: walked.append(node) or mark(node))
