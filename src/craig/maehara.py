@@ -17,7 +17,7 @@ from .formulas import (
     nnf,
 )
 from .sequent import (
-    RULE_SCHEMA,
+    RULES,
     Proof,
     ProofError,
     Sequent,
@@ -119,7 +119,7 @@ def _annotating(node: Proof, serial: bool):
     elif rule in ("d", "d4"):
         if not serial:
             raise UnsupportedRule("interpolating the seriality rule needs a box-introducing rule")
-    elif rule not in RULE_SCHEMA and rule not in ("ax", "bot", "k", "4"):
+    elif rule not in RULES:
         raise UnsupportedRule(f"no interpolation case for rule {rule!r}")
     keep = rule not in ("d", "d4")
     parts = []

@@ -363,7 +363,9 @@ class Proof:
 # fields, so they take no part in equality, hashing or repr, and
 # dataclasses.replace, the builders and the parsers build nodes without
 # them.  A node and its parts are immutable once built, so a fact stored on
-# it stays true.
+# it stays true.  A passed check_proof verdict (_passed) holds that each premise
+# is the sequent premises_of demands: check_proof then skips the subproof,
+# format_proof writes no premise sequent, direct_ancestors checks no premise.
 #
 # Every walk over a proof, and the backward proof search over sequents, is
 # _drive running steps.  A step checks its node before it yields a premise,
@@ -866,22 +868,18 @@ def direct_ancestors(node: Proof, ci: int, occ):
     the conclusion occurrence occ: the auxiliary occurrences of the main
     one, and for a context occurrence the same-rank formula of its
     component with the main and auxiliary positions skipped.  Raises
-    ProofError when the premise does not match the conclusion."""
-    child = node.children[ci].sequentv
+    ProofError when the premise is not the one expected_premises demands."""
+    if not getattr(node, "_passed", ()):
+        want = expected_premises(node)
+        if len(want) != len(node.children):
+            raise ProofError(f"rule {node.rule} expects {len(want)} premises")
+        have = node.children[ci].sequentv
+        if have != want[ci]:
+            raise ProofError(f"premise is {format_sequent(have)} but {node.rule} needs {format_sequent(want[ci])}")
     if node.rule in MODAL_JUMPS:
-        if child != expected_premises(node)[0]:
-            raise ProofError(f"premise mismatch under rule {node.rule}")
-        return _modal_ancestors(node, child, occ)
+        return _modal_ancestors(node, node.children[ci].sequentv, occ)
     aux = aux_occurrences(node, ci)
     main = main_occurrence(node)
-    for c, have, want in zip(COMPONENTS, child, node.sequentv):
-        for ac, ai in reversed(aux):
-            if ac == c:
-                have = have[:ai] + have[ai + 1:]
-        if main and main[0] == c:
-            want = want[:main[1]] + want[main[1] + 1:]
-        if have != want:
-            raise ProofError(f"context mismatch in {c}")
     if occ == main:
         return aux
     comp, idx = occ
@@ -1157,11 +1155,9 @@ def format_proof(p: Proof) -> str:
     ...) per distinct node, in preorder.  main is the flat index of the main
     occurrence, a cut's placement, or - where there is none, and only a cut
     writes the quoted formula.  A premise leaves out its sequent where it is
-    the one expected_premises derives from its parent, as every premise of
-    a node that stores a passed check_proof verdict is, so its premises are
-    not derived again.  A premise written before, the same object met
-    again, is @n, where n counts the nodes written before its first
-    write."""
+    the one expected_premises derives from its parent.  A premise written
+    before, the same object met again, is @n, where n counts the nodes
+    written before its first write."""
     out = []
     written = 0
     omit = False  # whether the next node written leaves out its sequent
@@ -1348,21 +1344,15 @@ class _Reading:
 
 
 def _read_main(rule, seq, main_tok, cut_formula):
-    """(main_comp, main_formula) of a node read with main token main_tok;
-    a cut's formula stays None when its text is not written."""
-    if not isinstance(main_tok, str) or main_tok in ("(", ")"):
-        raise ProofError(f"rule {rule} needs a main token, not {main_tok!r}")
+    """(main_comp, main_formula) read from main_tok as format_proof writes
+    it, for check_proof to judge; a cut's formula may be unwritten."""
     if rule == "cut":
-        if main_tok not in ("d1", "d2"):
-            raise ProofError(f"bad cut placement {main_tok!r}")
-        return main_tok, cut_formula
-    if rule in ("ax", "bot", "d", "d4"):
-        return None, None
-    if rule in ("k", "4"):
-        _need(seq.d1 or seq.d2, f"rule {rule} needs a succedent formula")
-        dcomp = "d1" if seq.d1 else "d2"
-        return dcomp, seq.comp(dcomp)[0]
-    if not main_tok.isdecimal():
-        raise ProofError(f"rule {rule} needs a main occurrence index, not {main_tok!r}")
-    comp, idx = seq.from_flat(int(main_tok))
-    return comp, seq.comp(comp)[idx]
+        if main_tok in ("d1", "d2"):
+            return main_tok, cut_formula
+    elif rule in ("ax", "bot", "d", "d4"):
+        if main_tok == "-":
+            return None, None
+    elif isinstance(main_tok, str) and main_tok.isdecimal():
+        comp, idx = seq.from_flat(int(main_tok))
+        return comp, seq.comp(comp)[idx]
+    raise ProofError(f"rule {rule} cannot take the main token {main_tok!r}")

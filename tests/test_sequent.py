@@ -422,6 +422,69 @@ class TestJump:
                 rebuild(node, [other])
 
 
+def unchecked_leaf(*components):
+    """An unchecked leaf that ends in the given sequent, whatever its rule
+    demands."""
+    return Proof("ax", sequent(*components))
+
+
+# hand-built nodes whose premises do not fit the rule: (node, a system that
+# has the rule)
+UNFIT_PREMISES = [
+    pytest.param(Proof("lw", sequent([p, q], [], [p]), (unchecked_leaf([r], [], [r]),), "g1", q), LK, id="lw"),
+    pytest.param(Proof("lc", sequent([p], [], [p]), (ax(p, "g1", "d1"),), "g1", p), LK, id="lc"),
+    pytest.param(Proof("land1", sequent([pq], [], [p]), (unchecked_leaf([p, r], [], [p]),), "g1", pq), LK,
+                 id="land1"),
+    pytest.param(Proof("rand", sequent([p], [], [And(p, p)]), (ax(p, "g1", "d1"), unchecked_leaf([p], [], [q])),
+                       "d1", And(p, p)), LK, id="rand"),
+    pytest.param(Proof("cut", sequent([p], [], [q]), (unchecked_leaf([p], [], [r]), unchecked_leaf([p, r], [], [q])),
+                       "d1", r), LK, id="cut"),
+    pytest.param(Proof("t", sequent([Box(p)], [], [q]), (unchecked_leaf([Box(p)], [], [q]),), "g1", Box(p)), KT, id="t"),
+    pytest.param(Proof("k", sequent([Box(p)], [], [Box(p)]), (ax(q, "g1", "d1"),), "d1", Box(p)), K, id="k"),
+    pytest.param(Proof("4", sequent([Box(p)], [], [Box(q)]), (unchecked_leaf([p], [], [q]),), "d1", Box(q)), K4, id="4"),
+    pytest.param(Proof("d", sequent([Box(p), Box(Neg(p))]), (unchecked_leaf([p]),)), KD4, id="d"),
+    pytest.param(Proof("lw", sequent([p, q], [], [p]), (ax(p, "g1", "d1"),) * 2, "g1", q), LK,
+                 id="too-many-premises"),
+]
+
+
+class TestOnePremiseCheck:
+    """direct_ancestors checks a premise against expected_premises unless
+    its node stores a passed check_proof verdict."""
+
+    @pytest.mark.parametrize("node, system", UNFIT_PREMISES)
+    def test_an_unfit_premise_is_refused_in_the_checkers_words(self, node, system):
+        bad = check_proof(node, system)
+        assert bad.reason.startswith(("premise is", "rule lw expects 1 premises"))
+        # the premise that does not fit, or every one when their number is wrong
+        for ci in bad.path or range(len(node.children)):
+            for c, i, _ in node.sequentv.occurrences():
+                with pytest.raises(ProofError) as info:
+                    direct_ancestors(node, ci, (c, i))
+                assert str(info.value) == bad.reason
+
+    @staticmethod
+    def answers(proof):
+        cuts = [(path, node) for path, node in iter_nodes(proof) if node.rule == "cut"]
+        return (
+            is_tame(proof),
+            [classify_cut(proof, path) for path, _ in cuts],
+            [is_weak(proof, (path + (ci,), *occ)) for path, node in cuts
+             for ci, occ in enumerate(cut_occurrences(node))],
+        )
+
+    def test_a_checked_proof_is_analysed_without_deriving_premises(self, monkeypatch):
+        proof = realized_product(3)
+        fresh = copy.deepcopy(proof)
+        calls = []
+        real = sequent_module.premises_of
+        monkeypatch.setattr(sequent_module, "premises_of", lambda *args: calls.append(args) or real(*args))
+        checked = self.answers(proof)
+        assert calls == [] and len(checked[1]) > 10
+        assert self.answers(fresh) == checked
+        assert len(calls) > 100
+
+
 class TestLocality:
     """A cut's classification and an occurrence's weakness and weight
     depend only on the subproof that holds it."""
@@ -596,6 +659,32 @@ class TestSerialization:
     def test_compact_text_errors_say_what_is_wrong(self, text, message):
         with pytest.raises(ProofError, match=message):
             parse_proof(text)
+
+    @pytest.mark.parametrize("text", [
+        '(ax "p ; => ; p" 0)',
+        '(bot "false ; => ; " 1)',
+        '(d "[]p ; => ; " 0 (ax "p ; => p ; " -))',
+        '(d4 "[]p ; => ; " 0 (ax "p, []p ; => p ; " -))',
+    ], ids=["ax", "bot", "d", "d4"])
+    def test_a_rule_without_main_occurrence_takes_only_a_dash(self, text):
+        with pytest.raises(ProofError, match=r"cannot take the main token '[01]'"):
+            parse_proof(text)
+
+    @pytest.mark.parametrize("text, system", [
+        ('(lw "[]p, []q ; => ; []p" 1 (k "[]p ; => ; []p" 0 (ax "p ; => ; p" -)))', K),
+        ('(lw "[]p, []q ; => ; []p" 1 (4 "[]p ; => ; []p" 0 (lw "[]p, p ; => ; p" 0 (ax "p ; => ; p" -))))', K4),
+    ], ids=["k", "4"])
+    def test_a_jumps_main_index_is_taken_as_written(self, text, system):
+        proof = parse_proof(text)
+        jumped = proof.children[0]
+        assert (jumped.main_comp, jumped.main_formula) == ("g1", Box(p))
+        assert parse_proof(format_proof(proof)) == proof
+        assert check_proof(proof, system) == Violation(
+            (0,), f"rule {jumped.rule} needs its succedent formula as main occurrence")
+
+    def test_modal_proofs_round_trip(self):
+        for proof in modal_proofs():
+            assert parse_proof(format_proof(proof)) == proof
 
     def test_irregular_whitespace_parses_to_the_same_proof(self):
         proof = example_sigma()
