@@ -3,7 +3,7 @@ with atomic/literal/monochromatic cuts and the normal modal systems."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .formulas import (
     And,
@@ -17,13 +17,13 @@ from .formulas import (
     nnf,
 )
 from .sequent import (
-    RULES,
     Proof,
     ProofError,
     Sequent,
     System,
     _drive,
     axiom_kind,
+    check_proof,
     format_proof_text,
     format_sequent,
     is_monochromatic,
@@ -45,17 +45,7 @@ class UnsupportedRule(InterpolationError):
 @dataclass(frozen=True)
 class AnnotatedProof:
     proof: Proof
-    # id(node): interpolant, for the nodes walked that store none
-    notes: dict = field(repr=False, compare=False)
-
-    @property
-    def interpolant(self) -> Formula:
-        return _note(self.proof, self.notes)
-
-
-def _note(node: Proof, notes) -> Formula:
-    stored = getattr(node, "_interpolant", None)
-    return notes[id(node)] if stored is None else stored
+    interpolant: Formula
 
 
 def axiom_interpolant(s: Sequent) -> Formula:
@@ -90,53 +80,40 @@ def combine(rule, comp, parts) -> Formula:
 
 def maehara(p: Proof, system: System) -> AnnotatedProof:
     """Annotate every node with its interpolant; the root one interpolates
-    the end-sequent's partition.
+    the end-sequent's partition.  p must pass check_proof under system,
+    else InterpolationError names the first violation, and a system with
+    the seriality rule (d or d4) but no box-introducing one (k or 4) is
+    refused whatever the proof.
 
-    One pass of _drive steps, once per distinct node, that checks each node
-    before its premises, so the first failure in preorder is the one
-    raised.  Like the check_proof verdict, each node walked stores its
-    interpolant, and a later call stops there.  Only the d and d4 rules are
-    checked against the system, so such a node and the nodes below it
-    store none and are checked on every call; every other check holds
-    under any system once passed.  Within cut elimination each call thus
-    walks only the nodes that the last step built."""
-    memo = {}
-    _drive(_annotating, p, bool({"k", "4"} & system.modal_rules), memo)
-    notes = {id(node): c for node, c in memo.values() if getattr(node, "_interpolant", None) is None}
-    return AnnotatedProof(p, notes)
+    One pass of _drive steps, once per distinct node, that checks each cut
+    before its premises, so the first non-monochromatic one in preorder is
+    the one raised.  A node's interpolant depends on its subproof alone, so,
+    like the check_proof verdict, each node walked stores its own, and a
+    later call stops there.  Within cut elimination each step's walk thus
+    visits only the nodes that the step built."""
+    if {"d", "d4"} & system.modal_rules and not {"k", "4"} & system.modal_rules:
+        raise UnsupportedRule(f"interpolating the seriality rule of {system.name} needs a box-introducing rule")
+    bad = check_proof(p, system)
+    if bad is not None:
+        raise InterpolationError(f"not a {system.name} proof: violation at {list(bad.path)}: {bad.reason}")
+    return AnnotatedProof(p, _drive(_annotating, p, None))
 
 
-def _annotating(node: Proof, serial: bool):
-    """One maehara step: the interpolant of node, where serial tells
-    whether the system has a rule that introduces a boxed succedent."""
+def _annotating(node: Proof, _):
+    """One maehara step: the interpolant of node, stored on it."""
     c = getattr(node, "_interpolant", None)
     if c is not None:
         return c
-    rule = node.rule
-    if rule == "cut":
-        if not is_monochromatic(node.main_formula, node.sequentv):
-            raise NonMonochromaticCut(f"cut on {node.main_formula!r} in {format_sequent(node.sequentv)}")
-    elif rule in ("d", "d4"):
-        if not serial:
-            raise UnsupportedRule("interpolating the seriality rule needs a box-introducing rule")
-    elif rule not in RULES:
-        raise UnsupportedRule(f"no interpolation case for rule {rule!r}")
-    keep = rule not in ("d", "d4")
+    if node.rule == "cut" and not is_monochromatic(node.main_formula, node.sequentv):
+        raise NonMonochromaticCut(f"cut on {node.main_formula!r} in {format_sequent(node.sequentv)}")
     parts = []
     for child in node.children:
         c = getattr(child, "_interpolant", None)
         if c is None:
-            c = yield child, serial
-            keep = keep and getattr(child, "_interpolant", None) is not None
+            c = yield child, None
         parts.append(c)
-    if parts:
-        c = combine(rule, node.main_comp, parts)
-    elif rule in ("ax", "bot"):
-        c = axiom_interpolant(node.sequentv)
-    else:
-        c = None  # a leaf that no rule allows; check_proof rejects it
-    if keep:
-        node.__dict__["_interpolant"] = c
+    c = combine(node.rule, node.main_comp, parts) if parts else axiom_interpolant(node.sequentv)
+    node.__dict__["_interpolant"] = c
     return c
 
 
@@ -149,5 +126,5 @@ def is_nnf_interpolant(f: Formula) -> bool:
 def format_annotated(ann: AnnotatedProof) -> str:
     """format_proof_text with each node's line suffixed by its interpolant,
     then the root's interpolant."""
-    text = format_proof_text(ann.proof, lambda node: f" @ {format_formula(_note(node, ann.notes))}")
+    text = format_proof_text(ann.proof, lambda node: f" @ {format_formula(node._interpolant)}")
     return f"{text}\n{format_formula(ann.interpolant)}\n"

@@ -214,11 +214,12 @@ class Sequent(tuple):
         return sum(map(len, self[:_INDEX[comp]])) + idx
 
     def from_flat(self, flat):
+        """(comp, idx) at flat index flat, or None past the end."""
         for c, fs in zip(COMPONENTS, self):
             if flat < len(fs):
                 return c, flat
             flat -= len(fs)
-        raise ProofError(f"flat index out of range")
+        return None
 
     def length(self) -> int:
         return sum(formula_length(f) for fs in self for f in fs)
@@ -1352,7 +1353,7 @@ def _read_main(rule, seq, main_tok, cut_formula):
     elif rule in ("ax", "bot", "d", "d4"):
         if main_tok == "-":
             return None, None
-    elif isinstance(main_tok, str) and main_tok.isdecimal():
-        comp, idx = seq.from_flat(int(main_tok))
+    elif isinstance(main_tok, str) and main_tok.isdecimal() and (at := seq.from_flat(int(main_tok))):
+        comp, idx = at
         return comp, seq.comp(comp)[idx]
     raise ProofError(f"rule {rule} cannot take the main token {main_tok!r}")

@@ -20,7 +20,7 @@ from .formulas import (
     formula_cnf,
     subsumes,
 )
-from .maehara import maehara
+from .maehara import _annotating
 from .sequent import (
     ACROSS,
     LK,
@@ -485,12 +485,13 @@ def eliminate_cuts(p: Proof) -> CutEliminationResult:
 
     Each step reduces the deepest cut, the leftmost of the deepest ones,
     and splices the w-reduced replacement in.  The facts that the steps
-    read are stored on the nodes: each node's interpolant (maehara), the
-    height of its deepest cut (_cut_height), its w-reduced mark
-    (w_reduce) and its occurrence summaries (classify_cut).  So a step
-    walks only the nodes that the previous one built, the new path from
-    the root to the replacement and the replacement's own nodes, and reads
-    the facts of the subproofs it kept.  The clause sets of the root
+    read are stored on the nodes: each node's interpolant (maehara's walk,
+    with no check_proof per step: the input is checked in LK, the result
+    in LK-minus), the height of its deepest cut (_cut_height), its
+    w-reduced mark (w_reduce) and its occurrence summaries (classify_cut).
+    So a step walks only the nodes that the previous one built, the new
+    path from the root to the replacement and the replacement's own nodes,
+    and reads the facts of the subproofs it kept.  The clause sets of the root
     interpolants share one formula_cnf memo for the call, so a step
     computes those only of the subformulas that it built."""
     bad = check_proof(p, LK)
@@ -512,7 +513,7 @@ def eliminate_cuts(p: Proof) -> CutEliminationResult:
     p = w_reduce(p)
     trace = []
     memo = {}, {}
-    current_cnf = formula_cnf(maehara(p, LK).interpolant, memo)
+    current_cnf = formula_cnf(_drive(_annotating, p, None), memo)
     while True:
         path = _uppermost_cut(p)
         if path is None:
@@ -535,7 +536,7 @@ def eliminate_cuts(p: Proof) -> CutEliminationResult:
                     f"{kind} reduction did not decrease the measure: "
                     f"{dw} vs {(old_info.degree, old_info.weight)}"
                 )
-        next_cnf = formula_cnf(maehara(p, LK).interpolant, memo)
+        next_cnf = formula_cnf(_drive(_annotating, p, None), memo)
         if not subsumes(current_cnf, next_cnf):
             raise TransformError(f"{kind} reduction broke the subsumption chain")
         trace.append(

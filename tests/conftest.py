@@ -161,13 +161,9 @@ def reference_iter_nodes(p, path=()):
 
 def interpolants(ann):
     """((path, interpolant), ...) for every node of an annotated proof's
-    tree in preorder: the interpolant the node stores, or its entry in
-    ann.notes."""
-    out = []
-    for path, node in iter_nodes(ann.proof):
-        stored = getattr(node, "_interpolant", None)
-        out.append((path, ann.notes[id(node)] if stored is None else stored))
-    return tuple(out)
+    tree in preorder: the interpolant the node stores, which each node
+    must."""
+    return tuple((path, node.__dict__["_interpolant"]) for path, node in iter_nodes(ann.proof))
 
 
 def distinct_nodes(p):

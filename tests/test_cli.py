@@ -143,11 +143,12 @@ class TestExitCodes:
         [
             '(ax "p ; => ; p"',
             '(lw "p, q ; => p ; " x (ax "p ; => p ; " -))',
+            '(lw "p ; => p ;" 99 (ax "p ; => p ;" -))',
             '(ax "p ; => ; p -)',
             "(ax p ; => ; p -)",
             "",
         ] + [param.values[0] for param in MALFORMED_COMPACT],
-        ids=["truncated", "non-numeric-main", "unterminated-quote", "bare-sequent", "empty"]
+        ids=["truncated", "non-numeric-main", "out-of-range-main", "unterminated-quote", "bare-sequent", "empty"]
         + [param.id for param in MALFORMED_COMPACT],
     )
     def test_malformed_proof_file_is_a_logical_failure(self, capsys, tmp_path, command, text):

@@ -16,10 +16,13 @@ from craig.formulas import (
     formula_length,
 )
 from craig.formulas import vars_of
+import craig.maehara as maehara_module
 from craig.maehara import (
+    InterpolationError,
     NonMonochromaticCut,
     UnsupportedRule,
     axiom_interpolant,
+    combine,
     format_annotated,
     is_nnf_interpolant,
     maehara,
@@ -31,8 +34,11 @@ from craig.sequent import (
     LK,
     LKAT,
     LKMINUS,
+    Proof,
+    System,
     ax,
     bot_axiom,
+    check_proof,
     cut,
     format_proof,
     format_sequent,
@@ -44,7 +50,7 @@ from craig.sequent import (
     weaken,
 )
 from conftest import distinct_nodes, interpolants, iter_nodes
-from test_sequent import differential_proofs, example_sigma, modal_proofs, width_two_product
+from test_sequent import differential_proofs, example_sigma, modal_proofs, passing_system, width_two_product
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 
@@ -200,16 +206,16 @@ class TestSoundnessSweep:
         wide = parse_sequent(" & ".join(names) + " ; => ; " + " | ".join(names))
         for proof, system in ((sigma, LKAT), (prove_cutfree(wide, LKMINUS), LKMINUS)):
             ann = maehara(proof, system)
-            notes = dict(interpolants(ann))
+            by_path = dict(interpolants(ann))
             want = [
                 f"{'  ' * len(path)}{node.rule}: {format_sequent(node.sequentv)} @ "
-                f"{format_formula(notes[path])}"
+                f"{format_formula(by_path[path])}"
                 for path, node in iter_nodes(proof)
             ]
-            assert format_annotated(ann) == "\n".join(want + [format_formula(notes[()])]) + "\n"
+            assert format_annotated(ann) == "\n".join(want + [format_formula(by_path[()])]) + "\n"
         # the k = 3 product shares subproofs, each printed once and then
-        # named @n; a d rule and the nodes below it store no interpolant,
-        # so theirs come from the notes
+        # named @n; a d rule and the nodes below it store their
+        # interpolants like every other node
         shared = width_two_product(3)
         serial = modal_proofs()[1]  # rneg over d
         assert [serial.rule, serial.children[0].rule] == ["rneg", "d"]
@@ -219,13 +225,13 @@ class TestSoundnessSweep:
             assert text == reference_format_annotated(ann)
             assert text.count("\n") == distinct_nodes(proof) + format_proof(proof).count("@") + 1
         assert format_proof(shared).count("@") > 0
-        assert set(ann.notes) == {id(serial), id(serial.children[0])}
+        assert all("_interpolant" in node.__dict__ for _, node in iter_nodes(serial))
 
 
 def reference_format_annotated(ann):
     """format_annotated from a walk of its own: each distinct node once in
-    preorder, with its interpolant, read from the node or from ann.notes,
-    and a node met again as @n, n its position in that order."""
+    preorder, with the interpolant it stores, and a node met again as @n,
+    n its position in that order."""
     lines, first, stack = [], {}, [(0, ann.proof)]
     while stack:
         depth, node = stack.pop()
@@ -233,7 +239,7 @@ def reference_format_annotated(ann):
             lines.append("  " * depth + f"@{first[id(node)]}")
             continue
         first[id(node)] = len(first)
-        c = getattr(node, "_interpolant", None) or ann.notes[id(node)]
+        c = node.__dict__["_interpolant"]
         lines.append(f"{'  ' * depth}{node.rule}: {format_sequent(node.sequentv)} @ {format_formula(c)}")
         stack.extend((depth + 1, child) for child in reversed(node.children))
     return "\n".join(lines + [format_formula(ann.interpolant)]) + "\n"
@@ -268,7 +274,7 @@ def reference_maehara(p, system):
         elif rule in ("k", "4"):
             inner = go(node.children[0], path + (0,))
             c = Box(inner) if node.main_comp == "d2" else Neg(Box(Neg(inner)))
-        elif rule == "d":
+        elif rule in ("d", "d4"):
             if not ({"k", "4"} & system.modal_rules):
                 raise UnsupportedRule("seriality without a box-introducing rule")
             c = Box(go(node.children[0], path + (0,)))
@@ -283,8 +289,10 @@ def reference_maehara(p, system):
 
 class TestReferenceAnnotation:
     def test_same_interpolant_at_every_node(self):
+        # each proof under the first system that checks it
         for proof in differential_proofs():
-            assert interpolants(maehara(proof, KD4)) == reference_maehara(proof, KD4)
+            system = passing_system(proof)
+            assert interpolants(maehara(proof, system)) == reference_maehara(proof, system)
 
     def test_same_first_failure(self):
         # two offending cuts: the one first in preorder is reported
@@ -296,3 +304,70 @@ class TestReferenceAnnotation:
             assert f"cut on {proof.main_formula!r}" in str(got.value)
             with pytest.raises(NonMonochromaticCut):
                 reference_maehara(proof, LK)
+
+
+SERIAL = System("serial", frozenset({"d"}), "modal-atomic")  # seriality with no box-introducing rule
+
+
+def unfit_lw():
+    """A "proof" of the invalid p ; => ; q whose premise r => r does not
+    fit its lw."""
+    return Proof("lw", sequent([p], [], [], [q]), (ax(r),), "g1", p)
+
+
+def serial_proof():
+    """A kd4 proof of []p, []~p => that holds d or d4."""
+    from craig.construct import prove_cutfree
+
+    proof = prove_cutfree(sequent([Box(p), Box(Neg(p))]), KD4)
+    assert {node.rule for _, node in iter_nodes(proof)} & {"d", "d4"}
+    return proof
+
+
+class TestContract:
+    """maehara interpolates only proofs that check_proof passes under its
+    system, and every node it walks stores its interpolant."""
+
+    @pytest.mark.parametrize("proof, system", [
+        (unfit_lw(), LKMINUS), (unfit_lw(), LK), (k_over_land1("d2"), KD4),
+    ], ids=["lw-lk-minus", "lw-lk", "k-under-kd4"])
+    def test_an_unfit_proof_is_refused_with_its_violation(self, proof, system):
+        bad = check_proof(proof, system)
+        assert bad is not None
+        with pytest.raises(InterpolationError) as got:
+            maehara(proof, system)
+        assert system.name in str(got.value)
+        assert f"violation at {list(bad.path)}: {bad.reason}" in str(got.value)
+        assert "_interpolant" not in proof.__dict__
+
+    def test_stored_interpolants_do_not_outlive_a_check(self):
+        sigma = example_sigma()
+        assert check_proof(sigma, LKMINUS) is not None  # sigma has cuts
+        ann = maehara(sigma, LK)
+        assert all("_interpolant" in node.__dict__ for _, node in iter_nodes(sigma))
+        for _ in range(2):
+            with pytest.raises(InterpolationError, match="violates the lk-minus policy"):
+                maehara(sigma, LKMINUS)
+        assert maehara(sigma, LKAT).interpolant == ann.interpolant
+
+    @pytest.mark.parametrize("proof", [ax(p), serial_proof()], ids=["ax", "kd4"])
+    def test_seriality_without_a_box_introducing_rule_is_refused(self, proof):
+        with pytest.raises(UnsupportedRule, match="seriality rule of serial"):
+            maehara(proof, SERIAL)
+
+    def test_every_node_stores_its_interpolant_and_a_second_call_combines_none(self, monkeypatch):
+        calls = []
+
+        def counted(rule, comp, parts):
+            calls.append(rule)
+            return combine(rule, comp, parts)
+
+        monkeypatch.setattr(maehara_module, "combine", counted)
+        proof = serial_proof()
+        ann = maehara(proof, KD4)
+        assert calls and {"d", "d4"} & set(calls)
+        assert all("_interpolant" in node.__dict__ for _, node in iter_nodes(proof))
+        assert interpolants(ann) == reference_maehara(proof, KD4)
+        calls.clear()
+        assert maehara(proof, KD4).interpolant is ann.interpolant
+        assert calls == []

@@ -636,6 +636,7 @@ class TestSerialization:
             '(lw "p, q ; => p ; " x (ax "p ; => p ; " -))',
             '(lw "p, q ; => p ; " -1 (ax "p ; => p ; " -))',
             '(lw "p, q ; => p ; " "0" (ax "p ; => p ; " -))',
+            '(lw "p ; => p ;" 99 (ax "p ; => p ;" -))',
             "(ax p ; => ; p -)",
             '("ax" "p ; => ; p" -)',
             '(cut "p ; => ; " d2)',
@@ -647,7 +648,7 @@ class TestSerialization:
         ids=[
             "empty", "open-paren", "truncated", "truncated-children",
             "unterminated-quote", "non-numeric-main", "negative-main",
-            "quoted-main", "bare-sequent", "quoted-rule", "cut-without-premises",
+            "quoted-main", "out-of-range-main", "bare-sequent", "quoted-rule", "cut-without-premises",
             "cut-premise-mismatch", "k-without-succedent", "trailing", "close-paren",
         ],
     )
@@ -669,6 +670,10 @@ class TestSerialization:
     def test_a_rule_without_main_occurrence_takes_only_a_dash(self, text):
         with pytest.raises(ProofError, match=r"cannot take the main token '[01]'"):
             parse_proof(text)
+
+    def test_an_out_of_range_main_index_is_refused_by_its_token(self):
+        with pytest.raises(ProofError, match=r"^rule lw cannot take the main token '99'$"):
+            parse_proof('(lw "p ; => p ;" 99 (ax "p ; => p ;" -))')
 
     @pytest.mark.parametrize("text, system", [
         ('(lw "[]p, []q ; => ; []p" 1 (k "[]p ; => ; []p" 0 (ax "p ; => ; p" -)))', K),
@@ -2017,6 +2022,22 @@ class TestNoReferenceCycles:
 
         proof = example_sigma()
         assert cyclic_garbage(lambda: maehara(proof, LKAT)) == 0
+
+    def test_maehara_on_a_kd4_proof(self):
+        from craig.construct import prove_cutfree
+        from craig.maehara import maehara
+
+        proof = prove_cutfree(sequent([Box(p), Box(Neg(p))]), KD4)
+        assert cyclic_garbage(lambda: maehara(proof, KD4)) == 0
+
+    def test_maehara_refusal(self):
+        from craig.maehara import InterpolationError, UnsupportedRule, maehara
+        from craig.sequent import System
+
+        unfit = Proof("lw", sequent([p], [], [], [q]), (ax(r),), "g1", p)
+        serial = System("serial", frozenset({"d"}), "modal-atomic")
+        assert cyclic_garbage(lambda: raising(InterpolationError, maehara, unfit, LKMINUS)) == 0
+        assert cyclic_garbage(lambda: raising(UnsupportedRule, maehara, ax(p), serial)) == 0
 
     def test_fail_tree_to_model(self):
         from craig.construct import _FailNode, _fail_tree_to_model

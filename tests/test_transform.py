@@ -16,10 +16,10 @@ from craig.formulas import (
     formula_cnf,
     subsumes,
 )
-from craig.maehara import UnsupportedRule, maehara
+import craig.maehara as maehara_module
+from craig.maehara import InterpolationError, UnsupportedRule, combine, maehara
 from craig.sequent import (
     ACROSS,
-    KD4,
     LK,
     LKAT,
     LKLIT,
@@ -65,13 +65,14 @@ from craig.transform import (
 )
 from craig.construct import prove_cutfree, realize_clause, realize_interpolant, realize_pruned
 from conftest import interpolants, iter_nodes, reference_format_proof, reference_iter_nodes
-from test_maehara import reference_maehara
+from test_maehara import SERIAL, reference_maehara
 from test_sequent import (
     criterion_draws,
     deep_weakening_proof,
     differential_proofs,
     example_sigma,
     omega_proof,
+    passing_system,
 )
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
@@ -800,24 +801,26 @@ class TestStoredStepFacts:
             steps += len(got.trace)
         assert steps > 250
 
-    def test_stored_interpolants_equal_a_fresh_annotation(self):
+    def test_stored_interpolants_equal_a_fresh_annotation(self, monkeypatch):
         serial = 0
+        calls = []
+        monkeypatch.setattr(maehara_module, "combine", lambda *args: calls.append(args) or combine(*args))
         for proof in differential_proofs():
-            ann = maehara(proof, KD4)
-            fresh = interpolants(maehara(pickle.loads(pickle.dumps(proof)), KD4))
+            system = passing_system(proof)
+            ann = maehara(proof, system)
+            fresh = interpolants(maehara(pickle.loads(pickle.dumps(proof)), system))
+            # every node of the proof stores an interpolant, its fresh one
             assert interpolants(ann) == fresh
-            stored = 0
-            for (path, node), (_, c) in zip(iter_nodes(proof), fresh):
-                if "_interpolant" in node.__dict__:
-                    assert node.__dict__["_interpolant"] == c
-                    stored += 1
-            if all(node.rule != "d" for _, node in iter_nodes(proof)):
-                assert stored == len(fresh)  # every node of a frozen proof
-                assert maehara(proof, KD4).notes == {}  # a second call walks nothing
-            else:
-                # the seriality rule is checked against the system on every call
+            calls.clear()
+            maehara(proof, system)
+            assert calls == []  # a second call walks nothing
+            if any(node.rule in ("d", "d4") for _, node in iter_nodes(proof)):
+                # the seriality rule needs a box-introducing one in the system,
+                # and a modal proof is refused by a non-modal system
                 serial += 1
                 with pytest.raises(UnsupportedRule):
+                    maehara(proof, SERIAL)
+                with pytest.raises(InterpolationError):
                     maehara(proof, LK)
         assert serial
 
