@@ -186,11 +186,6 @@ class Sequent(tuple):
         parts[i] = fs[:k] + fs[k + 1:]
         return _new(Sequent, parts)
 
-    def count(self, name, f) -> int:
-        """The copies of f in component name.  This shadows tuple.count,
-        which would count the components equal to its one argument."""
-        return self[_INDEX[name]].count(f)
-
     def antecedent(self):
         return self[0] + self[1]
 
@@ -243,9 +238,7 @@ def parse_sequent(text: str) -> Sequent:
 
 def _parse_sequent(text: str, memo) -> Sequent:
     """parse_sequent, taking each formula from memo, a dict from formula
-    text without its outer whitespace to formula that this call extends.
-    A parsed formula enters its own text and the canonical text of each of
-    its subformulas, since parse_formula(format_formula(f)) is f."""
+    text without its outer whitespace to formula that this call extends."""
     if text.count("=>") != 1:
         raise ProofError(f"sequent text needs exactly one '=>': {text!r}")
     left, right = text.split("=>")
@@ -260,16 +253,12 @@ def _parse_sequent(text: str, memo) -> Sequent:
 
 
 def _memo_formula(piece: str, memo) -> Formula:
-    """The formula of piece from memo, or parsed and entered into it with
-    the canonical texts of its subformulas."""
+    """The formula of piece from memo, or parsed and entered into it."""
     key = piece.strip()
     f = memo.get(key)
     if f is None:
         # the piece as written, so that a ParseError keeps its column
-        f = parse_formula(piece)
-        format_formula(f)  # stores the text of every subformula
-        memo.update((format_formula(g), g) for g in subformulas(f))
-        memo[key] = f
+        f = memo[key] = parse_formula(piece)
     return f
 
 
@@ -280,24 +269,24 @@ def _memo_formula(piece: str, memo) -> Formula:
 # The propositional rules, t and cut, one schema each after the G-systems
 # of Troelstra and Schwichtenberg: the side of the main occurrence (g for an
 # antecedent component, d for a succedent one; a cut's main occurrence is
-# its placement), the connective of the main formula (None for any) and the
-# number of premises.  premise_aux gives each premise's auxiliary formulas;
-# infer, rebuild and premises_of are derived from the two.
+# its placement), the connective of the main formula (None for any) and, per
+# premise, premise_aux as a function of the main formula m and its component
+# c.  infer, rebuild and premises_of are derived from the rows.
 RULE_SCHEMA = {
-    "lw": ("g", None, 1),
-    "rw": ("d", None, 1),
-    "lc": ("g", None, 1),
-    "rc": ("d", None, 1),
-    "land1": ("g", And, 1),
-    "land2": ("g", And, 1),
-    "rand": ("d", And, 2),
-    "lor": ("g", Or, 2),
-    "ror1": ("d", Or, 1),
-    "ror2": ("d", Or, 1),
-    "lneg": ("g", Neg, 1),
-    "rneg": ("d", Neg, 1),
-    "t": ("g", Box, 1),
-    "cut": ("d", None, 2),
+    "lw": ("g", None, (lambda m, c: (),)),
+    "rw": ("d", None, (lambda m, c: (),)),
+    "lc": ("g", None, (lambda m, c: ((c, m), (c, m)),)),
+    "rc": ("d", None, (lambda m, c: ((c, m), (c, m)),)),
+    "land1": ("g", And, (lambda m, c: ((c, m.left),),)),
+    "land2": ("g", And, (lambda m, c: ((c, m.right),),)),
+    "rand": ("d", And, (lambda m, c: ((c, m.left),), lambda m, c: ((c, m.right),))),
+    "lor": ("g", Or, (lambda m, c: ((c, m.left),), lambda m, c: ((c, m.right),))),
+    "ror1": ("d", Or, (lambda m, c: ((c, m.left),),)),
+    "ror2": ("d", Or, (lambda m, c: ((c, m.right),),)),
+    "lneg": ("g", Neg, (lambda m, c: ((ACROSS[c], m.body),),)),
+    "rneg": ("d", Neg, (lambda m, c: ((ACROSS[c], m.body),),)),
+    "t": ("g", Box, (lambda m, c: ((c, m.body),),)),
+    "cut": ("d", None, (lambda m, c: ((c, m),), lambda m, c: ((ACROSS[c], m),))),
 }
 
 # k, d, 4 and d4 are the modal jumps: their premise comes from jump_premise
@@ -529,7 +518,7 @@ def _schema(rule, main, comp) -> int:
     """The number of premises of rule, after checking that main at comp
     fits its schema; raises ProofError otherwise."""
     try:
-        side, connective, arity = RULE_SCHEMA[rule]
+        side, connective, auxes = RULE_SCHEMA[rule]
     except KeyError:
         raise ProofError(f"unknown rule {rule!r}") from None
     if not isinstance(main, Formula) or comp not in COMPONENTS:
@@ -538,27 +527,17 @@ def _schema(rule, main, comp) -> int:
         raise ProofError(f"rule {rule} needs its main occurrence in {_SIDES[side]} component")
     if connective is not None and not isinstance(main, connective):
         raise ProofError(f"rule {rule} needs a main formula of type {connective.__name__}")
-    return arity
+    return len(auxes)
 
 
 def premise_aux(rule, main, comp, ci: int):
     """(comp, formula) pairs of premise ci that become the main occurrence
-    main at comp, or that a cut consumes, for the rules of RULE_SCHEMA."""
-    if rule == "cut":
-        return [(comp if ci == 0 else ACROSS[comp], main)]
-    if rule in ("lw", "rw"):
-        return []
-    if rule in ("lc", "rc"):
-        return [(comp, main), (comp, main)]
-    if rule in ("land1", "ror1") or (rule in ("rand", "lor") and ci == 0):
-        return [(comp, main.left)]
-    if rule in ("land2", "ror2", "rand", "lor"):
-        return [(comp, main.right)]
-    if rule in ("lneg", "rneg"):
-        return [(ACROSS[comp], main.body)]
-    if rule == "t":
-        return [(comp, main.body)]
-    raise ProofError(f"no auxiliary formulas for rule {rule!r}")
+    main at comp, or that a cut consumes: the row of rule in RULE_SCHEMA."""
+    try:
+        aux = RULE_SCHEMA[rule][2][ci]
+    except (KeyError, IndexError):
+        raise ProofError(f"rule {rule!r} has no premise {ci}") from None
+    return aux(main, comp)
 
 
 def infer(rule, premises, main: Formula, comp) -> Proof:
@@ -575,7 +554,7 @@ def infer(rule, premises, main: Formula, comp) -> Proof:
     if rule in ("lw", "rw"):
         return Proof(rule, s.insert(comp, main), premises, comp, main)
     if rule in ("lc", "rc"):
-        if s.count(comp, main) < 2:
+        if s.comp(comp).count(main) < 2:
             raise ProofError(f"{rule} needs two copies")
         return Proof(rule, s.remove_one(comp, main), premises, comp, main)
     context = None
@@ -596,12 +575,12 @@ def cut(left: Proof, right: Proof, f: Formula, side=2) -> Proof:
 
 def weaken(child: Proof, f: Formula, comp) -> Proof:
     """lw or rw, by the side of comp."""
-    return infer("lw" if comp[0] == "g" else "rw", (child,), f, comp)
+    return infer("lw" if comp in ("g1", "g2") else "rw", (child,), f, comp)
 
 
 def contract(child: Proof, f: Formula, comp) -> Proof:
     """lc or rc, by the side of comp."""
-    return infer("lc" if comp[0] == "g" else "rc", (child,), f, comp)
+    return infer("lc" if comp in ("g1", "g2") else "rc", (child,), f, comp)
 
 
 MODAL_JUMPS = ("k", "d", "4", "d4")
@@ -777,10 +756,28 @@ _BOXED = "boxed formula in a non-modal system"
 
 
 def _violation(node: Proof, system: System):
-    """((), reason) when node breaks a rule, ((i,), reason) when its
-    premise i does not match the rule or holds a boxed cut formula that the
-    system does not allow, or None.  The order and modality of node's own
-    sequent are check_proof's induction."""
+    """((), reason) when node breaks a rule or the system's cut policy,
+    ((i,), reason) when its premise i does not match the rule or holds a
+    boxed cut formula that the system does not allow, or None.  The order
+    and modality of node's own sequent are check_proof's induction."""
+    m = node.main_formula
+    if node.rule in MODAL_RULES and node.rule not in system.modal_rules:
+        return (), f"rule {node.rule} not available in {system.name}"
+    if (node.rule == "cut" and isinstance(m, Formula) and node.main_comp in ("d1", "d2")
+            and not cut_allowed(m, system, node.sequentv)):
+        return (), f"cut on {format_formula(m)} violates the {system.name} policy"
+    bad = _misfit(node)
+    if bad is None and node.rule == "cut" and not system.modal and is_modal(m):
+        return (0,), _BOXED
+    return bad
+
+
+def _misfit(node: Proof):
+    """((), reason) when node does not fit its rule, ((i,), reason) when
+    its premise i is not the sequent that premises_of demands, or None, as
+    for a node that stores a passed check_proof verdict under any system."""
+    if getattr(node, "_passed", ()):
+        return None
     s = node.sequentv
     if node.rule == "ax":
         ants, sucs = s.antecedent(), s.succedent()
@@ -793,21 +790,15 @@ def _violation(node: Proof, system: System):
         if s.antecedent() != (BOTTOM,) or s.succedent() or node.children:
             return (), "false-axiom must be exactly false =>"
         return None
-    if node.rule in MODAL_RULES and node.rule not in system.modal_rules:
-        return (), f"rule {node.rule} not available in {system.name}"
     try:
         expected = expected_premises(node)
     except ProofError as e:
         return (), str(e)
-    if node.rule == "cut" and not cut_allowed(node.main_formula, system, s):
-        return (), f"cut on {format_formula(node.main_formula)} violates the {system.name} policy"
     if len(expected) != len(node.children):
         return (), f"rule {node.rule} expects {len(expected)} premises"
     for i, (want, child) in enumerate(zip(expected, node.children)):
         if child.sequentv != want:
             return (i,), f"premise is {format_sequent(child.sequentv)} but {node.rule} needs {format_sequent(want)}"
-    if node.rule == "cut" and not system.modal and is_modal(node.main_formula):
-        return (0,), _BOXED
     return None
 
 
@@ -843,8 +834,9 @@ def _first_indices(comp_tuple, formula, k):
 
 def main_occurrence(node: Proof):
     """(comp, idx) of the first copy of the main formula in the conclusion;
-    None for axioms, cuts, d and d4, which have no main occurrence."""
-    if node.main_formula is None or node.rule == "cut":
+    None for axioms, cuts, d and d4, which have no main occurrence, and
+    where main_comp names no component."""
+    if node.main_formula is None or node.rule == "cut" or node.main_comp not in _INDEX:
         return None
     return node.main_comp, first_index(node.sequentv, node.main_comp, node.main_formula)
 
@@ -860,7 +852,11 @@ def aux_occurrences(node: Proof, ci: int):
 
 
 def cut_occurrences(node: Proof):
-    """(comp, idx) of the cut formula in the left and in the right premise."""
+    """(comp, idx) of the cut formula in the left and in the right premise
+    of the cut node; raises ProofError when node does not fit its rule."""
+    bad = _misfit(node)
+    if bad is not None:
+        raise ProofError(bad[1])
     return aux_occurrences(node, 0)[0], aux_occurrences(node, 1)[0]
 
 
@@ -869,14 +865,10 @@ def direct_ancestors(node: Proof, ci: int, occ):
     the conclusion occurrence occ: the auxiliary occurrences of the main
     one, and for a context occurrence the same-rank formula of its
     component with the main and auxiliary positions skipped.  Raises
-    ProofError when the premise is not the one expected_premises demands."""
-    if not getattr(node, "_passed", ()):
-        want = expected_premises(node)
-        if len(want) != len(node.children):
-            raise ProofError(f"rule {node.rule} expects {len(want)} premises")
-        have = node.children[ci].sequentv
-        if have != want[ci]:
-            raise ProofError(f"premise is {format_sequent(have)} but {node.rule} needs {format_sequent(want[ci])}")
+    ProofError in check_proof's words when node does not fit its rule."""
+    bad = _misfit(node)
+    if bad is not None:
+        raise ProofError(bad[1])
     if node.rule in MODAL_JUMPS:
         return _modal_ancestors(node, node.children[ci].sequentv, occ)
     aux = aux_occurrences(node, ci)
@@ -1015,7 +1007,7 @@ def _cut_ancestors_in(node: Proof, ci: int, down) -> frozenset:
     given down, the occurrences of node's conclusion that are."""
     up = {src for occ in down for src in direct_ancestors(node, ci, occ)}
     if node.rule == "cut":
-        up.add(aux_occurrences(node, ci)[0])
+        up.add(cut_occurrences(node)[ci])
     return frozenset(up)
 
 
@@ -1110,7 +1102,11 @@ _MISPLACED_HEIGHT = ("_misplaced_height",
 def monochromatize(p: Proof, system: System) -> Proof:
     """Make every cut's placement side cover its variables, rewriting
     topmost offenders, the leftmost of the deepest first, by atom
-    replacement and side flips."""
+    replacement and side flips.  p must pass check_proof under system,
+    else ProofError names the first violation."""
+    bad = check_proof(p, system)
+    if bad is not None:
+        raise ProofError(f"not a {system.name} proof: violation at {list(bad.path)}: {bad.reason}")
     while True:
         path = _deepest(p, _MISPLACED_HEIGHT)
         if path is None:
@@ -1155,10 +1151,10 @@ def format_proof(p: Proof) -> str:
     """The .prf text of p: one (rule "sequent" main "cut formula" premise
     ...) per distinct node, in preorder.  main is the flat index of the main
     occurrence, a cut's placement, or - where there is none, and only a cut
-    writes the quoted formula.  A premise leaves out its sequent where it is
-    the one expected_premises derives from its parent.  A premise written
-    before, the same object met again, is @n, where n counts the nodes
-    written before its first write."""
+    writes the quoted formula.  The premises of a node that fits its rule
+    (_misfit) leave out their sequents, and those of any other node write
+    them.  A premise written before, the same object met again, is @n,
+    where n counts the nodes written before its first write."""
     out = []
     written = 0
     omit = False  # whether the next node written leaves out its sequent
@@ -1177,13 +1173,9 @@ def format_proof(p: Proof) -> str:
             out.append(f' {node.main_comp} "{format_formula(node.main_formula)}"')
         else:
             out.append(" -")
-        checked = bool(getattr(node, "_passed", ()))
-        try:
-            derived = expected_premises(node) if node.children and not checked else ()
-        except ProofError:
-            derived = ()
-        for i, child in enumerate(node.children):
-            omit = checked or i < len(derived) and child.sequentv == derived[i]
+        fits = not node.children or _misfit(node) is None
+        for child in node.children:
+            omit = fits
             here = len(out)
             first = yield child, None
             if len(out) == here:
@@ -1240,9 +1232,9 @@ def parse_proof(text: str) -> Proof:
     used, as older files have them: a node without its sequent takes the
     one its parent's rule demands, a cut without its formula takes the
     formula its left premise adds, and @n is the node opened n-th, built
-    once.  Each formula text in the file is parsed once, its subformulas'
-    texts included.  The nodes are read from an explicit stack that holds,
-    per '(' not yet closed, a _Reading."""
+    once.  Each distinct formula text in the file is parsed once.  The
+    nodes are read from an explicit stack that holds, per '(' not yet
+    closed, a _Reading."""
     toks = _tokenize_sexpr(text)
     memo = {}
     nodes = []  # by preorder position; None while the node is open

@@ -183,7 +183,7 @@ def literal_cuts_to_atomic(p: Proof) -> Proof:
 
 def is_w_reduced(p: Proof) -> bool:
     return first_node(p, lambda node: node.rule in ("lw", "rw") and
-                      node.children[0].rule not in ("lw", "rw", "ax", "bot")) is None
+                      any(c.rule not in ("lw", "rw", "ax", "bot") for c in node.children)) is None
 
 
 def w_reduce(p: Proof) -> Proof:
@@ -207,6 +207,8 @@ def _reducing(node: Proof, _):
         kids.append(child if getattr(child, "_w_reduced", False) else (yield child, None))
     if not all(map(operator.is_, kids, node.children)):
         node = rebuild(node, kids)
+    if node.rule in ("lw", "rw") and len(kids) != 1:
+        raise TransformError(f"rule {node.rule} takes 1 premises, not {len(kids)}")
     if node.rule in ("lw", "rw") and kids[0].rule not in ("lw", "rw", "ax", "bot"):
         child = kids[0]
         if child.rule in MODAL_RULES:
@@ -403,7 +405,6 @@ def _permute(chi: Proof, over_left: bool):
     """Permute the cut above the last rule of one premise."""
     f = chi.main_formula
     side = int(chi.main_comp[1])
-    dcomp, gcomp = f"d{side}", f"g{side}"
     active = chi.children[0] if over_left else chi.children[1]
     passive = chi.children[1] if over_left else chi.children[0]
     rule = active.rule
@@ -470,11 +471,11 @@ def _degree_reduce(chi: Proof):
 
 
 def _unfit(node: Proof) -> bool:
-    """A modal rule, or a cut not of type R or not monochromatic."""
-    if node.rule == "cut":
-        info = classify_cut(node, ())
-        return not (info.type_r and info.monochromatic)
-    return node.rule in MODAL_RULES
+    """A cut not of type R or not monochromatic."""
+    if node.rule != "cut":
+        return False
+    info = classify_cut(node, ())
+    return not (info.type_r and info.monochromatic)
 
 
 def eliminate_cuts(p: Proof) -> CutEliminationResult:
@@ -499,10 +500,7 @@ def eliminate_cuts(p: Proof) -> CutEliminationResult:
         raise TransformError(f"input does not check: {bad.reason}")
     path = first_node(p, _unfit)
     if path is not None:
-        node = subproof_at(p, path)
-        if node.rule != "cut":
-            raise TransformError("cut elimination is propositional only")
-        if not classify_cut(node, ()).type_r:
+        if not classify_cut(p, path).type_r:
             raise NotTypeR(f"cut at {path} is not of type R")
         raise TransformError(f"cut at {path} is not monochromatic")
     ok, witness = is_tame(p)

@@ -141,6 +141,26 @@ def reference_format_proof(p):
     return f"({inner})"
 
 
+def reference_premise_aux(rule, main, comp, ci):
+    """premise_aux as it was written rule by rule before the rows of
+    RULE_SCHEMA held the auxiliary formulas."""
+    if rule == "cut":
+        return [(comp if ci == 0 else ACROSS[comp], main)]
+    if rule in ("lw", "rw"):
+        return []
+    if rule in ("lc", "rc"):
+        return [(comp, main), (comp, main)]
+    if rule in ("land1", "ror1") or (rule in ("rand", "lor") and ci == 0):
+        return [(comp, main.left)]
+    if rule in ("land2", "ror2", "rand", "lor"):
+        return [(comp, main.right)]
+    if rule in ("lneg", "rneg"):
+        return [(ACROSS[comp], main.body)]
+    if rule == "t":
+        return [(comp, main.body)]
+    raise ProofError(f"no auxiliary formulas for rule {rule!r}")
+
+
 def iter_nodes(p, path=()):
     """(path, node) for every node of p's tree in preorder, on an explicit
     stack, so a subproof met again is walked again."""

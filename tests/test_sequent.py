@@ -14,9 +14,10 @@ from functools import lru_cache
 import pytest
 
 from craig.formulas import (
-    And, Atom, BOTTOM, Box, Formula, Neg, Or, ParseError, TOP, eval_formula,
+    And, Atom, BOTTOM, Box, Formula, FormulaError, Neg, Or, ParseError, TOP, eval_formula,
     format_formula, vars_of,
 )
+from craig.resolution import ResolutionError
 from craig.sequent import (
     COMPONENTS,
     K,
@@ -31,6 +32,7 @@ from craig.sequent import (
     MODAL_JUMPS,
     Proof,
     RULE_SCHEMA,
+    RULES,
     SYSTEMS,
     ProofError,
     Sequent,
@@ -47,6 +49,7 @@ from craig.sequent import (
     cut_occurrences,
     direct_ancestors,
     expected_premises,
+    first_node,
     format_proof,
     format_proof_text,
     format_sequent,
@@ -59,6 +62,7 @@ from craig.sequent import (
     monochromatize,
     parse_proof,
     parse_sequent,
+    premise_aux,
     proof_depth,
     proof_length,
     proof_size,
@@ -81,6 +85,7 @@ from conftest import (
     random_formula,
     reference_format_proof,
     reference_iter_nodes,
+    reference_premise_aux,
 )
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
@@ -449,15 +454,15 @@ UNFIT_PREMISES = [
 
 
 class TestOnePremiseCheck:
-    """direct_ancestors checks a premise against expected_premises unless
-    its node stores a passed check_proof verdict."""
+    """direct_ancestors judges its node with check_proof's fit check unless
+    the node stores a passed check_proof verdict."""
 
     @pytest.mark.parametrize("node, system", UNFIT_PREMISES)
     def test_an_unfit_premise_is_refused_in_the_checkers_words(self, node, system):
         bad = check_proof(node, system)
         assert bad.reason.startswith(("premise is", "rule lw expects 1 premises"))
-        # the premise that does not fit, or every one when their number is wrong
-        for ci in bad.path or range(len(node.children)):
+        # every premise, the one that fits too: the check judges the whole node
+        for ci in range(len(node.children)):
             for c, i, _ in node.sequentv.occurrences():
                 with pytest.raises(ProofError) as info:
                     direct_ancestors(node, ci, (c, i))
@@ -483,6 +488,76 @@ class TestOnePremiseCheck:
         assert calls == [] and len(checked[1]) > 10
         assert self.answers(fresh) == checked
         assert len(calls) > 100
+
+
+class TestMalformedNodes:
+    """One field of one node changed to a value that its rule may not
+    give it, and every public walker either answers or raises a named
+    error."""
+
+    FORMULAS = (None, p, q, BOTTOM, Neg(p), pq, porq, Box(p))
+
+    @classmethod
+    def mutant(cls, rng, proof):
+        path, node = rng.choice(list(iter_nodes(proof)))
+        field = rng.choice(("rule", "main_comp", "main_formula", "premises"))
+        if field == "rule":
+            new = dataclasses.replace(node, rule=rng.choice(RULES + ("nope",)))
+        elif field == "main_comp":
+            new = dataclasses.replace(node, main_comp=rng.choice(COMPONENTS + (None, "x")))
+        elif field == "main_formula":
+            new = dataclasses.replace(node, main_formula=rng.choice(cls.FORMULAS))
+        else:
+            kids = list(node.children)
+            if kids and rng.random() < 0.5:
+                del kids[rng.randrange(len(kids))]
+            else:
+                kids.insert(rng.randrange(len(kids) + 1), rng.choice(kids) if kids else ax(p, "g1", "d1"))
+            new = dataclasses.replace(node, children=tuple(kids))
+        return replace_at(proof, path, new)
+
+    @staticmethod
+    def walkers(proof, system):
+        from craig.maehara import maehara
+        from craig.transform import eliminate_cuts, is_w_reduced, w_reduce
+
+        cut_path = first_node(proof, lambda node: node.rule == "cut")
+        ax_path = first_node(proof, lambda node: node.rule == "ax")
+        occ = ((), "g1", 0) if proof.sequentv.g1 else ((), "g2", 0)
+        return {
+            "check_proof": lambda: check_proof(proof, system),
+            "format_proof": lambda: format_proof(proof),
+            "format_proof_text": lambda: format_proof_text(proof),
+            "pickle": lambda: pickle.loads(pickle.dumps(proof)),
+            "deepcopy": lambda: copy.deepcopy(proof),
+            "is_tame": lambda: is_tame(proof),
+            "classify_cut": lambda: cut_path is None or classify_cut(proof, cut_path),
+            "is_weak": lambda: is_weak(proof, occ),
+            "weight": lambda: weight(proof, occ),
+            "axiom_type": lambda: ax_path is None or axiom_type(proof, ax_path),
+            "monochromatize": lambda: monochromatize(proof, system),
+            "w_reduce": lambda: w_reduce(proof),
+            "is_w_reduced": lambda: is_w_reduced(proof),
+            "maehara": lambda: maehara(proof, system),
+            "eliminate_cuts": lambda: eliminate_cuts(proof),
+        }
+
+    def test_every_public_walker_answers_or_raises_a_named_error(self):
+        bases = ((example_sigma(), LKAT), (omega_proof(), LK), (modal_proofs()[0], K))
+        rng = random.Random(7)
+        raised = Counter()
+        for _ in range(500):
+            base, system = rng.choice(bases)
+            proof = self.mutant(rng, copy.deepcopy(base))
+            for name, walk in self.walkers(proof, system).items():
+                try:
+                    walk()
+                except (ProofError, FormulaError, ResolutionError):
+                    raised[name] += 1
+        # the walkers that raised unnamed errors on malformed nodes before
+        # each of them checked the nodes it reads
+        for name in ("format_proof", "pickle", "is_tame", "classify_cut", "axiom_type", "monochromatize", "w_reduce"):
+            assert raised[name] > 10, (name, raised)
 
 
 class TestLocality:
@@ -670,6 +745,13 @@ class TestSerialization:
     def test_a_rule_without_main_occurrence_takes_only_a_dash(self, text):
         with pytest.raises(ProofError, match=r"cannot take the main token '[01]'"):
             parse_proof(text)
+
+    @pytest.mark.parametrize("node, system", UNFIT_PREMISES)
+    def test_a_node_that_does_not_fit_writes_every_premise_sequent(self, node, system):
+        text = format_proof(node)
+        distinct = [node, *{id(child): child for child in node.children}.values()]
+        assert re.findall(r'\((\w+) "([^"]*)"', text) == [(n.rule, format_sequent(n.sequentv)) for n in distinct]
+        assert parse_proof(text) == node
 
     def test_an_out_of_range_main_index_is_refused_by_its_token(self):
         with pytest.raises(ProofError, match=r"^rule lw cannot take the main token '99'$"):
@@ -1270,11 +1352,6 @@ class TestTupleSequent:
             assert type(other) is Sequent and other == s and hash(other) == hash(s)
             assert other.comp("g1") == (p, pq) and other.d2 == (porq,)
 
-    def test_count_is_per_component(self):
-        # it shadows tuple.count, which would count equal components
-        s = sequent([p, p, q], [], [p], [])
-        assert (s.count("g1", p), s.count("d1", p), s.count("g2", p), s.count("g1", r)) == (2, 1, 0, 0)
-
 
 def reference_cone(p, occ):
     """The ancestor tree of occ as ((ci, comp, idx), its node, index of its
@@ -1612,6 +1689,26 @@ class TestRuleSchema:
                         assert expected_premises(n) == want
                     compared += 1
         assert raised > 1000 and compared > raised + 1000
+
+    def test_the_rows_give_the_reference_auxiliary_formulas(self):
+        pool = [p, BOTTOM, Neg(p), Neg(porq), pq, porq, Box(p)]
+        compared = Counter()
+        for rule, (side, connective, auxes) in RULE_SCHEMA.items():
+            for ci in range(len(auxes)):
+                for comp in (c for c in COMPONENTS if c[0] == side):
+                    for main in pool:
+                        if connective is None or isinstance(main, connective):
+                            want = reference_premise_aux(rule, main, comp, ci)
+                            assert list(premise_aux(rule, main, comp, ci)) == want
+                            compared[rule] += 1
+        assert set(compared) == set(RULE_SCHEMA) and sum(compared.values()) == 110
+
+    @pytest.mark.parametrize("rule, ci", [
+        ("ax", 0), ("k", 0), ("nope", 0), ("lw", 1), ("lc", 1), ("rand", 2), ("cut", 2),
+    ])
+    def test_premise_aux_refuses_an_unknown_rule_or_premise(self, rule, ci):
+        with pytest.raises(ProofError, match=f"^rule '{rule}' has no premise {ci}$"):
+            premise_aux(rule, porq, "d1", ci)
 
     def test_rebuild_gives_back_every_node(self):
         rebuilt = 0
